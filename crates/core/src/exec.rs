@@ -23,8 +23,9 @@
 //! * descriptor insertion/removal uses the exactly-once `push_if` / `pop_if`,
 //! * per-node partial results go through the first-write-wins `Processed`
 //!   map,
-//! * structural changes (leaf split / leaf removal / subtree replacement) are
-//!   plain pointer CASes whose expected value makes them exactly-once.
+//! * structural changes (leaf-run rewrite / split / removal, subtree
+//!   replacement) are plain pointer CASes whose expected value makes them
+//!   exactly-once; they all go through `install`.
 
 use crossbeam_epoch::{Guard, Owned, Shared};
 use std::sync::atomic::Ordering::{AcqRel, Acquire};
@@ -35,8 +36,9 @@ use wft_seq::{Augmentation, Key, Value};
 use crate::config::TreeCounters;
 use crate::descriptor::{Descriptor, OpKind, OpRef, Partial, RangeMode};
 use crate::node::{
-    build_subtree, collect_subtree, free_subtree_now, retire_subtree, InnerNode, LeafNode, Node,
-    NodePtr, NodeState, FICTIVE_ROOT_ID,
+    admitted, build_subtree, collect_subtree, free_subtree_now, insert_into_run, leaf_range_agg,
+    remove_from_run, retire_subtree, split_run, InnerNode, LeafNode, Node, NodePtr, NodeState, Run,
+    FICTIVE_ROOT_ID, LEAF_CAP,
 };
 use crate::tree::WaitFreeTree;
 
@@ -420,7 +422,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
     ///   queue, record its range mode, apply the update's state delta
     ///   (guarded by `Ts_Mod`) and `push_if` the descriptor into its queue;
     /// * leaf / empty child — the operation bottoms out here: apply the
-    ///   structural change (insert/remove) or fold the leaf's contribution
+    ///   structural change (rewrite the run) or fold the run's contribution
     ///   into the node's partial result (lookups and range queries).
     fn continue_into_child(
         &self,
@@ -490,7 +492,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
                     return;
                 }
                 Node::Empty(empty) => {
-                    self.execute_at_empty(op, ts, slot, child, empty, mode, partial, guard);
+                    self.execute_at_empty(op, ts, slot, child, empty, partial, guard);
                     return;
                 }
             }
@@ -563,7 +565,27 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
         }
     }
 
-    /// Bottom-of-path handling when the continuation child is a leaf.
+    /// Bottom-of-path handling when the continuation child is a leaf run.
+    ///
+    /// Updates are the paper's leaf step on a run: copy it with the key
+    /// inserted, replaced or removed, stamp the copy `created_ts = ts` and
+    /// CAS the slot against the observed leaf. Three facts carry over from
+    /// the one-key leaf unchanged:
+    ///
+    /// * **`created_ts >= ts` means done.** Updates reach a slot in
+    ///   timestamp order (only a queue head is executed) and each stamps
+    ///   what it installs, and a rebuild stamps `rebuilder_ts - 1`, which is
+    ///   at least the timestamp of everything it copied. So once this
+    ///   update is applied the slot holds `created_ts >= ts` for good, and
+    ///   a helper that sees it returns untouched.
+    /// * **Helpers agree.** A helper past that guard observed a run no
+    ///   later operation has written, i.e. the run this update is due on.
+    ///   Runs are immutable, so every such helper computes the same
+    ///   replacement from the same pointer, and the expected-pointer CAS
+    ///   lets exactly one of them in.
+    /// * **Membership decides the no-ops.** A successful `Insert` whose key
+    ///   is already in an older run, or a `Remove` whose key is not, has had
+    ///   its change carried in by a rebuilt subtree; both return untouched.
     #[allow(clippy::too_many_arguments)]
     fn execute_at_leaf(
         &self,
@@ -571,168 +593,85 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
         ts: Timestamp,
         slot: &crossbeam_epoch::Atomic<Node<K, V, A>>,
         child: Shared<'_, Node<K, V, A>>,
-        leaf: &LeafNode<K, V>,
+        leaf: &LeafNode<K, V, A::Agg>,
         mode: Option<RangeMode<K>>,
         partial: &mut Partial<K, V, A::Agg>,
         guard: &Guard,
     ) {
         match &op.kind {
             OpKind::Insert { key, value } | OpKind::Replace { key, value } => {
-                if leaf.created_ts >= ts {
-                    // The leaf was created by a *later* operation (or a
-                    // rebuild that already accounted for us) — our change has
-                    // already been applied by a faster helper and the slot
-                    // has since been reused; touching it now would corrupt
-                    // later operations' work.
+                if leaf.created_ts() >= ts {
                     return;
                 }
-                if &leaf.key == key {
-                    if matches!(op.kind, OpKind::Insert { .. }) {
-                        // The leaf already carries the key: the insert's
-                        // structural change was applied through a (re)built
-                        // subtree. Nothing to do.
-                        return;
-                    }
-                    // Replace bottoming out on its own key: swap in a leaf
-                    // carrying the new value. The expected-pointer CAS makes
-                    // this exactly-once among helpers; a stalled helper that
-                    // arrives after a rebuild re-installs the same value
-                    // (idempotent), since any leaf for this key with
-                    // `created_ts < ts` predates our operation's effect or
-                    // carries it verbatim.
-                    let new_leaf = Node::Leaf(LeafNode {
-                        key: *key,
-                        value: value.clone(),
-                        created_ts: ts,
-                    });
-                    // ORDERING: success AcqRel — Release publishes the new leaf, Acquire orders
-                    // the swap after the `created_ts`/key checks; failure Acquire is the
-                    // conservative mirror (the result is discarded).
-                    match slot.compare_exchange(child, Owned::new(new_leaf), AcqRel, Acquire, guard)
-                    {
-                        // SAFETY: our CAS unlinked the old leaf; single CAS winner per expected
-                        // pointer means it is retired exactly once, under `guard`.
-                        Ok(_) => unsafe { guard.defer_destroy(child) },
-                        Err(e) => {
-                            // SAFETY: the CAS failed, so `e.new` was never published and this thread
-                            // still owns it exclusively; freeing it immediately is sound.
-                            free_subtree_now(
-                                e.new.into_shared(unsafe { crossbeam_epoch::unprotected() }),
-                            );
-                        }
-                    }
+                if matches!(op.kind, OpKind::Insert { .. }) && leaf.get(key).is_some() {
                     return;
                 }
-                // Split the leaf: a fresh routing node over the old and the
-                // new key. Its state already includes the new key, so its
-                // `ts_mod` / queue watermark are set to `ts` — stalled
-                // helpers of this very operation must not apply the delta or
-                // enqueue the descriptor again.
-                let (lo, hi) = if key < &leaf.key {
-                    ((*key, value.clone()), (leaf.key, leaf.value.clone()))
+                let run = insert_into_run(leaf.entries(), *key, value.clone());
+                let new = if run.len() <= LEAF_CAP {
+                    Node::leaf(run, ts)
                 } else {
-                    ((leaf.key, leaf.value.clone()), (*key, value.clone()))
+                    self.split_node(run, ts)
                 };
-                let agg = A::combine(&A::of_entry(&lo.0, &lo.1), &A::of_entry(&hi.0, &hi.1));
-                let split = Node::Inner(InnerNode {
-                    id: self.ids.fresh(),
-                    rsm: hi.0,
-                    init_sz: 2,
-                    left: crossbeam_epoch::Atomic::new(Node::Leaf(LeafNode {
-                        key: lo.0,
-                        value: lo.1,
-                        created_ts: ts,
-                    })),
-                    right: crossbeam_epoch::Atomic::new(Node::Leaf(LeafNode {
-                        key: hi.0,
-                        value: hi.1,
-                        created_ts: ts,
-                    })),
-                    state: crossbeam_epoch::Atomic::new(NodeState {
-                        agg,
-                        mod_cnt: 0,
-                        ts_mod: ts,
-                    }),
-                    queue: wft_queue::TsQueue::new(ts),
-                });
-                // ORDERING: success AcqRel — Release publishes the fully built split
-                // subtree to the Acquire child loads, Acquire orders it after the guard
-                // checks; failure Acquire mirrors the success ordering.
-                match slot.compare_exchange(child, Owned::new(split), AcqRel, Acquire, guard) {
-                    Ok(_) => {
-                        // The old leaf was replaced (its data was copied into
-                        // the new subtree); retire it.
-                        // SAFETY: our CAS unlinked the old leaf (single winner per expected
-                        // pointer); readers are protected by their epoch guards.
-                        unsafe { guard.defer_destroy(child) };
-                    }
-                    Err(e) => {
-                        // Another helper already applied the change; discard
-                        // our speculative subtree (never published).
-                        // SAFETY: the CAS failed, so the speculative subtree in `e.new` was never
-                        // published; this thread owns it exclusively.
-                        free_subtree_now(
-                            e.new.into_shared(unsafe { crossbeam_epoch::unprotected() }),
-                        );
-                    }
-                }
+                install(slot, child, new, guard);
             }
             OpKind::Remove { key } => {
-                if leaf.created_ts >= ts || &leaf.key != key {
-                    // Either the leaf was already replaced through a rebuild
-                    // that accounted for this removal, or it belongs to a
-                    // later operation that reused the slot after our removal
-                    // was applied; nothing to do (and the second case must
-                    // not be touched).
+                if leaf.created_ts() >= ts {
                     return;
                 }
-                // ORDERING: success AcqRel — Release publishes the Empty placeholder,
-                // Acquire orders it after the `created_ts` check; failure Acquire mirrors
-                // the success ordering.
-                match slot.compare_exchange(
-                    child,
-                    Owned::new(Node::empty(ts)),
-                    AcqRel,
-                    Acquire,
-                    guard,
-                ) {
-                    // SAFETY: our CAS unlinked the removed leaf (single winner per expected
-                    // pointer); readers hold epoch guards until `defer_destroy` fires.
-                    Ok(_) => unsafe { guard.defer_destroy(child) },
-                    Err(e) => {
-                        // SAFETY: the CAS failed, so the placeholder in `e.new` was never
-                        // published; this thread owns it exclusively.
-                        free_subtree_now(
-                            e.new.into_shared(unsafe { crossbeam_epoch::unprotected() }),
-                        );
-                    }
-                }
+                let Some(run) = remove_from_run(leaf.entries(), key) else {
+                    return;
+                };
+                let new = if run.is_empty() {
+                    Node::empty(ts)
+                } else {
+                    Node::leaf(run, ts)
+                };
+                install(slot, child, new, guard);
             }
             OpKind::Lookup { key } => {
-                let found = if &leaf.key == key {
-                    Some(leaf.value.clone())
-                } else {
-                    None
-                };
-                *partial = Partial::Lookup(Some(found));
+                *partial = Partial::Lookup(Some(leaf.get(key).cloned()));
             }
             OpKind::RangeAgg { .. } => {
                 let mode = mode.expect("range queries always carry a mode");
-                if mode.admits(&leaf.key) {
-                    let contribution = A::of_entry(&leaf.key, &leaf.value);
-                    merge_agg::<K, V, A>(partial, &contribution);
-                }
+                merge_agg::<K, V, A>(partial, &leaf_range_agg::<K, V, A>(leaf, &mode));
             }
             OpKind::Collect { .. } => {
                 let mode = mode.expect("collect always carries its bounds");
-                if mode.admits(&leaf.key) {
-                    if let Partial::Entries(entries) = partial {
-                        entries.push((leaf.key, leaf.value.clone()));
-                    }
+                if let Partial::Entries(entries) = partial {
+                    entries.extend_from_slice(admitted(leaf.entries(), &mode));
                 }
             }
         }
-        let _ = ts; // timestamps are not needed at leaves beyond the CAS guards above
+    }
+
+    /// The routing node an overflowing insert installs over the two halves
+    /// of `run`. Its state already includes the new key, so its `ts_mod` and
+    /// queue watermark are `ts` — stalled helpers of this very operation
+    /// must not apply the delta or enqueue the descriptor again — and its
+    /// `init_sz` is the run length, so it is next rebuilt after about that
+    /// many updates, not on its third.
+    fn split_node(&self, run: Run<K, V>, ts: Timestamp) -> Node<K, V, A> {
+        let init_sz = run.len() as u64;
+        let (lo, hi) = split_run(run);
+        let rsm = hi[0].0;
+        let (lo, hi) = (
+            LeafNode::from_run::<A>(lo, ts),
+            LeafNode::from_run::<A>(hi, ts),
+        );
+        let agg = A::combine(lo.agg(), hi.agg());
+        Node::Inner(InnerNode {
+            id: self.ids.fresh(),
+            rsm,
+            init_sz,
+            left: crossbeam_epoch::Atomic::new(Node::Leaf(lo)),
+            right: crossbeam_epoch::Atomic::new(Node::Leaf(hi)),
+            state: crossbeam_epoch::Atomic::new(NodeState {
+                agg,
+                mod_cnt: 0,
+                ts_mod: ts,
+            }),
+            queue: wft_queue::TsQueue::new(ts),
+        })
     }
 
     /// Bottom-of-path handling when the continuation child is an `Empty`
@@ -745,7 +684,6 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
         slot: &crossbeam_epoch::Atomic<Node<K, V, A>>,
         child: Shared<'_, Node<K, V, A>>,
         empty: &crate::node::EmptyNode,
-        _mode: Option<RangeMode<K>>,
         partial: &mut Partial<K, V, A::Agg>,
         guard: &Guard,
     ) {
@@ -757,26 +695,8 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
                     // again) by later-linearized operations.
                     return;
                 }
-                let leaf = Node::Leaf(LeafNode {
-                    key: *key,
-                    value: value.clone(),
-                    created_ts: ts,
-                });
-                // ORDERING: success AcqRel — Release publishes the new leaf to the Acquire
-                // child loads, Acquire orders it after the `created_ts` check; failure
-                // Acquire mirrors the success ordering.
-                match slot.compare_exchange(child, Owned::new(leaf), AcqRel, Acquire, guard) {
-                    // SAFETY: our CAS unlinked the Empty placeholder (single winner per
-                    // expected pointer); readers hold epoch guards.
-                    Ok(_) => unsafe { guard.defer_destroy(child) },
-                    Err(e) => {
-                        // SAFETY: the CAS failed, so the leaf in `e.new` was never published; this
-                        // thread owns it exclusively.
-                        free_subtree_now(
-                            e.new.into_shared(unsafe { crossbeam_epoch::unprotected() }),
-                        );
-                    }
-                }
+                let leaf = Node::leaf(vec![(*key, value.clone())], ts);
+                install(slot, child, leaf, guard);
             }
             OpKind::Remove { .. } => {
                 // A successful remove never bottoms out at Empty (the key was
@@ -827,32 +747,18 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
         let watermark = op_ts.prev_saturating();
         let (new_node, _agg) = build_subtree::<K, V, A>(&entries, watermark, &self.ids);
 
-        // 4. Swap it in.
-        // ORDERING: success AcqRel — Release publishes the fully built balanced
-        // subtree to the Acquire child loads, Acquire orders the swap after the
-        // drain/collect above (the replacement must reflect every settled entry);
-        // failure Acquire reads the subtree another helper installed.
-        match slot.compare_exchange(old_child, Owned::new(new_node), AcqRel, Acquire, guard) {
-            Ok(_) => {
-                retire_subtree(old_child, guard);
-                TreeCounters::bump(&self.counters.rebuilds);
-                TreeCounters::add(&self.counters.rebuilt_items, entries.len() as u64);
-                // Rebuilds are the update path's heavyweight anomaly; a
-                // timestamped timeline of them (arg: items copied, low 16
-                // bits) is what distinguishes a helping cascade from a
-                // retry storm in a post-mortem.
-                wft_obs::trace::emit(
-                    wft_obs::TraceKind::HelpRebuild,
-                    u16::try_from(entries.len()).unwrap_or(u16::MAX - 1),
-                );
-            }
-            Err(e) => {
-                // Another helper replaced the subtree first; ours was never
-                // published and can be freed immediately.
-                // SAFETY: the CAS failed, so our replacement subtree was never published;
-                // this thread owns it exclusively and may free it in place.
-                free_subtree_now(e.new.into_shared(unsafe { crossbeam_epoch::unprotected() }));
-            }
+        // 4. Swap it in; a loser's replacement is equivalent to the winner's.
+        if install(slot, old_child, new_node, guard) {
+            TreeCounters::bump(&self.counters.rebuilds);
+            TreeCounters::add(&self.counters.rebuilt_items, entries.len() as u64);
+            // Rebuilds are the update path's heavyweight anomaly; a
+            // timestamped timeline of them (arg: items copied, low 16
+            // bits) is what distinguishes a helping cascade from a
+            // retry storm in a post-mortem.
+            wft_obs::trace::emit(
+                wft_obs::TraceKind::HelpRebuild,
+                u16::try_from(entries.len()).unwrap_or(u16::MAX - 1),
+            );
         }
     }
 
@@ -882,6 +788,37 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
             self.drain_subtree(inner.left.load(Acquire, guard), guard);
             // ORDERING: as above, for the right child.
             self.drain_subtree(inner.right.load(Acquire, guard), guard);
+        }
+    }
+}
+
+/// The one structural CAS: swaps `new` into `slot` against the observed
+/// `old`. The winner retires what it unlinked (a leaf, a placeholder or
+/// a whole drained subtree); a loser frees its never-published `new` —
+/// another helper already installed an equivalent one. Returns whether
+/// this call won.
+fn install<K: Key, V: Value, A: Augmentation<K, V>>(
+    slot: &crossbeam_epoch::Atomic<Node<K, V, A>>,
+    old: Shared<'_, Node<K, V, A>>,
+    new: Node<K, V, A>,
+    guard: &Guard,
+) -> bool {
+    // ORDERING: success AcqRel — Release publishes the fully built replacement
+    // to the Acquire child loads, Acquire orders the swap after the checks
+    // (`created_ts`, membership, drain + collect) that produced it; failure
+    // Acquire mirrors the success ordering (the result is discarded).
+    match slot.compare_exchange(old, Owned::new(new), AcqRel, Acquire, guard) {
+        Ok(_) => {
+            // Our CAS unlinked `old` (single winner per expected
+            // pointer); readers keep it alive through their guards.
+            retire_subtree(old, guard);
+            true
+        }
+        Err(e) => {
+            // SAFETY: the CAS failed, so `e.new` was never published and this thread
+            // still owns it exclusively; freeing it in place is sound.
+            free_subtree_now(e.new.into_shared(unsafe { crossbeam_epoch::unprotected() }));
+            false
         }
     }
 }

@@ -83,7 +83,7 @@ pub mod tree;
 
 pub use config::{ReadPath, RootQueueKind, TreeConfig, TreeStats};
 pub use descriptor::{OpKind, RangeMode};
-pub use tree::WaitFreeTree;
+pub use tree::{FrontMiss, WaitFreeTree};
 
 // Re-export the timestamp type: the tree's front API (`stable_ts`,
 // `settle_front`, the `*_at` reads) speaks it, and downstream layers (the

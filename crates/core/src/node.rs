@@ -12,10 +12,15 @@
 //!   state can be read with one pointer load and modified exactly once per
 //!   operation,
 //! * child pointers are epoch-managed atomics; all structural changes are
-//!   CASes on a *parent's* child slot (insert splits a leaf, remove replaces
-//!   a leaf with [`Node::Empty`], rebuilds swap whole subtrees), which keeps
-//!   the paper's rule that executing an operation in `v` only modifies `v`'s
-//!   children.
+//!   CASes on a *parent's* child slot (an update swaps a leaf for a rewritten
+//!   copy, an overflowing insert for a split, a remove of the last entry for
+//!   [`Node::Empty`]; rebuilds swap whole subtrees), which keeps the paper's
+//!   rule that executing an operation in `v` only modifies `v`'s children,
+//! * a leaf is an **immutable sorted run** of up to [`LEAF_CAP`] entries
+//!   with its precomputed aggregate, so the tree has one heap leaf per run
+//!   instead of a leaf plus a routing node per key. The run arithmetic
+//!   (`insert_into_run`, `remove_from_run`, `split_run`, `run_agg`)
+//!   is kept as free functions over slices.
 
 use crossbeam_epoch::{Atomic, Guard, Owned, Shared};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,7 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use wft_queue::{Timestamp, TsQueue};
 use wft_seq::{Augmentation, Key, Value};
 
-use crate::descriptor::OpRef;
+use crate::descriptor::{OpRef, RangeMode};
 
 /// Unique identifier of an inner node, used as the key of the per-operation
 /// `Processed` and mode maps. The fictive root uses id `0`; real nodes get
@@ -70,7 +75,16 @@ pub struct NodeState<Agg> {
     pub ts_mod: Timestamp,
 }
 
-/// A leaf holding one data item. Leaves are immutable.
+/// Most entries one leaf run holds. A run that would grow past it is split
+/// into two half runs under a fresh routing node.
+pub const LEAF_CAP: usize = 32;
+
+/// Fill of the runs a rebuild packs: three quarters of [`LEAF_CAP`], so a
+/// rebuilt leaf absorbs several inserts before its first split.
+const REBUILD_FILL: usize = LEAF_CAP * 3 / 4;
+
+/// A leaf: an immutable run of `1..=LEAF_CAP` entries, strictly ascending by
+/// key, with the aggregate of the run precomputed.
 ///
 /// `created_ts` is the timestamp of the operation (or the watermark of the
 /// rebuild) that physically installed the leaf. Structural CASes are guarded
@@ -78,19 +92,119 @@ pub struct NodeState<Agg> {
 /// in a child slot must not touch that slot — its own structural change has
 /// already been applied by a faster helper, and the slot has since been
 /// reused by later-linearized operations (see `execute_at_leaf` /
-/// `execute_at_empty`). Because leaves are immutable, a `Replace` descriptor
-/// that overwrites an existing key installs a *fresh* leaf carrying the new
-/// value and its own timestamp, so the same guard covers upserts: any leaf
-/// for the key with a smaller `created_ts` either predates the replace or is
-/// a rebuild's verbatim copy of its effect.
+/// `execute_at_empty`). Because runs are immutable, every update that
+/// bottoms out here installs a *fresh* run carrying its own timestamp, so
+/// the same guard covers inserts, upserts and removes alike: a run with a
+/// smaller `created_ts` predates the update's effect.
 #[derive(Debug)]
-pub struct LeafNode<K, V> {
-    /// The stored key.
-    pub key: K,
-    /// The associated value.
-    pub value: V,
+pub struct LeafNode<K, V, Agg> {
+    entries: Box<[(K, V)]>,
+    agg: Agg,
+    created_ts: Timestamp,
+}
+
+impl<K: Key, V: Value, Agg> LeafNode<K, V, Agg> {
+    /// A leaf over `run`, created by the operation with timestamp
+    /// `created_ts`. `run` must be non-empty, strictly ascending and at most
+    /// [`LEAF_CAP`] long; its aggregate is computed here, once.
+    pub(crate) fn from_run<A: Augmentation<K, V, Agg = Agg>>(
+        run: Run<K, V>,
+        created_ts: Timestamp,
+    ) -> Self {
+        debug_assert!(!run.is_empty() && run.len() <= LEAF_CAP);
+        debug_assert!(run.windows(2).all(|w| w[0].0 < w[1].0));
+        LeafNode {
+            agg: run_agg::<K, V, A>(&run),
+            entries: run.into_boxed_slice(),
+            created_ts,
+        }
+    }
+
+    /// The run: `1..=LEAF_CAP` entries, strictly ascending by key.
+    pub fn entries(&self) -> &[(K, V)] {
+        &self.entries
+    }
+
+    /// Aggregate of the whole run.
+    pub fn agg(&self) -> &Agg {
+        &self.agg
+    }
+
     /// Timestamp of the operation that created this leaf.
-    pub created_ts: Timestamp,
+    pub fn created_ts(&self) -> Timestamp {
+        self.created_ts
+    }
+
+    /// The value stored under `key`, if the run holds it.
+    pub fn get(&self, key: &K) -> Option<&V> {
+        find_in_run(&self.entries, key)
+            .ok()
+            .map(|i| &self.entries[i].1)
+    }
+}
+
+/// An owned run under construction: entries strictly ascending by key.
+pub(crate) type Run<K, V> = Vec<(K, V)>;
+
+/// Position of `key` in a sorted run (`Ok`), or where it would be inserted
+/// (`Err`).
+fn find_in_run<K: Key, V>(run: &[(K, V)], key: &K) -> Result<usize, usize> {
+    run.binary_search_by(|(k, _)| k.cmp(key))
+}
+
+/// Copy of `run` with `key → value` inserted at its sorted position, or with
+/// the value replaced when the run already holds the key. The result is at
+/// most one entry longer than `run`.
+pub(crate) fn insert_into_run<K: Key, V: Value>(run: &[(K, V)], key: K, value: V) -> Run<K, V> {
+    match find_in_run(run, &key) {
+        Ok(i) => {
+            let mut out = run.to_vec();
+            out[i].1 = value;
+            out
+        }
+        Err(i) => {
+            let mut out = Vec::with_capacity(run.len() + 1);
+            out.extend_from_slice(&run[..i]);
+            out.push((key, value));
+            out.extend_from_slice(&run[i..]);
+            out
+        }
+    }
+}
+
+/// Copy of `run` without `key`; `None` when the run does not hold it.
+pub(crate) fn remove_from_run<K: Key, V: Value>(run: &[(K, V)], key: &K) -> Option<Run<K, V>> {
+    let i = find_in_run(run, key).ok()?;
+    let mut out = Vec::with_capacity(run.len() - 1);
+    out.extend_from_slice(&run[..i]);
+    out.extend_from_slice(&run[i + 1..]);
+    Some(out)
+}
+
+/// Splits an overflowing run into a lower and an upper half (the upper one
+/// gets the odd entry). Both halves are non-empty for runs of two or more.
+pub(crate) fn split_run<K, V>(mut run: Run<K, V>) -> (Run<K, V>, Run<K, V>) {
+    let hi = run.split_off(run.len() / 2);
+    (run, hi)
+}
+
+/// Aggregate of a run, folded entry by entry.
+pub(crate) fn run_agg<K: Key, V: Value, A: Augmentation<K, V>>(run: &[(K, V)]) -> A::Agg {
+    run.iter()
+        .fold(A::identity(), |acc, (k, v)| A::insert_delta(&acc, k, v))
+}
+
+/// The part of a sorted run a range mode admits: two binary searches, no
+/// per-entry test.
+pub(crate) fn admitted<'a, K: Key, V>(run: &'a [(K, V)], mode: &RangeMode<K>) -> &'a [(K, V)] {
+    let (min, max) = match mode {
+        RangeMode::Both { min, max } => (Some(min), Some(max)),
+        RangeMode::LeftBorder { min } => (Some(min), None),
+        RangeMode::RightBorder { max } => (None, Some(max)),
+    };
+    let lo = min.map_or(0, |min| run.partition_point(|(k, _)| k < min));
+    let hi = max.map_or(run.len(), |max| run.partition_point(|(k, _)| k <= max));
+    &run[lo..hi.max(lo)]
 }
 
 /// A removed leaf position (or the empty tree), carrying the timestamp of the
@@ -126,8 +240,8 @@ pub struct InnerNode<K: Key, V: Value, A: Augmentation<K, V>> {
 pub enum Node<K: Key, V: Value, A: Augmentation<K, V>> {
     /// A removed leaf position (or the empty tree); cleaned up by rebuilds.
     Empty(EmptyNode),
-    /// A data item.
-    Leaf(LeafNode<K, V>),
+    /// A run of data items.
+    Leaf(LeafNode<K, V, A::Agg>),
     /// A routing node with queue and state.
     Inner(InnerNode<K, V, A>),
 }
@@ -136,6 +250,11 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> Node<K, V, A> {
     /// An empty placeholder created by the operation with timestamp `ts`.
     pub fn empty(ts: Timestamp) -> Self {
         Node::Empty(EmptyNode { created_ts: ts })
+    }
+
+    /// [`LeafNode::from_run`] as a node.
+    pub(crate) fn leaf(run: Run<K, V>, ts: Timestamp) -> Self {
+        Node::Leaf(LeafNode::from_run::<A>(run, ts))
     }
 
     /// `true` for [`Node::Inner`].
@@ -152,12 +271,12 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> Node<K, V, A> {
     }
 
     /// Current augmentation value of this child as seen from its parent:
-    /// identity for `Empty`, the entry contribution for a leaf, and the
-    /// *current state's* aggregate for an inner node.
+    /// identity for `Empty`, the stored aggregate of a leaf run, and the
+    /// *current state's* aggregate for an inner node — `O(1)` in all three.
     pub fn current_agg(&self, guard: &Guard) -> A::Agg {
         match self {
             Node::Empty(_) => A::identity(),
-            Node::Leaf(leaf) => A::of_entry(&leaf.key, &leaf.value),
+            Node::Leaf(leaf) => leaf.agg.clone(),
             Node::Inner(inner) => {
                 // ORDERING: Acquire pairs with the AcqRel state CAS in
                 // `apply_state_delta`, so the record's fields are visible.
@@ -169,6 +288,21 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> Node<K, V, A> {
                 unsafe { state.deref() }.agg.clone()
             }
         }
+    }
+}
+
+/// What a leaf contributes to an aggregate range query in `mode`: the stored
+/// aggregate when the whole run is admitted, otherwise a fold over the
+/// admitted part (at most [`LEAF_CAP`] entries — only border leaves pay it).
+pub(crate) fn leaf_range_agg<K: Key, V: Value, A: Augmentation<K, V>>(
+    leaf: &LeafNode<K, V, A::Agg>,
+    mode: &RangeMode<K>,
+) -> A::Agg {
+    let part = admitted(&leaf.entries, mode);
+    if part.len() == leaf.entries.len() {
+        leaf.agg.clone()
+    } else {
+        run_agg::<K, V, A>(part)
     }
 }
 
@@ -238,33 +372,52 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> NodePtr<K, V, A> {
     }
 }
 
-/// Recursively builds a perfectly balanced concurrent subtree from sorted,
-/// de-duplicated `entries` (the §II-E rebuild).
+/// Builds a balanced concurrent subtree from sorted, de-duplicated `entries`
+/// (the §II-E rebuild): the entries are packed into runs of about
+/// `REBUILD_FILL` under a balanced skeleton of routing nodes.
 ///
 /// Every created inner node gets a fresh id, `mod_cnt = 0`,
-/// `ts_mod = watermark` and a queue watermark of `watermark`, where the
-/// caller passes `watermark = rebuild_op_timestamp - 1` so the rebuilding
-/// operation itself and all later operations can still modify the new
-/// subtree while all earlier (already-accounted-for) operations cannot.
+/// `ts_mod = watermark` and a queue watermark of `watermark`, and every leaf
+/// `created_ts = watermark`, where the caller passes
+/// `watermark = rebuild_op_timestamp - 1` so the rebuilding operation itself
+/// and all later operations can still modify the new subtree while all
+/// earlier (already-accounted-for) operations cannot.
 pub(crate) fn build_subtree<K: Key, V: Value, A: Augmentation<K, V>>(
     entries: &[(K, V)],
     watermark: Timestamp,
     ids: &IdAllocator,
 ) -> (Node<K, V, A>, A::Agg) {
-    match entries {
-        [] => (Node::empty(watermark), A::identity()),
-        [(key, value)] => (
-            Node::Leaf(LeafNode {
-                key: *key,
-                value: value.clone(),
-                created_ts: watermark,
-            }),
-            A::of_entry(key, value),
-        ),
+    build_runs(
+        entries,
+        entries.len().div_ceil(REBUILD_FILL),
+        watermark,
+        ids,
+    )
+}
+
+/// [`build_subtree`] over a fixed number of leaf runs: the run count is
+/// halved at each routing node and the entries divided in proportion, so
+/// the skeleton is balanced and the runs differ in length by at most one.
+fn build_runs<K: Key, V: Value, A: Augmentation<K, V>>(
+    entries: &[(K, V)],
+    runs: usize,
+    watermark: Timestamp,
+    ids: &IdAllocator,
+) -> (Node<K, V, A>, A::Agg) {
+    match runs {
+        0 => (Node::empty(watermark), A::identity()),
+        1 => {
+            let leaf = LeafNode::from_run::<A>(entries.to_vec(), watermark);
+            let agg = leaf.agg.clone();
+            (Node::Leaf(leaf), agg)
+        }
         _ => {
-            let mid = entries.len() / 2;
-            let (left, left_agg) = build_subtree::<K, V, A>(&entries[..mid], watermark, ids);
-            let (right, right_agg) = build_subtree::<K, V, A>(&entries[mid..], watermark, ids);
+            let left_runs = runs / 2;
+            let mid = entries.len() * left_runs / runs;
+            let (left, left_agg) =
+                build_runs::<K, V, A>(&entries[..mid], left_runs, watermark, ids);
+            let (right, right_agg) =
+                build_runs::<K, V, A>(&entries[mid..], runs - left_runs, watermark, ids);
             let agg = A::combine(&left_agg, &right_agg);
             let inner = InnerNode {
                 id: ids.fresh(),
@@ -301,7 +454,7 @@ pub(crate) fn collect_subtree<K: Key, V: Value, A: Augmentation<K, V>>(
     // `retire_subtree`/`defer_destroy`.
     match unsafe { node.deref() } {
         Node::Empty(_) => {}
-        Node::Leaf(leaf) => out.push((leaf.key, leaf.value.clone())),
+        Node::Leaf(leaf) => out.extend_from_slice(&leaf.entries),
         Node::Inner(inner) => {
             // ORDERING: Acquire pairs with the AcqRel child-slot CASes, so both
             // subtrees are fully initialised when walked.
@@ -448,13 +601,124 @@ mod tests {
         let guard = epoch::pin();
         let empty: N = Node::empty(Timestamp::ZERO);
         assert_eq!(empty.current_agg(&guard), 0);
-        let leaf: N = Node::Leaf(LeafNode {
-            key: 3,
-            value: (),
-            created_ts: Timestamp::ZERO,
-        });
-        assert_eq!(leaf.current_agg(&guard), 1);
+        let leaf: N = Node::leaf(vec![(3, ()), (5, ()), (8, ())], Timestamp::ZERO);
+        assert_eq!(leaf.current_agg(&guard), 3);
         assert!(!leaf.is_inner());
         assert!(leaf.as_inner().is_none());
+    }
+
+    #[test]
+    fn build_subtree_packs_runs_under_a_balanced_skeleton() {
+        fn shape(node: &N, depth: usize, runs: &mut Vec<(usize, usize)>) {
+            // SAFETY: the subtree was never published; this test owns it exclusively.
+            let guard = unsafe { epoch::unprotected() };
+            match node {
+                Node::Empty(_) => panic!("a rebuild of a non-empty slice has no Empty"),
+                Node::Leaf(leaf) => runs.push((depth, leaf.entries().len())),
+                Node::Inner(inner) => {
+                    // SAFETY: as above.
+                    let left = unsafe { inner.left.load(Ordering::Relaxed, guard).deref() };
+                    // SAFETY: as above.
+                    let right = unsafe { inner.right.load(Ordering::Relaxed, guard).deref() };
+                    shape(left, depth + 1, runs);
+                    shape(right, depth + 1, runs);
+                }
+            }
+        }
+        let ids = IdAllocator::new();
+        for n in [
+            1usize,
+            REBUILD_FILL,
+            REBUILD_FILL + 1,
+            LEAF_CAP + 1,
+            1000,
+            4096,
+        ] {
+            let entries: Vec<(i64, ())> = (0..n as i64).map(|k| (k, ())).collect();
+            let (node, _) = build_subtree::<i64, (), Size>(&entries, Timestamp::ZERO, &ids);
+            let mut runs = Vec::new();
+            shape(&node, 0, &mut runs);
+            assert_eq!(runs.len(), n.div_ceil(REBUILD_FILL), "run count for {n}");
+            let lens = runs.iter().map(|r| r.1);
+            assert!(lens.clone().max().unwrap() <= REBUILD_FILL);
+            assert!(lens.clone().max().unwrap() - lens.min().unwrap() <= 1);
+            let depths = runs.iter().map(|r| r.0);
+            assert!(depths.clone().max().unwrap() - depths.min().unwrap() <= 1);
+            // SAFETY: the subtree was never published; this test owns it exclusively.
+            free_subtree_now(into_owned_node(node).into_shared(unsafe { epoch::unprotected() }));
+        }
+    }
+
+    #[test]
+    fn insert_into_run_inserts_in_order_and_replaces_in_place() {
+        let run = vec![(10, 'a'), (20, 'b'), (30, 'c')];
+        assert_eq!(
+            insert_into_run(&run, 5, 'x'),
+            vec![(5, 'x'), (10, 'a'), (20, 'b'), (30, 'c')]
+        );
+        assert_eq!(
+            insert_into_run(&run, 25, 'x'),
+            vec![(10, 'a'), (20, 'b'), (25, 'x'), (30, 'c')]
+        );
+        assert_eq!(
+            insert_into_run(&run, 35, 'x'),
+            vec![(10, 'a'), (20, 'b'), (30, 'c'), (35, 'x')]
+        );
+        assert_eq!(
+            insert_into_run(&run, 20, 'x'),
+            vec![(10, 'a'), (20, 'x'), (30, 'c')]
+        );
+        assert_eq!(insert_into_run(&[], 1, 'x'), vec![(1, 'x')]);
+    }
+
+    #[test]
+    fn remove_from_run_drops_only_the_key() {
+        let run = vec![(10, 'a'), (20, 'b'), (30, 'c')];
+        assert_eq!(remove_from_run(&run, &10), Some(vec![(20, 'b'), (30, 'c')]));
+        assert_eq!(remove_from_run(&run, &30), Some(vec![(10, 'a'), (20, 'b')]));
+        assert_eq!(remove_from_run(&run, &15), None);
+        assert_eq!(remove_from_run(&run[..1], &10), Some(vec![]));
+    }
+
+    #[test]
+    fn split_run_halves_an_overflowing_run() {
+        let run: Vec<(i64, ())> = (0..=LEAF_CAP as i64).map(|k| (k, ())).collect();
+        let (lo, hi) = split_run(run.clone());
+        assert_eq!(lo.len(), LEAF_CAP / 2);
+        assert_eq!(hi.len(), LEAF_CAP / 2 + 1);
+        assert_eq!([lo, hi].concat(), run);
+        let (lo, hi) = split_run(vec![(1, ()), (2, ())]);
+        assert_eq!((lo.len(), hi.len()), (1, 1));
+    }
+
+    #[test]
+    fn run_agg_and_admitted_agree_with_a_filter() {
+        use wft_seq::Sum;
+        let run: Vec<(i64, i64)> = (0..10).map(|k| (k * 10, k)).collect();
+        assert_eq!(run_agg::<i64, i64, Sum>(&run), 45);
+        assert_eq!(run_agg::<i64, i64, Sum>(&[]), 0);
+        let modes = [
+            RangeMode::Both { min: 15, max: 60 },
+            RangeMode::Both { min: 20, max: 20 },
+            RangeMode::Both { min: 21, max: 29 },
+            RangeMode::Both { min: -5, max: 500 },
+            RangeMode::LeftBorder { min: 90 },
+            RangeMode::LeftBorder { min: 91 },
+            RangeMode::RightBorder { max: 0 },
+            RangeMode::RightBorder { max: -1 },
+        ];
+        for mode in modes {
+            let expect: Vec<(i64, i64)> = run
+                .iter()
+                .filter(|(k, _)| mode.admits(k))
+                .cloned()
+                .collect();
+            assert_eq!(admitted(&run, &mode), &expect[..], "{mode:?}");
+            let leaf = LeafNode::from_run::<Sum>(run.clone(), Timestamp::ZERO);
+            assert_eq!(
+                leaf_range_agg::<i64, i64, Sum>(&leaf, &mode),
+                expect.iter().map(|(_, v)| *v as i128).sum::<i128>()
+            );
+        }
     }
 }

@@ -26,7 +26,7 @@
 //! The traversal walks the same pruned paths as the descriptor-based range
 //! query (the three-mode scheme of the paper's appendix): it descends
 //! through *partially* covered inner nodes, absorbs the stored aggregate of
-//! *fully* covered children, and reads bordering leaves directly. While
+//! *fully* covered children, and reads bordering leaf runs directly. While
 //! doing so it records a **read log**:
 //!
 //! * every inner node it descended through, with the state-record pointer
@@ -34,8 +34,12 @@
 //!   descriptor queue is non-empty at the visit);
 //! * every fully-covered inner child whose aggregate it absorbed, with the
 //!   state-record pointer the aggregate was read from;
-//! * every leaf/empty child slot it read an entry from, with the observed
-//!   child pointer.
+//! * every leaf/empty child slot it read from, with the observed child
+//!   pointer. A leaf is an immutable run of up to `LEAF_CAP` entries
+//!   (`crate::node`), so one logged pointer vouches for every entry of the
+//!   run: the walk binary-searches the run's borders, takes the admitted
+//!   slice (or, for a fully admitted run in an aggregate, the run's stored
+//!   aggregate) and logs the slot once.
 //!
 //! After the walk, the log is **validated**: every recorded state pointer
 //! and child pointer must be unchanged, and every descended node's queue
@@ -90,6 +94,27 @@
 //! update was resolved — in which case it still sat at the root-queue head,
 //! which the validation's head check rejects.
 //!
+//! Runs change none of this, because the argument never looked inside a
+//! leaf: an update's last step is still one CAS that replaces the leaf
+//! pointer in a logged slot (a rewritten run, a split, or `Empty`), a run is
+//! never written after it is published, and "the slot pointer is unchanged"
+//! therefore still means "every entry read from it is current". What
+//! changes is the **conflict unit**: an update to *any* key of a logged run
+//! fails the validation, where before only an update to a key the walk had
+//! read did. A read conflicts with more updates per logged location and
+//! logs an order of magnitude fewer locations.
+//!
+//! # Limited collects are prefixes
+//!
+//! `collect_range_limited` stops the in-order walk once `limit` entries are
+//! gathered, possibly in the middle of a run: it takes the first `room`
+//! admitted entries of that run and descends no further. Every slot it
+//! skipped covers only keys above the run it stopped in, and the entries it
+//! left behind in that run are above the last one it took, so the result is
+//! a prefix of the full listing. The run it stopped in is logged like any
+//! other, so an update to a key at or below the last yielded one must
+//! change a logged location; updates beyond it cannot affect a prefix.
+//!
 //! # Fallback conditions
 //!
 //! The attempt is abandoned (and [`crate::TreeStats::range_fallbacks`]
@@ -106,7 +131,7 @@ use std::sync::atomic::Ordering::Acquire;
 use wft_seq::{Augmentation, Key, Value};
 
 use crate::descriptor::RangeMode;
-use crate::node::{InnerNode, Node, NodeState};
+use crate::node::{admitted, leaf_range_agg, InnerNode, Node, NodeState};
 use crate::tree::WaitFreeTree;
 
 /// A logged `(inner node, observed state pointer)` pair.
@@ -131,11 +156,14 @@ struct ReadLog<'g, K: Key, V: Value, A: Augmentation<K, V>> {
 }
 
 impl<'g, K: Key, V: Value, A: Augmentation<K, V>> ReadLog<'g, K, V, A> {
+    /// Sized so that an aggregate walk — two border paths, what they
+    /// absorb, two border leaves — never regrows a vector: the regrowth
+    /// steps from empty cost about as much as the walk itself.
     fn new() -> Self {
         ReadLog {
-            descended: Vec::new(),
-            absorbed: Vec::new(),
-            slots: Vec::new(),
+            descended: Vec::with_capacity(32),
+            absorbed: Vec::with_capacity(32),
+            slots: Vec::with_capacity(8),
         }
     }
 
@@ -210,14 +238,12 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
     /// entries of `[min, max]` — the chunk primitive behind
     /// [`WaitFreeTree::collect_range_limited`](crate::WaitFreeTree::collect_range_limited).
     ///
-    /// The in-order walk stops as soon as `limit` entries are gathered:
-    /// every *skipped* slot covers only keys larger than the last yielded
-    /// one, so the result is a prefix of the full listing, and validation
-    /// of the *visited* log suffices — an update to any key `<= last` must
-    /// change a logged location (all slots covering such keys were
-    /// visited), while updates beyond the last key cannot affect a prefix
-    /// claim. The second return component is `true` when the limit actually
-    /// cut the walk short (the `O(log N + limit)` early exit, counted in
+    /// The in-order walk stops as soon as `limit` entries are gathered, in
+    /// the middle of a run if need be; the result is a prefix of the full
+    /// listing and validating the *visited* log suffices (module docs,
+    /// "Limited collects are prefixes"). The second return component is
+    /// `true` when the limit actually cut the walk short (the
+    /// `O(log N + limit)` early exit, counted in
     /// [`crate::TreeStats::fast_range_early_exits`]). `None` on validation
     /// failure, as for the unbounded walk.
     pub(crate) fn try_fast_collect_limited(
@@ -270,9 +296,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
             Node::Inner(inner) => self.walk_agg_inner(inner, mode, acc, log, guard),
             Node::Leaf(leaf) => {
                 log.slots.push((slot, child));
-                if mode.admits(&leaf.key) {
-                    *acc = A::combine(acc, &A::of_entry(&leaf.key, &leaf.value));
-                }
+                *acc = A::combine(acc, &leaf_range_agg::<K, V, A>(leaf, &mode));
                 Some(())
             }
             Node::Empty(_) => {
@@ -373,7 +397,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
             }
             Node::Leaf(leaf) => {
                 log.slots.push((slot, child));
-                *acc = A::combine(acc, &A::of_entry(&leaf.key, &leaf.value));
+                *acc = A::combine(acc, leaf.agg());
             }
             Node::Empty(_) => {
                 log.slots.push((slot, child));
@@ -386,7 +410,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
     /// `collect`). Once `out` holds `limit` entries the walk stops
     /// descending: skipped slots are *not* logged, which is sound because
     /// the in-order walk guarantees they only cover keys beyond the last
-    /// collected one (see `try_fast_collect_limited`).
+    /// collected one (module docs, "Limited collects are prefixes").
     #[allow(clippy::too_many_arguments)]
     fn walk_collect_slot<'g>(
         &self,
@@ -441,9 +465,20 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
             }
             Node::Leaf(leaf) => {
                 log.slots.push((slot, child));
-                if min <= &leaf.key && &leaf.key <= max {
-                    out.push((leaf.key, leaf.value.clone()));
+                let part = admitted(
+                    leaf.entries(),
+                    &RangeMode::Both {
+                        min: *min,
+                        max: *max,
+                    },
+                );
+                // `out.len() < limit` here; a run with more admitted entries
+                // than there is room for ends the walk inside the run.
+                let room = limit - out.len();
+                if part.len() > room {
+                    *early_exit = true;
                 }
+                out.extend_from_slice(&part[..part.len().min(room)]);
                 Some(())
             }
             Node::Empty(_) => {

@@ -8,8 +8,21 @@ use wft_seq::{Augmentation, Key, Size, Value};
 
 use crate::config::{ReadPath, RootQueueKind, TreeConfig, TreeCounters, TreeStats};
 use crate::descriptor::OpKind;
-use crate::node::{build_subtree, collect_subtree, free_subtree_now, IdAllocator, Node};
+use crate::node::{
+    build_subtree, collect_subtree, free_subtree_now, run_agg, IdAllocator, Node, LEAF_CAP,
+};
 use crate::rootq::RootQueue;
+
+/// Why a front-anchored read (`WaitFreeTree::*_at_front`) has no result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrontMiss {
+    /// An update began linearizing past the front: it no longer describes
+    /// the tree. Settle a fresh front and retry there.
+    Expired,
+    /// The front still holds, but every optimistic attempt met an operation
+    /// mid-flight below the root. Back off and retry the same front.
+    Busy,
+}
 
 /// A linearizable concurrent ordered set/map with wait-free operations and
 /// `O(log N)`-time aggregate range queries.
@@ -424,22 +437,25 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
         self.advertised_ts.load(Ordering::SeqCst) == front.get()
     }
 
-    /// [`range_agg`](WaitFreeTree::range_agg) **at** a settled front: returns
-    /// the aggregate of the tree state at exactly `front`, or `None` when the
-    /// tree has advanced past it (the caller re-settles and retries). Named
-    /// `*_at_front` — not `*_at` — so it cannot shadow the
-    /// `SnapshotToken`-typed `wft_api::SnapshotRead::range_agg_at`.
+    /// [`range_agg`](WaitFreeTree::range_agg) **at** a settled front: the
+    /// aggregate of the tree state at exactly `front`, or why there is none
+    /// ([`FrontMiss`]). Named `*_at_front` — not `*_at` — so it cannot shadow
+    /// the `SnapshotToken`-typed `wft_api::SnapshotRead::range_agg_at`.
     ///
     /// Under [`ReadPath::Fast`] the read is **optimistic-only**: bounded
-    /// descriptor-free attempts, bailing out with `None` the moment the
-    /// advertised front moves, and *never* falling back to the descriptor
-    /// path. A failed fast validation at a still-unchanged front means an
-    /// update is mid-linearization — the front is about to expire, so a
-    /// descriptor read would do `O(answer)` work (helped, and therefore
-    /// re-done, by every concurrent updater it blocks) only to have its
-    /// final front check discard the result. Reporting expiry keeps
-    /// front-anchored reads from ever stalling the update pipeline; the
-    /// caller's contract is unchanged (`None` ⇒ re-settle and retry).
+    /// descriptor-free attempts, and *never* a fall back to the descriptor
+    /// path, whose `O(answer)` work every concurrent updater behind it would
+    /// re-do while helping — front-anchored reads must not stall the update
+    /// pipeline. The two ways of coming back empty-handed are told apart:
+    ///
+    /// * [`FrontMiss::Expired`] — an update began linearizing past `front`.
+    ///   The caller re-settles and retries at a fresh front.
+    /// * [`FrontMiss::Busy`] — every attempt failed validation but the front
+    ///   **has not moved**: an older update is still on its way down, a
+    ///   rebuild is in progress, or another reader's descriptor sits in a
+    ///   queue on the path. The state at `front` is still the current
+    ///   state, so the caller backs off and retries the *same* front.
+    ///
     /// The front checks before and after the read prove its linearization
     /// instant fell inside a window in which the state was constant and
     /// equal to the state at `front`.
@@ -448,31 +464,16 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
         min: K,
         max: K,
         front: wft_queue::Timestamp,
-    ) -> Option<A::Agg> {
-        // ORDERING: pairs with the SeqCst resolve bump in `resolve_update`.
-        // wft-lint: allow(seqcst) -- front anchoring compares both SeqCst watermarks; a weaker read could see a stale resolved value and accept an expired front.
-        if self.resolved_ts.load(Ordering::SeqCst) != front.get() || !self.front_unchanged(front) {
-            return None;
-        }
+    ) -> Result<A::Agg, FrontMiss> {
+        self.front_current(front)?;
         if min > max {
-            return Some(A::identity());
+            return Ok(A::identity());
         }
-        if self.config.read_path == ReadPath::Fast {
-            let guard = crossbeam_epoch::pin();
-            for _ in 0..self.config.fast_read_attempts {
-                if let Some(agg) = self.try_fast_range_agg(min, max, &guard) {
-                    TreeCounters::bump(&self.counters.fast_range_hits);
-                    return self.front_unchanged(front).then_some(agg);
-                }
-                TreeCounters::bump(&self.counters.fast_range_retries);
-                if !self.front_unchanged(front) {
-                    return None;
-                }
-            }
-            return None;
-        }
-        let agg = self.range_agg(min, max);
-        self.front_unchanged(front).then_some(agg)
+        self.read_at_front(
+            front,
+            |guard| self.try_fast_range_agg(min, max, guard),
+            || self.range_agg(min, max),
+        )
     }
 
     /// [`collect_range`](WaitFreeTree::collect_range) at a settled front; see
@@ -483,39 +484,23 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
         min: K,
         max: K,
         front: wft_queue::Timestamp,
-    ) -> Option<Vec<(K, V)>> {
-        // ORDERING: pairs with the SeqCst resolve bump in `resolve_update`; see
-        // `range_agg_at_front`.
-        // wft-lint: allow(seqcst) -- same total-order argument as range_agg_at_front.
-        if self.resolved_ts.load(Ordering::SeqCst) != front.get() || !self.front_unchanged(front) {
-            return None;
-        }
+    ) -> Result<Vec<(K, V)>, FrontMiss> {
+        self.front_current(front)?;
         if min > max {
-            return Some(Vec::new());
+            return Ok(Vec::new());
         }
-        if self.config.read_path == ReadPath::Fast {
-            let guard = crossbeam_epoch::pin();
-            for _ in 0..self.config.fast_read_attempts {
-                if let Some(entries) = self.try_fast_collect(min, max, &guard) {
-                    TreeCounters::bump(&self.counters.fast_range_hits);
-                    return self.front_unchanged(front).then_some(entries);
-                }
-                TreeCounters::bump(&self.counters.fast_range_retries);
-                if !self.front_unchanged(front) {
-                    return None;
-                }
-            }
-            return None;
-        }
-        let entries = self.collect_range(min, max);
-        self.front_unchanged(front).then_some(entries)
+        self.read_at_front(
+            front,
+            |guard| self.try_fast_collect(min, max, guard),
+            || self.collect_range(min, max),
+        )
     }
 
     /// [`collect_range_limited`](WaitFreeTree::collect_range_limited) at a
     /// settled front: the `limit` smallest entries of `[min, max]` in the
-    /// tree state at exactly `front`, or `None` once the tree advanced past
-    /// it. This is the per-shard chunk read of the sharded store's
-    /// streaming scan cursor, with the same optimistic-only discipline as
+    /// tree state at exactly `front`. This is the per-shard chunk read of
+    /// the sharded store's streaming scan cursor, with the same
+    /// optimistic-only discipline and the same two misses as
     /// [`range_agg_at_front`](WaitFreeTree::range_agg_at_front).
     pub fn collect_range_limited_at_front(
         &self,
@@ -523,37 +508,69 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
         max: K,
         limit: usize,
         front: wft_queue::Timestamp,
-    ) -> Option<Vec<(K, V)>> {
-        // ORDERING: pairs with the SeqCst resolve bump in `resolve_update`; see
-        // `range_agg_at_front`.
-        // wft-lint: allow(seqcst) -- same total-order argument as range_agg_at_front.
-        if self.resolved_ts.load(Ordering::SeqCst) != front.get() || !self.front_unchanged(front) {
-            return None;
-        }
+    ) -> Result<Vec<(K, V)>, FrontMiss> {
+        self.front_current(front)?;
         if min > max || limit == 0 {
-            return Some(Vec::new());
+            return Ok(Vec::new());
         }
-        if self.config.read_path == ReadPath::Fast {
-            let guard = crossbeam_epoch::pin();
-            for _ in 0..self.config.fast_read_attempts {
-                if let Some((entries, early_exit)) =
-                    self.try_fast_collect_limited(min, max, limit, &guard)
-                {
-                    TreeCounters::bump(&self.counters.fast_range_hits);
-                    if early_exit {
-                        TreeCounters::bump(&self.counters.fast_range_early_exits);
-                    }
-                    return self.front_unchanged(front).then_some(entries);
+        self.read_at_front(
+            front,
+            |guard| {
+                let (entries, early_exit) =
+                    self.try_fast_collect_limited(min, max, limit, guard)?;
+                if early_exit {
+                    TreeCounters::bump(&self.counters.fast_range_early_exits);
                 }
-                TreeCounters::bump(&self.counters.fast_range_retries);
-                if !self.front_unchanged(front) {
-                    return None;
-                }
+                Some(entries)
+            },
+            || self.collect_range_limited(min, max, limit),
+        )
+    }
+
+    /// Entry check of the front-anchored reads: both watermarks still equal
+    /// `front`, i.e. nothing linearized past it and nothing is mid-flight.
+    fn front_current(&self, front: wft_queue::Timestamp) -> Result<(), FrontMiss> {
+        // ORDERING: pairs with the SeqCst resolve bump in `resolve_update`.
+        // wft-lint: allow(seqcst) -- front anchoring compares both SeqCst watermarks; a weaker read could see a stale resolved value and accept an expired front.
+        if self.resolved_ts.load(Ordering::SeqCst) == front.get() && self.front_unchanged(front) {
+            Ok(())
+        } else {
+            Err(FrontMiss::Expired)
+        }
+    }
+
+    /// The shared body of the `*_at_front` reads: `attempt` is one
+    /// optimistic traversal, `descriptor` the plain read taken under
+    /// [`ReadPath::Descriptor`]. Either result counts only if the front
+    /// still holds after it.
+    fn read_at_front<T>(
+        &self,
+        front: wft_queue::Timestamp,
+        attempt: impl Fn(&crossbeam_epoch::Guard) -> Option<T>,
+        descriptor: impl FnOnce() -> T,
+    ) -> Result<T, FrontMiss> {
+        let still_current = |out| {
+            if self.front_unchanged(front) {
+                Ok(out)
+            } else {
+                Err(FrontMiss::Expired)
             }
-            return None;
+        };
+        if self.config.read_path != ReadPath::Fast {
+            return still_current(descriptor());
         }
-        let entries = self.collect_range_limited(min, max, limit);
-        self.front_unchanged(front).then_some(entries)
+        let guard = crossbeam_epoch::pin();
+        for _ in 0..self.config.fast_read_attempts {
+            if let Some(out) = attempt(&guard) {
+                TreeCounters::bump(&self.counters.fast_range_hits);
+                return still_current(out);
+            }
+            TreeCounters::bump(&self.counters.fast_range_retries);
+            if !self.front_unchanged(front) {
+                return Err(FrontMiss::Expired);
+            }
+        }
+        Err(FrontMiss::Busy)
     }
 
     /// All entries in key order.
@@ -573,9 +590,10 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
     }
 
     /// Validates the structural invariants of the tree: routing intervals,
-    /// augmentation freshness of every inner node, emptiness of every
-    /// descriptor queue, agreement between the stored length, the presence
-    /// index and the physical leaves.
+    /// every leaf run sorted, non-empty, at most `LEAF_CAP` long and inside
+    /// its interval, augmentation freshness of every run and inner node,
+    /// emptiness of every descriptor queue, agreement between the stored
+    /// length, the presence index and the physical leaves.
     ///
     /// **Quiescent only**; panics on violation. Intended for tests.
     pub fn check_invariants(&self) {
@@ -635,13 +653,31 @@ fn check_node<K: Key, V: Value, A: Augmentation<K, V>>(
     match unsafe { node.deref() } {
         Node::Empty(_) => 0,
         Node::Leaf(leaf) => {
+            let run = leaf.entries();
+            assert!(
+                !run.is_empty() && run.len() <= LEAF_CAP,
+                "leaf run of {} entries",
+                run.len()
+            );
+            assert!(
+                run.windows(2).all(|w| w[0].0 < w[1].0),
+                "leaf run not strictly ascending"
+            );
             if let Some(lo) = lo {
-                assert!(&leaf.key >= lo, "leaf key below its routing interval");
+                assert!(&run[0].0 >= lo, "leaf key below its routing interval");
             }
             if let Some(hi) = hi {
-                assert!(&leaf.key < hi, "leaf key above its routing interval");
+                assert!(
+                    &run[run.len() - 1].0 < hi,
+                    "leaf key above its routing interval"
+                );
             }
-            1
+            assert_eq!(
+                leaf.agg(),
+                &run_agg::<K, V, A>(run),
+                "stored run aggregate is stale"
+            );
+            run.len() as u64
         }
         Node::Inner(inner) => {
             assert!(
@@ -666,9 +702,7 @@ fn check_node<K: Key, V: Value, A: Augmentation<K, V>>(
             // the leaves below.
             let mut entries = Vec::new();
             collect_subtree(node, &mut entries, guard);
-            let expect = entries
-                .iter()
-                .fold(A::identity(), |acc, (k, v)| A::insert_delta(&acc, k, v));
+            let expect = run_agg::<K, V, A>(&entries);
             assert_eq!(
                 &inner.load_state(guard).agg,
                 &expect,
@@ -949,16 +983,57 @@ mod tests {
     fn front_bounded_reads_succeed_then_expire() {
         let tree: WaitFreeTree<i64> = WaitFreeTree::from_entries((0..50).map(|k| (k, ())));
         let front = tree.settle_front();
-        assert_eq!(tree.range_agg_at_front(0, 49, front), Some(50));
+        assert_eq!(tree.range_agg_at_front(0, 49, front), Ok(50));
         assert_eq!(
             tree.collect_range_at_front(10, 12, front).map(|v| v.len()),
-            Some(3)
+            Ok(3)
         );
         tree.remove(&25);
-        assert_eq!(tree.range_agg_at_front(0, 49, front), None, "front expired");
-        assert_eq!(tree.collect_range_at_front(0, 49, front), None);
+        assert_eq!(
+            tree.range_agg_at_front(0, 49, front),
+            Err(FrontMiss::Expired)
+        );
+        assert_eq!(
+            tree.collect_range_at_front(0, 49, front),
+            Err(FrontMiss::Expired)
+        );
+        assert_eq!(
+            tree.collect_range_limited_at_front(0, 49, 5, front),
+            Err(FrontMiss::Expired)
+        );
         let fresh = tree.settle_front();
-        assert_eq!(tree.range_agg_at_front(0, 49, fresh), Some(49));
+        assert_eq!(tree.range_agg_at_front(0, 49, fresh), Ok(49));
+    }
+
+    #[test]
+    fn a_descriptor_pending_below_the_root_is_busy_not_expired() {
+        use crate::descriptor::Descriptor;
+        let tree: WaitFreeTree<i64> = WaitFreeTree::from_entries((0..1000).map(|k| (k, ())));
+        let front = tree.settle_front();
+        let guard = crossbeam_epoch::pin();
+        // ORDERING: Acquire pairs with the Release swap in `from_entries`; quiescent use.
+        let root = tree.root_child.load(Ordering::Acquire, &guard);
+        // SAFETY: single-threaded test; `root` is the live root under `guard`.
+        let inner = unsafe { root.deref() }
+            .as_inner()
+            .expect("1000 entries build an inner root");
+        // Park a read descriptor in the root node's queue, as a concurrent
+        // descriptor-path reader would: no update, so the front stands.
+        let ts = wft_queue::Timestamp(1);
+        let parked = Descriptor::new_ref(OpKind::Lookup { key: 1 });
+        assert!(inner.queue.push_if(ts, parked, &guard));
+        assert_eq!(tree.range_agg_at_front(0, 999, front), Err(FrontMiss::Busy));
+        assert_eq!(
+            tree.collect_range_limited_at_front(0, 999, 10, front),
+            Err(FrontMiss::Busy)
+        );
+        assert!(tree.front_unchanged(front));
+        assert!(inner.queue.pop_if(ts, &guard));
+        assert_eq!(tree.range_agg_at_front(0, 999, front), Ok(1000));
+        assert_eq!(
+            tree.collect_range_at_front(5, 7, front).map(|v| v.len()),
+            Ok(3)
+        );
     }
 
     #[test]

@@ -21,7 +21,10 @@
 //!    returned only if
 //!    the shard's advertised watermark still equals the front.
 //! 3. **Retry**: if any shard advanced past its front mid-read, the whole
-//!    attempt is discarded and the read re-acquires a fresh cut.
+//!    attempt is discarded and the read re-acquires a fresh cut. A shard
+//!    that is merely *busy* — front unchanged, an operation mid-flight
+//!    below its root — is re-read at the same cut after a backoff
+//!    (`read_at_cut`); that is not a retry and is not counted as one.
 //!
 //! # Why a validated cut is a single snapshot
 //!
@@ -55,6 +58,8 @@
 //! once, never piecemeal (see `DESIGN.md`, "Publish-at-front batch commit").
 
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use wft_core::FrontMiss;
 
 /// One settled watermark per shard: a cut through the store's per-shard
 /// linearization orders, acquired by
@@ -181,6 +186,23 @@ pub(crate) fn gate_backoff(spins: &mut u32) {
         std::thread::yield_now();
     }
     *spins = spins.saturating_add(1);
+}
+
+/// One shard read at its cut watermark. While the shard reports
+/// [`FrontMiss::Busy`] — its front has not moved, an operation is merely
+/// mid-flight below its root — the cut is as good as it was, so the same
+/// read is retried through [`gate_backoff`]: nothing is re-settled and
+/// nothing is counted. `None` only once the shard advanced past the cut,
+/// which proves an update linearized on it.
+pub(crate) fn read_at_cut<T>(read: impl Fn() -> Result<T, FrontMiss>) -> Option<T> {
+    let mut spins = 0u32;
+    loop {
+        match read() {
+            Ok(out) => return Some(out),
+            Err(FrontMiss::Expired) => return None,
+            Err(FrontMiss::Busy) => gate_backoff(&mut spins),
+        }
+    }
 }
 
 impl FrontTable {

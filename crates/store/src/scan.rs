@@ -18,8 +18,10 @@
 //!   (`collect_range_limited_at_front` at the shard's cut watermark) and
 //!   steps into the next shard when the current one runs dry before the
 //!   chunk fills.
-//! * **Validate / resume**: a chunk read returns `None` when its shard
-//!   advanced past the cut. The cursor then re-settles the watermarks of
+//! * **Validate / resume**: a chunk read comes back empty-handed only when
+//!   its shard advanced past the cut (a shard that is merely busy is
+//!   re-read at the same cut, see `front::read_at_cut`). The cursor then
+//!   re-settles the watermarks of
 //!   the **not-yet-drained shards only** (fully drained shards are never
 //!   revisited — keyset pagination), degrades to
 //!   [`ScanConsistency::Resumed`], bumps
@@ -61,6 +63,7 @@ use wft_api::{RangeKey, RangeScan, RangeSpec, ScanConsistency, ScanCursor, Snaps
 use wft_core::Timestamp;
 use wft_seq::{Augmentation, Value};
 
+use crate::front::read_at_cut;
 use crate::store::ShardedStore;
 
 /// Upper bound on the cursor's adaptive read-ahead target (see the field
@@ -176,12 +179,11 @@ where
         let mut expired = false;
         while out.len() < target && shard <= self.last_shard {
             let want = target - out.len();
-            match self.store.shards[shard].collect_range_limited_at_front(
-                shard_lo,
-                self.hi,
-                want,
-                Timestamp(self.cut[shard]),
-            ) {
+            let front = Timestamp(self.cut[shard]);
+            match read_at_cut(|| {
+                self.store.shards[shard]
+                    .collect_range_limited_at_front(shard_lo, self.hi, want, front)
+            }) {
                 Some(chunk) => {
                     let drained_dry = chunk.len() < want;
                     out.extend(chunk);

@@ -60,7 +60,7 @@ use std::thread;
 use wft_core::{Timestamp, TreeStats, WaitFreeTree};
 use wft_seq::{Augmentation, Key, Size, Value};
 
-use crate::front::{FrontTable, GlobalFront, StoreStats};
+use crate::front::{read_at_cut, FrontTable, GlobalFront, StoreStats};
 use crate::op::{BatchError, OpOutcome, StoreConfig, StoreOp};
 
 /// A range-partitioned, wait-free-sharded concurrent ordered map with
@@ -683,9 +683,9 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
         let mut acc = A::identity();
         for i in first..=last {
             let lo = if i == first { min } else { self.bounds[i - 1] };
-            let shard_agg = self.shards[i]
-                .range_agg_at_front(lo, max, Timestamp(fronts[i - first]))
-                .ok_or(i)?;
+            let front = Timestamp(fronts[i - first]);
+            let shard_agg =
+                read_at_cut(|| self.shards[i].range_agg_at_front(lo, max, front)).ok_or(i)?;
             acc = A::combine(&acc, &shard_agg);
         }
         Ok(acc)
@@ -704,10 +704,9 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
         let mut out = Vec::new();
         for i in first..=last {
             let lo = if i == first { min } else { self.bounds[i - 1] };
+            let front = Timestamp(fronts[i - first]);
             out.extend(
-                self.shards[i]
-                    .collect_range_at_front(lo, max, Timestamp(fronts[i - first]))
-                    .ok_or(i)?,
+                read_at_cut(|| self.shards[i].collect_range_at_front(lo, max, front)).ok_or(i)?,
             );
         }
         Ok(out)

@@ -12,6 +12,7 @@ use std::thread;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use wft_api::{RangeScan, RangeSpec, ScanCursor};
 use wft_store::{ShardedStore, StoreConfig, StoreOp};
 
 const WRITERS: i64 = 4;
@@ -182,5 +183,63 @@ fn forced_parallel_fanout_is_correct_under_contention() {
     for h in handles {
         h.join().unwrap();
     }
+    store.check_invariants();
+}
+
+#[test]
+fn a_reader_expires_at_most_once_per_update() {
+    // A cut expires only when an update linearizes on a touched shard, and
+    // the re-settled cut lies past that update, so one reader can count at
+    // most one scan resume or snapshot retry per update applied. A shard
+    // that is merely busy (front unchanged, an update still on its way
+    // down) must be re-read at the same cut and count nothing — counted as
+    // expiries, those outnumber the updates several times over.
+    const UPDATES_PER_WRITER: u64 = 30_000;
+    let store: Arc<ShardedStore<i64, i64>> = Arc::new(ShardedStore::from_entries(
+        (0..KEYSPACE).step_by(2).map(|k| (k, k)),
+        8,
+    ));
+    let writers: Vec<_> = (0..2u64)
+        .map(|w| {
+            let store = Arc::clone(&store);
+            thread::spawn(move || {
+                let mut rng = StdRng::seed_from_u64(0xB057 + w);
+                for _ in 0..UPDATES_PER_WRITER {
+                    // Hits and misses alike: a failed update takes a
+                    // timestamp and moves the front too.
+                    let key = rng.gen_range(0..KEYSPACE);
+                    if rng.gen_bool(0.5) {
+                        store.insert(key, key);
+                    } else {
+                        store.remove(&key);
+                    }
+                }
+            })
+        })
+        .collect();
+    let mut rng = StdRng::seed_from_u64(0x5CA9);
+    let mut drains = 0u64;
+    while writers.iter().any(|w| !w.is_finished()) {
+        let lo = rng.gen_range(0..KEYSPACE / 2);
+        let count = store.count(lo, lo + KEYSPACE / 4);
+        assert!(count <= (KEYSPACE / 4 + 1) as u64);
+        let listed = store.collect_range(lo, lo + 2048);
+        assert!(listed.windows(2).all(|w| w[0].0 < w[1].0));
+        let drained = store.scan(RangeSpec::inclusive(lo, lo + 8192)).drain(256);
+        assert!(drained.windows(2).all(|w| w[0].0 < w[1].0));
+        drains += 1;
+    }
+    for w in writers {
+        w.join().unwrap();
+    }
+    let stats = store.store_stats();
+    assert!(drains > 0);
+    assert!(
+        stats.scan_resumes + stats.snapshot_retries <= 2 * UPDATES_PER_WRITER,
+        "{} resumes + {} retries over {drains} read rounds against {} updates",
+        stats.scan_resumes,
+        stats.snapshot_retries,
+        2 * UPDATES_PER_WRITER
+    );
     store.check_invariants();
 }
