@@ -13,9 +13,12 @@ use wft_api::{
 };
 use wft_seq::{Augmentation, Key, Value};
 
+use crate::shape::Shape;
 use crate::tree::WaitFreeTree;
 
-impl<K: Key, V: Value, A: Augmentation<K, V>> PointMap<K, V> for WaitFreeTree<K, V, A> {
+impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> PointMap<K, V>
+    for WaitFreeTree<K, V, A, S>
+{
     fn insert(&self, key: K, value: V) -> UpdateOutcome<V> {
         let (op, _ts) = self.run_operation(crate::OpKind::Insert { key, value });
         let decision = op.resolved_decision();
@@ -61,7 +64,9 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> PointMap<K, V> for WaitFreeTree<K,
     }
 }
 
-impl<K: RangeKey, V: Value, A: Augmentation<K, V>> RangeRead<K, V> for WaitFreeTree<K, V, A> {
+impl<K: RangeKey, V: Value, A: Augmentation<K, V>, S: Shape<K>> RangeRead<K, V>
+    for WaitFreeTree<K, V, A, S>
+{
     type Agg = A::Agg;
 
     fn range_agg(&self, range: RangeSpec<K>) -> A::Agg {
@@ -71,12 +76,7 @@ impl<K: RangeKey, V: Value, A: Augmentation<K, V>> RangeRead<K, V> for WaitFreeT
     }
 
     fn count(&self, range: RangeSpec<K>) -> u64 {
-        wft_api::count_over(
-            range,
-            |min, max| WaitFreeTree::range_agg(self, min, max),
-            A::count_of,
-            |min, max| WaitFreeTree::collect_range(self, min, max).len() as u64,
-        )
+        wft_api::agg_over(range, || 0, |min, max| WaitFreeTree::count(self, min, max))
     }
 
     fn collect_range(&self, range: RangeSpec<K>) -> Vec<(K, V)> {
@@ -90,7 +90,9 @@ impl<K: RangeKey, V: Value, A: Augmentation<K, V>> RangeRead<K, V> for WaitFreeT
 /// `O(log N + limit)` per chunk on the fast path (early exit after `limit`
 /// leaves, counted in [`crate::TreeStats::fast_range_early_exits`]), with
 /// the descriptor fallback preserved.
-impl<K: RangeKey, V: Value, A: Augmentation<K, V>> ChunkRead<K, V> for WaitFreeTree<K, V, A> {
+impl<K: RangeKey, V: Value, A: Augmentation<K, V>, S: Shape<K>> ChunkRead<K, V>
+    for WaitFreeTree<K, V, A, S>
+{
     fn collect_chunk(&self, min: K, max: K, limit: usize) -> Vec<(K, V)> {
         WaitFreeTree::collect_range_limited(self, min, max, limit)
     }
@@ -99,7 +101,9 @@ impl<K: RangeKey, V: Value, A: Augmentation<K, V>> ChunkRead<K, V> for WaitFreeT
 /// Streaming scans: the tree's cursor is the shared front-sandwiched
 /// [`FrontScanCursor`] over the chunk primitive above — the scan logic
 /// lives once in `wft-api`, this impl only hands the cursor out.
-impl<K: RangeKey, V: Value, A: Augmentation<K, V>> RangeScan<K, V> for WaitFreeTree<K, V, A> {
+impl<K: RangeKey, V: Value, A: Augmentation<K, V>, S: Shape<K>> RangeScan<K, V>
+    for WaitFreeTree<K, V, A, S>
+{
     type Cursor<'a>
         = FrontScanCursor<'a, Self, K, V>
     where
@@ -110,7 +114,9 @@ impl<K: RangeKey, V: Value, A: Augmentation<K, V>> RangeScan<K, V> for WaitFreeT
     }
 }
 
-impl<K: Key, V: Value, A: Augmentation<K, V>> BatchApply<K, V> for WaitFreeTree<K, V, A> {
+impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> BatchApply<K, V>
+    for WaitFreeTree<K, V, A, S>
+{
     fn apply_batch(&self, batch: Vec<StoreOp<K, V>>) -> Result<Vec<OpOutcome<V>>, BatchError<K>> {
         apply_batch_point(self, batch)
     }
@@ -119,14 +125,19 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> BatchApply<K, V> for WaitFreeTree<
 /// Opts into the blanket `SnapshotRead`: plain reads here are
 /// validation-free linearizable queries, so the blanket's sandwich is the
 /// single validation layer.
-impl<K: Key, V: Value, A: Augmentation<K, V>> wft_api::FrontSnapshot for WaitFreeTree<K, V, A> {}
+impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> wft_api::FrontSnapshot
+    for WaitFreeTree<K, V, A, S>
+{
+}
 
 /// The tree's snapshot front is its root-queue timestamp front: the
 /// watermarks maintained at update resolution (see
 /// [`WaitFreeTree::stable_ts`]). With this impl in place the blanket
 /// [`wft_api::SnapshotRead`] applies: the tree supports consistent
 /// multi-range reads against one acquired front.
-impl<K: Key, V: Value, A: Augmentation<K, V>> TimestampFront for WaitFreeTree<K, V, A> {
+impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> TimestampFront
+    for WaitFreeTree<K, V, A, S>
+{
     fn settle_front(&self) -> u64 {
         WaitFreeTree::settle_front(self).get()
     }
@@ -141,14 +152,17 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> TimestampFront for WaitFreeTree<K,
 }
 
 /// Mirrors the tree's operational counters ([`WaitFreeTree::stats`]) plus
-/// its size into the `wft-obs` metrics vocabulary under the `tree_` prefix.
+/// its size into the `wft-obs` metrics vocabulary under the shape's prefix
+/// (`tree_` for [`crate::Balanced`], `trie_` for [`crate::Radix`]).
 /// The `TreeCounters` atomics stay the single source of truth — this impl
 /// reads the same cells the legacy `stats()` API reads, so the two views
 /// can never drift.
-impl<K: Key, V: Value, A: Augmentation<K, V>> wft_obs::MetricsSource for WaitFreeTree<K, V, A> {
+impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> wft_obs::MetricsSource
+    for WaitFreeTree<K, V, A, S>
+{
     fn collect_metrics(&self, out: &mut wft_obs::MetricsSnapshot) {
-        self.stats().collect_into("tree", out);
-        out.push_gauge("tree_len", self.len() as i64);
+        self.stats().collect_into(S::METRIC_PREFIX, out);
+        out.push_gauge(format!("{}_len", S::METRIC_PREFIX), self.len() as i64);
     }
 }
 
@@ -180,6 +194,33 @@ mod tests {
             PointMap::remove(&tree, &1),
             UpdateOutcome::Unchanged { current: None }
         );
+    }
+
+    #[test]
+    fn trait_surface_matches_inherent_semantics() {
+        fn check<S: Shape<u64>>() {
+            let tree: WaitFreeTree<u64, u64, Size, S> = WaitFreeTree::new();
+            assert!(PointMap::insert(&tree, 1, 10).is_applied());
+            assert_eq!(
+                PointMap::replace(&tree, 1, 11),
+                UpdateOutcome::Applied { prior: Some(10) }
+            );
+            assert_eq!(RangeRead::count(&tree, RangeSpec::all()), 1);
+            assert_eq!(RangeRead::count(&tree, RangeSpec::inclusive(9, 3)), 0);
+            let outcomes = tree
+                .apply_batch(vec![StoreOp::InsertOrReplace { key: 1, value: 12 }])
+                .unwrap();
+            assert_eq!(outcomes, vec![OpOutcome::Replaced(Some(11))]);
+            // Each shape reports under its own metric prefix.
+            let mut metrics = wft_obs::MetricsSnapshot::new();
+            wft_obs::MetricsSource::collect_metrics(&tree, &mut metrics);
+            let name = |suffix| format!("{}_{suffix}", S::METRIC_PREFIX);
+            assert_eq!(metrics.counter(&name("replaces")), Some(2));
+            assert_eq!(metrics.gauge(&name("len")), Some(1));
+        }
+        check::<crate::Balanced>();
+        check::<crate::Radix>();
+        assert_eq!(<crate::Radix as Shape<u64>>::METRIC_PREFIX, "trie");
     }
 
     #[test]

@@ -22,7 +22,8 @@ pub enum RootQueueKind {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TreeConfig {
     /// Rebuild factor `K` (§II-E): a subtree is rebuilt when its modification
-    /// counter exceeds `K` times its size at creation.
+    /// counter exceeds `K` times its size at creation. Not consulted by the
+    /// [`Radix`](crate::Radix) shape, which never rebuilds.
     pub rebuild_factor: f64,
     /// Number of hash buckets of the presence index.
     pub presence_buckets: usize,

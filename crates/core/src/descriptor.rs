@@ -24,9 +24,10 @@ use wft_queue::{Decision, FirstWriteMap, TraverseQueue};
 use wft_seq::{Augmentation, Key, Value};
 
 use crate::node::{NodeId, NodePtr};
+use crate::shape::{Balanced, Shape};
 
 /// Shared handle to a descriptor.
-pub type OpRef<K, V, A> = Arc<Descriptor<K, V, A>>;
+pub type OpRef<K, V, A, S = Balanced> = Arc<Descriptor<K, V, A, S>>;
 
 /// The operation a descriptor performs.
 #[derive(Debug, Clone)]
@@ -161,7 +162,7 @@ pub enum Partial<K, V, Agg> {
 }
 
 /// The shared operation descriptor.
-pub struct Descriptor<K: Key, V: Value, A: Augmentation<K, V>> {
+pub struct Descriptor<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K> = Balanced> {
     /// The operation to perform.
     pub kind: OpKind<K, V>,
     /// Effect of an update, resolved exactly once at the linearization point
@@ -173,10 +174,10 @@ pub struct Descriptor<K: Key, V: Value, A: Augmentation<K, V>> {
     /// node's queue.
     pub modes: FirstWriteMap<NodeId, RangeMode<K>>,
     /// `Op.Traverse`: nodes the initiator still has to visit.
-    pub traverse: TraverseQueue<NodePtr<K, V, A>>,
+    pub traverse: TraverseQueue<NodePtr<K, V, A, S>>,
 }
 
-impl<K: Key, V: Value, A: Augmentation<K, V>> Descriptor<K, V, A> {
+impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> Descriptor<K, V, A, S> {
     /// Creates a fresh descriptor for `kind`.
     pub fn new(kind: OpKind<K, V>) -> Self {
         // Scalar operations and aggregate range queries record `O(height +
@@ -197,7 +198,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> Descriptor<K, V, A> {
     }
 
     /// Creates a reference-counted descriptor.
-    pub fn new_ref(kind: OpKind<K, V>) -> OpRef<K, V, A> {
+    pub fn new_ref(kind: OpKind<K, V>) -> OpRef<K, V, A, S> {
         Arc::new(Self::new(kind))
     }
 

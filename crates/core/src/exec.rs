@@ -37,35 +37,36 @@ use crate::config::TreeCounters;
 use crate::descriptor::{Descriptor, OpKind, OpRef, Partial, RangeMode};
 use crate::node::{
     admitted, build_subtree, collect_subtree, free_subtree_now, insert_into_run, leaf_range_agg,
-    remove_from_run, retire_subtree, split_run, InnerNode, LeafNode, Node, NodePtr, NodeState, Run,
-    FICTIVE_ROOT_ID, LEAF_CAP,
+    remove_from_run, retire_subtree, split_node, InnerNode, LeafNode, Node, NodePtr, NodeState,
+    Slot, FICTIVE_ROOT_ID, LEAF_CAP,
 };
+use crate::shape::Shape;
 use crate::tree::WaitFreeTree;
 
 /// The node an operation is currently being executed *in*: either the
 /// fictive root (which owns the root queue and the real-root child slot) or a
 /// regular inner node.
-pub(crate) enum ParentRef<'g, K: Key, V: Value, A: Augmentation<K, V>> {
+pub(crate) enum ParentRef<'g, K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> {
     /// The fictive root (§II-B): no state of its own, one child — the real
     /// root.
     Fictive,
     /// A regular inner node.
-    Inner(&'g InnerNode<K, V, A>),
+    Inner(&'g InnerNode<K, V, A, S>),
 }
 
 // Manual Clone/Copy: the derived impls would demand `K: Copy, V: Copy`
 // bounds, but the enum only holds a shared reference.
-impl<K: Key, V: Value, A: Augmentation<K, V>> Clone for ParentRef<'_, K, V, A> {
+impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> Clone for ParentRef<'_, K, V, A, S> {
     fn clone(&self) -> Self {
         *self
     }
 }
-impl<K: Key, V: Value, A: Augmentation<K, V>> Copy for ParentRef<'_, K, V, A> {}
+impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> Copy for ParentRef<'_, K, V, A, S> {}
 
-impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
+impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A, S> {
     /// Runs one operation end to end and returns its descriptor (with every
     /// partial result recorded) plus its timestamp.
-    pub(crate) fn run_operation(&self, kind: OpKind<K, V>) -> (OpRef<K, V, A>, Timestamp) {
+    pub(crate) fn run_operation(&self, kind: OpKind<K, V>) -> (OpRef<K, V, A, S>, Timestamp) {
         // The guard is pinned before the descriptor becomes visible and held
         // until the operation completes; every node pointer the operation
         // touches (including entries of its traverse queue) stays valid under
@@ -99,7 +100,12 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
 
     /// `execute_until_timestamp` (Listing 1): execute every descriptor at the
     /// head of `parent`'s queue whose timestamp does not exceed `ts`.
-    pub(crate) fn help_until(&self, parent: ParentRef<'_, K, V, A>, ts: Timestamp, guard: &Guard) {
+    pub(crate) fn help_until(
+        &self,
+        parent: ParentRef<'_, K, V, A, S>,
+        ts: Timestamp,
+        guard: &Guard,
+    ) {
         loop {
             let head = match parent {
                 ParentRef::Fictive => self.root_queue.peek(guard),
@@ -124,9 +130,9 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
     /// `parent`. Idempotent; safe to call from any number of helpers.
     pub(crate) fn execute_op_at(
         &self,
-        op: &OpRef<K, V, A>,
+        op: &OpRef<K, V, A, S>,
         ts: Timestamp,
-        parent: ParentRef<'_, K, V, A>,
+        parent: ParentRef<'_, K, V, A, S>,
         guard: &Guard,
     ) {
         // --- Step 0: resolve update effects at the linearization point. ----
@@ -169,7 +175,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
                         }
                         _ => None,
                     };
-                    self.continue_into_child(op, ts, &self.root_child, mode, &mut partial, guard);
+                    self.continue_into_child(op, ts, self.root_slot(), mode, &mut partial, guard);
                 }
             }
             ParentRef::Inner(inner) => match &op.kind {
@@ -178,9 +184,9 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
                 | OpKind::Remove { key }
                 | OpKind::Lookup { key } => {
                     let slot = if key < &inner.rsm {
-                        &inner.left
+                        inner.left_slot()
                     } else {
-                        &inner.right
+                        inner.right_slot()
                     };
                     self.continue_into_child(op, ts, slot, None, &mut partial, guard);
                 }
@@ -200,7 +206,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
                         self.continue_into_child(
                             op,
                             ts,
-                            &inner.left,
+                            inner.left_slot(),
                             Some(mode),
                             &mut partial,
                             guard,
@@ -210,7 +216,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
                         self.continue_into_child(
                             op,
                             ts,
-                            &inner.right,
+                            inner.right_slot(),
                             Some(mode),
                             &mut partial,
                             guard,
@@ -238,7 +244,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
     /// Resolves the effect of an update descriptor through the presence
     /// index, exactly once, and maintains the tree's size, counters and the
     /// timestamp front.
-    fn resolve_update(&self, op: &OpRef<K, V, A>, ts: Timestamp, guard: &Guard) {
+    fn resolve_update(&self, op: &OpRef<K, V, A, S>, ts: Timestamp, guard: &Guard) {
         let (key, update) = match &op.kind {
             OpKind::Insert { key, value } => (key, UpdateKind::Insert(value.clone())),
             OpKind::Replace { key, value } => (key, UpdateKind::Replace(value.clone())),
@@ -305,9 +311,9 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
     /// into them.
     fn continue_range_agg(
         &self,
-        op: &OpRef<K, V, A>,
+        op: &OpRef<K, V, A, S>,
         ts: Timestamp,
-        inner: &InnerNode<K, V, A>,
+        inner: &InnerNode<K, V, A, S>,
         mode: RangeMode<K>,
         partial: &mut Partial<K, V, A::Agg>,
         guard: &Guard,
@@ -318,7 +324,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
                     self.continue_into_child(
                         op,
                         ts,
-                        &inner.right,
+                        inner.right_slot(),
                         Some(RangeMode::Both { min, max }),
                         partial,
                         guard,
@@ -327,7 +333,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
                     self.continue_into_child(
                         op,
                         ts,
-                        &inner.left,
+                        inner.left_slot(),
                         Some(RangeMode::Both { min, max }),
                         partial,
                         guard,
@@ -338,7 +344,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
                     self.continue_into_child(
                         op,
                         ts,
-                        &inner.left,
+                        inner.left_slot(),
                         Some(RangeMode::LeftBorder { min }),
                         partial,
                         guard,
@@ -346,7 +352,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
                     self.continue_into_child(
                         op,
                         ts,
-                        &inner.right,
+                        inner.right_slot(),
                         Some(RangeMode::RightBorder { max }),
                         partial,
                         guard,
@@ -358,7 +364,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
                     self.continue_into_child(
                         op,
                         ts,
-                        &inner.right,
+                        inner.right_slot(),
                         Some(RangeMode::LeftBorder { min }),
                         partial,
                         guard,
@@ -377,7 +383,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
                     self.continue_into_child(
                         op,
                         ts,
-                        &inner.left,
+                        inner.left_slot(),
                         Some(RangeMode::LeftBorder { min }),
                         partial,
                         guard,
@@ -389,7 +395,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
                     self.continue_into_child(
                         op,
                         ts,
-                        &inner.left,
+                        inner.left_slot(),
                         Some(RangeMode::RightBorder { max }),
                         partial,
                         guard,
@@ -405,7 +411,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
                     self.continue_into_child(
                         op,
                         ts,
-                        &inner.right,
+                        inner.right_slot(),
                         Some(RangeMode::RightBorder { max }),
                         partial,
                         guard,
@@ -426,9 +432,9 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
     ///   into the node's partial result (lookups and range queries).
     fn continue_into_child(
         &self,
-        op: &OpRef<K, V, A>,
+        op: &OpRef<K, V, A, S>,
         ts: Timestamp,
-        slot: &crossbeam_epoch::Atomic<Node<K, V, A>>,
+        slot: Slot<'_, K, V, A, S>,
         mode: Option<RangeMode<K>>,
         partial: &mut Partial<K, V, A::Agg>,
         guard: &Guard,
@@ -444,7 +450,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
             // rebuild), so the observed node is fully initialised.
             // SAFETY: `child` was loaded from an epoch-protected slot under `guard` and
             // is only retired via `defer_destroy` after being unlinked.
-            let child = slot.load(Acquire, guard);
+            let child = slot.cell.load(Acquire, guard);
             // SAFETY: as above.
             match unsafe { child.deref() } {
                 Node::Inner(c) => {
@@ -492,7 +498,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
                     return;
                 }
                 Node::Empty(empty) => {
-                    self.execute_at_empty(op, ts, slot, child, empty, partial, guard);
+                    self.execute_at_empty(op, ts, slot.cell, child, empty, partial, guard);
                     return;
                 }
             }
@@ -503,9 +509,9 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
     /// child's state, exactly once (the `Ts_Mod` CAS guard of §II-C).
     fn apply_state_delta(
         &self,
-        op: &OpRef<K, V, A>,
+        op: &OpRef<K, V, A, S>,
         ts: Timestamp,
-        child: &InnerNode<K, V, A>,
+        child: &InnerNode<K, V, A, S>,
         guard: &Guard,
     ) {
         let decision = op.resolved_decision();
@@ -568,8 +574,9 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
     /// Bottom-of-path handling when the continuation child is a leaf run.
     ///
     /// Updates are the paper's leaf step on a run: copy it with the key
-    /// inserted, replaced or removed, stamp the copy `created_ts = ts` and
-    /// CAS the slot against the observed leaf. Three facts carry over from
+    /// inserted, replaced or removed (an overflowing copy goes under
+    /// `split_node`), stamp the copy `created_ts = ts` and CAS the slot
+    /// against the observed leaf. Three facts carry over from
     /// the one-key leaf unchanged:
     ///
     /// * **`created_ts >= ts` means done.** Updates reach a slot in
@@ -589,10 +596,10 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
     #[allow(clippy::too_many_arguments)]
     fn execute_at_leaf(
         &self,
-        op: &OpRef<K, V, A>,
+        op: &OpRef<K, V, A, S>,
         ts: Timestamp,
-        slot: &crossbeam_epoch::Atomic<Node<K, V, A>>,
-        child: Shared<'_, Node<K, V, A>>,
+        slot: Slot<'_, K, V, A, S>,
+        child: Shared<'_, Node<K, V, A, S>>,
         leaf: &LeafNode<K, V, A::Agg>,
         mode: Option<RangeMode<K>>,
         partial: &mut Partial<K, V, A::Agg>,
@@ -610,9 +617,9 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
                 let new = if run.len() <= LEAF_CAP {
                     Node::leaf(run, ts)
                 } else {
-                    self.split_node(run, ts)
+                    split_node(run, slot.coverage, ts, &self.ids).0
                 };
-                install(slot, child, new, guard);
+                install(slot.cell, child, new, guard);
             }
             OpKind::Remove { key } => {
                 if leaf.created_ts() >= ts {
@@ -626,7 +633,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
                 } else {
                     Node::leaf(run, ts)
                 };
-                install(slot, child, new, guard);
+                install(slot.cell, child, new, guard);
             }
             OpKind::Lookup { key } => {
                 *partial = Partial::Lookup(Some(leaf.get(key).cloned()));
@@ -644,45 +651,15 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
         }
     }
 
-    /// The routing node an overflowing insert installs over the two halves
-    /// of `run`. Its state already includes the new key, so its `ts_mod` and
-    /// queue watermark are `ts` — stalled helpers of this very operation
-    /// must not apply the delta or enqueue the descriptor again — and its
-    /// `init_sz` is the run length, so it is next rebuilt after about that
-    /// many updates, not on its third.
-    fn split_node(&self, run: Run<K, V>, ts: Timestamp) -> Node<K, V, A> {
-        let init_sz = run.len() as u64;
-        let (lo, hi) = split_run(run);
-        let rsm = hi[0].0;
-        let (lo, hi) = (
-            LeafNode::from_run::<A>(lo, ts),
-            LeafNode::from_run::<A>(hi, ts),
-        );
-        let agg = A::combine(lo.agg(), hi.agg());
-        Node::Inner(InnerNode {
-            id: self.ids.fresh(),
-            rsm,
-            init_sz,
-            left: crossbeam_epoch::Atomic::new(Node::Leaf(lo)),
-            right: crossbeam_epoch::Atomic::new(Node::Leaf(hi)),
-            state: crossbeam_epoch::Atomic::new(NodeState {
-                agg,
-                mod_cnt: 0,
-                ts_mod: ts,
-            }),
-            queue: wft_queue::TsQueue::new(ts),
-        })
-    }
-
     /// Bottom-of-path handling when the continuation child is an `Empty`
     /// placeholder.
     #[allow(clippy::too_many_arguments)]
     fn execute_at_empty(
         &self,
-        op: &OpRef<K, V, A>,
+        op: &OpRef<K, V, A, S>,
         ts: Timestamp,
-        slot: &crossbeam_epoch::Atomic<Node<K, V, A>>,
-        child: Shared<'_, Node<K, V, A>>,
+        slot: &crossbeam_epoch::Atomic<Node<K, V, A, S>>,
+        child: Shared<'_, Node<K, V, A, S>>,
         empty: &crate::node::EmptyNode,
         partial: &mut Partial<K, V, A::Agg>,
         guard: &Guard,
@@ -713,9 +690,11 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
         }
     }
 
-    /// `Mod_Cnt > K · Init_Sz` check (§II-E).
+    /// `Mod_Cnt > K · Init_Sz` check (§II-E); never true for a shape whose
+    /// depth does not depend on rebuilding.
     fn needs_rebuild(&self, prospective_mod_cnt: u64, init_sz: u64) -> bool {
-        (prospective_mod_cnt as f64) > self.config.rebuild_factor * (init_sz.max(1) as f64)
+        S::REBUILDS
+            && (prospective_mod_cnt as f64) > self.config.rebuild_factor * (init_sz.max(1) as f64)
     }
 
     /// Rebuilds the subtree stored in `slot` (currently `old_child`) into a
@@ -730,8 +709,8 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
     ///    equivalent replacement.
     pub(crate) fn rebuild_subtree(
         &self,
-        slot: &crossbeam_epoch::Atomic<Node<K, V, A>>,
-        old_child: Shared<'_, Node<K, V, A>>,
+        slot: Slot<'_, K, V, A, S>,
+        old_child: Shared<'_, Node<K, V, A, S>>,
         op_ts: Timestamp,
         guard: &Guard,
     ) {
@@ -745,10 +724,11 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
 
         // 3. Build the balanced replacement.
         let watermark = op_ts.prev_saturating();
-        let (new_node, _agg) = build_subtree::<K, V, A>(&entries, watermark, &self.ids);
+        let (new_node, _agg) =
+            build_subtree::<K, V, A, S>(&entries, slot.coverage, watermark, &self.ids);
 
         // 4. Swap it in; a loser's replacement is equivalent to the winner's.
-        if install(slot, old_child, new_node, guard) {
+        if install(slot.cell, old_child, new_node, guard) {
             TreeCounters::bump(&self.counters.rebuilds);
             TreeCounters::add(&self.counters.rebuilt_items, entries.len() as u64);
             // Rebuilds are the update path's heavyweight anomaly; a
@@ -766,7 +746,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
     /// at `node` (pre-order: a node's queue is drained before its children
     /// are visited, so descriptors pushed downwards by the drain are picked
     /// up later in the same pass).
-    fn drain_subtree(&self, node: Shared<'_, Node<K, V, A>>, guard: &Guard) {
+    fn drain_subtree(&self, node: Shared<'_, Node<K, V, A, S>>, guard: &Guard) {
         if node.is_null() {
             return;
         }
@@ -797,10 +777,10 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
 /// a whole drained subtree); a loser frees its never-published `new` —
 /// another helper already installed an equivalent one. Returns whether
 /// this call won.
-fn install<K: Key, V: Value, A: Augmentation<K, V>>(
-    slot: &crossbeam_epoch::Atomic<Node<K, V, A>>,
-    old: Shared<'_, Node<K, V, A>>,
-    new: Node<K, V, A>,
+fn install<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>>(
+    slot: &crossbeam_epoch::Atomic<Node<K, V, A, S>>,
+    old: Shared<'_, Node<K, V, A, S>>,
+    new: Node<K, V, A, S>,
     guard: &Guard,
 ) -> bool {
     // ORDERING: success AcqRel — Release publishes the fully built replacement

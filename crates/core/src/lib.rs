@@ -28,6 +28,11 @@
 //! * Balance is maintained by rebuilding any subtree whose modification count
 //!   exceeds a constant factor of its size at creation (§II-E), giving
 //!   amortized `O(log N + |P|)` operations (Theorems 3–4).
+//! * All of the above is independent of where routing keys are placed. The
+//!   tree's fourth type parameter picks the [`Shape`]: [`Balanced`] (the
+//!   default, the paper's BST) or [`Radix`], which cuts overflowing leaves at
+//!   bit boundaries of the key index and needs no rebuilding — the binary
+//!   trie `wft-trie` exports.
 //!
 //! ## Crate layout
 //!
@@ -36,7 +41,8 @@
 //! | [`tree`] | the public [`WaitFreeTree`] API |
 //! | [`exec`] | the hand-over-hand helping engine (Listings 1–3, rebuilds) |
 //! | [`read`] | descriptor-free read fast paths (presence-index point reads, optimistic validated range traversal) |
-//! | [`node`] | node layout, immutable states, subtree build/retire |
+//! | [`node`] | node layout, immutable states, subtree build/split/retire |
+//! | [`shape`] | the sealed [`Shape`] parameter: [`Balanced`] (the paper's BST) or [`Radix`] (a binary trie over [`RadixKey`] bits) |
 //! | [`descriptor`] | operation descriptors, range modes, partial results |
 //! | [`config`] | construction parameters and operational statistics |
 //!
@@ -76,13 +82,17 @@ pub mod api;
 pub mod config;
 pub mod descriptor;
 pub mod exec;
+pub mod key;
 pub mod node;
 pub mod read;
 mod rootq;
+pub mod shape;
 pub mod tree;
 
 pub use config::{ReadPath, RootQueueKind, TreeConfig, TreeStats};
 pub use descriptor::{OpKind, RangeMode};
+pub use key::RadixKey;
+pub use shape::{Balanced, Radix, Shape};
 pub use tree::{FrontMiss, WaitFreeTree};
 
 // Re-export the timestamp type: the tree's front API (`stable_ts`,

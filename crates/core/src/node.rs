@@ -19,16 +19,18 @@
 //! * a leaf is an **immutable sorted run** of up to [`LEAF_CAP`] entries
 //!   with its precomputed aggregate, so the tree has one heap leaf per run
 //!   instead of a leaf plus a routing node per key. The run arithmetic
-//!   (`insert_into_run`, `remove_from_run`, `split_run`, `run_agg`)
-//!   is kept as free functions over slices.
+//!   (`insert_into_run`, `remove_from_run`, `run_agg`) is kept as free
+//!   functions over slices; where an overflowing run is cut is the one
+//!   thing the tree's [`Shape`] decides (`split_node`).
 
-use crossbeam_epoch::{Atomic, Guard, Owned, Shared};
+use crossbeam_epoch::{Atomic, Guard, Shared};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use wft_queue::{Timestamp, TsQueue};
 use wft_seq::{Augmentation, Key, Value};
 
 use crate::descriptor::{OpRef, RangeMode};
+use crate::shape::{Balanced, Shape};
 
 /// Unique identifier of an inner node, used as the key of the per-operation
 /// `Processed` and mode maps. The fictive root uses id `0`; real nodes get
@@ -76,7 +78,7 @@ pub struct NodeState<Agg> {
 }
 
 /// Most entries one leaf run holds. A run that would grow past it is split
-/// into two half runs under a fresh routing node.
+/// under a fresh routing node (`split_node`).
 pub const LEAF_CAP: usize = 32;
 
 /// Fill of the runs a rebuild packs: three quarters of [`LEAF_CAP`], so a
@@ -181,13 +183,6 @@ pub(crate) fn remove_from_run<K: Key, V: Value>(run: &[(K, V)], key: &K) -> Opti
     Some(out)
 }
 
-/// Splits an overflowing run into a lower and an upper half (the upper one
-/// gets the odd entry). Both halves are non-empty for runs of two or more.
-pub(crate) fn split_run<K, V>(mut run: Run<K, V>) -> (Run<K, V>, Run<K, V>) {
-    let hi = run.split_off(run.len() / 2);
-    (run, hi)
-}
-
 /// Aggregate of a run, folded entry by entry.
 pub(crate) fn run_agg<K: Key, V: Value, A: Augmentation<K, V>>(run: &[(K, V)]) -> A::Agg {
     run.iter()
@@ -217,36 +212,40 @@ pub struct EmptyNode {
 }
 
 /// An inner (routing) node.
-pub struct InnerNode<K: Key, V: Value, A: Augmentation<K, V>> {
+pub struct InnerNode<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K> = Balanced> {
     /// Unique node identifier (never reused).
     pub id: NodeId,
     /// `Right_Subtree_Min`: keys `< rsm` route left, keys `>= rsm` right.
     pub rsm: K,
     /// Subtree size at creation (`Init_Sz`, §II-E); immutable.
     pub init_sz: u64,
+    /// What the shape records about the key interval this node covers
+    /// (zero-sized for [`Balanced`]).
+    pub coverage: S::Coverage,
     /// Left child slot.
-    pub left: Atomic<Node<K, V, A>>,
+    pub left: Atomic<Node<K, V, A, S>>,
     /// Right child slot.
-    pub right: Atomic<Node<K, V, A>>,
+    pub right: Atomic<Node<K, V, A, S>>,
     /// Swappable immutable state record.
     pub state: Atomic<NodeState<A::Agg>>,
     /// Per-node operations queue (§II-A). The dummy timestamp equals the
     /// node's creation watermark: descriptors older than the node can never
     /// enter.
-    pub queue: TsQueue<OpRef<K, V, A>>,
+    pub queue: TsQueue<OpRef<K, V, A, S>>,
 }
 
-/// A node of the concurrent external BST.
-pub enum Node<K: Key, V: Value, A: Augmentation<K, V>> {
-    /// A removed leaf position (or the empty tree); cleaned up by rebuilds.
+/// A node of the concurrent external search tree.
+pub enum Node<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K> = Balanced> {
+    /// A removed leaf position (or the empty tree); cleaned up by rebuilds,
+    /// where the shape has them.
     Empty(EmptyNode),
     /// A run of data items.
     Leaf(LeafNode<K, V, A::Agg>),
     /// A routing node with queue and state.
-    Inner(InnerNode<K, V, A>),
+    Inner(InnerNode<K, V, A, S>),
 }
 
-impl<K: Key, V: Value, A: Augmentation<K, V>> Node<K, V, A> {
+impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> Node<K, V, A, S> {
     /// An empty placeholder created by the operation with timestamp `ts`.
     pub fn empty(ts: Timestamp) -> Self {
         Node::Empty(EmptyNode { created_ts: ts })
@@ -263,7 +262,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> Node<K, V, A> {
     }
 
     /// The inner node, if this is one.
-    pub fn as_inner(&self) -> Option<&InnerNode<K, V, A>> {
+    pub fn as_inner(&self) -> Option<&InnerNode<K, V, A, S>> {
         match self {
             Node::Inner(inner) => Some(inner),
             _ => None,
@@ -306,7 +305,7 @@ pub(crate) fn leaf_range_agg<K: Key, V: Value, A: Augmentation<K, V>>(
     }
 }
 
-impl<K: Key, V: Value, A: Augmentation<K, V>> InnerNode<K, V, A> {
+impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> InnerNode<K, V, A, S> {
     /// Loads the current state record.
     pub fn load_state<'g>(&self, guard: &'g Guard) -> &'g NodeState<A::Agg> {
         // ORDERING: Acquire pairs with the AcqRel state CAS in
@@ -324,7 +323,39 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> InnerNode<K, V, A> {
         // `apply_state_delta`.
         self.state.load(Ordering::Acquire, guard)
     }
+
+    /// The left child slot with its coverage.
+    pub(crate) fn left_slot(&self) -> Slot<'_, K, V, A, S> {
+        Slot {
+            cell: &self.left,
+            coverage: S::halves(self.coverage, &self.rsm).0,
+        }
+    }
+
+    /// The right child slot with its coverage.
+    pub(crate) fn right_slot(&self) -> Slot<'_, K, V, A, S> {
+        Slot {
+            cell: &self.right,
+            coverage: S::halves(self.coverage, &self.rsm).1,
+        }
+    }
 }
+
+/// A child slot as the update path sees it: the pointer cell plus what the
+/// shape knows about the keys routed into it.
+pub(crate) struct Slot<'g, K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> {
+    pub(crate) cell: &'g Atomic<Node<K, V, A, S>>,
+    pub(crate) coverage: S::Coverage,
+}
+
+// Manual Clone/Copy: the derived impls would demand `K: Copy, V: Copy, ...`
+// bounds, but the struct only holds a shared reference and a `Copy` coverage.
+impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> Clone for Slot<'_, K, V, A, S> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> Copy for Slot<'_, K, V, A, S> {}
 
 /// A `Send + Sync` wrapper around a raw pointer to a tree node, used as the
 /// item type of the per-operation traverse queue.
@@ -334,26 +365,28 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> InnerNode<K, V, A> {
 /// the root queue. Any node reachable through the traverse queue was loaded
 /// from a live child slot after that point, so its reclamation (if it gets
 /// unlinked by a rebuild) is deferred past the initiator's guard.
-pub struct NodePtr<K: Key, V: Value, A: Augmentation<K, V>>(*const Node<K, V, A>);
+pub struct NodePtr<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K> = Balanced>(
+    *const Node<K, V, A, S>,
+);
 
-impl<K: Key, V: Value, A: Augmentation<K, V>> Clone for NodePtr<K, V, A> {
+impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> Clone for NodePtr<K, V, A, S> {
     fn clone(&self) -> Self {
         *self
     }
 }
-impl<K: Key, V: Value, A: Augmentation<K, V>> Copy for NodePtr<K, V, A> {}
+impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> Copy for NodePtr<K, V, A, S> {}
 
 // SAFETY: see the type-level comment — the raw pointer is only
 // dereferenced by the initiator under its pre-enqueue epoch guard, so
 // sending the wrapper across threads is sound.
-unsafe impl<K: Key, V: Value, A: Augmentation<K, V>> Send for NodePtr<K, V, A> {}
+unsafe impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> Send for NodePtr<K, V, A, S> {}
 // SAFETY: same argument as `Send`; shared copies only ever read the
 // pointer value, the deref contract is enforced by `NodePtr::deref`.
-unsafe impl<K: Key, V: Value, A: Augmentation<K, V>> Sync for NodePtr<K, V, A> {}
+unsafe impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> Sync for NodePtr<K, V, A, S> {}
 
-impl<K: Key, V: Value, A: Augmentation<K, V>> NodePtr<K, V, A> {
+impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> NodePtr<K, V, A, S> {
     /// Wraps a shared pointer obtained under an epoch guard.
-    pub fn from_shared(shared: Shared<'_, Node<K, V, A>>) -> Self {
+    pub fn from_shared(shared: Shared<'_, Node<K, V, A, S>>) -> Self {
         NodePtr(shared.as_raw())
     }
 
@@ -367,7 +400,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> NodePtr<K, V, A> {
     // SAFETY: the pointee stays alive because the initiator's guard predates
     // every possible unlink of this node (see above); callers uphold the
     // initiator+guard requirement.
-    pub unsafe fn deref<'g>(&self, _guard: &'g Guard) -> &'g Node<K, V, A> {
+    pub unsafe fn deref<'g>(&self, _guard: &'g Guard) -> &'g Node<K, V, A, S> {
         &*self.0
     }
 }
@@ -382,14 +415,16 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> NodePtr<K, V, A> {
 /// `watermark = rebuild_op_timestamp - 1` so the rebuilding operation itself
 /// and all later operations can still modify the new subtree while all
 /// earlier (already-accounted-for) operations cannot.
-pub(crate) fn build_subtree<K: Key, V: Value, A: Augmentation<K, V>>(
+pub(crate) fn build_subtree<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>>(
     entries: &[(K, V)],
+    coverage: S::Coverage,
     watermark: Timestamp,
     ids: &IdAllocator,
-) -> (Node<K, V, A>, A::Agg) {
+) -> (Node<K, V, A, S>, A::Agg) {
     build_runs(
         entries,
         entries.len().div_ceil(REBUILD_FILL),
+        coverage,
         watermark,
         ids,
     )
@@ -398,12 +433,13 @@ pub(crate) fn build_subtree<K: Key, V: Value, A: Augmentation<K, V>>(
 /// [`build_subtree`] over a fixed number of leaf runs: the run count is
 /// halved at each routing node and the entries divided in proportion, so
 /// the skeleton is balanced and the runs differ in length by at most one.
-fn build_runs<K: Key, V: Value, A: Augmentation<K, V>>(
+fn build_runs<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>>(
     entries: &[(K, V)],
     runs: usize,
+    coverage: S::Coverage,
     watermark: Timestamp,
     ids: &IdAllocator,
-) -> (Node<K, V, A>, A::Agg) {
+) -> (Node<K, V, A, S>, A::Agg) {
     match runs {
         0 => (Node::empty(watermark), A::identity()),
         1 => {
@@ -414,15 +450,18 @@ fn build_runs<K: Key, V: Value, A: Augmentation<K, V>>(
         _ => {
             let left_runs = runs / 2;
             let mid = entries.len() * left_runs / runs;
+            let rsm = entries[mid].0;
+            let (lo, hi) = S::halves(coverage, &rsm);
             let (left, left_agg) =
-                build_runs::<K, V, A>(&entries[..mid], left_runs, watermark, ids);
+                build_runs::<K, V, A, S>(&entries[..mid], left_runs, lo, watermark, ids);
             let (right, right_agg) =
-                build_runs::<K, V, A>(&entries[mid..], runs - left_runs, watermark, ids);
+                build_runs::<K, V, A, S>(&entries[mid..], runs - left_runs, hi, watermark, ids);
             let agg = A::combine(&left_agg, &right_agg);
             let inner = InnerNode {
                 id: ids.fresh(),
-                rsm: entries[mid].0,
+                rsm,
                 init_sz: entries.len() as u64,
+                coverage,
                 left: Atomic::new(left),
                 right: Atomic::new(right),
                 state: Atomic::new(NodeState {
@@ -437,12 +476,64 @@ fn build_runs<K: Key, V: Value, A: Augmentation<K, V>>(
     }
 }
 
+/// The subtree an overflowing insert installs over `run`, which lies in a
+/// slot covering `coverage`: a routing node at the key the shape cuts at,
+/// over the two parts of the run. [`Balanced`] cuts at the median, so both
+/// parts are leaves. [`Radix`](crate::Radix) cuts at an index boundary of
+/// the slot, so a part may be empty (an `Empty` sibling) or still too long,
+/// in which case it is split again one level down: the chain of single-child
+/// nodes down to where the keys diverge.
+///
+/// The state of every node created already includes the new key, so its
+/// `ts_mod` and queue watermark are `ts` — stalled helpers of this very
+/// operation must not apply the delta or enqueue the descriptor again — and
+/// its `init_sz` is the run length, so a balanced tree next rebuilds it after
+/// about that many updates, not on its third.
+pub(crate) fn split_node<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>>(
+    mut run: Run<K, V>,
+    coverage: S::Coverage,
+    ts: Timestamp,
+    ids: &IdAllocator,
+) -> (Node<K, V, A, S>, A::Agg) {
+    let init_sz = run.len() as u64;
+    let rsm = S::cut(coverage, &run);
+    let upper = run.split_off(run.partition_point(|(k, _)| k < &rsm));
+    let (lo, hi) = S::halves(coverage, &rsm);
+    let part = |run: Run<K, V>, coverage| match run.len() {
+        0 => (Node::empty(ts), A::identity()),
+        1..=LEAF_CAP => {
+            let leaf = LeafNode::from_run::<A>(run, ts);
+            let agg = leaf.agg.clone();
+            (Node::Leaf(leaf), agg)
+        }
+        _ => split_node(run, coverage, ts, ids),
+    };
+    let (left, left_agg) = part(run, lo);
+    let (right, right_agg) = part(upper, hi);
+    let agg = A::combine(&left_agg, &right_agg);
+    let inner = InnerNode {
+        id: ids.fresh(),
+        rsm,
+        init_sz,
+        coverage,
+        left: Atomic::new(left),
+        right: Atomic::new(right),
+        state: Atomic::new(NodeState {
+            agg: agg.clone(),
+            mod_cnt: 0,
+            ts_mod: ts,
+        }),
+        queue: TsQueue::new(ts),
+    };
+    (Node::Inner(inner), agg)
+}
+
 /// Collects every `(key, value)` stored in the subtree rooted at `node`, in
 /// key order, following the *current* child pointers. Used by the rebuild
 /// procedure after it has drained every queue in the subtree, and by
 /// quiescent diagnostics.
-pub(crate) fn collect_subtree<K: Key, V: Value, A: Augmentation<K, V>>(
-    node: Shared<'_, Node<K, V, A>>,
+pub(crate) fn collect_subtree<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>>(
+    node: Shared<'_, Node<K, V, A, S>>,
     out: &mut Vec<(K, V)>,
     guard: &Guard,
 ) {
@@ -470,8 +561,8 @@ pub(crate) fn collect_subtree<K: Key, V: Value, A: Augmentation<K, V>>(
 /// Must only be called on a subtree that has just been atomically replaced
 /// (rebuild) — i.e. no new references to it can be created, and existing
 /// references are protected by their owners' guards.
-pub(crate) fn retire_subtree<K: Key, V: Value, A: Augmentation<K, V>>(
-    node: Shared<'_, Node<K, V, A>>,
+pub(crate) fn retire_subtree<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>>(
+    node: Shared<'_, Node<K, V, A, S>>,
     guard: &Guard,
 ) {
     if node.is_null() {
@@ -501,8 +592,8 @@ pub(crate) fn retire_subtree<K: Key, V: Value, A: Augmentation<K, V>>(
 
 /// Frees a subtree immediately. Only safe with exclusive access (tree `Drop`
 /// or a speculative subtree that was never published).
-pub(crate) fn free_subtree_now<K: Key, V: Value, A: Augmentation<K, V>>(
-    node: Shared<'_, Node<K, V, A>>,
+pub(crate) fn free_subtree_now<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>>(
+    node: Shared<'_, Node<K, V, A, S>>,
 ) {
     if node.is_null() {
         return;
@@ -525,19 +616,11 @@ pub(crate) fn free_subtree_now<K: Key, V: Value, A: Augmentation<K, V>>(
     }
 }
 
-/// Wraps a freshly built subtree into an `Owned` allocation ready to be
-/// CAS-ed into a child slot.
-#[allow(dead_code)]
-pub(crate) fn into_owned_node<K: Key, V: Value, A: Augmentation<K, V>>(
-    node: Node<K, V, A>,
-) -> Owned<Node<K, V, A>> {
-    Owned::new(node)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam_epoch as epoch;
+    use crate::shape::Radix;
+    use crossbeam_epoch::{self as epoch, Owned};
     use wft_seq::Size;
 
     type N = Node<i64, (), Size>;
@@ -555,7 +638,8 @@ mod tests {
     fn build_subtree_computes_aggregates_and_watermarks() {
         let ids = IdAllocator::new();
         let entries: Vec<(i64, ())> = (0..100).map(|k| (k, ())).collect();
-        let (node, agg) = build_subtree::<i64, (), Size>(&entries, Timestamp(41), &ids);
+        let (node, agg) =
+            build_subtree::<i64, (), Size, Balanced>(&entries, (), Timestamp(41), &ids);
         assert_eq!(agg, 100);
         let guard = epoch::pin();
         match &node {
@@ -572,10 +656,7 @@ mod tests {
             }
             _ => panic!("100 entries must build an inner root"),
         }
-        // Free the speculative subtree.
-        let owned = into_owned_node(node);
-        // SAFETY: the subtree was never published; this test owns it exclusively.
-        free_subtree_now(owned.into_shared(unsafe { epoch::unprotected() }));
+        entries_of(node);
     }
 
     #[test]
@@ -583,16 +664,10 @@ mod tests {
         let ids = IdAllocator::new();
         for n in [0usize, 1, 2, 3, 7, 64, 101] {
             let entries: Vec<(i64, ())> = (0..n as i64).map(|k| (k * 2, ())).collect();
-            let (node, agg) = build_subtree::<i64, (), Size>(&entries, Timestamp::ZERO, &ids);
+            let (node, agg) =
+                build_subtree::<i64, (), Size, Balanced>(&entries, (), Timestamp::ZERO, &ids);
             assert_eq!(agg, n as u64);
-            let owned = into_owned_node(node);
-            // SAFETY: the subtree was never published; this test owns it exclusively.
-            let shared = owned.into_shared(unsafe { epoch::unprotected() });
-            let guard = epoch::pin();
-            let mut out = Vec::new();
-            collect_subtree(shared, &mut out, &guard);
-            assert_eq!(out, entries);
-            free_subtree_now(shared);
+            assert_eq!(entries_of(node), entries);
         }
     }
 
@@ -609,22 +684,6 @@ mod tests {
 
     #[test]
     fn build_subtree_packs_runs_under_a_balanced_skeleton() {
-        fn shape(node: &N, depth: usize, runs: &mut Vec<(usize, usize)>) {
-            // SAFETY: the subtree was never published; this test owns it exclusively.
-            let guard = unsafe { epoch::unprotected() };
-            match node {
-                Node::Empty(_) => panic!("a rebuild of a non-empty slice has no Empty"),
-                Node::Leaf(leaf) => runs.push((depth, leaf.entries().len())),
-                Node::Inner(inner) => {
-                    // SAFETY: as above.
-                    let left = unsafe { inner.left.load(Ordering::Relaxed, guard).deref() };
-                    // SAFETY: as above.
-                    let right = unsafe { inner.right.load(Ordering::Relaxed, guard).deref() };
-                    shape(left, depth + 1, runs);
-                    shape(right, depth + 1, runs);
-                }
-            }
-        }
         let ids = IdAllocator::new();
         for n in [
             1usize,
@@ -635,17 +694,16 @@ mod tests {
             4096,
         ] {
             let entries: Vec<(i64, ())> = (0..n as i64).map(|k| (k, ())).collect();
-            let (node, _) = build_subtree::<i64, (), Size>(&entries, Timestamp::ZERO, &ids);
-            let mut runs = Vec::new();
-            shape(&node, 0, &mut runs);
+            let (node, _) =
+                build_subtree::<i64, (), Size, Balanced>(&entries, (), Timestamp::ZERO, &ids);
+            let runs = leaf_runs(&node);
             assert_eq!(runs.len(), n.div_ceil(REBUILD_FILL), "run count for {n}");
             let lens = runs.iter().map(|r| r.1);
             assert!(lens.clone().max().unwrap() <= REBUILD_FILL);
             assert!(lens.clone().max().unwrap() - lens.min().unwrap() <= 1);
             let depths = runs.iter().map(|r| r.0);
             assert!(depths.clone().max().unwrap() - depths.min().unwrap() <= 1);
-            // SAFETY: the subtree was never published; this test owns it exclusively.
-            free_subtree_now(into_owned_node(node).into_shared(unsafe { epoch::unprotected() }));
+            entries_of(node);
         }
     }
 
@@ -682,13 +740,168 @@ mod tests {
 
     #[test]
     fn split_run_halves_an_overflowing_run() {
-        let run: Vec<(i64, ())> = (0..=LEAF_CAP as i64).map(|k| (k, ())).collect();
-        let (lo, hi) = split_run(run.clone());
-        assert_eq!(lo.len(), LEAF_CAP / 2);
-        assert_eq!(hi.len(), LEAF_CAP / 2 + 1);
-        assert_eq!([lo, hi].concat(), run);
-        let (lo, hi) = split_run(vec![(1, ()), (2, ())]);
-        assert_eq!((lo.len(), hi.len()), (1, 1));
+        // The balanced shape cuts at the median: two leaves, the upper one
+        // with the odd entry, under one routing node.
+        let ids = IdAllocator::new();
+        for n in [LEAF_CAP as i64 + 1, 2] {
+            let run: Vec<(i64, ())> = (0..n).map(|k| (k, ())).collect();
+            let (node, agg) =
+                split_node::<_, _, Size, Balanced>(run.clone(), (), Timestamp(9), &ids);
+            assert_eq!(agg, n as u64);
+            let inner = node.as_inner().expect("a split installs a routing node");
+            assert_eq!((inner.rsm, inner.init_sz), (n / 2, n as u64));
+            assert_eq!(
+                leaf_runs(&node),
+                vec![(1, (n / 2) as usize), (1, (n - n / 2) as usize)]
+            );
+            assert_eq!(entries_of(node), run);
+        }
+    }
+
+    /// `(depth, run length)` of every leaf of a test-owned subtree, in key
+    /// order.
+    fn leaf_runs<K: Key, S: Shape<K>>(node: &Node<K, (), Size, S>) -> Vec<(usize, usize)> {
+        fn walk<K: Key, S: Shape<K>>(
+            node: &Node<K, (), Size, S>,
+            depth: usize,
+            out: &mut Vec<(usize, usize)>,
+        ) {
+            // SAFETY: the subtree was never published; the test owns it exclusively.
+            let guard = unsafe { epoch::unprotected() };
+            match node {
+                Node::Empty(_) => {}
+                Node::Leaf(leaf) => out.push((depth, leaf.entries().len())),
+                Node::Inner(inner) => {
+                    for slot in [&inner.left, &inner.right] {
+                        // SAFETY: as above; child slots are never null.
+                        let child = unsafe { slot.load(Ordering::Relaxed, guard).deref() };
+                        walk(child, depth + 1, out);
+                    }
+                }
+            }
+        }
+        let mut out = Vec::new();
+        walk(node, 0, &mut out);
+        out
+    }
+
+    /// Collects and frees a test-owned subtree.
+    fn entries_of<K: Key, S: Shape<K>>(node: Node<K, (), Size, S>) -> Vec<(K, ())> {
+        // SAFETY: the subtree was never published; the test owns it exclusively.
+        let shared = Owned::new(node).into_shared(unsafe { epoch::unprotected() });
+        let mut out = Vec::new();
+        collect_subtree(shared, &mut out, &epoch::pin());
+        free_subtree_now(shared);
+        out
+    }
+
+    #[test]
+    fn coverage_intervals_and_children() {
+        type R = Radix;
+        let whole = <R as Shape<u64>>::WHOLE;
+        assert_eq!(whole, (0, u64::MAX));
+        let (left, right) = <R as Shape<u64>>::halves(whole, &(1 << 63));
+        assert_eq!(left, (0, u64::MAX >> 1));
+        assert_eq!(right, (1 << 63, u64::MAX));
+        // A slot's coverage is what its parent's coverage and routing key
+        // leave it, whatever keys it holds.
+        let ids = IdAllocator::new();
+        let run = vec![(40u64, ()), (42, ())];
+        let (node, _) = split_node::<_, _, Size, R>(run, left, Timestamp(1), &ids);
+        let inner = node.as_inner().unwrap();
+        assert_eq!(inner.rsm, 1 << 62);
+        assert_eq!(inner.left_slot().coverage, (0, (1 << 62) - 1));
+        assert_eq!(inner.right_slot().coverage, (1 << 62, u64::MAX >> 1));
+        entries_of(node);
+    }
+
+    #[test]
+    fn build_subtrie_roundtrip() {
+        // A radix tree is bulk-built on the same balanced skeleton; every
+        // routing node records the index interval its position leaves it.
+        fn check(node: &Node<u64, (), Size, Radix>, coverage: (u64, u64)) {
+            if let Node::Inner(inner) = node {
+                assert_eq!(inner.coverage, coverage);
+                for slot in [inner.left_slot(), inner.right_slot()] {
+                    // SAFETY: never published; the test owns the subtree.
+                    let guard = unsafe { epoch::unprotected() };
+                    // SAFETY: as above; child slots are never null.
+                    check(
+                        unsafe { slot.cell.load(Ordering::Relaxed, guard).deref() },
+                        slot.coverage,
+                    );
+                }
+            }
+        }
+        let ids = IdAllocator::new();
+        let entries: Vec<(u64, ())> = (0..200u64).map(|k| (k * 3, ())).collect();
+        let whole = <Radix as Shape<u64>>::WHOLE;
+        let (node, agg) =
+            build_subtree::<_, _, Size, Radix>(&entries, whole, Timestamp::ZERO, &ids);
+        assert_eq!(agg, 200);
+        check(&node, whole);
+        assert_eq!(entries_of(node), entries);
+    }
+
+    #[test]
+    fn divergence_chain_holds_both_keys() {
+        let ids = IdAllocator::new();
+        let guard = epoch::pin();
+        // A full run and the key that overflows it agree on many leading
+        // bits: a long chain down to the bit that tells them apart.
+        let (first, last) = (1024u64, 1024 + LEAF_CAP as u64);
+        let run: Vec<(u64, ())> = (first..=last).map(|k| (k, ())).collect();
+        let whole = <Radix as Shape<u64>>::WHOLE;
+        let (chain, agg) = split_node::<_, _, Size, Radix>(run.clone(), whole, Timestamp(5), &ids);
+        assert_eq!(agg, run.len() as u64);
+        assert_eq!(leaf_runs(&chain), vec![(59, LEAF_CAP), (59, 1)]);
+        // Every inner node on the chain covers both ends of the run and
+        // carries the operation's timestamp and the whole aggregate.
+        let mut node = &chain;
+        while let Node::Inner(inner) = node {
+            assert!(inner.coverage.0 <= first && last <= inner.coverage.1);
+            assert_eq!(inner.load_state(&guard).ts_mod, Timestamp(5));
+            assert_eq!(inner.load_state(&guard).agg, run.len() as u64);
+            assert_eq!(inner.queue.last_timestamp(&guard), Timestamp(5));
+            let slot = if inner.rsm > first {
+                &inner.left
+            } else {
+                &inner.right
+            };
+            // SAFETY: never published; the test owns the chain.
+            node = unsafe { slot.load(Ordering::Relaxed, &guard).deref() };
+        }
+        assert_eq!(entries_of(chain), run);
+    }
+
+    #[test]
+    fn divergence_chain_length_matches_common_prefix() {
+        let ids = IdAllocator::new();
+        // Indices diverging at the very first bit produce a single node.
+        let run = vec![(0u64, ()), (u64::MAX, ())];
+        let whole = <Radix as Shape<u64>>::WHOLE;
+        let (node, _) = split_node::<_, _, Size, Radix>(run, whole, Timestamp(1), &ids);
+        assert_eq!(leaf_runs(&node), vec![(1, 1), (1, 1)]);
+        entries_of(node);
+        // Two keys that stay together are one leaf beside an `Empty`: the
+        // chain only goes on while a part is too long for a leaf.
+        let run = vec![(1024u64, ()), (1025, ())];
+        let (node, _) = split_node::<_, _, Size, Radix>(run.clone(), whole, Timestamp(1), &ids);
+        assert_eq!(leaf_runs(&node), vec![(1, 2)]);
+        assert_eq!(entries_of(node), run);
+    }
+
+    #[test]
+    fn the_balanced_shape_adds_nothing_to_a_node() {
+        // The size of `InnerNode<i64, (), Size>` before the tree had shapes.
+        assert_eq!(
+            std::mem::size_of::<InnerNode<i64, (), Size, Balanced>>(),
+            64
+        );
+        assert!(
+            std::mem::size_of::<InnerNode<i64, (), Size, Radix>>()
+                > std::mem::size_of::<InnerNode<i64, (), Size, Balanced>>()
+        );
     }
 
     #[test]

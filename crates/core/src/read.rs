@@ -132,30 +132,31 @@ use wft_seq::{Augmentation, Key, Value};
 
 use crate::descriptor::RangeMode;
 use crate::node::{admitted, leaf_range_agg, InnerNode, Node, NodeState};
+use crate::shape::Shape;
 use crate::tree::WaitFreeTree;
 
 /// A logged `(inner node, observed state pointer)` pair.
-type StateObservation<'g, K, V, A> = (
-    &'g InnerNode<K, V, A>,
+type StateObservation<'g, K, V, A, S> = (
+    &'g InnerNode<K, V, A, S>,
     Shared<'g, NodeState<<A as Augmentation<K, V>>::Agg>>,
 );
 
 /// A logged `(child slot, observed child pointer)` pair.
-type SlotObservation<'g, K, V, A> = (&'g Atomic<Node<K, V, A>>, Shared<'g, Node<K, V, A>>);
+type SlotObservation<'g, K, V, A, S> = (&'g Atomic<Node<K, V, A, S>>, Shared<'g, Node<K, V, A, S>>);
 
 /// The read log of one optimistic traversal (see the module docs).
-struct ReadLog<'g, K: Key, V: Value, A: Augmentation<K, V>> {
+struct ReadLog<'g, K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> {
     /// Inner nodes the traversal descended through: the node plus the state
     /// pointer observed at the visit. Queues are re-checked at validation.
-    descended: Vec<StateObservation<'g, K, V, A>>,
+    descended: Vec<StateObservation<'g, K, V, A, S>>,
     /// Fully-covered inner children whose stored aggregate was absorbed.
-    absorbed: Vec<StateObservation<'g, K, V, A>>,
+    absorbed: Vec<StateObservation<'g, K, V, A, S>>,
     /// Leaf/empty child slots whose content was read, with the observed
     /// pointer.
-    slots: Vec<SlotObservation<'g, K, V, A>>,
+    slots: Vec<SlotObservation<'g, K, V, A, S>>,
 }
 
-impl<'g, K: Key, V: Value, A: Augmentation<K, V>> ReadLog<'g, K, V, A> {
+impl<'g, K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> ReadLog<'g, K, V, A, S> {
     /// Sized so that an aggregate walk — two border paths, what they
     /// absorb, two border leaves — never regrows a vector: the regrowth
     /// steps from empty cost about as much as the walk itself.
@@ -185,7 +186,7 @@ impl<'g, K: Key, V: Value, A: Augmentation<K, V>> ReadLog<'g, K, V, A> {
     }
 }
 
-impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
+impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A, S> {
     /// `true` while an update that has already been **resolved** through the
     /// presence index (i.e. linearized, visible to fast point reads) may not
     /// yet have applied its first state/structural CAS below the fictive
@@ -280,10 +281,10 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
     /// fold leaves, log what was read.
     fn walk_agg_slot<'g>(
         &self,
-        slot: &'g Atomic<Node<K, V, A>>,
+        slot: &'g Atomic<Node<K, V, A, S>>,
         mode: RangeMode<K>,
         acc: &mut A::Agg,
-        log: &mut ReadLog<'g, K, V, A>,
+        log: &mut ReadLog<'g, K, V, A, S>,
         guard: &'g Guard,
     ) -> Option<()> {
         // ORDERING: Acquire pairs with the AcqRel child-slot CASes, so the loaded
@@ -310,10 +311,10 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
     /// the paper's appendix, absorbing fully covered children.
     fn walk_agg_inner<'g>(
         &self,
-        inner: &'g InnerNode<K, V, A>,
+        inner: &'g InnerNode<K, V, A, S>,
         mode: RangeMode<K>,
         acc: &mut A::Agg,
-        log: &mut ReadLog<'g, K, V, A>,
+        log: &mut ReadLog<'g, K, V, A, S>,
         guard: &'g Guard,
     ) -> Option<()> {
         // A pending descriptor means an update (or a helped read) is mid-
@@ -375,9 +376,9 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
     /// accumulator without descending (what makes the query logarithmic).
     fn absorb_child<'g>(
         &self,
-        slot: &'g Atomic<Node<K, V, A>>,
+        slot: &'g Atomic<Node<K, V, A, S>>,
         acc: &mut A::Agg,
-        log: &mut ReadLog<'g, K, V, A>,
+        log: &mut ReadLog<'g, K, V, A, S>,
         guard: &'g Guard,
     ) {
         // ORDERING: Acquire pairs with the AcqRel child-slot CASes.
@@ -414,13 +415,13 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
     #[allow(clippy::too_many_arguments)]
     fn walk_collect_slot<'g>(
         &self,
-        slot: &'g Atomic<Node<K, V, A>>,
+        slot: &'g Atomic<Node<K, V, A, S>>,
         min: &K,
         max: &K,
         limit: usize,
         out: &mut Vec<(K, V)>,
         early_exit: &mut bool,
-        log: &mut ReadLog<'g, K, V, A>,
+        log: &mut ReadLog<'g, K, V, A, S>,
         guard: &'g Guard,
     ) -> Option<()> {
         if out.len() >= limit {

@@ -9,9 +9,10 @@ use wft_seq::{Augmentation, Key, Size, Value};
 use crate::config::{ReadPath, RootQueueKind, TreeConfig, TreeCounters, TreeStats};
 use crate::descriptor::OpKind;
 use crate::node::{
-    build_subtree, collect_subtree, free_subtree_now, run_agg, IdAllocator, Node, LEAF_CAP,
+    build_subtree, collect_subtree, free_subtree_now, run_agg, IdAllocator, Node, Slot, LEAF_CAP,
 };
 use crate::rootq::RootQueue;
+use crate::shape::{Balanced, Shape};
 
 /// Why a front-anchored read (`WaitFreeTree::*_at_front`) has no result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,9 +64,10 @@ pub enum FrontMiss {
 /// tree.remove(&7);
 /// assert_eq!(tree.count(0, 10), 1);
 /// ```
-pub struct WaitFreeTree<K: Key, V: Value = (), A: Augmentation<K, V> = Size> {
-    pub(crate) root_queue: RootQueue<crate::descriptor::OpRef<K, V, A>>,
-    pub(crate) root_child: Atomic<Node<K, V, A>>,
+pub struct WaitFreeTree<K: Key, V: Value = (), A: Augmentation<K, V> = Size, S: Shape<K> = Balanced>
+{
+    pub(crate) root_queue: RootQueue<crate::descriptor::OpRef<K, V, A, S>>,
+    pub(crate) root_child: Atomic<Node<K, V, A, S>>,
     pub(crate) presence: PresenceIndex<K, V>,
     pub(crate) ids: IdAllocator,
     pub(crate) config: TreeConfig,
@@ -85,18 +87,24 @@ pub struct WaitFreeTree<K: Key, V: Value = (), A: Augmentation<K, V> = Size> {
 // SAFETY: the tree owns its nodes, queues and presence index; all shared
 // mutation goes through atomics/epoch pointers, and the `Key`/`Value`
 // bounds require `Send + Sync + 'static` for the payload.
-unsafe impl<K: Key, V: Value, A: Augmentation<K, V>> Send for WaitFreeTree<K, V, A> {}
+unsafe impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> Send
+    for WaitFreeTree<K, V, A, S>
+{
+}
 // SAFETY: same argument as `Send` — shared access only follows
 // atomically-published, epoch-protected pointers.
-unsafe impl<K: Key, V: Value, A: Augmentation<K, V>> Sync for WaitFreeTree<K, V, A> {}
+unsafe impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> Sync
+    for WaitFreeTree<K, V, A, S>
+{
+}
 
-impl<K: Key, V: Value, A: Augmentation<K, V>> Default for WaitFreeTree<K, V, A> {
+impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> Default for WaitFreeTree<K, V, A, S> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
+impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A, S> {
     /// Creates an empty tree with the default configuration (lock-free root
     /// queue, rebuild factor 1).
     pub fn new() -> Self {
@@ -145,7 +153,8 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
         for (key, value) in &sorted {
             tree.presence.prefill(*key, value.clone(), &guard);
         }
-        let (root, _agg) = build_subtree::<K, V, A>(&sorted, wft_queue::Timestamp::ZERO, &tree.ids);
+        let (root, _agg) =
+            build_subtree::<K, V, A, S>(&sorted, S::WHOLE, wft_queue::Timestamp::ZERO, &tree.ids);
         // The tree is still private to this thread: a plain store is fine and
         // the initial Empty placeholder can be freed immediately.
         // ORDERING: AcqRel out of caution only — the tree is still private to this
@@ -328,6 +337,15 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
         entries
     }
 
+    /// Number of keys in `[min, max]` — the paper's headline `count` query.
+    /// `O(log N + |P|)` amortized whenever the augmentation tracks the entry
+    /// count ([`Augmentation::count_of`]: [`Size`] alone or inside a
+    /// `Pair`); otherwise the range is collected and counted.
+    pub fn count(&self, min: K, max: K) -> u64 {
+        A::count_of(&self.range_agg(min, max))
+            .unwrap_or_else(|| self.collect_range(min, max).len() as u64)
+    }
+
     /// Number of keys currently stored (exact once all in-flight updates have
     /// returned; maintained at update linearization points).
     pub fn len(&self) -> u64 {
@@ -347,6 +365,14 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
     /// A snapshot of the operational counters (helping events, rebuilds, …).
     pub fn stats(&self) -> TreeStats {
         self.counters.snapshot()
+    }
+
+    /// The real-root slot: the fictive root's only child covers every key.
+    pub(crate) fn root_slot(&self) -> Slot<'_, K, V, A, S> {
+        Slot {
+            cell: &self.root_child,
+            coverage: S::WHOLE,
+        }
     }
 
     /// Counts a descriptor-path fallback and drops a timeline event into
@@ -593,19 +619,36 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
     /// every leaf run sorted, non-empty, at most `LEAF_CAP` long and inside
     /// its interval, augmentation freshness of every run and inner node,
     /// emptiness of every descriptor queue, agreement between the stored
-    /// length, the presence index and the physical leaves.
+    /// length, the presence index and the physical leaves, every node's
+    /// recorded coverage, and — for a shape that never rebuilds — the depth
+    /// of every leaf: at most [`Shape::DEPTH_SLACK`] below the bulk-built
+    /// skeleton. Inner nodes of such a tree are never unlinked, so a
+    /// skeleton of `m` routing nodes, of height `⌈log2(m + 1)⌉`, is bounded
+    /// through the number of routing nodes there are now.
     ///
     /// **Quiescent only**; panics on violation. Intended for tests.
     pub fn check_invariants(&self) {
         let guard = crossbeam_epoch::pin();
         // ORDERING: Acquire pairs with the AcqRel child-slot CASes; quiescent use.
         let root = self.root_child.load(Ordering::Acquire, &guard);
-        let n = check_node::<K, V, A>(root, None, None, &guard);
+        let mut census = Census::default();
+        let n = check_node::<K, V, A, S>(root, None, None, S::WHOLE, 0, &mut census, &guard);
         assert_eq!(
             n,
             self.len(),
             "cached length diverged from the physical leaf count"
         );
+        if let Some(slack) = S::DEPTH_SLACK {
+            let skeleton = (census.inner_nodes + 1)
+                .next_power_of_two()
+                .trailing_zeros();
+            assert!(
+                census.deepest_leaf <= skeleton + slack,
+                "leaf at depth {} under {} routing nodes",
+                census.deepest_leaf,
+                census.inner_nodes
+            );
+        }
         let mut entries = Vec::new();
         collect_subtree(root, &mut entries, &guard);
         for (key, _) in &entries {
@@ -617,15 +660,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> WaitFreeTree<K, V, A> {
     }
 }
 
-impl<K: Key, V: Value> WaitFreeTree<K, V, Size> {
-    /// Number of keys in `[min, max]` — the paper's headline `count` query,
-    /// running in `O(log N + |P|)` amortized time.
-    pub fn count(&self, min: K, max: K) -> u64 {
-        self.range_agg(min, max)
-    }
-}
-
-impl<K: Key, V: Value, A: Augmentation<K, V>> Drop for WaitFreeTree<K, V, A> {
+impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> Drop for WaitFreeTree<K, V, A, S> {
     fn drop(&mut self) {
         // Exclusive access: free the whole tree. Queues, the presence index
         // and the root queue free themselves through their own Drop impls.
@@ -638,11 +673,21 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> Drop for WaitFreeTree<K, V, A> {
     }
 }
 
+/// What `check_node` counts for the depth bound.
+#[derive(Default)]
+struct Census {
+    inner_nodes: u64,
+    deepest_leaf: u32,
+}
+
 /// Recursive invariant checker (quiescent).
-fn check_node<K: Key, V: Value, A: Augmentation<K, V>>(
-    node: crossbeam_epoch::Shared<'_, Node<K, V, A>>,
+fn check_node<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>>(
+    node: crossbeam_epoch::Shared<'_, Node<K, V, A, S>>,
     lo: Option<&K>,
     hi: Option<&K>,
+    coverage: S::Coverage,
+    depth: u32,
+    census: &mut Census,
     guard: &crossbeam_epoch::Guard,
 ) -> u64 {
     if node.is_null() {
@@ -653,6 +698,7 @@ fn check_node<K: Key, V: Value, A: Augmentation<K, V>>(
     match unsafe { node.deref() } {
         Node::Empty(_) => 0,
         Node::Leaf(leaf) => {
+            census.deepest_leaf = census.deepest_leaf.max(depth);
             let run = leaf.entries();
             assert!(
                 !run.is_empty() && run.len() <= LEAF_CAP,
@@ -684,18 +730,30 @@ fn check_node<K: Key, V: Value, A: Augmentation<K, V>>(
                 inner.queue.is_empty(guard),
                 "descriptor queue not empty in a quiescent tree"
             );
-            let nl = check_node::<K, V, A>(
+            assert_eq!(
+                inner.coverage, coverage,
+                "inner node coverage disagrees with its position"
+            );
+            census.inner_nodes += 1;
+            let (left, right) = (inner.left_slot(), inner.right_slot());
+            let nl = check_node::<K, V, A, S>(
                 // ORDERING: Acquire pairs with the AcqRel child-slot CASes; quiescent use.
-                inner.left.load(Ordering::Acquire, guard),
+                left.cell.load(Ordering::Acquire, guard),
                 lo,
                 Some(&inner.rsm),
+                left.coverage,
+                depth + 1,
+                census,
                 guard,
             );
-            let nr = check_node::<K, V, A>(
+            let nr = check_node::<K, V, A, S>(
                 // ORDERING: as above, for the right child.
-                inner.right.load(Ordering::Acquire, guard),
+                right.cell.load(Ordering::Acquire, guard),
                 Some(&inner.rsm),
                 hi,
+                right.coverage,
+                depth + 1,
+                census,
                 guard,
             );
             // The stored aggregate must equal the aggregate recomputed from
@@ -1007,8 +1065,14 @@ mod tests {
 
     #[test]
     fn a_descriptor_pending_below_the_root_is_busy_not_expired() {
+        busy_not_expired::<Balanced>();
+        busy_not_expired::<crate::Radix>();
+    }
+
+    fn busy_not_expired<S: Shape<i64>>() {
         use crate::descriptor::Descriptor;
-        let tree: WaitFreeTree<i64> = WaitFreeTree::from_entries((0..1000).map(|k| (k, ())));
+        let tree: WaitFreeTree<i64, (), Size, S> =
+            WaitFreeTree::from_entries((0..1000).map(|k| (k, ())));
         let front = tree.settle_front();
         let guard = crossbeam_epoch::pin();
         // ORDERING: Acquire pairs with the Release swap in `from_entries`; quiescent use.
@@ -1023,6 +1087,10 @@ mod tests {
         let parked = Descriptor::new_ref(OpKind::Lookup { key: 1 });
         assert!(inner.queue.push_if(ts, parked, &guard));
         assert_eq!(tree.range_agg_at_front(0, 999, front), Err(FrontMiss::Busy));
+        assert_eq!(
+            tree.collect_range_at_front(0, 999, front),
+            Err(FrontMiss::Busy)
+        );
         assert_eq!(
             tree.collect_range_limited_at_front(0, 999, 10, front),
             Err(FrontMiss::Busy)

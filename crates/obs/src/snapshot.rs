@@ -109,11 +109,13 @@ impl MetricsSnapshot {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
-    /// Per-window difference `self - earlier`, matched by name: counters
+    /// The window from `earlier` to `self`, matched by name: counters
     /// subtract saturating (a metric absent from `earlier` counts from 0),
-    /// gauges subtract signed, histograms subtract bucket-wise. Metrics
-    /// only present in `earlier` are dropped — the delta describes what
-    /// `self` can still see.
+    /// histograms subtract bucket-wise, and gauges carry the later reading
+    /// unchanged — a gauge is a level, not a running total, so the level at
+    /// the end of the window is what the window reports. Metrics only
+    /// present in `earlier` are dropped — the delta describes what `self`
+    /// can still see.
     pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: self
@@ -126,14 +128,7 @@ impl MetricsSnapshot {
                         .saturating_sub(earlier.counter(&c.name).unwrap_or(0)),
                 })
                 .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .map(|g| GaugeSample {
-                    name: g.name.clone(),
-                    value: g.value - earlier.gauge(&g.name).unwrap_or(0),
-                })
-                .collect(),
+            gauges: self.gauges.clone(),
             histograms: self
                 .histograms
                 .iter()
@@ -236,7 +231,11 @@ mod tests {
         earlier.push_gauge("store_len", -10);
         let delta = sample().delta_since(&earlier);
         assert_eq!(delta.counter("tree_inserts"), Some(6));
-        assert_eq!(delta.gauge("store_len"), Some(7));
+        assert_eq!(
+            delta.gauge("store_len"),
+            Some(-3),
+            "a level, not a difference"
+        );
         // Histogram absent from `earlier` passes through whole.
         assert_eq!(delta.histogram("op_latency_ns").unwrap().count, 2);
     }

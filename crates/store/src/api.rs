@@ -75,12 +75,7 @@ where
     }
 
     fn count(&self, range: RangeSpec<K>) -> u64 {
-        wft_api::count_over(
-            range,
-            |min, max| ShardedStore::range_agg(self, min, max),
-            A::count_of,
-            |min, max| ShardedStore::collect_range(self, min, max).len() as u64,
-        )
+        wft_api::agg_over(range, || 0, |min, max| ShardedStore::count(self, min, max))
     }
 
     fn collect_range(&self, range: RangeSpec<K>) -> Vec<(K, V)> {
@@ -195,12 +190,7 @@ where
 
     fn count_at(&self, token: &SnapshotToken, range: RangeSpec<K>) -> Option<u64> {
         stitched_read_at(self, token, || {
-            wft_api::count_over(
-                range,
-                |min, max| self.stitched_range_agg(min, max),
-                A::count_of,
-                |min, max| self.stitched_collect_range(min, max).len() as u64,
-            )
+            wft_api::agg_over(range, || 0, |min, max| self.stitched_count(min, max))
         })
     }
 

@@ -432,6 +432,24 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
         }
     }
 
+    /// Number of keys in `[min, max]`, the paper's headline aggregate,
+    /// answered per overlapped shard at one global front and summed —
+    /// linearizable (see [`ShardedStore::range_agg`]). Read off the
+    /// aggregate whenever the augmentation tracks the entry count
+    /// ([`Augmentation::count_of`]: `Size` alone or inside a `Pair`);
+    /// otherwise the range is collected and counted.
+    pub fn count(&self, min: K, max: K) -> u64 {
+        A::count_of(&self.range_agg(min, max))
+            .unwrap_or_else(|| self.collect_range(min, max).len() as u64)
+    }
+
+    /// [`ShardedStore::count`] assembled the pre-front way (not a single
+    /// atomic snapshot; see [`ShardedStore::stitched_range_agg`]).
+    pub fn stitched_count(&self, min: K, max: K) -> u64 {
+        A::count_of(&self.stitched_range_agg(min, max))
+            .unwrap_or_else(|| self.stitched_collect_range(min, max).len() as u64)
+    }
+
     /// Aggregate of all entries with keys in `[min, max]` assembled the
     /// **pre-front way**: one linearizable query per overlapped shard, each
     /// taken at a (slightly) different instant, with no global cut. Not a
@@ -934,35 +952,6 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
 impl<K: Key, V: Value, A: Augmentation<K, V>> Default for ShardedStore<K, V, A> {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl<K: Key, V: Value> ShardedStore<K, V, Size> {
-    /// Number of keys in `[min, max]`, the paper's headline aggregate,
-    /// answered per overlapped shard at one global front and summed —
-    /// linearizable (see [`ShardedStore::range_agg`]).
-    pub fn count(&self, min: K, max: K) -> u64 {
-        self.range_agg(min, max)
-    }
-
-    /// [`ShardedStore::count`] assembled the pre-front way (not a single
-    /// atomic snapshot; see [`ShardedStore::stitched_range_agg`]).
-    pub fn stitched_count(&self, min: K, max: K) -> u64 {
-        self.stitched_range_agg(min, max)
-    }
-}
-
-impl<K: Key, V: Value, B: Augmentation<K, V>> ShardedStore<K, V, wft_seq::Pair<Size, B>> {
-    /// Number of keys in `[min, max]` for stores that track the subtree
-    /// size alongside another aggregate (`Pair<Size, B>`); answered at one
-    /// global front like [`ShardedStore::range_agg`].
-    pub fn count(&self, min: K, max: K) -> u64 {
-        self.range_agg(min, max).0
-    }
-
-    /// The pre-front (stitched) count for `Pair<Size, B>` stores.
-    pub fn stitched_count(&self, min: K, max: K) -> u64 {
-        self.stitched_range_agg(min, max).0
     }
 }
 

@@ -1,31 +1,34 @@
 //! # Wait-free binary trie with aggregate range queries
 //!
-//! A second instantiation of the hand-over-hand-helping scheme of
-//! *"Wait-free Trees with Asymptotically-Efficient Range Queries"*
-//! (Kokorin, Alistarh, Aksenov — IPPS 2024). The paper's conclusion names
-//! tries and quad trees as the natural next targets for the technique; this
-//! crate carries the scheme over to a **binary trie over fixed-width integer
-//! keys** and shows that the concurrent machinery — per-node descriptor
-//! queues with monotone timestamps, helping, exactly-once CAS-guarded state
-//! updates, first-write-wins result assembly — is genuinely generic: it is
-//! reused verbatim from the [`wft_queue`] substrates, and only the routing
-//! and the structural updates are trie-specific.
+//! The paper's conclusion names tries as the natural next target for
+//! hand-over-hand helping (*"Wait-free Trees with Asymptotically-Efficient
+//! Range Queries"*, Kokorin, Alistarh, Aksenov — IPPS 2024). The claim is
+//! that the mechanism is generic, and this crate is the evidence: it holds
+//! no engine of its own. [`WaitFreeTrie`] is [`wft_core::WaitFreeTree`] with
+//! its shape parameter set to [`Radix`], so descriptors, per-node queues,
+//! helping, exactly-once state updates, immutable leaf runs, the read fast
+//! paths and the timestamp front are one implementation serving both.
 //!
-//! Compared to the BST of `wft-core`:
+//! A binary-trie node that branches on bit `b` under prefix `p` *is* a BST
+//! node whose `Right_Subtree_Min` is the index boundary `p | 1 << b`, so
+//! routing needs no trie variant. What a shape decides is where an
+//! overflowing leaf run is cut, and whether subtrees are rebuilt:
 //!
-//! | aspect | BST (`wft-core`) | trie (this crate) |
-//! |--------|------------------|-------------------|
-//! | routing | stored `Right_Subtree_Min` keys | bits of an order-preserving 64-bit key index |
-//! | balance | subtree rebuilding (§II-E), amortized bounds | none needed — depth ≤ key width, worst-case bounds |
-//! | range queries | three border modes recorded per node | fixed per-node coverage intervals |
+//! | aspect | `Balanced` (`WaitFreeTree`) | `Radix` ([`WaitFreeTrie`]) |
+//! |--------|-----------------------------|----------------------------|
+//! | routing | stored `Right_Subtree_Min` keys | the same, placed on bit boundaries of an order-preserving 64-bit key index |
+//! | overflow split | at the run's median | at the most-aligned index boundary of the slot's interval, chaining single-child nodes while the run stays on one side |
+//! | balance | subtree rebuilding (§II-E), amortized bounds | none needed — depth ≤ bulk skeleton + 2 · index width, worst-case bounds |
+//! | leaves | immutable sorted runs of up to 32 entries | the same |
+//! | range queries | three border modes recorded per node | the same |
 //! | key types | any `Ord + Copy + Hash` | fixed-width integers ([`TrieKey`]) |
+//! | metrics | `tree_*` | `trie_*` |
 //!
-//! The public interface mirrors [`wft_core::WaitFreeTree`]: `insert`,
-//! `remove`, `contains`, `get`, `count`, `range_agg`, `collect_range`, all
-//! linearizable, with aggregate range queries in time proportional to the key
-//! width rather than to the number of keys in the range.
-//!
-//! [`wft_core::WaitFreeTree`]: https://docs.rs/wft-core
+//! The interface is the tree's: `insert`, `remove`, `contains`, `get`,
+//! `count`, `range_agg`, `collect_range`, all linearizable, with aggregate
+//! range queries in time proportional to the depth rather than to the number
+//! of keys in the range. A non-default read path or root queue is chosen
+//! through [`TreeConfig`], as for the tree.
 //!
 //! ## Example
 //!
@@ -54,21 +57,16 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod api;
-pub mod descriptor;
-pub mod exec;
-pub mod key;
-pub mod node;
-pub mod read;
 pub mod tree;
 
-pub use descriptor::OpKind;
-pub use key::TrieKey;
-pub use tree::{TrieStats, WaitFreeTrie};
+pub use tree::WaitFreeTrie;
 
-// The read-path knob is shared with `wft-core` through the queue substrate
-// crate: both descriptor trees select their fast paths with it.
-pub use wft_queue::ReadPath;
+// The engine's vocabulary, so a trie user needs one import: the shape, the
+// key trait it routes on (under the name this crate has always used), the
+// configuration and what the reads and stats speak.
+pub use wft_core::{
+    FrontMiss, OpKind, Radix, RadixKey as TrieKey, ReadPath, Timestamp, TreeConfig, TreeStats,
+};
 
 // Re-export the augmentation vocabulary for convenience.
-pub use wft_seq::{Augmentation, Pair, Size, Sum, Value};
+pub use wft_core::{Augmentation, Pair, Size, Sum, Value};

@@ -304,6 +304,10 @@ impl TreeImpl {
     /// per-implementation adapter code to keep in sync.
     pub fn build(&self, entries: &[i64], max_threads: usize) -> Arc<dyn ConcurrentSet> {
         let pairs = entries.iter().map(|&k| (k, ()));
+        let descriptor_reads = TreeConfig {
+            read_path: ReadPath::Descriptor,
+            ..TreeConfig::default()
+        };
         match self {
             TreeImpl::WaitFree => Arc::new(WaitFreeTree::<i64>::from_entries_with_config(
                 pairs,
@@ -325,23 +329,17 @@ impl TreeImpl {
             TreeImpl::Sharded => {
                 Arc::new(ShardedStore::<i64>::from_entries(pairs, max_threads.max(1)))
             }
-            TreeImpl::WaitFreeDescReads => {
-                let config = TreeConfig {
-                    read_path: ReadPath::Descriptor,
-                    ..TreeConfig::default()
-                };
-                Arc::new(WaitFreeTree::<i64>::from_entries_with_config(pairs, config))
-            }
-            TreeImpl::TrieDescReads => Arc::new(WaitFreeTrie::<i64>::from_entries_with_read_path(
+            TreeImpl::WaitFreeDescReads => Arc::new(WaitFreeTree::<i64>::from_entries_with_config(
                 pairs,
-                ReadPath::Descriptor,
+                descriptor_reads,
+            )),
+            TreeImpl::TrieDescReads => Arc::new(WaitFreeTrie::<i64>::from_entries_with_config(
+                pairs,
+                descriptor_reads,
             )),
             TreeImpl::ShardedDescReads => {
                 let config = StoreConfig {
-                    tree: TreeConfig {
-                        read_path: ReadPath::Descriptor,
-                        ..TreeConfig::default()
-                    },
+                    tree: descriptor_reads,
                     ..StoreConfig::default()
                 };
                 Arc::new(ShardedStore::<i64>::from_entries_with_config(

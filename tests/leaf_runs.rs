@@ -13,6 +13,12 @@
 //!   every update rewrites the same one or two runs;
 //! * whole-tree conservation plus `check_invariants` after a stress with
 //!   an aggressive rebuild factor on a key space of `2 * LEAF_CAP`.
+//!
+//! The sequential model and the concurrent histories run on both shapes of
+//! the tree: `Balanced` splits an overflowing run at its median, `Radix` at
+//! an index boundary of the slot (possibly leaving one side `Empty`), and
+//! both must read the same. The last test pins what keeps a `Radix` tree
+//! shallow without rebuilds.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -22,6 +28,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use wait_free_range_trees::core::node::LEAF_CAP;
+use wait_free_range_trees::core::{Balanced, Radix, Shape};
 use wait_free_range_trees::lincheck::{
     check_history_with_initial, History, RangeSetOp, RangeSetRet, RangeSetSpec, ThreadRecorder,
 };
@@ -32,7 +39,7 @@ const CAP: i64 = LEAF_CAP as i64;
 /// The key-space sizes under test.
 const SPACES: [i64; 4] = [1, CAP, CAP + 1, 4 * CAP];
 
-type Tree = WaitFreeTree<i64, i64, Pair<Size, Sum>>;
+type Tree<S> = WaitFreeTree<i64, i64, Pair<Size, Sum>, S>;
 
 /// One step of the sequential workload; keys are reduced modulo the key
 /// space of the case.
@@ -69,7 +76,7 @@ fn listing(oracle: &BTreeMap<i64, i64>, lo: i64, hi: i64) -> Vec<(i64, i64)> {
 }
 
 /// Every read the tree offers over `[lo, hi]`, against the oracle.
-fn assert_reads(tree: &Tree, oracle: &BTreeMap<i64, i64>, lo: i64, hi: i64) {
+fn assert_reads<S: Shape<i64>>(tree: &Tree<S>, oracle: &BTreeMap<i64, i64>, lo: i64, hi: i64) {
     let want = listing(oracle, lo, hi);
     let sum: i128 = want.iter().map(|(_, v)| *v as i128).sum();
     assert_eq!(
@@ -83,7 +90,13 @@ fn assert_reads(tree: &Tree, oracle: &BTreeMap<i64, i64>, lo: i64, hi: i64) {
 /// A limited collect is the first `limit` entries of the full listing, and
 /// when the limit bites — possibly in the middle of a run — the fast path
 /// reports an early exit.
-fn assert_limited(tree: &Tree, oracle: &BTreeMap<i64, i64>, lo: i64, hi: i64, limit: usize) {
+fn assert_limited<S: Shape<i64>>(
+    tree: &Tree<S>,
+    oracle: &BTreeMap<i64, i64>,
+    lo: i64,
+    hi: i64,
+    limit: usize,
+) {
     let want = listing(oracle, lo, hi);
     let exits_before = tree.stats().fast_range_early_exits;
     let got = tree.collect_range_limited(lo, hi, limit);
@@ -102,8 +115,8 @@ fn assert_limited(tree: &Tree, oracle: &BTreeMap<i64, i64>, lo: i64, hi: i64, li
     }
 }
 
-fn run_case(space: i64, read_path: ReadPath, steps: &[Step]) {
-    let tree: Tree = WaitFreeTree::with_config(TreeConfig {
+fn run_case<S: Shape<i64>>(space: i64, read_path: ReadPath, steps: &[Step]) {
+    let tree: Tree<S> = WaitFreeTree::with_config(TreeConfig {
         read_path,
         ..TreeConfig::default()
     });
@@ -176,24 +189,31 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random operation sequences on key spaces at the run boundaries agree
-    /// with `BTreeMap` on both read paths.
+    /// with `BTreeMap` on both read paths and both shapes.
     #[test]
     fn runs_agree_with_btreemap_at_every_boundary(
         steps in proptest::collection::vec(step_strategy(), 1..160)
     ) {
         for space in SPACES {
-            run_case(space, ReadPath::Fast, &steps);
-            run_case(space, ReadPath::Descriptor, &steps);
+            run_case::<Balanced>(space, ReadPath::Fast, &steps);
+            run_case::<Balanced>(space, ReadPath::Descriptor, &steps);
+            run_case::<Radix>(space, ReadPath::Fast, &steps);
+            run_case::<Radix>(space, ReadPath::Descriptor, &steps);
         }
     }
 }
 
 #[test]
 fn a_bulk_built_tree_reads_like_an_inserted_one() {
+    bulk_built_reads::<Balanced>();
+    bulk_built_reads::<Radix>();
+}
+
+fn bulk_built_reads<S: Shape<i64>>() {
     // `from_entries` packs runs of three quarters of the cap; the borders
     // of the ranges below fall inside them.
     let entries: Vec<(i64, i64)> = (0..10 * CAP).map(|k| (k * 3, k)).collect();
-    let tree: Tree = WaitFreeTree::from_entries(entries.clone());
+    let tree: Tree<S> = WaitFreeTree::from_entries(entries.clone());
     let oracle: BTreeMap<i64, i64> = entries.into_iter().collect();
     tree.check_invariants();
     for lo in (0..30 * CAP).step_by(7) {
@@ -211,8 +231,8 @@ const OPS_PER_THREAD: usize = 6;
 
 /// Records one execution of `THREADS x OPS_PER_THREAD` random operations
 /// with keys in `0..key_range`.
-fn record_round(
-    tree: Arc<WaitFreeTree<i64>>,
+fn record_round<S: Shape<i64>>(
+    tree: Arc<WaitFreeTree<i64, (), Size, S>>,
     key_range: i64,
     seed: u64,
 ) -> History<RangeSetOp, RangeSetRet> {
@@ -269,13 +289,19 @@ fn record_round(
 /// Lincheck rounds on a tree whose live set is `prefill` (inserted one by
 /// one, so a prefill of `LEAF_CAP` keys is a single run filled to the cap)
 /// and whose operations draw keys from `0..key_range`.
-fn assert_runs_linearize(prefill: &[i64], key_range: i64, read_path: ReadPath, rounds: u64) {
+fn assert_runs_linearize<S: Shape<i64>>(
+    prefill: &[i64],
+    key_range: i64,
+    read_path: ReadPath,
+    rounds: u64,
+) {
     for round in 0..rounds {
-        let tree: Arc<WaitFreeTree<i64>> = Arc::new(WaitFreeTree::with_config(TreeConfig {
-            rebuild_factor: 0.5,
-            read_path,
-            ..TreeConfig::default()
-        }));
+        let tree: Arc<WaitFreeTree<i64, (), Size, S>> =
+            Arc::new(WaitFreeTree::with_config(TreeConfig {
+                rebuild_factor: 0.5,
+                read_path,
+                ..TreeConfig::default()
+            }));
         for &k in prefill {
             assert!(tree.insert(k, ()));
         }
@@ -295,18 +321,23 @@ fn assert_runs_linearize(prefill: &[i64], key_range: i64, read_path: ReadPath, r
 fn updates_racing_on_one_run_linearize() {
     // Three keys: every update rewrites the same run, removes drain it to
     // `Empty` and inserts refill it.
-    assert_runs_linearize(&[1], 3, ReadPath::Fast, 30);
-    assert_runs_linearize(&[0, 1, 2], 3, ReadPath::Descriptor, 15);
+    assert_runs_linearize::<Balanced>(&[1], 3, ReadPath::Fast, 30);
+    assert_runs_linearize::<Balanced>(&[0, 1, 2], 3, ReadPath::Descriptor, 15);
+    assert_runs_linearize::<Radix>(&[1], 3, ReadPath::Fast, 30);
+    assert_runs_linearize::<Radix>(&[0, 1, 2], 3, ReadPath::Descriptor, 15);
 }
 
 #[test]
 fn updates_racing_across_an_overflow_split_linearize() {
     // A single run filled exactly to the cap with the even keys: the first
     // successful insert of an odd key splits it while the other threads'
-    // updates and range reads are aimed at the same run.
+    // updates and range reads are aimed at the same run. The radix split
+    // of these keys is a chain of 58 single-child nodes over the two parts.
     let full: Vec<i64> = (0..CAP).map(|k| k * 2).collect();
-    assert_runs_linearize(&full, 2 * CAP, ReadPath::Fast, 30);
-    assert_runs_linearize(&full, 2 * CAP, ReadPath::Descriptor, 15);
+    assert_runs_linearize::<Balanced>(&full, 2 * CAP, ReadPath::Fast, 30);
+    assert_runs_linearize::<Balanced>(&full, 2 * CAP, ReadPath::Descriptor, 15);
+    assert_runs_linearize::<Radix>(&full, 2 * CAP, ReadPath::Fast, 30);
+    assert_runs_linearize::<Radix>(&full, 2 * CAP, ReadPath::Descriptor, 15);
 }
 
 #[test]
@@ -363,4 +394,31 @@ fn heavy_rebuilds_on_two_runs_preserve_contents() {
         expected.into_iter().collect::<Vec<_>>()
     );
     tree.check_invariants();
+}
+
+#[test]
+fn sequential_inserts_in_either_direction_keep_a_radix_tree_shallow() {
+    // 100 k keys in ascending and in descending order: every overflow
+    // happens at the edge of the key hull. `check_invariants` bounds every
+    // `Radix` leaf at the skeleton height plus twice the index width, which
+    // holds because the cut is chosen from the interval the slot covers; a
+    // cut chosen from the keys in the run would grow an `N / 32`-deep spine
+    // here. The balanced tree takes the same streams through its rebuilds.
+    const N: i64 = 100_000;
+    fn check<S: Shape<i64>>(keys: impl Iterator<Item = i64>) {
+        let tree: WaitFreeTree<i64, (), Size, S> = WaitFreeTree::new();
+        for k in keys {
+            assert!(tree.insert(k, ()));
+        }
+        assert_eq!(tree.len(), N as u64);
+        assert_eq!(tree.count(i64::MIN, i64::MAX), N as u64);
+        tree.check_invariants();
+    }
+    // Spread over the index so the common prefix, and with it every path,
+    // stays short enough for a debug build.
+    let spread = |k: i64| (k - N / 2) << 40;
+    check::<Radix>((0..N).map(spread));
+    check::<Radix>((0..N).rev().map(spread));
+    check::<Balanced>((0..N).map(spread));
+    check::<Balanced>((0..N).rev().map(spread));
 }

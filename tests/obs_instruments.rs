@@ -123,7 +123,11 @@ fn counter_is_monotonic_and_deltas_are_exact() {
     let delta = after.delta_since(&before);
     assert_eq!(delta.counter("x"), Some(4));
     assert_eq!(delta.counter("y"), Some(3), "new metrics count from zero");
-    assert_eq!(delta.gauge("depth"), Some(-3), "gauges subtract signed");
+    assert_eq!(
+        delta.gauge("depth"),
+        Some(4),
+        "a gauge carries its later level"
+    );
 
     // Counter deltas saturate rather than wrap if a process restart ever
     // hands delta_since a fresher "earlier".

@@ -230,12 +230,12 @@ fn fast_range_reads_are_monotone_during_inserts() {
     tree.check_invariants();
 }
 
-/// The trie mirror: fast and descriptor paths agree against a `BTreeMap`
+/// The `Radix` shape: fast and descriptor paths agree against a `BTreeMap`
 /// replay, single-threaded.
 #[test]
 fn trie_fast_reads_agree_with_descriptor_path() {
     let fast: WaitFreeTrie<u64, u64> = WaitFreeTrie::new();
-    let desc: WaitFreeTrie<u64, u64> = WaitFreeTrie::with_read_path(ReadPath::Descriptor);
+    let desc: WaitFreeTrie<u64, u64> = WaitFreeTrie::with_config(desc_config());
     let mut oracle = std::collections::BTreeMap::new();
     let mut rng = StdRng::seed_from_u64(0x7121E);
     for _ in 0..2_000 {
