@@ -253,17 +253,9 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
             return A::identity();
         }
         if self.config.read_path == ReadPath::Fast {
-            let guard = crossbeam_epoch::pin();
-            for attempt in 1..=self.config.fast_read_attempts {
-                if let Some(agg) = self.try_fast_range_agg(min, max, &guard) {
-                    TreeCounters::bump(&self.counters.fast_range_hits);
-                    return agg;
-                }
-                // A failed validation usually means one in-flight update; a
-                // bounded retry beats paying the descriptor slow path.
-                if attempt < self.config.fast_read_attempts {
-                    TreeCounters::bump(&self.counters.fast_range_retries);
-                }
+            let fast = self.fast_read(|guard| self.try_fast_range_agg(min, max, guard), || true);
+            if let Some(agg) = fast {
+                return agg;
             }
             self.note_range_fallback();
         }
@@ -281,15 +273,9 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
             return Vec::new();
         }
         if self.config.read_path == ReadPath::Fast {
-            let guard = crossbeam_epoch::pin();
-            for attempt in 1..=self.config.fast_read_attempts {
-                if let Some(entries) = self.try_fast_collect(min, max, &guard) {
-                    TreeCounters::bump(&self.counters.fast_range_hits);
-                    return entries;
-                }
-                if attempt < self.config.fast_read_attempts {
-                    TreeCounters::bump(&self.counters.fast_range_retries);
-                }
+            let fast = self.fast_read(|guard| self.try_fast_collect(min, max, guard), || true);
+            if let Some(entries) = fast {
+                return entries;
             }
             self.note_range_fallback();
         }
@@ -314,20 +300,12 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
             return Vec::new();
         }
         if self.config.read_path == ReadPath::Fast {
-            let guard = crossbeam_epoch::pin();
-            for attempt in 1..=self.config.fast_read_attempts {
-                if let Some((entries, early_exit)) =
-                    self.try_fast_collect_limited(min, max, limit, &guard)
-                {
-                    TreeCounters::bump(&self.counters.fast_range_hits);
-                    if early_exit {
-                        TreeCounters::bump(&self.counters.fast_range_early_exits);
-                    }
-                    return entries;
-                }
-                if attempt < self.config.fast_read_attempts {
-                    TreeCounters::bump(&self.counters.fast_range_retries);
-                }
+            let fast = self.fast_read(
+                |guard| self.try_fast_collect_limited_counted(min, max, limit, guard),
+                || true,
+            );
+            if let Some(entries) = fast {
+                return entries;
             }
             self.note_range_fallback();
         }
@@ -541,16 +519,25 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
         }
         self.read_at_front(
             front,
-            |guard| {
-                let (entries, early_exit) =
-                    self.try_fast_collect_limited(min, max, limit, guard)?;
-                if early_exit {
-                    TreeCounters::bump(&self.counters.fast_range_early_exits);
-                }
-                Some(entries)
-            },
+            |guard| self.try_fast_collect_limited_counted(min, max, limit, guard),
             || self.collect_range_limited(min, max, limit),
         )
+    }
+
+    /// One optimistic limited traversal, counting its early exit in
+    /// [`TreeStats::fast_range_early_exits`].
+    fn try_fast_collect_limited_counted(
+        &self,
+        min: K,
+        max: K,
+        limit: usize,
+        guard: &crossbeam_epoch::Guard,
+    ) -> Option<Vec<(K, V)>> {
+        let (entries, early_exit) = self.try_fast_collect_limited(min, max, limit, guard)?;
+        if early_exit {
+            TreeCounters::bump(&self.counters.fast_range_early_exits);
+        }
+        Some(entries)
     }
 
     /// Entry check of the front-anchored reads: both watermarks still equal
@@ -585,18 +572,40 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
         if self.config.read_path != ReadPath::Fast {
             return still_current(descriptor());
         }
+        // The front only moves forward, so one look after the attempts tells
+        // the two misses apart.
+        match self.fast_read(attempt, || self.front_unchanged(front)) {
+            Some(out) => still_current(out),
+            None if self.front_unchanged(front) => Err(FrontMiss::Busy),
+            None => Err(FrontMiss::Expired),
+        }
+    }
+
+    /// The bounded optimistic read shared by every range query: up to
+    /// [`TreeConfig::fast_read_attempts`] descriptor-free traversals under
+    /// one pinned guard. A failed validation usually means one in-flight
+    /// update, so a bounded retry beats paying the descriptor slow path;
+    /// `worth_retrying` lets a caller stop early once a retry cannot help.
+    /// Counts one [`TreeStats::fast_range_hits`] on success and one
+    /// [`TreeStats::fast_range_retries`] per *extra* attempt actually
+    /// started — a failed last attempt is a miss, not a retry.
+    fn fast_read<T>(
+        &self,
+        attempt: impl Fn(&crossbeam_epoch::Guard) -> Option<T>,
+        worth_retrying: impl Fn() -> bool,
+    ) -> Option<T> {
         let guard = crossbeam_epoch::pin();
-        for _ in 0..self.config.fast_read_attempts {
+        for remaining in (0..self.config.fast_read_attempts).rev() {
             if let Some(out) = attempt(&guard) {
                 TreeCounters::bump(&self.counters.fast_range_hits);
-                return still_current(out);
+                return Some(out);
+            }
+            if remaining == 0 || !worth_retrying() {
+                break;
             }
             TreeCounters::bump(&self.counters.fast_range_retries);
-            if !self.front_unchanged(front) {
-                return Err(FrontMiss::Expired);
-            }
         }
-        Err(FrontMiss::Busy)
+        None
     }
 
     /// All entries in key order.
@@ -1086,7 +1095,13 @@ mod tests {
         let ts = wft_queue::Timestamp(1);
         let parked = Descriptor::new_ref(OpKind::Lookup { key: 1 });
         assert!(inner.queue.push_if(ts, parked, &guard));
+        assert_eq!(tree.config.fast_read_attempts, 3);
         assert_eq!(tree.range_agg_at_front(0, 999, front), Err(FrontMiss::Busy));
+        assert_eq!(
+            tree.stats().fast_range_retries,
+            2,
+            "three failed attempts are two retries: the last one is the miss"
+        );
         assert_eq!(
             tree.collect_range_at_front(0, 999, front),
             Err(FrontMiss::Busy)

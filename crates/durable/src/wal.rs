@@ -145,6 +145,11 @@ pub(crate) struct WalWriter {
     dirty: bool,
     /// Rotate to a fresh segment once the current one exceeds this.
     segment_limit: u64,
+    /// A segment file a failed rotation may have created without the writer
+    /// ever moving to it. Its name claims an upper bound on the records
+    /// before it that the current segment keeps outgrowing, so it is
+    /// removed before the next rotation or truncation looks at names.
+    orphan: Option<PathBuf>,
 }
 
 impl WalWriter {
@@ -168,6 +173,7 @@ impl WalWriter {
             durable_next_seq: next_seq,
             dirty: false,
             segment_limit,
+            orphan: None,
         })
     }
 
@@ -247,11 +253,34 @@ impl WalWriter {
     /// current `next_seq`.
     pub(crate) fn rotate(&mut self) -> io::Result<()> {
         self.sync()?;
-        self.file = new_segment(self.storage.as_ref(), &self.dir, self.next_seq)?;
+        self.remove_orphan()?;
+        match new_segment(self.storage.as_ref(), &self.dir, self.next_seq) {
+            Ok(file) => self.file = file,
+            Err(err) => {
+                // An empty current segment already carries that name, so
+                // nothing new can have been created.
+                if self.segment_len > 0 {
+                    self.orphan = Some(self.dir.join(segment_name(self.next_seq)));
+                }
+                return Err(err);
+            }
+        }
         self.segment_len = 0;
         self.durable_len = 0;
         self.durable_next_seq = self.next_seq;
         self.dirty = false;
+        Ok(())
+    }
+
+    /// Deletes what a failed rotation left behind (it may have failed
+    /// before creating anything, hence `NotFound` is success).
+    fn remove_orphan(&mut self) -> io::Result<()> {
+        if let Some(path) = &self.orphan {
+            match self.storage.remove_file(path) {
+                Err(err) if err.kind() != io::ErrorKind::NotFound => return Err(err),
+                _ => self.orphan = None,
+            }
+        }
         Ok(())
     }
 
@@ -262,6 +291,7 @@ impl WalWriter {
     /// it. The active (last) segment is never deleted. Returns the number
     /// of segments removed.
     pub(crate) fn truncate_through(&mut self, cut: u64) -> io::Result<u64> {
+        self.remove_orphan()?;
         let segments = list_segments(self.storage.as_ref(), &self.dir)?;
         let mut removed = 0;
         for pair in segments.windows(2) {
@@ -498,6 +528,47 @@ mod tests {
         // A cut past everything still never deletes the active segment.
         assert_eq!(w.truncate_through(100).unwrap(), 1);
         assert_eq!(list_segments(&FsStorage, dir.path()).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn a_failed_rotation_leaves_no_segment_that_fools_truncation() {
+        let dir = ScratchDir::new("wal-orphan");
+        let faulty = FaultyStorage::over_fs();
+        let mut w = WalWriter::open(
+            Arc::new(faulty.clone()) as Arc<dyn Storage>,
+            dir.path(),
+            1,
+            u64::MAX,
+        )
+        .unwrap();
+        // Rotating an empty segment re-opens its own name; when that fails,
+        // nothing was left behind and the live file must not be swept.
+        faulty.schedule(Fault::nth_of(
+            FaultOp::OpenAppend,
+            1,
+            FaultKind::Error(io::ErrorKind::Other),
+        ));
+        assert!(w.rotate().is_err());
+        w.append_group(&[batch(1), batch(2)]).unwrap(); // seqs 1, 2
+
+        // The new segment's file is created, then its directory sync (the
+        // second overall: `open` paid the first) fails: `wal-3` exists but
+        // the writer stays on `wal-1`, which goes on to hold seqs 3 and 4.
+        faulty.schedule(Fault::nth_of(
+            FaultOp::DirSync,
+            1,
+            FaultKind::Error(io::ErrorKind::Other),
+        ));
+        assert!(w.rotate().is_err());
+        w.append_group(&[batch(3), batch(4)]).unwrap();
+        w.rotate().unwrap();
+
+        // A checkpoint at cut = 2 must keep seqs 3 and 4, although a
+        // segment named `wal-3` once sat right after the one holding them.
+        w.truncate_through(2).unwrap();
+        let replay = read_wal::<i64, i64>(&FsStorage, dir.path()).unwrap();
+        let seqs: Vec<u64> = replay.records.iter().map(|(s, _)| *s).collect();
+        assert_eq!(seqs, vec![1, 2, 3, 4], "records past the cut survive");
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   mergeable, with [`HistogramSnapshot::quantile`] for p50/p99/p999
 //!   ([`hist`]).
 //! * [`MetricsSnapshot`] — the flat serializable reading with
-//!   **delta arithmetic** for per-window rates, exported as JSON (the
-//!   `BENCH_*.json` embeds) or Prometheus text ([`snapshot`]).
+//!   **delta arithmetic** for per-window rates, exported as JSON or
+//!   Prometheus text ([`snapshot`]).
 //! * [`Registry`] + [`MetricsSource`] — owned instruments plus pulled
 //!   sources ([`registry`]): the trees' and store's existing `stats()`
 //!   counters stay authoritative and are mirrored into the registry, so
@@ -28,8 +28,7 @@
 //!
 //! The crate is a dependency leaf (it knows nothing about trees or
 //! stores), so every layer — `wft-core`, `wft-trie`, `wft-store`, the
-//! baselines, the workload harness and the bench bins — can depend on it
-//! without cycles.
+//! baselines and the workload harness — can depend on it without cycles.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -6,8 +6,8 @@
 //! **delta arithmetic** benches and watchdogs need —
 //! [`MetricsSnapshot::delta_since`] subtracts an earlier snapshot of the
 //! same instruments, turning cumulative counters into per-window rates —
-//! and export as either JSON (embedded verbatim in the committed
-//! `BENCH_*.json` reports) or the Prometheus text exposition format
+//! and export as either JSON ([`MetricsSnapshot::to_json`]) or the
+//! Prometheus text exposition format
 //! ([`MetricsSnapshot::to_prometheus`]).
 
 use serde::{Deserialize, Serialize};

@@ -51,9 +51,7 @@
 //! batch or none of it, never a half-applied prefix across shards — the
 //! linearization argument lives in `DESIGN.md` ("Publish-at-front batch
 //! commit"). Single-operation *classic* batches bypass the gate entirely
-//! (one tree op is already atomic), and the old piecewise behaviour
-//! remains available as [`ShardedStore::stitched_apply_batch`], matching
-//! the other `stitched_*` baselines.
+//! (one tree op is already atomic).
 
 use std::thread;
 
@@ -883,19 +881,6 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
         } else {
             self.execute_plan(plan)
         })
-    }
-
-    /// Validates and executes `batch` the pre-gate way: per-op gated
-    /// application with **no** cross-shard commit window, so a concurrent
-    /// reader may observe the batch half-applied across shards. Kept as
-    /// the explicitly named baseline (like the other `stitched_*`
-    /// methods) for benchmarks comparing the cost of atomicity.
-    pub fn stitched_apply_batch(
-        &self,
-        batch: Vec<StoreOp<K, V>>,
-    ) -> Result<Vec<OpOutcome<V>>, BatchError<K>> {
-        let plan = self.plan_batch(batch)?;
-        Ok(self.execute_plan(plan))
     }
 
     // -- introspection ----------------------------------------------------

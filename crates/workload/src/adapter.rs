@@ -206,7 +206,7 @@ pub enum TreeImpl {
     /// The wait-free tree with reads forced through the descriptor path
     /// (`ReadPath::Descriptor`). Not part of [`TreeImpl::ALL`]: used by the
     /// linearizability suites (reads are checked under both forced read
-    /// paths) and by the read-fast-path benchmark as the "before" side.
+    /// paths).
     WaitFreeDescReads,
     /// The wait-free trie with reads forced through the descriptor path;
     /// same role as [`TreeImpl::WaitFreeDescReads`].
@@ -219,13 +219,12 @@ pub enum TreeImpl {
     /// The crash-safe store (`wft-durable`): the sharded store behind a
     /// group-commit write-ahead log in a self-cleaning scratch directory.
     /// Not part of [`TreeImpl::ALL`] — every write pays an `fsync`, so it
-    /// is benchmarked by the dedicated durability bench rather than
-    /// alongside the in-memory structures.
+    /// is not swept alongside the in-memory structures.
     Durable,
     /// The crash-safe store over fault-injected storage: a
     /// [`wft_durable::FaultyStorage`] drizzles transient I/O errors over
     /// the WAL so harness runs exercise the retry/backoff path. Not part
-    /// of [`TreeImpl::ALL`] — used by the chaos bench and soak suites.
+    /// of [`TreeImpl::ALL`].
     DurableFaulty,
 }
 

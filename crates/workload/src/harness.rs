@@ -3,14 +3,12 @@
 //! Mirrors the paper's methodology (§III): build a pre-filled tree, start `T`
 //! worker threads behind a barrier, let them issue operations drawn from the
 //! workload for a fixed wall-clock interval, stop, and report the total
-//! number of completed operations. Each configuration is repeated several
-//! times and the runs are averaged.
+//! number of completed operations.
 //!
-//! The intervals and repetition counts are parameters: the paper uses 10 s ×
-//! 5 runs on a 24-core machine; the defaults here are much shorter so the
-//! full figure suite completes in minutes on a laptop or CI runner (the
-//! *relative* comparison between implementations is what the reproduction
-//! targets — see EXPERIMENTS.md).
+//! The interval is a parameter: the paper uses 10 s × 5 runs on a 24-core
+//! machine; callers here (tests, the `baseline_comparison` example) pass
+//! tens of milliseconds. Repetition and aggregation — every number the repo
+//! reports — live in `benchmark/`, not here.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -23,31 +21,6 @@ use serde::{Deserialize, Serialize};
 use crate::adapter::{ConcurrentSet, TreeImpl};
 use crate::spec::{Op, WorkloadSpec};
 
-/// Parameters of one experiment (a full sweep over thread counts and
-/// implementations for one workload).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ExperimentConfig {
-    /// Thread counts to sweep (the paper sweeps 1..24).
-    pub threads: Vec<usize>,
-    /// Measurement interval per run.
-    pub duration: Duration,
-    /// Number of runs averaged per point (the paper uses 5).
-    pub runs: usize,
-    /// Base RNG seed (varied per run for independence).
-    pub seed: u64,
-}
-
-impl Default for ExperimentConfig {
-    fn default() -> Self {
-        ExperimentConfig {
-            threads: vec![1, 2, 4],
-            duration: Duration::from_millis(300),
-            runs: 3,
-            seed: 0xC0FFEE,
-        }
-    }
-}
-
 /// The outcome of a single timed run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunResult {
@@ -58,38 +31,19 @@ pub struct RunResult {
     /// Throughput in operations per second.
     pub ops_per_sec: f64,
     /// Per-operation latency distribution, merged across worker threads.
-    /// Sampled — each worker times one in [`LATENCY_SAMPLE`] operations —
-    /// so `latency.count ≈ total_ops / LATENCY_SAMPLE`; the *distribution*
+    /// Sampled — each worker times one in `LATENCY_SAMPLE` (8) operations —
+    /// so `latency.count ≈ total_ops / 8`; the *distribution*
     /// is unbiased because sampling is by operation index, not duration.
     pub latency: wft_obs::HistogramSnapshot,
-}
-
-/// Aggregated results of the repeated runs of one configuration point.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct Summary {
-    /// Mean throughput (ops/s) across runs.
-    pub mean_ops_per_sec: f64,
-    /// Minimum observed throughput.
-    pub min_ops_per_sec: f64,
-    /// Maximum observed throughput.
-    pub max_ops_per_sec: f64,
-    /// Number of runs aggregated.
-    pub runs: usize,
-    /// Median per-op latency (ns) over the runs' merged histograms.
-    pub p50_ns: u64,
-    /// 99th-percentile per-op latency (ns).
-    pub p99_ns: u64,
-    /// 99.9th-percentile per-op latency (ns).
-    pub p999_ns: u64,
 }
 
 /// One in this many operations is timed into the latency histogram
 /// (per worker, by operation index). At 8 the amortised cost is two
 /// `Instant::now()` calls per 8 ops — within measurement noise — while a
 /// 300 ms window still collects tens of thousands of samples per thread.
-pub const LATENCY_SAMPLE: u64 = 8;
+const LATENCY_SAMPLE: u64 = 8;
 
-/// How long [`timed_run`] waits for workers to exit after raising the stop
+/// How long [`run_once`] waits for workers to exit after raising the stop
 /// flag before declaring them wedged and dumping diagnostics (the workload
 /// watchdog): a backend retry loop that livelocks shows up here as a
 /// [`wft_obs::MetricsSnapshot`] plus the drained global
@@ -110,9 +64,8 @@ pub fn run_once(
     timed_run(set, spec, threads, duration, seed)
 }
 
-/// Executes one timed run against an already-built structure (used by tests
-/// and by experiments that reuse one tree across phases).
-pub fn timed_run(
+/// Executes one timed run against an already-built structure.
+fn timed_run(
     set: Arc<dyn ConcurrentSet>,
     spec: &WorkloadSpec,
     threads: usize,
@@ -227,54 +180,6 @@ pub fn timed_run(
     }
 }
 
-/// Repeats [`run_once`] `config.runs` times and aggregates the throughput.
-pub fn run_experiment(
-    imp: TreeImpl,
-    spec: &WorkloadSpec,
-    threads: usize,
-    config: &ExperimentConfig,
-) -> Summary {
-    let mut results = Vec::with_capacity(config.runs);
-    for run in 0..config.runs {
-        results.push(run_once(
-            imp,
-            spec,
-            threads,
-            config.duration,
-            config.seed.wrapping_add(run as u64),
-        ));
-    }
-    let mean = results.iter().map(|r| r.ops_per_sec).sum::<f64>() / results.len() as f64;
-    let min = results
-        .iter()
-        .map(|r| r.ops_per_sec)
-        .fold(f64::INFINITY, f64::min);
-    let max = results
-        .iter()
-        .map(|r| r.ops_per_sec)
-        .fold(f64::NEG_INFINITY, f64::max);
-    let latency = merged_latency(&results);
-    Summary {
-        mean_ops_per_sec: mean,
-        min_ops_per_sec: min,
-        max_ops_per_sec: max,
-        runs: results.len(),
-        p50_ns: latency.quantile(0.50),
-        p99_ns: latency.quantile(0.99),
-        p999_ns: latency.quantile(0.999),
-    }
-}
-
-/// The runs' latency histograms merged into one distribution (bucket-wise
-/// sums — log-bucketed histograms merge exactly).
-pub fn merged_latency(results: &[RunResult]) -> wft_obs::HistogramSnapshot {
-    results
-        .iter()
-        .fold(wft_obs::HistogramSnapshot::default(), |acc, r| {
-            acc.merged_with(&r.latency)
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,20 +223,5 @@ mod tests {
             before,
             "contains-only workload must not modify the tree"
         );
-    }
-
-    #[test]
-    fn experiment_aggregates_runs() {
-        let spec = WorkloadSpec::contains_benchmark().scaled_down(1_000);
-        let config = ExperimentConfig {
-            threads: vec![1],
-            duration: Duration::from_millis(20),
-            runs: 3,
-            seed: 9,
-        };
-        let summary = run_experiment(TreeImpl::Locked, &spec, 1, &config);
-        assert_eq!(summary.runs, 3);
-        assert!(summary.min_ops_per_sec <= summary.mean_ops_per_sec);
-        assert!(summary.mean_ops_per_sec <= summary.max_ops_per_sec);
     }
 }

@@ -12,23 +12,20 @@
 //! * [`spec`] — declarative workload descriptions matching the paper's three
 //!   benchmarks (read-heavy `contains`, insert-delete, successful-insert)
 //!   plus the range-query mixes used by the additional experiments;
-//! * [`harness`] — the timed multi-threaded throughput runner with prefill,
-//!   warm-up, repetition and aggregation;
-//! * [`report`] — plain-text and CSV table emitters used by the `figures`
-//!   binary to print one table per figure of the paper.
+//! * [`harness`] — the timed multi-threaded throughput runner: prefill, `T`
+//!   workers behind a barrier, one fixed interval, a sampled latency
+//!   histogram and a watchdog for wedged workers.
+//!
+//! Repetition, aggregation and every reported number live in `benchmark/`;
+//! this crate only drives traffic for tests and examples.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod adapter;
 pub mod harness;
-pub mod report;
 pub mod spec;
 
 pub use adapter::{ConcurrentSet, TreeImpl};
-pub use harness::{
-    merged_latency, run_experiment, run_once, timed_run, ExperimentConfig, RunResult, Summary,
-    LATENCY_SAMPLE, WATCHDOG_GRACE,
-};
-pub use report::{render_csv, render_table, FigureRow};
+pub use harness::{run_once, RunResult, WATCHDOG_GRACE};
 pub use spec::{KeyDistribution, OperationMix, Prefill, WorkloadSpec};

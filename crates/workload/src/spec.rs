@@ -6,7 +6,7 @@
 //! The three specs used in §III are provided as constructors
 //! ([`WorkloadSpec::contains_benchmark`], [`WorkloadSpec::insert_delete`],
 //! [`WorkloadSpec::successful_insert`]), together with the range-query mixes
-//! used by the additional experiments in EXPERIMENTS.md.
+//! used by the integration tests.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -233,8 +233,7 @@ impl WorkloadSpec {
 
     /// Snapshot-consistency workload: a given percentage of snapshot reads
     /// (two subrange counts from one acquired front) over an
-    /// insert/remove/contains background, used by the sharded-snapshot
-    /// bench and smoke tests.
+    /// insert/remove/contains background, used by smoke tests.
     pub fn snapshot_mix(snapshot_percent: f64, range_fraction: f64) -> Self {
         let snapshot = snapshot_percent / 100.0;
         let rest = 1.0 - snapshot;
@@ -259,9 +258,8 @@ impl WorkloadSpec {
     }
 
     /// Streaming-scan workload: a given percentage of chunked cursor drains
-    /// (`wft_api::RangeScan`, chunk size per the scan bench) over an
-    /// insert/remove/contains background; used by the scan bench and smoke
-    /// tests.
+    /// (`wft_api::RangeScan`) over an insert/remove/contains background;
+    /// used by smoke tests.
     pub fn scan_mix(scan_percent: f64, range_fraction: f64) -> Self {
         let scan = scan_percent / 100.0;
         let rest = 1.0 - scan;
@@ -288,7 +286,7 @@ impl WorkloadSpec {
     /// Transactional workload: a given percentage of logical ops — split
     /// evenly between `patch` read-modify-write toggles and two-key atomic
     /// batch moves — over an insert/remove/contains background; used by
-    /// the batch bench and smoke tests.
+    /// smoke tests.
     pub fn transactional_mix(transact_percent: f64) -> Self {
         let transact = transact_percent / 100.0;
         let rest = 1.0 - transact;

@@ -2,31 +2,25 @@
 //!
 //! Run with `cargo run --release --example baseline_comparison`.
 //!
-//! Uses the same workload generators and timed harness as the full `figures`
-//! binary, but with small key ranges and very short intervals, to print a
-//! side-by-side throughput comparison of
+//! Uses the `wft-workload` generators and timed harness with small key
+//! ranges and one very short interval per cell, to print a side-by-side
+//! throughput comparison of
 //!
 //! * the wait-free tree (this paper),
 //! * the persistent path-copying tree (the paper's competitor),
 //! * the global-lock baseline,
 //!
-//! on the three workloads of §III. For the full experiment suite (thread
-//! sweeps, paper-scale key ranges, CSV output) use
-//! `cargo run -p wft-bench --release --bin figures -- all`.
+//! on the three workloads of §III. One 150 ms run per cell is a demo, not a
+//! measurement: the repo's numbers come from `bash benchmark/run.sh`
+//! (`benchmark/out/results.json`, metrics `baseline.*` for this comparison).
 
 use std::time::Duration;
 
-use wait_free_range_trees::workload::{
-    render_table, run_experiment, ExperimentConfig, FigureRow, TreeImpl, WorkloadSpec,
-};
+use wait_free_range_trees::workload::{run_once, TreeImpl, WorkloadSpec};
+
+const THREADS: usize = 2;
 
 fn main() {
-    let config = ExperimentConfig {
-        threads: vec![2],
-        duration: Duration::from_millis(150),
-        runs: 2,
-        seed: 42,
-    };
     let workloads = [
         WorkloadSpec::contains_benchmark().scaled_down(20_000),
         WorkloadSpec::insert_delete().scaled_down(20_000),
@@ -34,27 +28,23 @@ fn main() {
     ];
     let impls = [TreeImpl::WaitFree, TreeImpl::Persistent, TreeImpl::Locked];
 
-    let mut rows = Vec::new();
+    println!("== Mini evaluation ({THREADS} threads, scaled-down workloads) ==");
+    println!(
+        "{:<18} {:<26} {:>14} {:>10} {:>10}",
+        "workload", "implementation", "ops/s", "p50(ns)", "p99(ns)"
+    );
     for spec in workloads {
         for imp in impls {
-            let summary = run_experiment(imp, &spec, 2, &config);
-            rows.push(FigureRow {
-                workload: spec.name.to_string(),
-                implementation: imp.name().to_string(),
-                threads: 2,
-                ops_per_sec: summary.mean_ops_per_sec,
-                min_ops_per_sec: summary.min_ops_per_sec,
-                max_ops_per_sec: summary.max_ops_per_sec,
-                runs: summary.runs,
-                p50_ns: summary.p50_ns,
-                p99_ns: summary.p99_ns,
-                p999_ns: summary.p999_ns,
-            });
+            let run = run_once(imp, &spec, THREADS, Duration::from_millis(150), 42);
+            println!(
+                "{:<18} {:<26} {:>14.0} {:>10} {:>10}",
+                spec.name,
+                imp.name(),
+                run.ops_per_sec,
+                run.latency.quantile(0.50),
+                run.latency.quantile(0.99)
+            );
         }
     }
-    println!(
-        "{}",
-        render_table("Mini evaluation (2 threads, scaled-down workloads)", &rows)
-    );
     println!("baseline_comparison finished successfully");
 }

@@ -11,8 +11,8 @@
 //!   app-level counter/histogram handles (lock-free sharded cells — the hot
 //!   path is one relaxed `fetch_add`, no locks, no contention);
 //! * **window deltas**: a [`MetricsSnapshot`] taken before and after the
-//!   race, subtracted bucket-wise/counter-wise — the per-measurement-window
-//!   arithmetic the bench binaries embed in their `BENCH_*.json`;
+//!   race, subtracted bucket-wise/counter-wise — per-measurement-window
+//!   arithmetic;
 //! * **one counter, three views**: `snapshot_retries` read through the
 //!   legacy `StoreStats` API, through the registry's snapshot, and as
 //!   per-shard-attributed `SnapshotRetry` events in the global

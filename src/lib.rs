@@ -33,15 +33,16 @@
 //!   sharded store; storage faults are retried with capped backoff and
 //!   persistent failures degrade the store to read-only (resumable once
 //!   the disk heals) instead of killing it;
-//! * [`workload`] — workload generators and the timed
-//!   throughput harness behind the experiment suite;
+//! * [`workload`] — workload generators and a single-run timed
+//!   throughput harness for tests and examples (the repo's numbers come
+//!   from `benchmark/`);
 //! * [`obs`] — the unified observability layer: lock-free
 //!   counters/gauges, log-bucketed latency histograms, the metrics registry
 //!   with JSON/Prometheus exporters and the bounded ring-buffer event
 //!   tracer every backend feeds.
 //!
 //! See `README.md` for a tour, `DESIGN.md` for the system inventory and
-//! `EXPERIMENTS.md` for the paper-vs-measured comparison.
+//! `benchmark/README.md` for how every reported number is measured.
 
 #![warn(missing_docs)]
 

@@ -627,9 +627,10 @@ proptest! {
 #[test]
 fn online_checkpoints_under_concurrent_writers_lose_nothing() {
     let scratch = ScratchDir::new("recovery-online");
+    // fsync on: the group-commit accounting below counts real fsyncs.
     let config = DurableConfig {
         shards: 4,
-        fsync: false,
+        fsync: true,
         ..DurableConfig::default()
     };
     let survivor_entries;
@@ -670,6 +671,10 @@ fn online_checkpoints_under_concurrent_writers_lose_nothing() {
         let stats = store.stats();
         assert_eq!(stats.checkpoints, 4);
         assert_eq!(stats.wal_appends, 4 * 300 + 2);
+        // Group commit under the four writers: one fsync per flushed group,
+        // so a commit never pays more than one.
+        assert!(stats.wal_fsyncs <= stats.wal_appends);
+        assert_eq!(stats.group_size.count, stats.wal_fsyncs);
         store.shutdown();
     }
 

@@ -7,8 +7,8 @@
 //!   sorted-vector oracle — exact below the linear/log boundary, and an
 //!   overestimate by at most one bucket width (≤ 25 %) above it;
 //! * counters are monotonic under concurrent increments and their
-//!   snapshot/delta arithmetic is exact (the bench binaries' per-window
-//!   metrics depend on this);
+//!   snapshot/delta arithmetic is exact (per-window metrics depend on
+//!   this);
 //! * a multi-threaded recorder run shows the sharded cells lose nothing:
 //!   concurrent `inc`/`record` sums come out exactly, not approximately;
 //! * the [`TraceRing`] keeps exactly the most recent `capacity` events
