@@ -93,6 +93,10 @@ pub struct TreeCounters {
     pub rebuilds: AtomicU64,
     /// Data items copied into rebuilt subtrees.
     pub rebuilt_items: AtomicU64,
+    /// Rebuilds a helper carried out in full and then lost the install CAS
+    /// for, because another helper installed the same subtree first:
+    /// duplicated work, invisible in `rebuilds`.
+    pub rebuilds_lost: AtomicU64,
     /// Point reads (`get`/`contains`) answered from the presence index in
     /// `O(1)`, without a descriptor.
     pub fast_point_reads: AtomicU64,
@@ -129,6 +133,8 @@ pub struct TreeStats {
     pub rebuilds: u64,
     /// Items copied during rebuilds.
     pub rebuilt_items: u64,
+    /// Rebuilds built in full by a helper that lost the install CAS.
+    pub rebuilds_lost: u64,
     /// Point reads answered from the presence index (no descriptor).
     pub fast_point_reads: u64,
     /// Range reads answered by a validated optimistic traversal.
@@ -154,6 +160,7 @@ impl TreeStats {
         self.helped_executions += other.helped_executions;
         self.rebuilds += other.rebuilds;
         self.rebuilt_items += other.rebuilt_items;
+        self.rebuilds_lost += other.rebuilds_lost;
         self.fast_point_reads += other.fast_point_reads;
         self.fast_range_hits += other.fast_range_hits;
         self.fast_range_retries += other.fast_range_retries;
@@ -175,6 +182,7 @@ impl TreeStats {
         );
         out.push_counter(format!("{prefix}_rebuilds"), self.rebuilds);
         out.push_counter(format!("{prefix}_rebuilt_items"), self.rebuilt_items);
+        out.push_counter(format!("{prefix}_rebuilds_lost"), self.rebuilds_lost);
         out.push_counter(format!("{prefix}_fast_point_reads"), self.fast_point_reads);
         out.push_counter(format!("{prefix}_fast_range_hits"), self.fast_range_hits);
         out.push_counter(
@@ -199,6 +207,7 @@ impl TreeCounters {
             helped_executions: self.helped_executions.load(Ordering::Relaxed),
             rebuilds: self.rebuilds.load(Ordering::Relaxed),
             rebuilt_items: self.rebuilt_items.load(Ordering::Relaxed),
+            rebuilds_lost: self.rebuilds_lost.load(Ordering::Relaxed),
             fast_point_reads: self.fast_point_reads.load(Ordering::Relaxed),
             fast_range_hits: self.fast_range_hits.load(Ordering::Relaxed),
             fast_range_retries: self.fast_range_retries.load(Ordering::Relaxed),

@@ -8,7 +8,8 @@
 //! * the operation itself ([`OpKind`]),
 //! * the write-once [`Decision`] resolved at the linearization point for
 //!   updates,
-//! * the `Processed` first-write-wins map of per-node partial results,
+//! * the `Processed` first-write-wins map of per-node partial results of a
+//!   read (an update's result is its decision, and it records none),
 //! * the per-node [`RangeMode`] map telling helpers which border of a range
 //!   query applies at a node,
 //! * the `Traverse` queue of nodes the initiator still has to visit.
@@ -23,7 +24,7 @@ use std::sync::OnceLock;
 use wft_queue::{Decision, FirstWriteMap, TraverseQueue};
 use wft_seq::{Augmentation, Key, Value};
 
-use crate::node::{NodeId, NodePtr};
+use crate::node::{Node, NodeId};
 use crate::shape::{Balanced, Shape};
 
 /// Shared handle to a descriptor.
@@ -144,10 +145,13 @@ impl<K: Key> RangeMode<K> {
 
 /// The per-node partial result recorded in the `Processed` map.
 ///
-/// A partial is recorded **unconditionally** for every node an operation is
+/// A read records a partial **unconditionally** for every node it is
 /// executed in, even when the contribution is empty: claiming the node id in
 /// the first-write-wins map is what protects the final result from values
 /// computed by stalled helpers at the wrong linearization point (§II-B).
+/// An update has no result to protect that way — its outcome is the
+/// write-once [`Decision`], fixed at the fictive root before it descends —
+/// so it records nothing.
 #[derive(Debug, Clone)]
 pub enum Partial<K, V, Agg> {
     /// Contribution of a node to an aggregate range query.
@@ -157,8 +161,6 @@ pub enum Partial<K, V, Agg> {
     Lookup(Option<Option<V>>),
     /// Entries contributed by this node's leaf children to a `collect`.
     Entries(Vec<(K, V)>),
-    /// Updates record no data; the entry only claims the node id.
-    Unit,
 }
 
 /// The shared operation descriptor.
@@ -168,22 +170,31 @@ pub struct Descriptor<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K> = Bal
     /// Effect of an update, resolved exactly once at the linearization point
     /// (fictive-root execution) through the presence index.
     pub decision: OnceLock<Decision<V>>,
-    /// `Op.Processed`: per-node partial results, first write wins.
+    /// `Op.Processed`: per-node partial results of a read, first write wins.
+    /// Read only by the `assemble_*` functions; updates leave it empty.
     pub processed: FirstWriteMap<NodeId, Partial<K, V, A::Agg>>,
     /// Range-query mode per node, recorded before the descriptor enters the
     /// node's queue.
     pub modes: FirstWriteMap<NodeId, RangeMode<K>>,
     /// `Op.Traverse`: nodes the initiator still has to visit.
-    pub traverse: TraverseQueue<NodePtr<K, V, A, S>>,
+    ///
+    /// A pointer in it is only dereferenced by the operation's initiator,
+    /// while it holds the epoch guard it pinned *before* the operation
+    /// entered the root queue. Any node pushed here was loaded from a live
+    /// child slot after that point, so its reclamation (if a rebuild
+    /// unlinks it) is deferred past the initiator's guard.
+    pub traverse: TraverseQueue<Node<K, V, A, S>>,
 }
 
 impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> Descriptor<K, V, A, S> {
     /// Creates a fresh descriptor for `kind`.
     pub fn new(kind: OpKind<K, V>) -> Self {
-        // Scalar operations and aggregate range queries record `O(height +
-        // |P|)` partials, where a single-bucket map is both smallest and
-        // fastest; a `collect` records one partial per visited node, so its
-        // map is bucketed to keep insertion constant-time over wide ranges.
+        // Scalar reads and aggregate range queries record `O(height + |P|)`
+        // partials, where a single-bucket map is both smallest and fastest
+        // (and, like the mode map and the traverse queue, allocates nothing
+        // until used); a `collect` records one partial per visited node, so
+        // its map is bucketed to keep insertion constant-time over wide
+        // ranges.
         let processed = match &kind {
             OpKind::Collect { .. } => FirstWriteMap::with_buckets(256),
             _ => FirstWriteMap::new(),
@@ -305,7 +316,7 @@ mod tests {
         let d = D::new(OpKind::RangeAgg { min: 0, max: 100 });
         d.processed.try_insert(1, Partial::Agg(3));
         d.processed.try_insert(2, Partial::Agg(4));
-        d.processed.try_insert(3, Partial::Unit);
+        assert!(!d.processed.try_insert(2, Partial::Agg(100)), "first wins");
         assert_eq!(d.assemble_agg(), 7);
     }
 
@@ -329,7 +340,7 @@ mod tests {
         d.processed
             .try_insert(1, Partial::Entries(vec![(5, 50), (1, 10)]));
         d.processed.try_insert(2, Partial::Entries(vec![(3, 30)]));
-        d.processed.try_insert(3, Partial::Unit);
+        d.processed.try_insert(3, Partial::Entries(Vec::new()));
         assert_eq!(d.assemble_entries(), vec![(1, 10), (3, 30), (5, 50)]);
     }
 

@@ -9,8 +9,8 @@
 //!    prescribes;
 //! 3. it then walks the descriptor's `Traverse` queue (Listing 2), helping at
 //!    every node on the operation's path until the queue drains;
-//! 4. finally the result is assembled from the `Processed` map / the resolved
-//!    decision.
+//! 4. finally the result is assembled from the `Processed` map (reads) or
+//!    taken from the resolved decision (updates).
 //!
 //! The single function `WaitFreeTree::execute_op_at` implements "executing
 //! an operation in a node" (Listing 3) for both the fictive root and regular
@@ -21,13 +21,14 @@
 //!   (fictive root only),
 //! * child state changes are guarded by `Ts_Mod`,
 //! * descriptor insertion/removal uses the exactly-once `push_if` / `pop_if`,
-//! * per-node partial results go through the first-write-wins `Processed`
-//!   map,
+//! * per-node partial results of reads go through the first-write-wins
+//!   `Processed` map,
 //! * structural changes (leaf-run rewrite / split / removal, subtree
 //!   replacement) are plain pointer CASes whose expected value makes them
 //!   exactly-once; they all go through `install`.
 
 use crossbeam_epoch::{Guard, Owned, Shared};
+use std::ptr::NonNull;
 use std::sync::atomic::Ordering::{AcqRel, Acquire};
 
 use wft_queue::{Timestamp, UpdateKind};
@@ -37,8 +38,8 @@ use crate::config::TreeCounters;
 use crate::descriptor::{Descriptor, OpKind, OpRef, Partial, RangeMode};
 use crate::node::{
     admitted, build_subtree, collect_subtree, free_subtree_now, insert_into_run, leaf_range_agg,
-    remove_from_run, retire_subtree, split_node, InnerNode, LeafNode, Node, NodePtr, NodeState,
-    Slot, FICTIVE_ROOT_ID, LEAF_CAP,
+    remove_from_run, retire_subtree, split_node, InnerNode, LeafNode, Node, NodeState, Slot,
+    FICTIVE_ROOT_ID, LEAF_CAP,
 };
 use crate::shape::Shape;
 use crate::tree::WaitFreeTree;
@@ -70,7 +71,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
         // The guard is pinned before the descriptor becomes visible and held
         // until the operation completes; every node pointer the operation
         // touches (including entries of its traverse queue) stays valid under
-        // this single guard (see `NodePtr`).
+        // this single guard (see `Descriptor::traverse`).
         let guard = crossbeam_epoch::pin();
         let op = Descriptor::new_ref(kind);
         let ts = self.root_queue.enqueue(op.clone(), &guard);
@@ -87,8 +88,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
                 Some(node_ptr) => {
                     // SAFETY: initiator + guard pinned since before enqueue; every pointer in
                     // the traverse queue was epoch-protected when pushed.
-                    let node = unsafe { node_ptr.deref(&guard) };
-                    if let Node::Inner(inner) = node {
+                    if let Node::Inner(inner) = unsafe { node_ptr.as_ref() } {
                         self.help_until(ParentRef::Inner(inner), ts, &guard);
                     }
                     op.traverse.pop();
@@ -149,11 +149,12 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
 
         // --- Step 1: work out where the operation continues and what this
         //     node contributes to the result. -------------------------------
-        let mut partial: Partial<K, V, A::Agg> = match &op.kind {
-            OpKind::Insert { .. } | OpKind::Replace { .. } | OpKind::Remove { .. } => Partial::Unit,
-            OpKind::Lookup { .. } => Partial::Lookup(None),
-            OpKind::RangeAgg { .. } => Partial::Agg(A::identity()),
-            OpKind::Collect { .. } => Partial::Entries(Vec::new()),
+        //     An update contributes nothing: its result is its decision.
+        let mut partial: Option<Partial<K, V, A::Agg>> = match &op.kind {
+            OpKind::Insert { .. } | OpKind::Replace { .. } | OpKind::Remove { .. } => None,
+            OpKind::Lookup { .. } => Some(Partial::Lookup(None)),
+            OpKind::RangeAgg { .. } => Some(Partial::Agg(A::identity())),
+            OpKind::Collect { .. } => Some(Partial::Entries(Vec::new())),
         };
 
         match parent {
@@ -226,9 +227,11 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
             },
         }
 
-        // --- Step 2: record this node's partial result (unconditionally, to
+        // --- Step 2: record a read's partial result (unconditionally, to
         //     claim the node id against stalled helpers — §II-B). -----------
-        op.processed.try_insert(parent_id, partial);
+        if let Some(partial) = partial {
+            op.processed.try_insert(parent_id, partial);
+        }
 
         // --- Step 3: remove the descriptor from this node's queue. ---------
         match parent {
@@ -315,7 +318,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
         ts: Timestamp,
         inner: &InnerNode<K, V, A, S>,
         mode: RangeMode<K>,
-        partial: &mut Partial<K, V, A::Agg>,
+        partial: &mut Option<Partial<K, V, A::Agg>>,
         guard: &Guard,
     ) {
         match mode {
@@ -436,7 +439,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
         ts: Timestamp,
         slot: Slot<'_, K, V, A, S>,
         mode: Option<RangeMode<K>>,
-        partial: &mut Partial<K, V, A::Agg>,
+        partial: &mut Option<Partial<K, V, A::Agg>>,
         guard: &Guard,
     ) {
         // The rebuild threshold is evaluated at most once per continuation:
@@ -452,7 +455,8 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
             // is only retired via `defer_destroy` after being unlinked.
             let child = slot.cell.load(Acquire, guard);
             // SAFETY: as above.
-            match unsafe { child.deref() } {
+            let node = unsafe { child.deref() };
+            match node {
                 Node::Inner(c) => {
                     if op.kind.is_update() && !rebuild_checked {
                         rebuild_checked = true;
@@ -483,7 +487,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
                     }
                     // Make the child reachable for the initiator *before* the
                     // descriptor can be executed (and popped) there.
-                    op.traverse.push(NodePtr::from_shared(child));
+                    op.traverse.push(NonNull::from(node));
                     if let Some(mode) = mode {
                         op.modes.try_insert(c.id, mode);
                     }
@@ -602,7 +606,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
         child: Shared<'_, Node<K, V, A, S>>,
         leaf: &LeafNode<K, V, A::Agg>,
         mode: Option<RangeMode<K>>,
-        partial: &mut Partial<K, V, A::Agg>,
+        partial: &mut Option<Partial<K, V, A::Agg>>,
         guard: &Guard,
     ) {
         match &op.kind {
@@ -636,7 +640,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
                 install(slot.cell, child, new, guard);
             }
             OpKind::Lookup { key } => {
-                *partial = Partial::Lookup(Some(leaf.get(key).cloned()));
+                *partial = Some(Partial::Lookup(Some(leaf.get(key).cloned())));
             }
             OpKind::RangeAgg { .. } => {
                 let mode = mode.expect("range queries always carry a mode");
@@ -644,7 +648,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
             }
             OpKind::Collect { .. } => {
                 let mode = mode.expect("collect always carries its bounds");
-                if let Partial::Entries(entries) = partial {
+                if let Some(Partial::Entries(entries)) = partial {
                     entries.extend_from_slice(admitted(leaf.entries(), &mode));
                 }
             }
@@ -661,7 +665,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
         slot: &crossbeam_epoch::Atomic<Node<K, V, A, S>>,
         child: Shared<'_, Node<K, V, A, S>>,
         empty: &crate::node::EmptyNode,
-        partial: &mut Partial<K, V, A::Agg>,
+        partial: &mut Option<Partial<K, V, A::Agg>>,
         guard: &Guard,
     ) {
         match &op.kind {
@@ -682,7 +686,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
                 // the fact, in which case there is nothing to do.
             }
             OpKind::Lookup { .. } => {
-                *partial = Partial::Lookup(Some(None));
+                *partial = Some(Partial::Lookup(Some(None)));
             }
             OpKind::RangeAgg { .. } | OpKind::Collect { .. } => {
                 // An empty position contributes nothing.
@@ -739,6 +743,8 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
                 wft_obs::TraceKind::HelpRebuild,
                 u16::try_from(entries.len()).unwrap_or(u16::MAX - 1),
             );
+        } else {
+            TreeCounters::bump(&self.counters.rebuilds_lost);
         }
     }
 
@@ -805,10 +811,10 @@ fn install<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>>(
 
 /// Folds an aggregate contribution into a `Partial::Agg` accumulator.
 fn merge_agg<K: Key, V: Value, A: Augmentation<K, V>>(
-    partial: &mut Partial<K, V, A::Agg>,
+    partial: &mut Option<Partial<K, V, A::Agg>>,
     contribution: &A::Agg,
 ) {
-    if let Partial::Agg(acc) = partial {
+    if let Some(Partial::Agg(acc)) = partial {
         *acc = A::combine(acc, contribution);
     }
 }

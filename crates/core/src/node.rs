@@ -357,54 +357,6 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> Clone for Slot<'_, K,
 }
 impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> Copy for Slot<'_, K, V, A, S> {}
 
-/// A `Send + Sync` wrapper around a raw pointer to a tree node, used as the
-/// item type of the per-operation traverse queue.
-///
-/// Safety: the pointer is only dereferenced by the operation's initiator
-/// while it holds the epoch guard it pinned *before* the operation entered
-/// the root queue. Any node reachable through the traverse queue was loaded
-/// from a live child slot after that point, so its reclamation (if it gets
-/// unlinked by a rebuild) is deferred past the initiator's guard.
-pub struct NodePtr<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K> = Balanced>(
-    *const Node<K, V, A, S>,
-);
-
-impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> Clone for NodePtr<K, V, A, S> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> Copy for NodePtr<K, V, A, S> {}
-
-// SAFETY: see the type-level comment — the raw pointer is only
-// dereferenced by the initiator under its pre-enqueue epoch guard, so
-// sending the wrapper across threads is sound.
-unsafe impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> Send for NodePtr<K, V, A, S> {}
-// SAFETY: same argument as `Send`; shared copies only ever read the
-// pointer value, the deref contract is enforced by `NodePtr::deref`.
-unsafe impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> Sync for NodePtr<K, V, A, S> {}
-
-impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> NodePtr<K, V, A, S> {
-    /// Wraps a shared pointer obtained under an epoch guard.
-    pub fn from_shared(shared: Shared<'_, Node<K, V, A, S>>) -> Self {
-        NodePtr(shared.as_raw())
-    }
-
-    /// Dereferences the pointer.
-    ///
-    /// # Safety
-    ///
-    /// The caller must be the operation's initiator and must still hold the
-    /// guard pinned before the operation was enqueued (see the type-level
-    /// safety comment).
-    // SAFETY: the pointee stays alive because the initiator's guard predates
-    // every possible unlink of this node (see above); callers uphold the
-    // initiator+guard requirement.
-    pub unsafe fn deref<'g>(&self, _guard: &'g Guard) -> &'g Node<K, V, A, S> {
-        &*self.0
-    }
-}
-
 /// Builds a balanced concurrent subtree from sorted, de-duplicated `entries`
 /// (the §II-E rebuild): the entries are packed into runs of about
 /// `REBUILD_FILL` under a balanced skeleton of routing nodes.

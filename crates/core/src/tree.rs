@@ -876,6 +876,27 @@ mod tests {
     }
 
     #[test]
+    fn a_rebuild_that_loses_the_install_is_counted() {
+        let tree: WaitFreeTree<i64> = WaitFreeTree::from_entries((0..1000).map(|k| (k, ())));
+        let guard = crossbeam_epoch::pin();
+        // ORDERING: Acquire pairs with the Release swap in `from_entries`; quiescent use.
+        let old = tree.root_child.load(Ordering::Acquire, &guard);
+        // Two helpers of one operation that both saw `old` over threshold:
+        // both build the replacement, one installs it.
+        let ts = wft_queue::Timestamp(1);
+        tree.rebuild_subtree(tree.root_slot(), old, ts, &guard);
+        tree.rebuild_subtree(tree.root_slot(), old, ts, &guard);
+        let stats = tree.stats();
+        assert_eq!((stats.rebuilds, stats.rebuilds_lost), (1, 1));
+        assert_eq!(stats.rebuilt_items, 1000, "only the winner's copy counts");
+        let mut metrics = wft_obs::MetricsSnapshot::new();
+        wft_obs::MetricsSource::collect_metrics(&tree, &mut metrics);
+        assert_eq!(metrics.counter("tree_rebuilds_lost"), Some(1));
+        drop(guard);
+        tree.check_invariants();
+    }
+
+    #[test]
     fn wait_free_root_queue_variant_works() {
         let cfg = TreeConfig {
             root_queue: RootQueueKind::WaitFree { slots: 8 },

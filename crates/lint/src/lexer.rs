@@ -172,6 +172,13 @@ pub fn lex(src: &str) -> LexedFile {
             State::LineComment => {
                 if c == '\n' {
                     state = State::Code;
+                    // A bare `//` or `///` is a paragraph break inside a
+                    // comment, not a blank line: keep it visible as one, or
+                    // the `# Safety` heading of a doc comment is cut off
+                    // from the `unsafe fn` under it.
+                    if comment.is_empty() {
+                        comment.push(' ');
+                    }
                     flush_line!();
                 } else {
                     comment.push(c);
@@ -321,6 +328,13 @@ mod tests {
         let f = lex("/// SAFETY: documented\nfn f() {}\n");
         assert_eq!(f.comments[0], " SAFETY: documented");
         assert_eq!(f.code[0], "");
+    }
+
+    #[test]
+    fn bare_comment_marker_is_not_a_blank_line() {
+        let f = lex("/// # Safety\n///\n/// Caller checks.\n\nunsafe fn f() {}\n");
+        assert_eq!(f.comments[1], " ", "a paragraph break stays commentary");
+        assert_eq!((f.code[3].as_str(), f.comments[3].as_str()), ("", ""));
     }
 
     #[test]

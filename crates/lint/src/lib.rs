@@ -52,10 +52,16 @@ impl Outcome {
     }
 }
 
-/// The source files the audit covers: every `crates/*/src/**/*.rs` plus
-/// the umbrella crate's `src/`. Vendored shims (`vendor/`), integration
-/// tests (`tests/`), benches and examples are out of scope — the rules
-/// guard the production concurrency surface.
+/// The one vendored shim the audit covers. The others stand in for
+/// libraries that are not concurrent code (serde, rand, proptest, …); this
+/// one is hand-written lock-free code underneath every `unsafe` site of the
+/// workspace, and every tree operation runs through it.
+const AUDITED_SHIM: &str = "vendor/crossbeam-epoch/src";
+
+/// The source files the audit covers: every `crates/*/src/**/*.rs`, the
+/// umbrella crate's `src/` and [`AUDITED_SHIM`]. The other vendored shims,
+/// integration tests (`tests/`), benches and examples are out of scope — the
+/// rules guard the production concurrency surface.
 pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     let crates_dir = root.join("crates");
@@ -67,9 +73,11 @@ pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
             }
         }
     }
-    let umbrella = root.join("src");
-    if umbrella.is_dir() {
-        collect_rs(&umbrella, &mut files)?;
+    for dir in ["src", AUDITED_SHIM] {
+        let dir = root.join(dir);
+        if dir.is_dir() {
+            collect_rs(&dir, &mut files)?;
+        }
     }
     files.sort();
     Ok(files)
@@ -99,10 +107,14 @@ fn rel_path(root: &Path, path: &Path) -> String {
 }
 
 /// The crate a workspace-relative path belongs to (for the crate-scoped
-/// metrics-liveness rule): `crates/store/src/api.rs` → `store`, the
-/// umbrella `src/lib.rs` → `.`.
+/// metrics-liveness rule): `crates/store/src/api.rs` → `store`,
+/// `vendor/crossbeam-epoch/src/lib.rs` → `crossbeam-epoch`, the umbrella
+/// `src/lib.rs` → `.`.
 fn crate_of(rel: &str) -> String {
-    match rel.strip_prefix("crates/") {
+    let member = rel
+        .strip_prefix("crates/")
+        .or_else(|| rel.strip_prefix("vendor/"));
+    match member {
         Some(rest) => rest.split('/').next().unwrap_or(rest).to_owned(),
         None => ".".to_owned(),
     }
@@ -196,6 +208,10 @@ mod tests {
     #[test]
     fn crate_of_maps_paths() {
         assert_eq!(crate_of("crates/store/src/api.rs"), "store");
+        assert_eq!(
+            crate_of("vendor/crossbeam-epoch/src/lib.rs"),
+            "crossbeam-epoch"
+        );
         assert_eq!(crate_of("src/lib.rs"), ".");
     }
 }

@@ -294,11 +294,16 @@ fn rule_undocumented_unsafe(
         let commentary = attached_comments(lexed, l);
         let documented = commentary.contains("SAFETY:") || commentary.contains("# Safety");
         if documented {
+            let marker = if commentary.contains("SAFETY:") {
+                "SAFETY:"
+            } else {
+                "# Safety"
+            };
             rep.unsafe_sites.push(Site {
                 path: path.to_owned(),
                 line: l + 1,
                 kind: unsafe_kind(&lexed.code[l]).to_owned(),
-                justification: excerpt(&commentary, "SAFETY:", 100),
+                justification: excerpt(&commentary, marker, 100),
             });
         } else if let Some(reason) = has_waiver(&commentary, "undocumented-unsafe") {
             rep.unsafe_sites.push(Site {
@@ -782,6 +787,17 @@ mod tests {
             lex("// SAFETY: too far away.\n\nfn f(p: *const u8) -> u8 {\n    unsafe { *p }\n}\n");
         let rep = scan_file("x.rs", &f, &cfg());
         assert_eq!(rep.violations.len(), 1);
+    }
+
+    #[test]
+    fn rustdoc_safety_section_documents_an_unsafe_fn() {
+        // The heading, a bare `///`, then the contract: how rustdoc wants it.
+        let f = lex(
+            "/// Reads.\n///\n/// # Safety\n///\n/// `p` is valid.\nunsafe fn f(p: *const u8) {}\n",
+        );
+        let rep = scan_file("x.rs", &f, &cfg());
+        assert!(rep.violations.is_empty());
+        assert_eq!(rep.unsafe_sites.len(), 1);
     }
 
     #[test]

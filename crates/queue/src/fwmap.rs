@@ -12,8 +12,9 @@
 //! The map lives inside one operation descriptor and is only read in full
 //! once the operation has completed. Scalar operations and aggregate range
 //! queries record `O(height + |P|)` entries, so the default configuration is
-//! a single CAS-push-front list — optimal for a few dozen entries and one
-//! word of overhead per descriptor. A `collect` query, however, records one
+//! a single CAS-push-front list — optimal for a few dozen entries, and its
+//! head is a field of the map, so a descriptor's maps cost no allocation
+//! until something is recorded. A `collect` query, however, records one
 //! entry per *visited node*, i.e. `O(range)` entries; descriptors for such
 //! queries use [`FirstWriteMap::with_buckets`] to spread the entries over a
 //! hashed bucket array so insertion stays effectively constant-time instead
@@ -31,7 +32,12 @@ struct FNode<K, V> {
 
 /// A concurrent insert-once ("first write wins") map.
 pub struct FirstWriteMap<K, V> {
-    buckets: Box<[AtomicPtr<FNode<K, V>>]>,
+    /// Bucket 0, held in the map itself: the single bucket of a map made by
+    /// [`FirstWriteMap::new`], so creating one allocates nothing.
+    first: AtomicPtr<FNode<K, V>>,
+    /// Buckets `1..`; empty (and unallocated) unless the map was made by
+    /// [`FirstWriteMap::with_buckets`] with more than one bucket.
+    rest: Box<[AtomicPtr<FNode<K, V>>]>,
     mask: usize,
 }
 
@@ -60,69 +66,101 @@ impl<K: Eq + Hash, V> FirstWriteMap<K, V> {
     /// record one entry per visited node (`collect` over wide ranges).
     pub fn with_buckets(buckets: usize) -> Self {
         let n = buckets.next_power_of_two().max(1);
-        let mut v = Vec::with_capacity(n);
-        v.resize_with(n, || AtomicPtr::new(ptr::null_mut()));
+        let mut rest = Vec::with_capacity(n - 1);
+        rest.resize_with(n - 1, || AtomicPtr::new(ptr::null_mut()));
         FirstWriteMap {
-            buckets: v.into_boxed_slice(),
+            first: AtomicPtr::new(ptr::null_mut()),
+            rest: rest.into_boxed_slice(),
             mask: n - 1,
         }
     }
 
     fn bucket(&self, key: &K) -> &AtomicPtr<FNode<K, V>> {
         if self.mask == 0 {
-            return &self.buckets[0];
+            return &self.first;
         }
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut hasher);
-        &self.buckets[(hasher.finish() as usize) & self.mask]
+        match (hasher.finish() as usize) & self.mask {
+            0 => &self.first,
+            i => &self.rest[i - 1],
+        }
+    }
+
+    fn buckets(&self) -> impl Iterator<Item = &AtomicPtr<FNode<K, V>>> {
+        std::iter::once(&self.first).chain(self.rest.iter())
+    }
+
+    /// The node holding `key` among the chain nodes from `from` up to, not
+    /// including, `until` (null for the whole chain).
+    ///
+    /// # Safety
+    ///
+    /// `from` must have been loaded (Acquire) from a bucket of this map, and
+    /// `until` must be null or an earlier value of the same bucket.
+    unsafe fn find(
+        &self,
+        from: *mut FNode<K, V>,
+        until: *mut FNode<K, V>,
+        key: &K,
+    ) -> Option<&FNode<K, V>> {
+        let mut cur = from;
+        while cur != until {
+            // SAFETY: `cur` is a bucket head or a `next` link, published by the Release
+            // CAS in `try_insert`; nodes are pushed at the head and never unlinked
+            // before `Drop`, so the chain is valid for `&self` and runs into `until`.
+            let node = unsafe { &*cur };
+            if &node.key == key {
+                return Some(node);
+            }
+            cur = node.next;
+        }
+        None
     }
 
     /// Inserts `key → value` if `key` is absent. Returns `true` if this call
     /// inserted the value (it "won"), `false` if some value was already
     /// recorded for `key` (the new value is discarded, as required by the
-    /// paper's `Processed` semantics).
+    /// paper's `Processed` semantics). A losing call allocates nothing.
     pub fn try_insert(&self, key: K, value: V) -> bool {
         let bucket = self.bucket(&key);
+        // ORDERING: Acquire pairs with the Release bucket CAS below, so every node
+        // in the observed chain is fully initialised.
+        let mut head = bucket.load(Ordering::Acquire);
+        // If the key is already present, some earlier writer won.
+        // SAFETY: `head` was just loaded from this map's bucket.
+        if unsafe { self.find(head, ptr::null_mut(), &key) }.is_some() {
+            return false;
+        }
         let node = Box::into_raw(Box::new(FNode {
             key,
             value,
-            next: ptr::null_mut(),
+            next: head,
         }));
         loop {
-            // ORDERING: Acquire pairs with the Release bucket CAS below, so every node
-            // in the observed chain is fully initialised.
-            let head = bucket.load(Ordering::Acquire);
-            // Scan the current chain: if the key is already present, some
-            // earlier writer won; drop our node and report failure.
-            let mut cur = head;
-            while !cur.is_null() {
-                // SAFETY: `cur` came from a bucket head (or `next` link) published by the
-                // Release CAS below; nodes are never unlinked before `Drop`.
-                let cur_ref = unsafe { &*cur };
-                // SAFETY: `node` is still unpublished — this thread has exclusive access.
-                if &cur_ref.key == unsafe { &(*node).key } {
-                    // Reclaim the speculative node (never published).
-                    // SAFETY: `node` was never published, so this thread still owns it and the
-                    // `Box::into_raw` above is reversed exactly once.
-                    drop(unsafe { Box::from_raw(node) });
-                    return false;
+            // ORDERING: success Release publishes the initialised node (key, value,
+            // next) to the Acquire bucket loads; failure Acquire re-reads the chain a
+            // concurrent winner published so the rescan sees its key.
+            match bucket.compare_exchange(head, node, Ordering::Release, Ordering::Acquire) {
+                Ok(_) => return true,
+                Err(newer) => {
+                    // Nodes are only pushed at the head, so the chain from
+                    // `newer` runs into `head`: only what is in front of it
+                    // is new and may hold our key.
+                    // SAFETY: `node` is unpublished — this thread has exclusive access —
+                    // and `newer` and `head` are successive values of `bucket`.
+                    let lost = unsafe { self.find(newer, head, &(*node).key) }.is_some();
+                    if lost {
+                        // SAFETY: `node` was never published, so this thread still owns it
+                        // and the `Box::into_raw` above is reversed exactly once.
+                        drop(unsafe { Box::from_raw(node) });
+                        return false;
+                    }
+                    head = newer;
+                    // SAFETY: as above, `node` is still unpublished.
+                    unsafe { (*node).next = head };
                 }
-                cur = cur_ref.next;
             }
-            // SAFETY: `node` is unpublished until the CAS below succeeds; exclusive
-            // access to its `next` field.
-            unsafe { (*node).next = head };
-            if bucket
-                // ORDERING: success Release publishes the initialised node (key, value,
-                // next) to the Acquire bucket loads; failure Acquire re-reads the chain a
-                // concurrent winner published so the rescan sees its key.
-                .compare_exchange(head, node, Ordering::Release, Ordering::Acquire)
-                .is_ok()
-            {
-                return true;
-            }
-            // Another writer published something; rescan from the new head
-            // (our key may now be present).
         }
     }
 
@@ -132,44 +170,28 @@ impl<K: Eq + Hash, V> FirstWriteMap<K, V> {
         V: Clone,
     {
         // ORDERING: Acquire pairs with the Release bucket CAS in `try_insert`.
-        let mut cur = self.bucket(key).load(Ordering::Acquire);
-        while !cur.is_null() {
-            // SAFETY: `cur` was published by the Release CAS in `try_insert` and nodes
-            // are never unlinked before `Drop`.
-            let cur_ref = unsafe { &*cur };
-            if &cur_ref.key == key {
-                return Some(cur_ref.value.clone());
-            }
-            cur = cur_ref.next;
-        }
-        None
+        let head = self.bucket(key).load(Ordering::Acquire);
+        // SAFETY: `head` was just loaded from this map's bucket.
+        unsafe { self.find(head, ptr::null_mut(), key) }.map(|node| node.value.clone())
     }
 
     /// `true` if a value has been recorded for `key`.
     pub fn contains_key(&self, key: &K) -> bool {
         // ORDERING: Acquire pairs with the Release bucket CAS in `try_insert`.
-        let mut cur = self.bucket(key).load(Ordering::Acquire);
-        while !cur.is_null() {
-            // SAFETY: `cur` was published by the Release CAS in `try_insert` and nodes
-            // are never unlinked before `Drop`.
-            let cur_ref = unsafe { &*cur };
-            if &cur_ref.key == key {
-                return true;
-            }
-            cur = cur_ref.next;
-        }
-        false
+        let head = self.bucket(key).load(Ordering::Acquire);
+        // SAFETY: `head` was just loaded from this map's bucket.
+        unsafe { self.find(head, ptr::null_mut(), key) }.is_some()
     }
 
     /// Number of hash buckets (diagnostics).
     pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
+        self.mask + 1
     }
 
     /// Number of recorded entries (linear walk).
     pub fn len(&self) -> usize {
         let mut n = 0;
-        for bucket in self.buckets.iter() {
+        for bucket in self.buckets() {
             // ORDERING: Acquire pairs with the Release bucket CAS in `try_insert`.
             let mut cur = bucket.load(Ordering::Acquire);
             while !cur.is_null() {
@@ -184,8 +206,7 @@ impl<K: Eq + Hash, V> FirstWriteMap<K, V> {
 
     /// `true` if no entry has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.buckets
-            .iter()
+        self.buckets()
             // ORDERING: Acquire pairs with the Release bucket CAS in `try_insert`.
             .all(|bucket| bucket.load(Ordering::Acquire).is_null())
     }
@@ -197,7 +218,7 @@ impl<K: Eq + Hash, V> FirstWriteMap<K, V> {
     /// paper notes at the end of §II-B).
     pub fn fold<B, F: FnMut(B, &K, &V) -> B>(&self, init: B, mut f: F) -> B {
         let mut acc = init;
-        for bucket in self.buckets.iter() {
+        for bucket in self.buckets() {
             // ORDERING: Acquire pairs with the Release bucket CAS in `try_insert`.
             let mut cur = bucket.load(Ordering::Acquire);
             while !cur.is_null() {
@@ -226,7 +247,7 @@ impl<K: Eq + Hash, V> FirstWriteMap<K, V> {
 
 impl<K, V> Drop for FirstWriteMap<K, V> {
     fn drop(&mut self) {
-        for bucket in self.buckets.iter_mut() {
+        for bucket in std::iter::once(&mut self.first).chain(self.rest.iter_mut()) {
             let mut cur = *bucket.get_mut();
             while !cur.is_null() {
                 // SAFETY: `drop` takes `&mut self`, so no other thread can reach the

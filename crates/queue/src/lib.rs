@@ -15,7 +15,8 @@
 //!   §II-F (Lemma 1): announce array + fetch-and-add versions + helping, on
 //!   top of a [`TsQueue`].
 //! * [`TraverseQueue`] — the multi-producer single-consumer queue of nodes
-//!   still to be visited by an operation (`Op.Traverse`, §II-B).
+//!   still to be visited by an operation (`Op.Traverse`, §II-B): node
+//!   pointers in CAS-published inline slots, a heap chain only beyond them.
 //! * [`FirstWriteMap`] — the first-write-wins map collecting per-node partial
 //!   results (`Op.Processed`, §II-B/§II-C).
 //! * [`PresenceIndex`] — the per-key last-update index used to fix the

@@ -21,6 +21,7 @@ fn window_population_stays_consistent(config: TreeConfig) {
     const WINDOW: i64 = 2_000;
     const MOVES: i64 = 1_500;
     const WRITERS: i64 = 2;
+    const READERS: usize = 2;
 
     // Pre-fill every even key of each writer's stripe.
     let prefill: Vec<(i64, ())> = (0..WINDOW)
@@ -33,10 +34,16 @@ fn window_population_stays_consistent(config: TreeConfig) {
     assert_eq!(tree.count(0, WINDOW - 1), expected);
 
     let stop = Arc::new(AtomicBool::new(false));
+    // The writers start once every reader is about to count (and a reader
+    // counts at least once): 6000 updates can be over before a thread spawned
+    // after them is first scheduled.
+    let start = Arc::new(std::sync::Barrier::new(WRITERS as usize + READERS));
     let writers: Vec<_> = (0..WRITERS)
         .map(|w| {
             let tree = Arc::clone(&tree);
+            let start = Arc::clone(&start);
             std::thread::spawn(move || {
+                start.wait();
                 // Each writer owns a disjoint stripe of the window (keys with
                 // k/2 ≡ w mod WRITERS) so writers never fight over the same
                 // key and the ±1 envelope holds per linearization.
@@ -59,21 +66,25 @@ fn window_population_stays_consistent(config: TreeConfig) {
         })
         .collect();
 
-    let readers: Vec<_> = (0..2)
+    let readers: Vec<_> = (0..READERS)
         .map(|_| {
             let tree = Arc::clone(&tree);
             let stop = Arc::clone(&stop);
+            let start = Arc::clone(&start);
             std::thread::spawn(move || {
+                start.wait();
                 let mut observations = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                loop {
                     let n = tree.count(0, WINDOW - 1);
                     assert!(
                         n + WRITERS as u64 >= expected && n <= expected + WRITERS as u64,
                         "count {n} outside the ±{WRITERS} envelope around {expected}",
                     );
                     observations += 1;
+                    if stop.load(Ordering::Relaxed) {
+                        break observations;
+                    }
                 }
-                observations
             })
         })
         .collect();
@@ -131,10 +142,14 @@ fn range_sum_is_atomic_under_value_rebalancing() {
     ));
     let expected: i128 = (ACCOUNTS * BUDGET) as i128;
     let stop = Arc::new(AtomicBool::new(false));
+    // As above: the writer waits for the reader, the reader reads at least once.
+    let start = Arc::new(std::sync::Barrier::new(2));
 
     let writer = {
         let tree = Arc::clone(&tree);
+        let start = Arc::clone(&start);
         std::thread::spawn(move || {
+            start.wait();
             for i in 0..MOVES {
                 let account = (i as i64 * 7) % ACCOUNTS;
                 // Remove and re-insert with the same value: the sum dips by at
@@ -148,8 +163,9 @@ fn range_sum_is_atomic_under_value_rebalancing() {
         let tree = Arc::clone(&tree);
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
+            start.wait();
             let mut observations = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
                 let sum = tree.range_agg(0, ACCOUNTS - 1);
                 assert!(
                     sum >= expected - BUDGET as i128 && sum <= expected,
@@ -157,8 +173,10 @@ fn range_sum_is_atomic_under_value_rebalancing() {
                     expected - BUDGET as i128
                 );
                 observations += 1;
+                if stop.load(Ordering::Relaxed) {
+                    break observations;
+                }
             }
-            observations
         })
     };
     writer.join().unwrap();
