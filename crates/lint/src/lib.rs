@@ -59,9 +59,10 @@ impl Outcome {
 const AUDITED_SHIM: &str = "vendor/crossbeam-epoch/src";
 
 /// The source files the audit covers: every `crates/*/src/**/*.rs`, the
-/// umbrella crate's `src/` and [`AUDITED_SHIM`]. The other vendored shims,
-/// integration tests (`tests/`), benches and examples are out of scope — the
-/// rules guard the production concurrency surface.
+/// umbrella crate's `src/` and `AUDITED_SHIM` (`vendor/crossbeam-epoch/src`).
+/// The other vendored shims, integration tests (`tests/`), benches and
+/// examples are out of scope — the rules guard the production concurrency
+/// surface.
 pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     let crates_dir = root.join("crates");

@@ -33,9 +33,6 @@
 //!   sharded store; storage faults are retried with capped backoff and
 //!   persistent failures degrade the store to read-only (resumable once
 //!   the disk heals) instead of killing it;
-//! * [`workload`] — workload generators and a single-run timed
-//!   throughput harness for tests and examples (the repo's numbers come
-//!   from `benchmark/`);
 //! * [`obs`] — the unified observability layer: lock-free
 //!   counters/gauges, log-bucketed latency histograms, the metrics registry
 //!   with JSON/Prometheus exporters and the bounded ring-buffer event
@@ -58,7 +55,6 @@ pub use wft_queue as queue;
 pub use wft_seq as seq;
 pub use wft_store as store;
 pub use wft_trie as trie;
-pub use wft_workload as workload;
 
 /// Convenience re-export of the headline type.
 pub use wft_core::WaitFreeTree;

@@ -1,22 +1,26 @@
 //! Concurrent cross-crate integration tests.
 //!
 //! The unit/stress tests of `wft-core` validate the wait-free tree in
-//! isolation; here the whole stack is exercised the way the benchmark
-//! harness uses it, and the wait-free tree is cross-validated against the
-//! trivially correct lock-based baseline under identical concurrent
-//! workloads (with per-thread key partitions so the final state is
-//! deterministic).
+//! isolation; here every backend runs timed multi-threaded traffic behind
+//! a stop flag and a watchdog, and the wait-free tree is cross-validated
+//! against the trivially correct lock-based baseline under identical
+//! concurrent workloads (with per-thread key partitions so the final state
+//! is deterministic).
 
-use std::sync::Arc;
+use std::hint::black_box;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use wait_free_range_trees::core::WaitFreeTree;
 use wait_free_range_trees::lockbased::LockedRangeTree;
-use wait_free_range_trees::workload::{run_once, TreeImpl, WorkloadSpec};
+
+mod common;
+use common::{ConcurrentSet, TreeImpl};
 
 const THREADS: usize = 4;
 
@@ -69,25 +73,115 @@ fn wait_free_and_locked_trees_converge_to_the_same_state() {
     locked.check_invariants();
 }
 
+/// Keys the stress traffic draws from, uniformly: `[1, STRESS_KEYS]`.
+const STRESS_KEYS: i64 = 2_000;
+/// Workers per backend in the stress test.
+const STRESS_WORKERS: usize = 2;
+/// Operations a stress worker issues between two checks of the stop flag.
+const STOP_CHECK_EVERY: u64 = 32;
+/// How long each stress phase runs before the stop flag goes up.
+const STRESS_PHASE: Duration = Duration::from_millis(50);
+/// How long the watchdog waits for every worker to exit once the stop flag
+/// is up.
+const WATCHDOG_GRACE: Duration = Duration::from_secs(10);
+
+/// What the workers of one stress phase issue, on uniform keys.
+#[derive(Clone, Copy)]
+enum Traffic {
+    /// 60 % insert, 40 % remove.
+    Updates,
+    /// `contains` only.
+    Reads,
+}
+
+/// Runs one stress phase against `set` and returns each worker's operation
+/// count. The workers start behind a barrier and check the stop flag every
+/// `STOP_CHECK_EVERY` operations. If one is still running `WATCHDOG_GRACE`
+/// after the flag, the backend's metrics and the global trace timeline go
+/// to stderr and the phase panics without joining, so a livelocked backend
+/// fails the test instead of hanging it.
+fn stress_phase(
+    set: &Arc<dyn ConcurrentSet>,
+    imp: TreeImpl,
+    seed: u64,
+    traffic: Traffic,
+) -> Vec<u64> {
+    let stop = Arc::new(AtomicBool::new(false));
+    let barrier = Arc::new(Barrier::new(STRESS_WORKERS + 1));
+    let workers: Vec<_> = (0..STRESS_WORKERS as u64)
+        .map(|t| {
+            let set = Arc::clone(set);
+            let stop = Arc::clone(&stop);
+            let barrier = Arc::clone(&barrier);
+            thread::spawn(move || {
+                let mut rng =
+                    StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(t + 1));
+                barrier.wait();
+                let mut ops = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    for _ in 0..STOP_CHECK_EVERY {
+                        let key = rng.gen_range(1..=STRESS_KEYS);
+                        match traffic {
+                            Traffic::Reads => black_box(set.contains(key)),
+                            Traffic::Updates if rng.gen_bool(0.6) => black_box(set.insert(key)),
+                            Traffic::Updates => black_box(set.remove(key)),
+                        };
+                    }
+                    ops += STOP_CHECK_EVERY;
+                }
+                ops
+            })
+        })
+        .collect();
+    barrier.wait();
+    thread::sleep(STRESS_PHASE);
+    stop.store(true, Ordering::Relaxed);
+    let deadline = Instant::now() + WATCHDOG_GRACE;
+    while workers.iter().any(|w| !w.is_finished()) && Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(1));
+    }
+    let stuck = workers.iter().filter(|w| !w.is_finished()).count();
+    if stuck > 0 {
+        eprint!("{}", set.metrics_snapshot().to_prometheus());
+        eprint!(
+            "{}",
+            wait_free_range_trees::obs::trace::global().render_timeline()
+        );
+        panic!(
+            "{}: {stuck}/{STRESS_WORKERS} worker(s) still running {WATCHDOG_GRACE:?} \
+             after the stop flag (seed {seed:#x})",
+            imp.name()
+        );
+    }
+    workers.into_iter().map(|w| w.join().unwrap()).collect()
+}
+
 #[test]
-fn harness_runs_every_paper_workload_on_every_implementation() {
-    // A smoke version of the full evaluation: every (workload, tree) pair
-    // must run, make progress, and leave the structure consistent.
-    for spec in [
-        WorkloadSpec::contains_benchmark().scaled_down(5_000),
-        WorkloadSpec::insert_delete().scaled_down(5_000),
-        WorkloadSpec::successful_insert().scaled_down(5_000),
-        WorkloadSpec::range_mix(10.0, 0.01).scaled_down(5_000),
-    ] {
-        for imp in TreeImpl::ALL {
-            let result = run_once(imp, &spec, 2, Duration::from_millis(40), 99);
+fn workers_stop_promptly_under_update_then_read_stress() {
+    // The traffic under which two workers once kept spinning long after the
+    // stop flag: plain inserts and removes on a half-full set, then
+    // contains only, two workers, on every in-memory backend.
+    for (i, imp) in TreeImpl::ALL.into_iter().enumerate() {
+        let seed = 0x5_7E55 + i as u64;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let prefill: Vec<i64> = (1..=STRESS_KEYS).filter(|_| rng.gen_bool(0.5)).collect();
+        let set = imp.build(&prefill, STRESS_WORKERS);
+        let updates = stress_phase(&set, imp, seed, Traffic::Updates);
+        let before = set.len();
+        let reads = stress_phase(&set, imp, seed, Traffic::Reads);
+        for (phase, ops) in [("update", updates), ("read", reads)] {
             assert!(
-                result.total_ops > 0,
-                "{} produced no operations on {}",
-                imp.name(),
-                spec.name
+                ops.iter().all(|&n| n > 0),
+                "{}: a worker made no progress in the {phase} phase: {ops:?} (seed {seed:#x})",
+                imp.name()
             );
         }
+        assert_eq!(
+            set.len(),
+            before,
+            "{}: contains-only traffic changed the set (seed {seed:#x})",
+            imp.name()
+        );
     }
 }
 

@@ -22,7 +22,9 @@ use wait_free_range_trees::lincheck::{
     check_history_with_initial, History, RangeSetOp, RangeSetRet, RangeSetSpec, ThreadRecorder,
 };
 use wait_free_range_trees::prelude::MetricsSnapshot;
-use wait_free_range_trees::workload::{ConcurrentSet, TreeImpl};
+
+mod common;
+use common::{ConcurrentSet, TreeImpl};
 
 /// Number of worker threads per recorded history.
 const THREADS: usize = 3;

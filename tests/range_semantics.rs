@@ -7,12 +7,15 @@
 //! backend. Before the API redesign this behaviour was per-implementation
 //! folklore; this suite pins it across the wait-free tree (both root
 //! queues), the trie, all three baselines and the sharded store, through
-//! both the trait family and the harness adapter.
+//! both the trait family and the `tests/common` adapter. The same sweep
+//! also drives the adapter's whole surface once per backend.
 
 use std::ops::Bound;
 
 use wait_free_range_trees::prelude::*;
-use wait_free_range_trees::workload::TreeImpl;
+
+mod common;
+use common::{ConcurrentSet, TreeImpl};
 
 /// Inverted and degenerate closed ranges, as `(min, max)` pairs.
 const INVERTED: [(i64, i64); 4] = [(7, 3), (1, 0), (i64::MAX, i64::MIN), (50, -50)];
@@ -104,4 +107,76 @@ fn inverted_cross_shard_ranges_never_touch_shard_queries() {
     // Same through the trait with exclusive bounds.
     let spec = RangeSpec::from_bounds((Bound::Excluded(500i64), Bound::Excluded(501)));
     assert_eq!(RangeRead::count(&store, spec), 0, "(500, 501) holds no key");
+}
+
+/// One pass over the whole adapter surface on a set pre-filled with
+/// `0..100`; leaves the set as it found it.
+fn exercise(set: &dyn ConcurrentSet, label: &str) {
+    assert!(set.insert(1_000_001), "{label}");
+    assert!(!set.insert(1_000_001), "{label}");
+    assert!(set.contains(1_000_001), "{label}");
+    assert!(
+        set.replace(1_000_001),
+        "{label}: replace of a present key overwrote"
+    );
+    assert!(set.remove(1_000_001), "{label}");
+    assert!(!set.remove(1_000_001), "{label}");
+    assert!(
+        !set.replace(1_000_002),
+        "{label}: replace of an absent key inserted"
+    );
+    assert!(set.remove(1_000_002), "{label}");
+    assert_eq!(set.count(0, 9), 10, "{label}");
+    assert_eq!(set.count_via_collect(0, 9), 10, "{label}");
+    // Streaming scans: a chunked drain covers the same range, and the
+    // retrying driver produces the full sorted listing.
+    let (scanned, _snapshot) = set.chunked_scan_count(0, 99, 7);
+    assert_eq!(scanned, 100, "{label}");
+    assert_eq!(
+        set.chunked_scan_snapshot(10, 19, 3),
+        (10..=19).collect::<Vec<_>>(),
+        "{label}"
+    );
+    // The transactional surface: cas-insert, toggle, atomic move.
+    assert!(set.cas_insert(1_000_003), "{label}: absent key cas-inserts");
+    assert!(
+        !set.cas_insert(1_000_003),
+        "{label}: present key misses expect=None"
+    );
+    assert!(
+        !set.patch_toggle(1_000_003),
+        "{label}: toggle removes a present key"
+    );
+    assert!(
+        set.patch_toggle(1_000_003),
+        "{label}: toggle re-inserts an absent key"
+    );
+    assert_eq!(
+        set.batch_move(1_000_003, 1_000_004),
+        (true, true),
+        "{label}"
+    );
+    assert_eq!(
+        set.batch_move(1_000_003, 1_000_004),
+        (false, false),
+        "{label}"
+    );
+    assert!(set.remove(1_000_004), "{label}");
+    assert_eq!(set.len(), 100, "{label}");
+}
+
+#[test]
+fn all_implementations_expose_identical_behaviour() {
+    let prefill: Vec<i64> = (0..100).collect();
+    for imp in TreeImpl::ALL {
+        exercise(imp.build(&prefill, 4).as_ref(), imp.name());
+    }
+}
+
+#[test]
+fn names_are_unique() {
+    let mut names: Vec<&str> = TreeImpl::ALL.iter().map(|i| i.name()).collect();
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(names.len(), TreeImpl::ALL.len());
 }

@@ -33,6 +33,9 @@ use rand::{Rng, SeedableRng};
 
 use wait_free_range_trees::prelude::*;
 
+mod common;
+use common::TreeImpl;
+
 fn store_config(read_path: ReadPath) -> StoreConfig {
     StoreConfig {
         tree: TreeConfig {
@@ -476,7 +479,6 @@ fn tuple_keys_scan_lexicographically() {
 /// coherently (shared cursor or native store cursor alike).
 #[test]
 fn all_backends_drain_chunked_scans() {
-    use wait_free_range_trees::workload::TreeImpl;
     let prefill: Vec<i64> = (0..100).collect();
     for imp in TreeImpl::ALL {
         let set = imp.build(&prefill, 4);

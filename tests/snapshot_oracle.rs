@@ -29,6 +29,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use wait_free_range_trees::prelude::*;
+
+mod common;
+use common::TreeImpl;
 use wait_free_range_trees::store::GlobalFront;
 
 fn store_config(read_path: ReadPath) -> StoreConfig {
@@ -290,7 +293,6 @@ fn single_tree_snapshot_tokens_expire_on_update() {
 /// all we can assert uniformly.
 #[test]
 fn all_backends_answer_snapshot_drivers() {
-    use wait_free_range_trees::workload::TreeImpl;
     let prefill: Vec<i64> = (0..100).collect();
     for imp in TreeImpl::ALL {
         let set = imp.build(&prefill, 4);
