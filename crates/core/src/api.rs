@@ -88,7 +88,7 @@ impl<K: RangeKey, V: Value, A: Augmentation<K, V>, S: Shape<K>> RangeRead<K, V>
 
 /// The tree's chunk primitive is the limit-bounded optimistic collect:
 /// `O(log N + limit)` per chunk on the fast path (early exit after `limit`
-/// leaves, counted in [`crate::TreeStats::fast_range_early_exits`]), with
+/// leaves, counted in the `tree_fast_range_early_exits` metric), with
 /// the descriptor fallback preserved.
 impl<K: RangeKey, V: Value, A: Augmentation<K, V>, S: Shape<K>> ChunkRead<K, V>
     for WaitFreeTree<K, V, A, S>
@@ -151,18 +151,38 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> TimestampFront
     }
 }
 
-/// Mirrors the tree's operational counters ([`WaitFreeTree::stats`]) plus
-/// its size into the `wft-obs` metrics vocabulary under the shape's prefix
-/// (`tree_` for [`crate::Balanced`], `trie_` for [`crate::Radix`]).
-/// The `TreeCounters` atomics stay the single source of truth — this impl
-/// reads the same cells the legacy `stats()` API reads, so the two views
-/// can never drift.
+/// Reports the tree's event cells (`TreeCounters`) plus its size under the
+/// shape's prefix (`tree_` for [`crate::Balanced`], `trie_` for
+/// [`crate::Radix`]). The cells are the only storage of these counters and
+/// this impl is the only way to read them.
 impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> wft_obs::MetricsSource
     for WaitFreeTree<K, V, A, S>
 {
     fn collect_metrics(&self, out: &mut wft_obs::MetricsSnapshot) {
-        self.stats().collect_into(S::METRIC_PREFIX, out);
-        out.push_gauge(format!("{}_len", S::METRIC_PREFIX), self.len() as i64);
+        let (p, c) = (S::METRIC_PREFIX, &self.counters);
+        out.push_counter(format!("{p}_inserts"), c.inserts.value());
+        out.push_counter(format!("{p}_replaces"), c.replaces.value());
+        out.push_counter(format!("{p}_removes"), c.removes.value());
+        out.push_counter(format!("{p}_failed_updates"), c.failed_updates.value());
+        out.push_counter(
+            format!("{p}_helped_executions"),
+            c.helped_executions.value(),
+        );
+        out.push_counter(format!("{p}_rebuilds"), c.rebuilds.value());
+        out.push_counter(format!("{p}_rebuilt_items"), c.rebuilt_items.value());
+        out.push_counter(format!("{p}_rebuilds_lost"), c.rebuilds_lost.value());
+        out.push_counter(format!("{p}_fast_point_reads"), c.fast_point_reads.value());
+        out.push_counter(format!("{p}_fast_range_hits"), c.fast_range_hits.value());
+        out.push_counter(
+            format!("{p}_fast_range_retries"),
+            c.fast_range_retries.value(),
+        );
+        out.push_counter(format!("{p}_range_fallbacks"), c.range_fallbacks.value());
+        out.push_counter(
+            format!("{p}_fast_range_early_exits"),
+            c.fast_range_early_exits.value(),
+        );
+        out.push_gauge(format!("{p}_len"), self.len() as i64);
     }
 }
 
@@ -212,8 +232,7 @@ mod tests {
                 .unwrap();
             assert_eq!(outcomes, vec![OpOutcome::Replaced(Some(11))]);
             // Each shape reports under its own metric prefix.
-            let mut metrics = wft_obs::MetricsSnapshot::new();
-            wft_obs::MetricsSource::collect_metrics(&tree, &mut metrics);
+            let metrics = wft_obs::MetricsSource::metrics(&tree);
             let name = |suffix| format!("{}_{suffix}", S::METRIC_PREFIX);
             assert_eq!(metrics.counter(&name("replaces")), Some(2));
             assert_eq!(metrics.gauge(&name("len")), Some(1));

@@ -34,7 +34,6 @@ use std::sync::atomic::Ordering::{AcqRel, Acquire};
 use wft_queue::{Timestamp, UpdateKind};
 use wft_seq::{Augmentation, Key, Value};
 
-use crate::config::TreeCounters;
 use crate::descriptor::{Descriptor, OpKind, OpRef, Partial, RangeMode};
 use crate::node::{
     admitted, build_subtree, collect_subtree, free_subtree_now, insert_into_run, leaf_range_agg,
@@ -118,7 +117,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
                         return;
                     }
                     if head_ts != ts {
-                        TreeCounters::bump(&self.counters.helped_executions);
+                        self.counters.helped_executions.inc();
                     }
                     self.execute_op_at(&head_op, head_ts, parent, guard);
                 }
@@ -275,7 +274,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
                 match &op.kind {
                     OpKind::Insert { .. } => {
                         self.len.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        TreeCounters::bump(&self.counters.inserts);
+                        self.counters.inserts.inc();
                     }
                     OpKind::Replace { .. } => {
                         // A replace only grows the tree when the key was
@@ -283,16 +282,16 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
                         if decision.prior_value.is_none() {
                             self.len.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                         }
-                        TreeCounters::bump(&self.counters.replaces);
+                        self.counters.replaces.inc();
                     }
                     OpKind::Remove { .. } => {
                         self.len.fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
-                        TreeCounters::bump(&self.counters.removes);
+                        self.counters.removes.inc();
                     }
                     _ => unreachable!(),
                 }
             } else {
-                TreeCounters::bump(&self.counters.failed_updates);
+                self.counters.failed_updates.inc();
             }
         }
         // Resolution complete (whether by us or a faster helper — the
@@ -733,8 +732,8 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
 
         // 4. Swap it in; a loser's replacement is equivalent to the winner's.
         if install(slot.cell, old_child, new_node, guard) {
-            TreeCounters::bump(&self.counters.rebuilds);
-            TreeCounters::add(&self.counters.rebuilt_items, entries.len() as u64);
+            self.counters.rebuilds.inc();
+            self.counters.rebuilt_items.add(entries.len() as u64);
             // Rebuilds are the update path's heavyweight anomaly; a
             // timestamped timeline of them (arg: items copied, low 16
             // bits) is what distinguishes a helping cascade from a
@@ -744,7 +743,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
                 u16::try_from(entries.len()).unwrap_or(u16::MAX - 1),
             );
         } else {
-            TreeCounters::bump(&self.counters.rebuilds_lost);
+            self.counters.rebuilds_lost.inc();
         }
     }
 
@@ -764,7 +763,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
                 match inner.queue.peek(guard) {
                     None => break,
                     Some((head_ts, head_op)) => {
-                        TreeCounters::bump(&self.counters.helped_executions);
+                        self.counters.helped_executions.inc();
                         self.execute_op_at(&head_op, head_ts, ParentRef::Inner(inner), guard);
                     }
                 }

@@ -89,7 +89,7 @@ mod rootq;
 pub mod shape;
 pub mod tree;
 
-pub use config::{ReadPath, RootQueueKind, TreeConfig, TreeStats};
+pub use config::{ReadPath, RootQueueKind, TreeConfig};
 pub use descriptor::{OpKind, RangeMode};
 pub use key::RadixKey;
 pub use shape::{Balanced, Radix, Shape};

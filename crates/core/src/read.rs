@@ -117,7 +117,7 @@
 //!
 //! # Fallback conditions
 //!
-//! The attempt is abandoned (and [`crate::TreeStats::range_fallbacks`]
+//! The attempt is abandoned (and the `tree_range_fallbacks` metric
 //! incremented) when a resolved successful update sits at the root-queue
 //! head, when a descended node's queue is non-empty at the visit, or when
 //! any logged pointer/queue/head check fails at validation. One attempt is
@@ -244,8 +244,8 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
     /// listing and validating the *visited* log suffices (module docs,
     /// "Limited collects are prefixes"). The second return component is
     /// `true` when the limit actually cut the walk short (the
-    /// `O(log N + limit)` early exit, counted in
-    /// [`crate::TreeStats::fast_range_early_exits`]). `None` on validation
+    /// `O(log N + limit)` early exit, counted in the
+    /// `tree_fast_range_early_exits` metric). `None` on validation
     /// failure, as for the unbounded walk.
     pub(crate) fn try_fast_collect_limited(
         &self,

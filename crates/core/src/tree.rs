@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use wft_queue::PresenceIndex;
 use wft_seq::{Augmentation, Key, Size, Value};
 
-use crate::config::{ReadPath, RootQueueKind, TreeConfig, TreeCounters, TreeStats};
+use crate::config::{ReadPath, RootQueueKind, TreeConfig, TreeCounters};
 use crate::descriptor::OpKind;
 use crate::node::{
     build_subtree, collect_subtree, free_subtree_now, run_agg, IdAllocator, Node, Slot, LEAF_CAP,
@@ -71,7 +71,9 @@ pub struct WaitFreeTree<K: Key, V: Value = (), A: Augmentation<K, V> = Size, S: 
     pub(crate) presence: PresenceIndex<K, V>,
     pub(crate) ids: IdAllocator,
     pub(crate) config: TreeConfig,
-    pub(crate) counters: TreeCounters,
+    /// The event counters: 13 obs cells (52 KiB), boxed to keep the tree
+    /// itself small.
+    pub(crate) counters: Box<TreeCounters>,
     pub(crate) len: AtomicU64,
     /// Highest update timestamp whose linearization has *begun*: bumped
     /// (monotone max) before the update is resolved through the presence
@@ -124,7 +126,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
             presence: PresenceIndex::with_buckets(config.presence_buckets),
             ids: IdAllocator::new(),
             config,
-            counters: TreeCounters::default(),
+            counters: Box::default(),
             len: AtomicU64::new(0),
             advertised_ts: AtomicU64::new(0),
             resolved_ts: AtomicU64::new(0),
@@ -216,7 +218,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
     /// result is still assembled without cloning the value.
     pub fn contains(&self, key: &K) -> bool {
         if self.config.read_path == ReadPath::Fast {
-            TreeCounters::bump(&self.counters.fast_point_reads);
+            self.counters.fast_point_reads.inc();
             let guard = crossbeam_epoch::pin();
             return self.presence.contains_key(key, &guard);
         }
@@ -232,7 +234,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
     /// a single clone of the returned value (see `crate::read`).
     pub fn get(&self, key: &K) -> Option<V> {
         if self.config.read_path == ReadPath::Fast {
-            TreeCounters::bump(&self.counters.fast_point_reads);
+            self.counters.fast_point_reads.inc();
             let guard = crossbeam_epoch::pin();
             return self.presence.read_value(key, &guard);
         }
@@ -292,7 +294,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
     /// `O(log N + limit)` instead of `O(answer)`: skipped subtrees only
     /// cover keys beyond the last collected one, so the result is provably
     /// a prefix of the full listing (see `crate::read`). Early exits are
-    /// counted in [`TreeStats::fast_range_early_exits`]. The descriptor
+    /// counted in the `tree_fast_range_early_exits` metric. The descriptor
     /// fallback collects the full range and truncates — correct, linear,
     /// and only taken when every optimistic attempt failed validation.
     pub fn collect_range_limited(&self, min: K, max: K, limit: usize) -> Vec<(K, V)> {
@@ -340,11 +342,6 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
         &self.config
     }
 
-    /// A snapshot of the operational counters (helping events, rebuilds, …).
-    pub fn stats(&self) -> TreeStats {
-        self.counters.snapshot()
-    }
-
     /// The real-root slot: the fictive root's only child covers every key.
     pub(crate) fn root_slot(&self) -> Slot<'_, K, V, A, S> {
         Slot {
@@ -358,7 +355,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
     /// signal, and a burst of them is exactly what a post-mortem needs to
     /// see with timestamps (cf. `wft_obs::trace`).
     fn note_range_fallback(&self) {
-        TreeCounters::bump(&self.counters.range_fallbacks);
+        self.counters.range_fallbacks.inc();
         wft_obs::trace::emit(wft_obs::TraceKind::RangeFallback, wft_obs::NO_SHARD);
     }
 
@@ -423,7 +420,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
                 // An update is mid-linearization; it sits at the root-queue
                 // head for the whole window (it is only resolved as the head
                 // and only popped afterwards). Help it to completion.
-                TreeCounters::bump(&self.counters.helped_executions);
+                self.counters.helped_executions.inc();
                 self.execute_op_at(&head_op, head_ts, crate::exec::ParentRef::Fictive, &guard);
             }
             // `resolved < advertised` with an empty queue: the resolving
@@ -525,7 +522,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
     }
 
     /// One optimistic limited traversal, counting its early exit in
-    /// [`TreeStats::fast_range_early_exits`].
+    /// `fast_range_early_exits`.
     fn try_fast_collect_limited_counted(
         &self,
         min: K,
@@ -535,7 +532,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
     ) -> Option<Vec<(K, V)>> {
         let (entries, early_exit) = self.try_fast_collect_limited(min, max, limit, guard)?;
         if early_exit {
-            TreeCounters::bump(&self.counters.fast_range_early_exits);
+            self.counters.fast_range_early_exits.inc();
         }
         Some(entries)
     }
@@ -586,9 +583,9 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
     /// one pinned guard. A failed validation usually means one in-flight
     /// update, so a bounded retry beats paying the descriptor slow path;
     /// `worth_retrying` lets a caller stop early once a retry cannot help.
-    /// Counts one [`TreeStats::fast_range_hits`] on success and one
-    /// [`TreeStats::fast_range_retries`] per *extra* attempt actually
-    /// started — a failed last attempt is a miss, not a retry.
+    /// Counts one `fast_range_hits` on success and one `fast_range_retries`
+    /// per *extra* attempt actually started — a failed last attempt is a
+    /// miss, not a retry.
     fn fast_read<T>(
         &self,
         attempt: impl Fn(&crossbeam_epoch::Guard) -> Option<T>,
@@ -597,13 +594,13 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
         let guard = crossbeam_epoch::pin();
         for remaining in (0..self.config.fast_read_attempts).rev() {
             if let Some(out) = attempt(&guard) {
-                TreeCounters::bump(&self.counters.fast_range_hits);
+                self.counters.fast_range_hits.inc();
                 return Some(out);
             }
             if remaining == 0 || !worth_retrying() {
                 break;
             }
-            TreeCounters::bump(&self.counters.fast_range_retries);
+            self.counters.fast_range_retries.inc();
         }
         None
     }
@@ -783,6 +780,7 @@ fn check_node<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wft_obs::MetricsSource;
 
     #[test]
     fn empty_tree_properties() {
@@ -864,8 +862,9 @@ mod tests {
         for k in 0..2000 {
             tree.insert(k, ());
         }
+        let rebuilds = tree.metrics().counter("tree_rebuilds");
         assert!(
-            tree.stats().rebuilds > 0,
+            rebuilds > Some(0),
             "sorted insertions must trigger rebuilds"
         );
         for k in 0..2000 {
@@ -886,12 +885,13 @@ mod tests {
         let ts = wft_queue::Timestamp(1);
         tree.rebuild_subtree(tree.root_slot(), old, ts, &guard);
         tree.rebuild_subtree(tree.root_slot(), old, ts, &guard);
-        let stats = tree.stats();
-        assert_eq!((stats.rebuilds, stats.rebuilds_lost), (1, 1));
-        assert_eq!(stats.rebuilt_items, 1000, "only the winner's copy counts");
-        let mut metrics = wft_obs::MetricsSnapshot::new();
-        wft_obs::MetricsSource::collect_metrics(&tree, &mut metrics);
-        assert_eq!(metrics.counter("tree_rebuilds_lost"), Some(1));
+        let metrics = tree.metrics();
+        let count = |name| metrics.counter(name).unwrap();
+        assert_eq!(
+            (count("tree_rebuilds"), count("tree_rebuilds_lost")),
+            (1, 1)
+        );
+        assert_eq!(count("tree_rebuilt_items"), 1000, "the winner's copy only");
         drop(guard);
         tree.check_invariants();
     }
@@ -919,10 +919,10 @@ mod tests {
         tree.insert(2, ());
         tree.remove(&1);
         tree.remove(&3);
-        let stats = tree.stats();
-        assert_eq!(stats.inserts, 2);
-        assert_eq!(stats.removes, 1);
-        assert_eq!(stats.failed_updates, 2);
+        let metrics = tree.metrics();
+        assert_eq!(metrics.counter("tree_inserts"), Some(2));
+        assert_eq!(metrics.counter("tree_removes"), Some(1));
+        assert_eq!(metrics.counter("tree_failed_updates"), Some(2));
     }
 
     #[test]
@@ -938,7 +938,7 @@ mod tests {
         assert_eq!(tree.get(&1), Some("uno".to_string()));
         assert_eq!(tree.remove_entry(&1), Some("uno".to_string()));
         assert_eq!(tree.insert_or_replace(1, "ein".into()), None);
-        assert_eq!(tree.stats().replaces, 3);
+        assert_eq!(tree.metrics().counter("tree_replaces"), Some(3));
         tree.check_invariants();
     }
 
@@ -973,7 +973,8 @@ mod tests {
         for k in 0..1000 {
             assert_eq!(tree.insert_or_replace(k, -k), Some(k));
         }
-        assert!(tree.stats().rebuilds > 0, "sorted upserts must rebuild");
+        let rebuilds = tree.metrics().counter("tree_rebuilds");
+        assert!(rebuilds > Some(0), "sorted upserts must rebuild");
         assert_eq!(tree.len(), 1000);
         assert_eq!(tree.get(&999), Some(-999));
         tree.check_invariants();
@@ -1024,13 +1025,14 @@ mod tests {
         assert!(tree.get(&6).is_some());
         assert_eq!(tree.count(0, 99), 100);
         assert_eq!(tree.collect_range(10, 12).len(), 3);
-        let stats = tree.stats();
-        assert_eq!(stats.fast_point_reads, 2);
+        let metrics = tree.metrics();
+        assert_eq!(metrics.counter("tree_fast_point_reads"), Some(2));
         assert_eq!(
-            stats.fast_range_hits, 2,
+            metrics.counter("tree_fast_range_hits"),
+            Some(2),
             "quiescent range reads must validate"
         );
-        assert_eq!(stats.range_fallbacks, 0);
+        assert_eq!(metrics.counter("tree_range_fallbacks"), Some(0));
 
         let desc: WaitFreeTree<i64> = WaitFreeTree::with_config(TreeConfig {
             read_path: ReadPath::Descriptor,
@@ -1040,9 +1042,10 @@ mod tests {
         assert!(desc.contains(&1));
         assert_eq!(desc.get(&2), None);
         assert_eq!(desc.count(0, 10), 1);
-        let stats = desc.stats();
-        assert_eq!(stats.fast_point_reads, 0, "descriptor path counts nothing");
-        assert_eq!(stats.fast_range_hits, 0);
+        let metrics = desc.metrics();
+        let point_reads = metrics.counter("tree_fast_point_reads");
+        assert_eq!(point_reads, Some(0), "descriptor path counts nothing");
+        assert_eq!(metrics.counter("tree_fast_range_hits"), Some(0));
     }
 
     #[test]
@@ -1118,9 +1121,10 @@ mod tests {
         assert!(inner.queue.push_if(ts, parked, &guard));
         assert_eq!(tree.config.fast_read_attempts, 3);
         assert_eq!(tree.range_agg_at_front(0, 999, front), Err(FrontMiss::Busy));
+        let retries = format!("{}_fast_range_retries", S::METRIC_PREFIX);
         assert_eq!(
-            tree.stats().fast_range_retries,
-            2,
+            tree.metrics().counter(&retries),
+            Some(2),
             "three failed attempts are two retries: the last one is the miss"
         );
         assert_eq!(
@@ -1149,7 +1153,8 @@ mod tests {
         let tree: WaitFreeTree<i64> = WaitFreeTree::with_config(cfg);
         tree.insert(1, ());
         assert_eq!(tree.count(0, 5), 1);
-        assert_eq!(tree.stats().fast_range_retries, 0, "one attempt, no retry");
+        let retries = tree.metrics().counter("tree_fast_range_retries");
+        assert_eq!(retries, Some(0), "one attempt, no retry");
     }
 
     #[test]

@@ -71,12 +71,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use wft_api::{resolve_op, OpOutcome, StoreOp};
-use wft_obs::TraceKind;
+use wft_obs::{Counter, LatencyHistogram, TraceKind};
 use wft_seq::{Augmentation, Key, Value};
 use wft_store::ShardedStore;
 
 use crate::codec::WalCodec;
-use crate::stats::DurableInstruments;
 use crate::storage::is_fail_fast;
 use crate::wal::WalWriter;
 use crate::DurableError;
@@ -272,6 +271,41 @@ struct Queue<K: Key, V: Value> {
     state: JournalState,
 }
 
+/// The durable layer's counters and histograms: `wft-obs` cells, the only
+/// storage of these numbers, read by `DurableStore`'s `MetricsSource`
+/// impl under `durable_*` names.
+#[derive(Debug, Default)]
+pub(crate) struct DurableInstruments {
+    /// Batches appended to the WAL (one record each).
+    pub(crate) wal_appends: Counter,
+    /// `fsync` calls on WAL segments (one per commit group, if enabled).
+    pub(crate) wal_fsyncs: Counter,
+    /// Batches that rode another batch's flush: `g - 1` per group of `g`.
+    pub(crate) wal_stalls: Counter,
+    /// Frame bytes (headers + payloads) appended to the WAL.
+    pub(crate) wal_bytes: Counter,
+    /// Segment rotations (size-triggered and checkpoint-triggered).
+    pub(crate) wal_rotations: Counter,
+    /// Checkpoints taken successfully.
+    pub(crate) checkpoints: Counter,
+    /// WAL segments deleted by checkpoint truncation.
+    pub(crate) segments_truncated: Counter,
+    /// Flush attempts retried after a transient I/O error (backoff path).
+    pub(crate) io_retries: Counter,
+    /// Escalations of a persistent failure into degraded read-only mode.
+    pub(crate) degraded_entries: Counter,
+    /// Successful `try_resume` calls (degraded → running transitions).
+    pub(crate) resumes: Counter,
+    /// Checkpoints triggered by the background policy.
+    pub(crate) auto_checkpoints: Counter,
+    /// Per-batch commit latency, submit to durable-and-applied (ns).
+    pub(crate) commit_latency: LatencyHistogram,
+    /// Commit group sizes (batches per flush), recorded as raw counts.
+    pub(crate) group_size: LatencyHistogram,
+    /// Wall-clock duration of each checkpoint, in nanoseconds.
+    pub(crate) checkpoint_duration: LatencyHistogram,
+}
+
 /// State shared between writers, the log thread, and checkpointing.
 pub(crate) struct Shared<K: Key, V: Value> {
     /// The segment writer. Checkpointing locks this for rotation and
@@ -303,7 +337,7 @@ pub(crate) struct Shared<K: Key, V: Value> {
     /// Approximate live WAL segment count (same lifecycle as
     /// `live_wal_bytes`).
     pub(crate) live_wal_segments: AtomicU64,
-    pub(crate) instruments: Arc<DurableInstruments>,
+    pub(crate) instruments: DurableInstruments,
     retry: RetryPolicy,
     escalation: Escalation,
     fsync: bool,
@@ -328,11 +362,9 @@ where
     /// (the WAL prefix recovery already replayed); `live_wal` seeds the
     /// checkpoint policy's byte/segment counters with what recovery left
     /// on disk.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn start(
         store: Arc<ShardedStore<K, V, A>>,
         wal: WalWriter,
-        instruments: Arc<DurableInstruments>,
         recovered_through: u64,
         live_wal: (u64, u64),
         retry: RetryPolicy,
@@ -351,7 +383,7 @@ where
             applied_seq: AtomicU64::new(recovered_through),
             live_wal_bytes: AtomicU64::new(live_wal.0),
             live_wal_segments: AtomicU64::new(live_wal.1),
-            instruments,
+            instruments: DurableInstruments::default(),
             retry,
             escalation,
             fsync,
@@ -448,14 +480,14 @@ where
             wal.rotate().map_err(DurableError::io)?;
         }
         let instruments = &self.shared.instruments;
-        instruments.wal_rotations.fetch_add(1, Ordering::Relaxed);
+        instruments.wal_rotations.inc();
         self.shared
             .live_wal_segments
             .fetch_add(1, Ordering::Relaxed);
 
         self.shared.queue.lock().unwrap().state = JournalState::Running;
-        let resumes = instruments.resumes.fetch_add(1, Ordering::Relaxed) + 1;
-        instruments.degraded.store(0, Ordering::Relaxed);
+        instruments.resumes.inc();
+        let resumes = instruments.resumes.value();
         wft_obs::trace::emit(TraceKind::DegradedResume, (resumes & 0xFFFF) as u16);
         *thread = Some(spawn_log_thread(&self.shared, &self.store));
         Ok(true)
@@ -474,7 +506,6 @@ where
             match (&queue.state, mode) {
                 (JournalState::Running, _) | (JournalState::Degraded(_), _) => {
                     if matches!(queue.state, JournalState::Degraded(_)) {
-                        self.shared.instruments.degraded.store(0, Ordering::Relaxed);
                         // The thread is dead; nothing will drain the queue
                         // (degraded mode already failed everything, but a
                         // submit racing the transition could be parked).
@@ -587,23 +618,19 @@ where
 
         let group_size = group.len() as u64;
         let instruments = &shared.instruments;
-        instruments
-            .wal_appends
-            .fetch_add(group_size, Ordering::Relaxed);
-        instruments.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
+        instruments.wal_appends.add(group_size);
+        instruments.wal_bytes.add(bytes);
         shared.live_wal_bytes.fetch_add(bytes, Ordering::Relaxed);
         if shared.fsync {
-            instruments.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
+            instruments.wal_fsyncs.inc();
         }
         instruments.group_size.record(group_size);
         if group_size > 1 {
-            instruments
-                .wal_stalls
-                .fetch_add(group_size - 1, Ordering::Relaxed);
+            instruments.wal_stalls.add(group_size - 1);
             wft_obs::trace::emit(TraceKind::WalStall, (group_size & 0xFFFF) as u16);
         }
         // ORDERING: Release publishes the group's WAL durability (and the fsynced
-        // bytes behind it) to the Acquire `durable_seq` reads in stats.
+        // bytes behind it) to the Acquire `durable_seq` reads in metrics.
         shared
             .durable_seq
             .store(first_seq + group_size - 1, Ordering::Release);
@@ -627,7 +654,7 @@ where
                     .map_err(|err| DurableError::Batch(err.to_string()))
             };
             // ORDERING: Release publishes the applied effects to the Acquire
-            // `applied_seq` reads (checkpoint cut, stats).
+            // `applied_seq` reads (checkpoint cut, metrics).
             shared
                 .applied_seq
                 .store(first_seq + i as u64, Ordering::Release);
@@ -672,17 +699,11 @@ where
                 if wal.wants_rotation() {
                     match wal.rotate() {
                         Ok(()) => {
-                            shared
-                                .instruments
-                                .wal_rotations
-                                .fetch_add(1, Ordering::Relaxed);
+                            shared.instruments.wal_rotations.inc();
                             shared.live_wal_segments.fetch_add(1, Ordering::Relaxed);
                         }
                         Err(_) => {
-                            shared
-                                .instruments
-                                .io_retries
-                                .fetch_add(1, Ordering::Relaxed);
+                            shared.instruments.io_retries.inc();
                             wft_obs::trace::emit(TraceKind::IoRetry, 0);
                         }
                     }
@@ -690,10 +711,7 @@ where
                 return Ok(out);
             }
             Err(err) if !is_fail_fast(&err) && attempt < shared.retry.attempts => {
-                shared
-                    .instruments
-                    .io_retries
-                    .fetch_add(1, Ordering::Relaxed);
+                shared.instruments.io_retries.inc();
                 wft_obs::trace::emit(TraceKind::IoRetry, (attempt & 0xFFFF) as u16);
                 std::thread::sleep(shared.retry.backoff_for(attempt));
                 attempt += 1;
@@ -733,11 +751,7 @@ where
             pending.slot.fill(Err(queued_err.clone()));
         }
         if matches!(state, JournalState::Degraded(_)) {
-            shared
-                .instruments
-                .degraded_entries
-                .fetch_add(1, Ordering::Relaxed);
-            shared.instruments.degraded.store(1, Ordering::Relaxed);
+            shared.instruments.degraded_entries.inc();
             wft_obs::trace::emit(TraceKind::DegradedEnter, 0);
         }
         queue.state = state;

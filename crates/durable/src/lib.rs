@@ -64,7 +64,6 @@ mod checkpoint;
 pub mod codec;
 mod journal;
 mod scratch;
-mod stats;
 pub mod storage;
 mod store;
 mod wal;
@@ -72,7 +71,6 @@ mod wal;
 pub use codec::WalCodec;
 pub use journal::{Escalation, HaltReason, RetryPolicy};
 pub use scratch::ScratchDir;
-pub use stats::DurableStats;
 pub use storage::{Fault, FaultKind, FaultOp, FaultyStorage, FsStorage, Storage, StorageFile};
 pub use store::{
     CheckpointPolicy, CheckpointReport, CheckpointTrigger, DurableConfig, DurableStore,

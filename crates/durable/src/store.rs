@@ -91,7 +91,6 @@ use wft_store::{ShardedStore, StoreConfig, StoreScanCursor};
 use crate::checkpoint::{load_newest_checkpoint, write_checkpoint};
 use crate::codec::WalCodec;
 use crate::journal::{Escalation, HaltMode, Journal, JournalState, RetryPolicy};
-use crate::stats::{DurableInstruments, DurableStats};
 use crate::storage::{FsStorage, Storage};
 use crate::wal::{read_wal, WalWriter};
 use crate::DurableError;
@@ -243,7 +242,6 @@ where
     storage: Arc<dyn Storage>,
     dir: PathBuf,
     config: DurableConfig,
-    instruments: Arc<DurableInstruments>,
     recovery: RecoveryReport,
 }
 
@@ -326,11 +324,9 @@ where
             config.segment_bytes,
         )
         .map_err(DurableError::io)?;
-        let instruments = Arc::new(DurableInstruments::default());
         let journal = Journal::start(
             Arc::clone(&inner),
             wal,
-            Arc::clone(&instruments),
             recovery.recovered_through,
             // Seed the checkpoint policy's live-WAL view with what is on
             // disk: the replayed bytes plus the fresh segment just opened.
@@ -346,7 +342,6 @@ where
             storage,
             dir,
             config,
-            instruments,
             recovery,
         })
     }
@@ -388,17 +383,6 @@ where
     /// The directory holding the WAL and checkpoints.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// Point-in-time copy of the durable layer's instrumentation.
-    pub fn stats(&self) -> DurableStats {
-        let shared = self.journal.shared();
-        // ORDERING: Acquire pairs with the log thread's Release seq stores, so a
-        // stats reader sees the effects behind the reported seqs.
-        self.instruments.stats(
-            shared.durable_seq.load(Ordering::Acquire),
-            shared.applied_seq.load(Ordering::Acquire),
-        )
     }
 
     /// `true` once the journal has halted for good (graceful shutdown,
@@ -575,31 +559,26 @@ where
         let bytes = write_checkpoint(self.storage.as_ref(), &self.dir, cut, &entries)
             .map_err(DurableError::io)?;
 
+        let shared = self.journal.shared();
+        let instruments = &shared.instruments;
         let segments_truncated = {
-            let mut wal = self.journal.shared().wal.lock().unwrap();
+            let mut wal = shared.wal.lock().unwrap();
             wal.rotate().map_err(DurableError::io)?;
-            self.instruments
-                .wal_rotations
-                .fetch_add(1, Ordering::Relaxed);
+            instruments.wal_rotations.inc();
             wal.truncate_through(cut).map_err(DurableError::io)?
         };
         // Reset the policy's live-WAL view: the image supersedes the
         // truncated prefix and the active segment is freshly rotated.
         // Approximate by design — bytes appended between the cut sample
         // and here are under-counted until the next checkpoint.
-        let shared = self.journal.shared();
         shared.live_wal_bytes.store(0, Ordering::Relaxed);
         shared.live_wal_segments.store(1, Ordering::Relaxed);
-        self.instruments
-            .segments_truncated
-            .fetch_add(segments_truncated, Ordering::Relaxed);
-        self.instruments.checkpoints.fetch_add(1, Ordering::Relaxed);
+        instruments.segments_truncated.add(segments_truncated);
+        instruments.checkpoints.inc();
         if trigger != CheckpointTrigger::Explicit {
-            self.instruments
-                .auto_checkpoints
-                .fetch_add(1, Ordering::Relaxed);
+            instruments.auto_checkpoints.inc();
         }
-        self.instruments
+        instruments
             .checkpoint_duration
             .record(started.elapsed().as_nanos() as u64);
         wft_obs::trace::emit(TraceKind::CheckpointEnd, (cut & 0xFFFF) as u16);
@@ -832,10 +811,10 @@ where
     }
 }
 
-/// Pushes the `durable_*` metrics and forwards the inner store's, so one
-/// registry source covers the whole durable stack. The metrics read the
-/// same atomics [`DurableStore::stats`] reads — the two views can never
-/// drift.
+/// Reports the durable layer's cells under `durable_*`, the journal's
+/// sequence watermarks and degraded state as gauges, and forwards the
+/// inner store's samples, so one registry source covers the whole durable
+/// stack.
 impl<K, V, A> wft_obs::MetricsSource for DurableStore<K, V, A>
 where
     K: Key + WalCodec,
@@ -843,33 +822,34 @@ where
     A: Augmentation<K, V>,
 {
     fn collect_metrics(&self, out: &mut wft_obs::MetricsSnapshot) {
-        let stats = self.stats();
-        out.push_counter("durable_wal_appends", stats.wal_appends);
-        out.push_counter("durable_wal_fsyncs", stats.wal_fsyncs);
-        out.push_counter("durable_wal_stalls", stats.wal_stalls);
-        out.push_counter("durable_wal_bytes", stats.wal_bytes);
-        out.push_counter("durable_wal_rotations", stats.wal_rotations);
-        out.push_counter("durable_checkpoints", stats.checkpoints);
-        out.push_counter("durable_segments_truncated", stats.segments_truncated);
-        out.push_counter("durable_io_retries", stats.io_retries);
-        out.push_counter("durable_degraded_entries", stats.degraded_entries);
-        out.push_counter("durable_resumes", stats.resumes);
-        out.push_counter("durable_auto_checkpoints", stats.auto_checkpoints);
-        out.push_counter(
-            "durable_recovery_replayed_records",
-            self.recovery.replayed_records,
-        );
-        out.push_counter("durable_recovery_replayed_ops", self.recovery.replayed_ops);
-        out.push_gauge("durable_degraded", stats.degraded as i64);
-        out.push_gauge("durable_seq_durable", stats.durable_seq as i64);
-        out.push_gauge("durable_seq_applied", stats.applied_seq as i64);
-        out.push_gauge(
-            "durable_recovered_through",
-            self.recovery.recovered_through as i64,
-        );
-        out.push_histogram("durable_commit_latency_ns", stats.commit_latency);
-        out.push_histogram("durable_group_size", stats.group_size);
-        out.push_histogram("durable_checkpoint_duration_ns", stats.checkpoint_duration);
+        let (shared, r) = (self.journal.shared(), &self.recovery);
+        let i = &shared.instruments;
+        out.push_counter("durable_wal_appends", i.wal_appends.value());
+        out.push_counter("durable_wal_fsyncs", i.wal_fsyncs.value());
+        out.push_counter("durable_wal_stalls", i.wal_stalls.value());
+        out.push_counter("durable_wal_bytes", i.wal_bytes.value());
+        out.push_counter("durable_wal_rotations", i.wal_rotations.value());
+        out.push_counter("durable_checkpoints", i.checkpoints.value());
+        out.push_counter("durable_segments_truncated", i.segments_truncated.value());
+        out.push_counter("durable_io_retries", i.io_retries.value());
+        out.push_counter("durable_degraded_entries", i.degraded_entries.value());
+        out.push_counter("durable_resumes", i.resumes.value());
+        out.push_counter("durable_auto_checkpoints", i.auto_checkpoints.value());
+        out.push_counter("durable_recovery_replayed_records", r.replayed_records);
+        out.push_counter("durable_recovery_replayed_ops", r.replayed_ops);
+        out.push_gauge("durable_degraded", self.is_degraded() as i64);
+        // ORDERING: Acquire pairs with the log thread's Release seq stores, so a
+        // metrics reader sees the effects behind the reported seqs.
+        let durable_seq = shared.durable_seq.load(Ordering::Acquire);
+        // ORDERING: as above, for the applied watermark.
+        let applied_seq = shared.applied_seq.load(Ordering::Acquire);
+        out.push_gauge("durable_seq_durable", durable_seq as i64);
+        out.push_gauge("durable_seq_applied", applied_seq as i64);
+        out.push_gauge("durable_recovered_through", r.recovered_through as i64);
+        out.push_histogram("durable_commit_latency_ns", i.commit_latency.snapshot());
+        out.push_histogram("durable_group_size", i.group_size.snapshot());
+        let checkpoint_duration = i.checkpoint_duration.snapshot();
+        out.push_histogram("durable_checkpoint_duration_ns", checkpoint_duration);
         self.inner.collect_metrics(out);
     }
 }
@@ -881,6 +861,7 @@ mod tests {
     use crate::scratch::ScratchDir;
     use crate::storage::FaultyStorage;
     use std::io;
+    use wft_obs::MetricsSource;
 
     fn reopen(dir: &Path) -> DurableStore<i64, i64> {
         DurableStore::open(dir).unwrap()
@@ -1021,12 +1002,13 @@ mod tests {
             );
             // A pure-read batch resolves to zero physical ops but still
             // takes a WAL sequence number (an empty record).
-            let appends_before = store.stats().wal_appends;
+            let appends = || store.metrics().counter("durable_wal_appends").unwrap();
+            let appends_before = appends();
             assert_eq!(
                 store.apply_durable(vec![StoreOp::Get { key: 7 }]).unwrap(),
                 vec![OpOutcome::Got(None)]
             );
-            assert_eq!(store.stats().wal_appends, appends_before + 1);
+            assert_eq!(appends(), appends_before + 1);
             store.shutdown();
         }
         // The WAL holds only physical ops; replay reconstructs the exact
@@ -1055,11 +1037,12 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, BatchError::DuplicateKey { key: 1 });
-        assert_eq!(store.stats().wal_appends, 0, "rejected batch never logged");
+        let appends = || store.metrics().counter("durable_wal_appends");
+        assert_eq!(appends(), Some(0), "rejected batch never logged");
         assert!(BatchApply::apply_batch(&store, Vec::new())
             .unwrap()
             .is_empty());
-        assert_eq!(store.stats().wal_appends, 0, "empty batch never logged");
+        assert_eq!(appends(), Some(0), "empty batch never logged");
     }
 
     #[test]
@@ -1070,17 +1053,20 @@ mod tests {
             PointMap::insert(&store, k, k);
         }
         store.checkpoint().unwrap();
-        let stats = store.stats();
-        assert_eq!(stats.wal_appends, 10);
-        assert!(stats.wal_fsyncs >= 1);
-        assert!(stats.wal_bytes > 0);
-        assert_eq!(stats.checkpoints, 1);
-        assert_eq!(stats.durable_seq, 10);
-        assert_eq!(stats.applied_seq, 10);
-        assert_eq!(stats.commit_latency.count, 10);
-        assert_eq!(stats.group_size.count, stats.wal_fsyncs);
-        assert_eq!(stats.io_retries, 0);
-        assert_eq!(stats.degraded, 0);
+        let metrics = store.metrics();
+        let counter = |name| metrics.counter(name).unwrap();
+        let fsyncs = counter("durable_wal_fsyncs");
+        assert_eq!(counter("durable_wal_appends"), 10);
+        assert!(fsyncs >= 1);
+        assert!(counter("durable_wal_bytes") > 0);
+        assert_eq!(counter("durable_checkpoints"), 1);
+        assert_eq!(metrics.gauge("durable_seq_durable"), Some(10));
+        assert_eq!(metrics.gauge("durable_seq_applied"), Some(10));
+        let histogram = |name| metrics.histogram(name).unwrap().count;
+        assert_eq!(histogram("durable_commit_latency_ns"), 10);
+        assert_eq!(histogram("durable_group_size"), fsyncs);
+        assert_eq!(counter("durable_io_retries"), 0);
+        assert_eq!(metrics.gauge("durable_degraded"), Some(0));
     }
 
     #[test]
@@ -1119,7 +1105,10 @@ mod tests {
                 .unwrap();
         }
         assert!(!store.is_degraded());
-        assert!(store.stats().io_retries > 0, "the drizzle was really felt");
+        assert!(
+            store.metrics().counter("durable_io_retries") > Some(0),
+            "the drizzle was really felt"
+        );
         assert_eq!(PointMap::len(&store), 200);
 
         // Stop the drizzle and reopen clean: everything acknowledged is
@@ -1162,9 +1151,9 @@ mod tests {
         ));
         // Checkpoints refuse too.
         assert!(matches!(store.checkpoint(), Err(DurableError::Degraded(_))));
-        let stats = store.stats();
-        assert_eq!(stats.degraded, 1);
-        assert_eq!(stats.degraded_entries, 1);
+        let metrics = store.metrics();
+        assert_eq!(metrics.gauge("durable_degraded"), Some(1));
+        assert_eq!(metrics.counter("durable_degraded_entries"), Some(1));
 
         // A resume attempt while the disk is still dead fails and stays
         // degraded.
@@ -1179,8 +1168,9 @@ mod tests {
         store
             .apply_durable(vec![StoreOp::Insert { key: 99, value: 99 }])
             .unwrap();
-        assert_eq!(store.stats().resumes, 1);
-        assert_eq!(store.stats().degraded, 0);
+        let metrics = store.metrics();
+        assert_eq!(metrics.counter("durable_resumes"), Some(1));
+        assert_eq!(metrics.gauge("durable_degraded"), Some(0));
 
         // Everything acknowledged (before and after the outage) survives
         // a clean-storage reopen.
@@ -1252,7 +1242,7 @@ mod tests {
             .expect("100 records cross 512 live bytes");
         assert_eq!(report.trigger, CheckpointTrigger::WalBytes);
         assert_eq!(report.entries, 100);
-        assert_eq!(store.stats().auto_checkpoints, 1);
+        assert_eq!(store.metrics().counter("durable_auto_checkpoints"), Some(1));
         assert!(
             store.maybe_checkpoint().unwrap().is_none(),
             "freshly truncated log is back under threshold"
@@ -1281,11 +1271,12 @@ mod tests {
             )
             .unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);
-        while store.stats().auto_checkpoints == 0 && Instant::now() < deadline {
+        let auto_checkpoints = || store.metrics().counter("durable_auto_checkpoints").unwrap();
+        while auto_checkpoints() == 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
         }
         assert!(
-            store.stats().auto_checkpoints >= 1,
+            auto_checkpoints() >= 1,
             "the poller took the policy checkpoint"
         );
         drop(guard); // joins the thread

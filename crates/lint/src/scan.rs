@@ -519,10 +519,15 @@ pub struct ReportedMetric {
     pub waived: bool,
 }
 
-/// Identifiers that never name backing state on their own.
+/// Identifiers that never name backing state on their own. The read-only
+/// cell accessors (`value`, `snapshot`) are here too: reading a `wft-obs`
+/// cell is not a computation, so a sample backed by a cell is live only if
+/// the crate bumps that cell.
 const IDENT_STOPLIST: &[&str] = &[
     "self",
     "load",
+    "value",
+    "snapshot",
     "Ordering",
     "Relaxed",
     "Acquire",
@@ -598,13 +603,19 @@ pub fn reported_metrics(path: &str, lexed: &LexedFile) -> Vec<ReportedMetric> {
     out
 }
 
-/// `(start, end)` line ranges of `impl … MetricsSource … for … { … }`.
+/// `(start, end)` line ranges of `impl … MetricsSource … for … { … }`,
+/// including headers rustfmt wrapped before the `for`.
 fn metrics_source_impl_regions(lexed: &LexedFile) -> Vec<(usize, usize)> {
     let mut regions = Vec::new();
     let mut l = 0;
     while l < lexed.len() {
         let code = &lexed.code[l];
-        if !(code.contains("impl") && code.contains("MetricsSource") && code.contains("for")) {
+        let header_has_for = || {
+            let end = lexed.code[l..].iter().position(|line| line.contains('{'));
+            let header = &lexed.code[l..=l + end.unwrap_or(0)];
+            header.iter().any(|line| line.contains("for"))
+        };
+        if !(code.contains("impl") && code.contains("MetricsSource") && header_has_for()) {
             l += 1;
             continue;
         }
@@ -666,36 +677,29 @@ fn call_span(lexed: &LexedFile, line: usize, col: usize) -> (usize, String) {
     (lexed.len().saturating_sub(1), text)
 }
 
-/// Splits an expression's identifiers into (all, invoked-as-call).
+/// Splits an expression's identifiers into (state, invoked-as-call). In a
+/// field path only the last field names state: `self.cells.hits.value()`
+/// yields `hits`, not the containers `self` and `cells`.
 fn expr_idents(expr: &str) -> (Vec<String>, Vec<String>) {
-    let mut idents = Vec::new();
-    let mut called = Vec::new();
-    let mut cur = String::new();
-    let mut chars = expr.chars().peekable();
-    while let Some(c) = chars.next() {
-        if c.is_alphanumeric() || c == '_' {
-            cur.push(c);
-        } else {
-            if !cur.is_empty() && !cur.chars().next().is_some_and(|f| f.is_ascii_digit()) {
-                if !IDENT_STOPLIST.contains(&cur.as_str()) {
-                    if c == '(' {
-                        called.push(cur.clone());
-                    }
-                    idents.push(std::mem::take(&mut cur));
-                } else {
-                    cur.clear();
-                }
-            } else {
-                cur.clear();
-            }
-            let _ = chars.peek();
+    let is_word = |c: char| c.is_alphanumeric() || c == '_';
+    let named =
+        |w: &str| w.starts_with(|c: char| !c.is_ascii_digit()) && !IDENT_STOPLIST.contains(&w);
+    let (mut idents, mut called) = (Vec::new(), Vec::new());
+    let mut rest = expr;
+    while let Some(start) = rest.find(is_word) {
+        let tail = &rest[start..];
+        let (word, after) = tail.split_at(tail.find(|c| !is_word(c)).unwrap_or(tail.len()));
+        rest = after;
+        let field = after
+            .strip_prefix('.')
+            .map_or("", |f| &f[..f.find(|c| !is_word(c)).unwrap_or(f.len())]);
+        if !named(word) || named(field) {
+            continue;
         }
-    }
-    if !cur.is_empty()
-        && !cur.chars().next().is_some_and(|f| f.is_ascii_digit())
-        && !IDENT_STOPLIST.contains(&cur.as_str())
-    {
-        idents.push(cur);
+        if after.starts_with('(') {
+            called.push(word.to_owned());
+        }
+        idents.push(word.to_owned());
     }
     (idents, called)
 }
@@ -720,10 +724,12 @@ const BUMP_METHODS: &[&str] = &[
 
 /// Whether `crate_code` (comment-stripped lines of the whole crate)
 /// mutates `ident` anywhere: `ident.fetch_add(…)`, `ident += …`,
-/// `ident = …`, or `ident: value` inside a constructor is *not* enough —
-/// construction always exists; the rule wants a bump on the hot path.
+/// `ident = …`. Neither `ident: value` inside a constructor nor a
+/// `let ident = …` binding is enough — construction and local names always
+/// exist; the rule wants a bump on the hot path. A method chain that
+/// rustfmt broke after `ident` continues on the next line.
 pub fn crate_bumps_ident(crate_code: &[String], ident: &str) -> bool {
-    for line in crate_code {
+    for (l, line) in crate_code.iter().enumerate() {
         let mut from = 0;
         while let Some(pos) = line[from..].find(ident) {
             let abs = from + pos;
@@ -733,10 +739,13 @@ pub fn crate_bumps_ident(crate_code: &[String], ident: &str) -> bool {
                     .chars()
                     .next_back()
                     .is_some_and(|c| c.is_alphanumeric() || c == '_');
-            if !before_ok {
+            if !before_ok || is_let_binding(&line[..abs]) {
                 continue;
             }
-            let rest = &line[abs + ident.len()..];
+            let mut rest = &line[abs + ident.len()..];
+            if rest.trim().is_empty() {
+                rest = crate_code.get(l + 1).map_or("", |next| next.trim_start());
+            }
             if BUMP_METHODS.iter().any(|m| rest.starts_with(m)) {
                 return true;
             }
@@ -752,6 +761,16 @@ pub fn crate_bumps_ident(crate_code: &[String], ident: &str) -> bool {
         }
     }
     false
+}
+
+/// Whether the text before an identifier ends in `let` or `let mut`: the
+/// identifier is being declared, not assigned.
+fn is_let_binding(before: &str) -> bool {
+    let before = before.trim_end();
+    let before = before.strip_suffix("mut").map_or(before, str::trim_end);
+    before
+        .strip_suffix("let")
+        .is_some_and(|rest| !rest.ends_with(|c: char| c.is_alphanumeric() || c == '_'))
 }
 
 #[cfg(test)]
@@ -904,6 +923,23 @@ mod tests {
     }
 
     #[test]
+    fn a_cell_read_is_not_a_computation() {
+        // A wrapped impl header, as rustfmt writes long ones; in a field
+        // path only the last field is state.
+        let f = lex(
+            "impl<K: Key> wft_obs::MetricsSource\n    for Tree<K>\n{\n    fn collect_metrics(&self, out: &mut MetricsSnapshot) {\n        out.push_counter(\"hits\", self.cells.hits.value());\n        out.push_histogram(\"lat\", self.lat.snapshot());\n        out.push_gauge(\"len\", self.len() as i64);\n    }\n}\n",
+        );
+        let ms = reported_metrics("x.rs", &f);
+        assert_eq!(ms.len(), 3);
+        assert_eq!(
+            (ms[0].idents.as_slice(), ms[0].called.len()),
+            (&["hits".to_owned()][..], 0)
+        );
+        assert!(ms[1].called.is_empty(), "{:?}", ms[1].called);
+        assert_eq!(ms[2].called, vec!["len".to_owned()]);
+    }
+
+    #[test]
     fn multiline_push_call_extracted() {
         let f = lex(
             "impl MetricsSource for S {\n    fn collect_metrics(&self, out: &mut MetricsSnapshot) {\n        out.push_counter(\n            \"gate_waits\",\n            self.gate_waits.load(Ordering::Relaxed),\n        );\n    }\n}\n",
@@ -924,6 +960,17 @@ mod tests {
         assert!(crate_bumps_ident(&code, "retries"));
         assert!(crate_bumps_ident(&code, "count"));
         assert!(!crate_bumps_ident(&code, "ghost"));
+        // A `let` binding declares a name, it does not bump state; a chain
+        // broken across lines still bumps its last link.
+        let code: Vec<String> = vec![
+            "let front = table.value();".into(),
+            "let mut seen = 0;".into(),
+            "outlet = 1;".into(),
+            "self.lat".into(),
+            "    .record(ns);".into(),
+        ];
+        assert!(!crate_bumps_ident(&code, "front") && !crate_bumps_ident(&code, "seen"));
+        assert!(crate_bumps_ident(&code, "outlet") && crate_bumps_ident(&code, "lat"));
     }
 
     #[test]

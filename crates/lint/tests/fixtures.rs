@@ -43,14 +43,16 @@ fn broken_fixture_trips_every_rule() {
 #[test]
 fn broken_fixture_decoys_do_not_add_violations() {
     // One violation per seeded defect and none from the string/comment
-    // decoys: unsafe, Acquire, SeqCst, sleep, dead metric.
+    // decoys: unsafe, Acquire, SeqCst, sleep, dead metric, dead cell.
     let outcome = audit("broken");
     assert_eq!(
         outcome.violations.len(),
-        5,
+        6,
         "unexpected violation set: {:#?}",
         outcome.violations
     );
+    let dead_cell = |v: &&wft_lint::Violation| v.message.contains("`dead_cell`");
+    assert_eq!(outcome.violations.iter().filter(dead_cell).count(), 1);
 }
 
 #[test]

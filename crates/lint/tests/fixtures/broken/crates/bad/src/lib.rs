@@ -6,6 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct Bad {
     retries: AtomicU64,
     hits: AtomicU64,
+    misses: Counter,
 }
 
 impl Bad {
@@ -40,9 +41,11 @@ impl Bad {
 }
 
 // Rule 4: `dead_metric` is reported but nothing in this crate ever
-// bumps `hits` — dead telemetry.
+// bumps `hits` — dead telemetry. `dead_cell` is the same defect on a
+// `wft-obs` cell: it is read, never `.inc()`ed.
 impl MetricsSource for Bad {
     fn collect_metrics(&self, out: &mut MetricsSnapshot) {
         out.push_counter("dead_metric", self.hits.load(Ordering::Relaxed));
+        out.push_counter("dead_cell", self.misses.value());
     }
 }

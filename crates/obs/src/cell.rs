@@ -3,8 +3,8 @@
 //! The hot-path cost model is the whole design: a [`Counter::inc`] is one
 //! `fetch_add(1, Relaxed)` on a cache line that — up to [`CELLS`] threads —
 //! no other thread writes, so instrumented fast paths (presence-index
-//! `contains`, optimistic range traversals) pay an uncontended RMW instead
-//! of a shared-line ping-pong. Reads sum every cell
+//! `contains`, optimistic range traversals, descriptor helping) pay an
+//! uncontended RMW instead of a shared-line ping-pong. Reads sum every cell
 //! ([`Counter::value`]), which makes reading `O(CELLS)` and therefore
 //! strictly a *snapshot-time* cost: exactly the right trade for metrics
 //! that are written millions of times a second and read a few times a

@@ -9,7 +9,9 @@
 //!
 //! * [`Counter`] / [`Gauge`] — per-thread-sharded relaxed-atomic cells
 //!   ([`cell`]): hot paths pay one uncontended `fetch_add`, readers sum
-//!   the cells.
+//!   the cells. They are the **only** storage of every event counter in
+//!   the workspace: the trees, the store's front table, the durable
+//!   journal and the persistent baseline embed cells, not atomics.
 //! * [`LatencyHistogram`] — log-bucketed (power-of-~1.25 over ns),
 //!   mergeable, with [`HistogramSnapshot::quantile`] for p50/p99/p999
 //!   ([`hist`]).
@@ -17,18 +19,18 @@
 //!   **delta arithmetic** for per-window rates, exported as JSON or
 //!   Prometheus text ([`snapshot`]).
 //! * [`Registry`] + [`MetricsSource`] — owned instruments plus pulled
-//!   sources ([`registry`]): the trees' and store's existing `stats()`
-//!   counters stay authoritative and are mirrored into the registry, so
-//!   one signal (say `store_snapshot_retries`) is readable via the legacy
-//!   struct, both exporters, and window deltas.
+//!   sources ([`registry`]): a structure reports its cells by name through
+//!   [`MetricsSource::collect_metrics`], the one way to read them. A
+//!   sample name (say `store_snapshot_retries`) is the API, readable
+//!   through both exporters, window deltas and [`MetricsSource::metrics`].
 //! * [`TraceRing`] — a bounded lock-free ring of typed, timestamped
 //!   anomaly events ([`trace`]): cheap enough to leave on, drainable as a
-//!   post-mortem timeline (the harness watchdog dumps it when workers
-//!   outlive the stop flag).
+//!   post-mortem timeline (the stuck-worker watchdog dumps it when
+//!   workers outlive the stop flag).
 //!
 //! The crate is a dependency leaf (it knows nothing about trees or
-//! stores), so every layer — `wft-core`, `wft-trie`, `wft-store`, the
-//! baselines and the workload harness — can depend on it without cycles.
+//! stores), so every layer — `wft-core`, `wft-store`, `wft-durable` and
+//! the baselines — can depend on it without cycles.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

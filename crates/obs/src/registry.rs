@@ -7,14 +7,15 @@
 //!   Get-or-create takes a lock once; the returned handle is then used
 //!   lock-free on the hot path. Snapshots read every registered
 //!   instrument.
-//! * **Pulled sources** — any structure that already keeps its own
-//!   counters (the trees' `TreeCounters`, the store's `StoreStats`)
-//!   implements [`MetricsSource`] and is attached with
+//! * **Pulled sources** — a structure that embeds its own cells (a tree's
+//!   `TreeCounters`, the store's front table, the durable layer's
+//!   instruments) implements [`MetricsSource`] and is attached with
 //!   [`Registry::register_source`]; [`Registry::snapshot`] polls it and
-//!   prefixes its sample names. This is how the pre-existing `stats()`
-//!   APIs stay the source of truth while gaining registry export — the
-//!   same `snapshot_retries` number is readable via `StoreStats`, the
-//!   JSON/Prometheus exporters, and per-window deltas.
+//!   prefixes its sample names. The cells are the only storage, and
+//!   [`MetricsSource::collect_metrics`] is the only way to read them, so
+//!   the sample name is the API: the same `store_snapshot_retries` reading
+//!   feeds the JSON/Prometheus exporters, per-window deltas and
+//!   [`MetricsSource::metrics`] in tests.
 
 use std::sync::{Arc, Mutex};
 
@@ -33,6 +34,14 @@ use crate::snapshot::MetricsSnapshot;
 pub trait MetricsSource: Send + Sync {
     /// Appends this structure's current metric readings to `out`.
     fn collect_metrics(&self, out: &mut MetricsSnapshot);
+
+    /// This structure's readings alone, as a fresh snapshot — read a
+    /// counter by name with `source.metrics().counter("tree_inserts")`.
+    fn metrics(&self) -> MetricsSnapshot {
+        let mut out = MetricsSnapshot::new();
+        self.collect_metrics(&mut out);
+        out
+    }
 }
 
 /// A named collection of live instruments and pulled sources.
@@ -178,6 +187,7 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.counter("store_events"), Some(5));
         assert_eq!(snap.counter("events"), Some(5));
+        assert_eq!(FixedSource.metrics().counter("events"), Some(5));
     }
 
     #[test]

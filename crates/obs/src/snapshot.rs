@@ -83,6 +83,23 @@ impl MetricsSnapshot {
         });
     }
 
+    /// Appends the counters of `parts` summed by name, each renamed
+    /// `{prefix}_{name}`: the fold of several same-shaped sources (a
+    /// store's shards) into one set of totals. Names keep their first-seen
+    /// order; gauges and histograms are not folded.
+    pub fn push_counter_sums(&mut self, prefix: &str, parts: &MetricsSnapshot) {
+        let mut sums: Vec<CounterSample> = Vec::new();
+        for c in &parts.counters {
+            match sums.iter_mut().find(|s| s.name == c.name) {
+                Some(sum) => sum.value += c.value,
+                None => sums.push(c.clone()),
+            }
+        }
+        for sum in sums {
+            self.push_counter(format!("{prefix}_{}", sum.name), sum.value);
+        }
+    }
+
     /// Value of the named counter, if present.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters

@@ -147,14 +147,15 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> TimestampFront for PersistentRange
     }
 }
 
-/// Minimal `wft-obs` surface for the baseline: the version sequence number
-/// (a monotone count of committed updates) and the current size. The
-/// baseline keeps no operational counters of its own.
+/// The baseline's `wft-obs` surface: the version sequence number (a
+/// monotone count of committed updates, one per successful CAS), the CAS
+/// races lost, and the current size.
 impl<K: Key, V: Value, A: Augmentation<K, V>> wft_obs::MetricsSource
     for PersistentRangeTree<K, V, A>
 {
     fn collect_metrics(&self, out: &mut wft_obs::MetricsSnapshot) {
         out.push_counter("persistent_versions", self.version_seq());
+        out.push_counter("persistent_cas_retries", self.cas_retries.value());
         out.push_gauge("persistent_len", PointMap::len(self) as i64);
     }
 }

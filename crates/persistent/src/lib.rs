@@ -25,4 +25,4 @@ pub mod api;
 pub mod treap;
 pub mod tree;
 
-pub use tree::{PersistentRangeTree, PersistentStats};
+pub use tree::PersistentRangeTree;

@@ -11,9 +11,9 @@
 //! paper's design avoids.
 
 use crossbeam_epoch::{Atomic, Guard, Owned};
-use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed};
 
+use wft_obs::Counter;
 use wft_seq::{Augmentation, Key, Size, Value};
 
 use crate::treap::{self, Link};
@@ -29,16 +29,6 @@ struct VersionCell<K: Key, V: Value, A: Augmentation<K, V>> {
     seq: u64,
 }
 
-/// Operational counters of the persistent baseline (useful for reporting CAS
-/// retry rates in the benchmark harness).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PersistentStats {
-    /// Successful update CAS installations.
-    pub committed_updates: u64,
-    /// Update attempts that lost the CAS race and had to retry.
-    pub cas_retries: u64,
-}
-
 /// A linearizable concurrent ordered set/map built from a persistent treap
 /// and a CAS-retry loop (lock-free universal construction).
 ///
@@ -46,12 +36,14 @@ pub struct PersistentStats {
 /// harness can swap the two implementations freely.
 pub struct PersistentRangeTree<K: Key, V: Value = (), A: Augmentation<K, V> = Size> {
     version: Atomic<VersionCell<K, V, A>>,
-    committed_updates: AtomicU64,
-    cas_retries: AtomicU64,
+    /// Update attempts that lost the CAS race and had to retry (reported
+    /// as `persistent_cas_retries`; committed updates are the version
+    /// sequence number, `persistent_versions`).
+    pub(crate) cas_retries: Counter,
 }
 
-// SAFETY: the shared state is the epoch-managed version pointer plus
-// counters; `K`, `V` and the aggregate are `Send + Sync` by bound, so the
+// SAFETY: the shared state is the epoch-managed version pointer plus a
+// counter; `K`, `V` and the aggregate are `Send + Sync` by bound, so the
 // tree moves across threads soundly.
 unsafe impl<K: Key, V: Value, A: Augmentation<K, V>> Send for PersistentRangeTree<K, V, A> {}
 // SAFETY: same argument as `Send` — shared access goes through the atomic
@@ -69,8 +61,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> PersistentRangeTree<K, V, A> {
     pub fn new() -> Self {
         PersistentRangeTree {
             version: Atomic::new(VersionCell { root: None, seq: 0 }),
-            committed_updates: AtomicU64::new(0),
-            cas_retries: AtomicU64::new(0),
+            cas_retries: Counter::new(),
         }
     }
 
@@ -82,8 +73,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> PersistentRangeTree<K, V, A> {
         let root = treap::from_sorted::<K, V, A>(&sorted);
         PersistentRangeTree {
             version: Atomic::new(VersionCell { root, seq: 0 }),
-            committed_updates: AtomicU64::new(0),
-            cas_retries: AtomicU64::new(0),
+            cas_retries: Counter::new(),
         }
     }
 
@@ -137,14 +127,13 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> PersistentRangeTree<K, V, A> {
                             // SAFETY: our CAS unlinked `current` (single winner per predecessor), so
                             // it is retired exactly once; readers hold epoch guards.
                             unsafe { guard.defer_destroy(current) };
-                            self.committed_updates.fetch_add(1, Relaxed);
                             return result;
                         }
                         Err(_) => {
                             // Another update won; retry from the new version
                             // (the whole path copy is recomputed — the cost
                             // the paper's related-work section points out).
-                            self.cas_retries.fetch_add(1, Relaxed);
+                            self.cas_retries.inc();
                         }
                     }
                 }
@@ -262,14 +251,6 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> PersistentRangeTree<K, V, A> {
         unsafe { cell.deref() }.seq
     }
 
-    /// CAS retry / commit counters.
-    pub fn stats(&self) -> PersistentStats {
-        PersistentStats {
-            committed_updates: self.committed_updates.load(Relaxed),
-            cas_retries: self.cas_retries.load(Relaxed),
-        }
-    }
-
     /// Validates the invariants of the current version (quiescent; tests
     /// only).
     pub fn check_invariants(&self) {
@@ -349,6 +330,8 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(tree.len(), (THREADS * PER_THREAD) as u64);
+        // Racing updates commit one version each, however many CASes lost.
+        assert_eq!(tree.version_seq(), (THREADS * PER_THREAD) as u64);
         assert_eq!(
             tree.count(i64::MIN, i64::MAX),
             (THREADS * PER_THREAD) as u64
@@ -383,12 +366,16 @@ mod tests {
 
     #[test]
     fn update_contention_is_counted() {
-        // Single-threaded updates never retry; the counter stays zero.
+        use wft_obs::MetricsSource;
+        // Single-threaded updates never retry; every committed update is
+        // one version, and an update with no effect commits none.
         let tree: PersistentRangeTree<i64> = PersistentRangeTree::new();
         for k in 0..100 {
             tree.insert(k, ());
         }
-        assert_eq!(tree.stats().cas_retries, 0);
-        assert_eq!(tree.stats().committed_updates, 100);
+        assert!(!tree.insert(7, ()));
+        let metrics = tree.metrics();
+        assert_eq!(metrics.counter("persistent_cas_retries"), Some(0));
+        assert_eq!(metrics.counter("persistent_versions"), Some(100));
     }
 }

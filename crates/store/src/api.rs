@@ -6,6 +6,8 @@
 //! two-phase pipeline (validation, shard grouping, optional cross-shard
 //! fan-out) rather than the serial helper single trees use.
 
+use std::sync::atomic::Ordering;
+
 use wft_api::{
     BatchApply, BatchError, OpOutcome, PatchFn, PointMap, RangeKey, RangeRead, RangeSpec,
     SnapshotRead, SnapshotToken, StoreOp, TimestampFront, UpdateOutcome,
@@ -147,7 +149,7 @@ where
     if store.advertised_sum() == token.front() && store.front.commit_unchanged(stamp) {
         Some(out)
     } else {
-        store.front.count_retry();
+        store.front.retries.inc();
         wft_obs::trace::emit(wft_obs::TraceKind::SnapshotRetry, wft_obs::NO_SHARD);
         None
     }
@@ -201,24 +203,25 @@ where
     }
 }
 
-/// Mirrors the store's observability surface into the `wft-obs` vocabulary:
-/// the snapshot-front counters ([`ShardedStore::store_stats`]) under the
-/// `store_` prefix, the cross-shard aggregated tree counters
-/// ([`ShardedStore::tree_stats`]) under `store_tree_`, and the shard
-/// topology as gauges. The legacy counter structs stay the source of truth;
-/// this impl reads the same atomics, so the two views can never drift.
-/// `store_len` is the stitched (cut-free) length — a metrics poll must not
-/// spin the cut machinery.
+/// Reports the store's front-table cells under the `store_` prefix, the
+/// shards' own tree samples folded by name under `store_tree_` (each
+/// `store_tree_*` is the sum of the shards' `tree_*`), and the shard
+/// topology as gauges. `store_len` is the stitched (cut-free) length — a
+/// metrics poll must not spin the cut machinery.
 impl<K: Key, V: Value, A: Augmentation<K, V>> wft_obs::MetricsSource for ShardedStore<K, V, A> {
     fn collect_metrics(&self, out: &mut wft_obs::MetricsSnapshot) {
-        let stats = self.store_stats();
-        out.push_counter("store_snapshot_acquires", stats.snapshot_acquires);
-        out.push_counter("store_snapshot_retries", stats.snapshot_retries);
-        out.push_counter("store_scan_resumes", stats.scan_resumes);
-        out.push_counter("store_len_fallbacks", stats.len_fallbacks);
-        out.push_counter("store_batch_commits", stats.batch_commits);
-        out.push_counter("store_commit_gate_waits", stats.commit_gate_waits);
-        self.tree_stats().collect_into("store_tree", out);
+        out.push_counter("store_snapshot_acquires", self.front.acquires.value());
+        out.push_counter("store_snapshot_retries", self.front.retries.value());
+        out.push_counter("store_scan_resumes", self.front.scan_resumes.value());
+        out.push_counter("store_len_fallbacks", self.front.len_fallbacks.value());
+        let commits_finished = self.front.commits_finished.load(Ordering::Relaxed);
+        out.push_counter("store_batch_commits", commits_finished);
+        out.push_counter("store_commit_gate_waits", self.front.gate_waits.value());
+        let mut shards = wft_obs::MetricsSnapshot::new();
+        for shard in &self.shards {
+            shard.collect_metrics(&mut shards);
+        }
+        out.push_counter_sums("store", &shards);
         out.push_gauge("store_shards", self.num_shards() as i64);
         out.push_gauge("store_len", self.stitched_len() as i64);
     }

@@ -46,9 +46,10 @@
 //! Acquisition is lock-free (settling helps the pending update), and a
 //! validation failure implies a concurrent update linearized — so the
 //! retry loop is lock-free but not wait-free: a sustained write storm on a
-//! touched shard can starve a cross-shard reader. [`StoreStats`] exposes the
-//! retry pressure; the non-linearizable pre-PR-4 behaviour remains available
-//! as the explicitly named `stitched_*` reads for comparison and benchmarks.
+//! touched shard can starve a cross-shard reader. The
+//! `store_snapshot_retries` metric exposes the retry pressure; the
+//! non-linearizable pre-PR-4 behaviour remains available as the explicitly
+//! named `stitched_*` reads for comparison and benchmarks.
 //!
 //! Atomic cross-shard **batch commits** add one more coupling on top of the
 //! cut: the per-shard commit gate documented on the crate-private
@@ -60,6 +61,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use wft_core::FrontMiss;
+use wft_obs::Counter;
 
 /// One settled watermark per shard: a cut through the store's per-shard
 /// linearization orders, acquired by
@@ -93,47 +95,10 @@ impl GlobalFront {
     }
 }
 
-/// Snapshot-front observability counters of a store.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Global-front acquisitions performed (one per cross-shard read
-    /// attempt plus explicit [`acquire_front`] calls).
-    ///
-    /// [`acquire_front`]: crate::ShardedStore::acquire_front
-    pub snapshot_acquires: u64,
-    /// Cross-shard read attempts discarded because a shard advanced past
-    /// its front mid-read (each implies a concurrent update linearized).
-    pub snapshot_retries: u64,
-    /// Streaming scan cursors that had to **re-anchor**: a chunk read found
-    /// a touched shard advanced past the cursor's cut, so the not-yet-
-    /// yielded suffix was re-read at a fresh front and the drain degraded
-    /// to `ScanConsistency::Resumed`. High values mean cursor pagination is
-    /// racing a write-heavy keyspace region.
-    pub scan_resumes: u64,
-    /// [`len()`](crate::ShardedStore::len) calls that exhausted their
-    /// bounded cut attempts
-    /// ([`LEN_CUT_ATTEMPTS`](crate::ShardedStore::LEN_CUT_ATTEMPTS)) and
-    /// answered with the stitched (non-single-cut) sum. Non-zero means
-    /// callers relying on `len()`'s linearizability received degraded
-    /// answers under write pressure — point them at
-    /// [`stitched_len()`](crate::ShardedStore::stitched_len) explicitly.
-    pub len_fallbacks: u64,
-    /// Atomic cross-shard batch commits completed through the
-    /// publish-at-front commit gate
-    /// ([`apply_batch`](crate::ShardedStore::apply_batch) calls that took
-    /// the gated path; single-op physical batches bypass it).
-    pub batch_commits: u64,
-    /// Point operations or cut acquisitions that found a commit window
-    /// open on a shard they touch and had to wait for its release (counted
-    /// once per blocked call, not per spin). High values mean large batch
-    /// commits are stalling the point paths — shrink the batches or spread
-    /// them over more shards.
-    pub commit_gate_waits: u64,
-}
-
 /// The store-internal front bookkeeping: the monotone published front
 /// table, the per-shard **commit gate** behind atomic cross-shard batches,
-/// plus the counters behind [`StoreStats`].
+/// plus the store's event counters (`wft_obs` cells, reported as
+/// `store_*` by the store's `MetricsSource` impl).
 ///
 /// # The commit gate
 ///
@@ -167,13 +132,20 @@ pub(crate) struct FrontTable {
     /// Commit windows ever opened (incremented before epoch acquisition).
     commits_started: AtomicU64,
     /// Commit windows fully released. `finished <= started` always;
-    /// equality means no commit is in flight.
-    commits_finished: AtomicU64,
-    acquires: AtomicU64,
-    retries: AtomicU64,
-    scan_resumes: AtomicU64,
-    len_fallbacks: AtomicU64,
-    gate_waits: AtomicU64,
+    /// equality means no commit is in flight (`store_batch_commits`).
+    pub(crate) commits_finished: AtomicU64,
+    /// Global-front acquisitions (`store_snapshot_acquires`).
+    pub(crate) acquires: Counter,
+    /// Cross-shard read attempts discarded by an expired cut
+    /// (`store_snapshot_retries`).
+    pub(crate) retries: Counter,
+    /// Scan cursors that re-anchored mid-drain (`store_scan_resumes`).
+    pub(crate) scan_resumes: Counter,
+    /// `len()` calls answered with the stitched sum (`store_len_fallbacks`).
+    pub(crate) len_fallbacks: Counter,
+    /// Calls that waited once for a commit window to close
+    /// (`store_commit_gate_waits`).
+    pub(crate) gate_waits: Counter,
 }
 
 /// Bounded-friendly wait: spin briefly, then yield the core — commit
@@ -213,11 +185,11 @@ impl FrontTable {
             writers: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             commits_started: AtomicU64::new(0),
             commits_finished: AtomicU64::new(0),
-            acquires: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            scan_resumes: AtomicU64::new(0),
-            len_fallbacks: AtomicU64::new(0),
-            gate_waits: AtomicU64::new(0),
+            acquires: Counter::new(),
+            retries: Counter::new(),
+            scan_resumes: Counter::new(),
+            len_fallbacks: Counter::new(),
+            gate_waits: Counter::new(),
         }
     }
 
@@ -286,7 +258,7 @@ impl FrontTable {
                 }
                 if !waited {
                     waited = true;
-                    self.count_gate_wait();
+                    self.gate_waits.inc();
                 }
                 gate_backoff(&mut spins);
             }
@@ -355,37 +327,6 @@ impl FrontTable {
             .map(|w| w.load(Ordering::SeqCst))
             .collect()
     }
-
-    pub(crate) fn count_acquire(&self) {
-        self.acquires.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_retry(&self) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_scan_resume(&self) {
-        self.scan_resumes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_len_fallback(&self) {
-        self.len_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_gate_wait(&self) {
-        self.gate_waits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn stats(&self) -> StoreStats {
-        StoreStats {
-            snapshot_acquires: self.acquires.load(Ordering::Relaxed),
-            snapshot_retries: self.retries.load(Ordering::Relaxed),
-            scan_resumes: self.scan_resumes.load(Ordering::Relaxed),
-            len_fallbacks: self.len_fallbacks.load(Ordering::Relaxed),
-            batch_commits: self.commits_finished.load(Ordering::Relaxed),
-            commit_gate_waits: self.gate_waits.load(Ordering::Relaxed),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -403,26 +344,28 @@ mod tests {
 
     #[test]
     fn stats_count_acquires_and_retries() {
-        let table = FrontTable::new(1);
-        table.count_acquire();
-        table.count_acquire();
-        table.count_retry();
-        table.count_scan_resume();
-        table.count_len_fallback();
-        table.count_gate_wait();
+        use wft_obs::MetricsSource;
+        let store: crate::ShardedStore<i64> = crate::ShardedStore::new();
+        let table = &store.front;
+        let cells = [
+            ("store_snapshot_acquires", &table.acquires),
+            ("store_snapshot_retries", &table.retries),
+            ("store_scan_resumes", &table.scan_resumes),
+            ("store_len_fallbacks", &table.len_fallbacks),
+            ("store_commit_gate_waits", &table.gate_waits),
+        ];
+        // A distinct amount per cell, so a sample reading the wrong cell
+        // shows up.
+        for (n, (_, cell)) in cells.iter().enumerate() {
+            cell.add(n as u64 + 1);
+        }
         table.begin_commit(&[0]);
         table.end_commit(&[0]);
-        assert_eq!(
-            table.stats(),
-            StoreStats {
-                snapshot_acquires: 2,
-                snapshot_retries: 1,
-                scan_resumes: 1,
-                len_fallbacks: 1,
-                batch_commits: 1,
-                commit_gate_waits: 1,
-            }
-        );
+        let metrics = store.metrics();
+        for (n, (name, _)) in cells.iter().enumerate() {
+            assert_eq!(metrics.counter(name), Some(n as u64 + 1), "{name}");
+        }
+        assert_eq!(metrics.counter("store_batch_commits"), Some(1));
     }
 
     #[test]

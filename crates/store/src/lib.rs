@@ -23,7 +23,7 @@
 //!   making them linearizable, and [`wft_api::SnapshotRead`] exposes
 //!   consistent multi-range snapshot reads on top. `len` takes the same
 //!   discipline with a bounded number of cut attempts, falling back to the
-//!   stitched sum (counted in [`StoreStats::len_fallbacks`]) under
+//!   stitched sum (counted in the `store_len_fallbacks` metric) under
 //!   sustained write traffic. The pre-front behaviour remains available as
 //!   the `stitched_*` reads.
 //! * [`StoreScanCursor`] — the store's native [`wft_api::RangeScan`] (see
@@ -64,7 +64,7 @@ mod op;
 pub mod scan;
 mod store;
 
-pub use front::{GlobalFront, StoreStats};
+pub use front::GlobalFront;
 pub use op::{BatchError, OpOutcome, StoreConfig, StoreOp};
 pub use scan::StoreScanCursor;
 pub use store::{split_keys_from_sample, BatchPlan, ShardedStore};

@@ -21,12 +21,10 @@
 //! * **Validate / resume**: a chunk read comes back empty-handed only when
 //!   its shard advanced past the cut (a shard that is merely busy is
 //!   re-read at the same cut, see `front::read_at_cut`). The cursor then
-//!   re-settles the watermarks of
-//!   the **not-yet-drained shards only** (fully drained shards are never
-//!   revisited — keyset pagination), degrades to
-//!   [`ScanConsistency::Resumed`], bumps
-//!   [`StoreStats::scan_resumes`](crate::StoreStats::scan_resumes) and
-//!   retries the failed shard. Writes to already-drained shards or to
+//!   re-settles the watermarks of the **not-yet-drained shards only**
+//!   (fully drained shards are never revisited — keyset pagination),
+//!   degrades to [`ScanConsistency::Resumed`], bumps the
+//!   `store_scan_resumes` metric and retries the failed shard. Writes to already-drained shards or to
 //!   shards outside the range never disturb the scan — and while nothing
 //!   has been yielded at all, an expiry re-acquires a whole fresh cut (and
 //!   token) instead of degrading, **rewinding the merge to the resume
@@ -211,7 +209,7 @@ where
                         // different cuts (documented in `wft_api::scan`).
                         let fresh = self.store.settle_touched_stable(shard, self.last_shard);
                         self.cut[shard..=self.last_shard].copy_from_slice(&fresh);
-                        self.store.front.count_scan_resume();
+                        self.store.front.scan_resumes.inc();
                         wft_obs::trace::emit(
                             wft_obs::TraceKind::ScanResume,
                             crate::store::shard_trace_arg(shard),
@@ -335,6 +333,7 @@ where
 mod tests {
     use super::*;
     use wft_api::RangeRead;
+    use wft_obs::MetricsSource;
 
     fn store_with_shards(shards: usize, keys: i64) -> ShardedStore<i64> {
         ShardedStore::from_entries((0..keys).map(|k| (k, ())), shards)
@@ -387,7 +386,7 @@ mod tests {
         let rest = cursor.drain(64);
         assert_eq!(rest.len(), (bounds[2] - bounds[0]) as usize);
         assert_eq!(cursor.consistency(), ScanConsistency::Snapshot);
-        assert_eq!(store.store_stats().scan_resumes, 0);
+        assert_eq!(store.metrics().counter("store_scan_resumes"), Some(0));
     }
 
     #[test]
@@ -403,7 +402,7 @@ mod tests {
         let rest = cursor.drain(64);
         assert_eq!(cursor.consistency(), ScanConsistency::Resumed);
         assert!(cursor.resumes() > 0);
-        assert!(store.store_stats().scan_resumes > 0);
+        assert!(store.metrics().counter("store_scan_resumes") > Some(0));
         let keys: Vec<i64> = rest.iter().map(|(k, ())| *k).collect();
         assert!(keys.contains(&1000), "the resumed suffix sees the insert");
         // Still strictly ascending and duplicate-free past the first chunk.

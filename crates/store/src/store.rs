@@ -55,10 +55,10 @@
 
 use std::thread;
 
-use wft_core::{Timestamp, TreeStats, WaitFreeTree};
+use wft_core::{Timestamp, WaitFreeTree};
 use wft_seq::{Augmentation, Key, Size, Value};
 
-use crate::front::{read_at_cut, FrontTable, GlobalFront, StoreStats};
+use crate::front::{read_at_cut, FrontTable, GlobalFront};
 use crate::op::{BatchError, OpOutcome, StoreConfig, StoreOp};
 
 /// A range-partitioned, wait-free-sharded concurrent ordered map with
@@ -315,7 +315,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
     /// [`LEN_CUT_ATTEMPTS`](Self::LEN_CUT_ATTEMPTS) expired cuts the read
     /// falls back to [`ShardedStore::stitched_len`] — still a sum of
     /// atomic per-shard lengths, just not one linearization point — and
-    /// records the degradation in [`StoreStats::len_fallbacks`]. Callers
+    /// records the degradation in `store_len_fallbacks`. Callers
     /// polling a length on a hot path (metrics, balance probes) should
     /// call `stitched_len()` directly and skip the cut machinery entirely.
     /// Single-shard stores skip the front (one tree's `len` is already a
@@ -338,7 +338,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
             }
             std::hint::spin_loop();
         }
-        self.front.count_len_fallback();
+        self.front.len_fallbacks.inc();
         wft_obs::trace::emit(wft_obs::TraceKind::LenFallback, wft_obs::NO_SHARD);
         self.stitched_len()
     }
@@ -380,7 +380,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
     /// front, reads every touched shard at it, and retries on a fresh front
     /// if any shard advanced mid-read (see [`crate::front`] for the
     /// argument and the progress guarantee; retries are counted in
-    /// [`StoreStats::snapshot_retries`]).
+    /// the `store_snapshot_retries` metric).
     pub fn range_agg(&self, min: K, max: K) -> A::Agg {
         if max < min {
             return A::identity();
@@ -545,11 +545,6 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
         self.front.published()
     }
 
-    /// Snapshot-front counters (acquisitions, retries).
-    pub fn store_stats(&self) -> StoreStats {
-        self.front.stats()
-    }
-
     /// Sum of the per-shard settled fronts — the store's *scalar* front for
     /// the blanket [`wft_api::SnapshotRead`] (see the `TimestampFront` impl
     /// in `crate::api`). Monotone, and unchanged iff no shard advanced.
@@ -577,7 +572,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
     /// owns its window) and the `*_stable` wrappers below may call it;
     /// every reader-facing acquisition goes through the stable variants.
     pub(crate) fn settle_touched(&self, first: usize, last: usize) -> Vec<u64> {
-        self.front.count_acquire();
+        self.front.acquires.inc();
         (first..=last)
             .map(|i| {
                 let f = self.shards[i].settle_front().get();
@@ -604,7 +599,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
     /// window sees none (all) of the batch — acquiring *during* the window
     /// was the only way to straddle it, and the sandwich excludes exactly
     /// that. Waits (bounded backoff) while a window is open on a touched
-    /// shard, counting one [`StoreStats::commit_gate_waits`] per blocked
+    /// shard, counting one `store_commit_gate_waits` per blocked
     /// call.
     pub(crate) fn settle_touched_stable(&self, first: usize, last: usize) -> Vec<u64> {
         let mut spins = 0u32;
@@ -623,7 +618,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
             }
             if !waited {
                 waited = true;
-                self.front.count_gate_wait();
+                self.front.gate_waits.inc();
                 wft_obs::trace::emit(wft_obs::TraceKind::CommitGateWait, wft_obs::NO_SHARD);
             }
             crate::front::gate_backoff(&mut spins);
@@ -638,7 +633,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
     /// that guarantees a committer's writer drain sees every writer that
     /// saw an open epoch (see [`crate::front`]'s gate invariant). A call
     /// that finds the window closed deregisters, backs off and retries,
-    /// counting one [`StoreStats::commit_gate_waits`].
+    /// counting one `store_commit_gate_waits`.
     pub(crate) fn gated_write<R>(&self, shard: usize, op: impl FnOnce() -> R) -> R {
         let mut op = Some(op);
         let mut spins = 0u32;
@@ -653,7 +648,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
             self.front.writer_exit(shard);
             if !waited {
                 waited = true;
-                self.front.count_gate_wait();
+                self.front.gate_waits.inc();
                 wft_obs::trace::emit(wft_obs::TraceKind::CommitGateWait, shard_trace_arg(shard));
             }
             crate::front::gate_backoff(&mut spins);
@@ -677,7 +672,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
             }
             if !waited {
                 waited = true;
-                self.front.count_gate_wait();
+                self.front.gate_waits.inc();
                 wft_obs::trace::emit(wft_obs::TraceKind::CommitGateWait, shard_trace_arg(shard));
             }
             crate::front::gate_backoff(&mut spins);
@@ -729,11 +724,11 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
     }
 
     /// Records one discarded cross-shard read attempt: bumps
-    /// [`StoreStats::snapshot_retries`] and traces **which shard** expired
+    /// `store_snapshot_retries` and traces **which shard** expired
     /// the cut ([`wft_obs::TraceKind::SnapshotRetry`]) — the per-shard
     /// attribution the scalar counter cannot carry.
     pub(crate) fn note_snapshot_retry(&self, shard: usize) {
-        self.front.count_retry();
+        self.front.retries.inc();
         wft_obs::trace::emit(wft_obs::TraceKind::SnapshotRetry, shard_trace_arg(shard));
     }
 
@@ -890,23 +885,6 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
         self.shards.iter().map(WaitFreeTree::len).collect()
     }
 
-    /// Per-shard operational statistics.
-    pub fn shard_stats(&self) -> Vec<TreeStats> {
-        self.shards.iter().map(WaitFreeTree::stats).collect()
-    }
-
-    /// The per-shard [`TreeStats`] summed into one store-wide view: total
-    /// descriptor traffic, fast-path hit/retry counts and rebuild work
-    /// across every shard. The per-shard breakdown remains available as
-    /// [`ShardedStore::shard_stats`].
-    pub fn tree_stats(&self) -> TreeStats {
-        let mut total = TreeStats::default();
-        for shard in &self.shards {
-            total.accumulate(&shard.stats());
-        }
-        total
-    }
-
     /// All entries in ascending key order. Callers must guarantee
     /// quiescence (no concurrent updates), like the underlying tree method.
     pub fn entries_quiescent(&self) -> Vec<(K, V)> {
@@ -1051,6 +1029,7 @@ fn equi_depth_split_keys<T, K: Key>(
 mod tests {
     use super::*;
     use crate::op::{BatchError, OpOutcome, StoreConfig, StoreOp};
+    use wft_obs::MetricsSource;
     use wft_seq::{Pair, Sum};
 
     fn store_with_shards(shards: usize, keys: i64) -> ShardedStore<i64> {
@@ -1265,13 +1244,12 @@ mod tests {
     #[test]
     fn published_fronts_and_counters_advance() {
         let store = store_with_shards(4, 400);
-        assert_eq!(store.store_stats().snapshot_acquires, 0);
+        assert_eq!(store.metrics().counter("store_snapshot_acquires"), Some(0));
         let before = store.shard_fronts();
         assert_eq!(before, vec![0; 4], "prefill does not occupy timestamps");
         store.insert(0, ()); // failed insert still linearizes on shard 0
         store.count(0, 399); // cross-shard: acquires a front
-        let stats = store.store_stats();
-        assert!(stats.snapshot_acquires >= 1);
+        assert!(store.metrics().counter("store_snapshot_acquires") >= Some(1));
         let after = store.shard_fronts();
         assert!(
             after[0] >= 1,
@@ -1285,8 +1263,8 @@ mod tests {
         let hi = store.boundaries()[0] - 1;
         assert_eq!(store.count(0, hi), hi as u64 + 1);
         assert_eq!(
-            store.store_stats().snapshot_acquires,
-            0,
+            store.metrics().counter("store_snapshot_acquires"),
+            Some(0),
             "a single-shard range needs no global front"
         );
     }
@@ -1305,7 +1283,8 @@ mod tests {
     #[test]
     fn single_classic_ops_bypass_the_gate_and_batches_take_it() {
         let store = store_with_shards(4, 100);
-        assert_eq!(store.store_stats().batch_commits, 0);
+        let commits = || store.metrics().counter("store_batch_commits").unwrap();
+        assert_eq!(commits(), 0);
         store
             .apply_batch(vec![StoreOp::Insert {
                 key: 500,
@@ -1313,7 +1292,7 @@ mod tests {
             }])
             .unwrap();
         assert_eq!(
-            store.store_stats().batch_commits,
+            commits(),
             0,
             "a lone classic op is already atomic and skips the commit gate"
         );
@@ -1326,11 +1305,11 @@ mod tests {
                 StoreOp::Remove { key: 3 },
             ])
             .unwrap();
-        assert_eq!(store.store_stats().batch_commits, 1);
+        assert_eq!(commits(), 1);
         // A lone transactional op also commits (its read-decide-write span
         // needs the writer drain).
         store.apply_batch(vec![StoreOp::Get { key: 501 }]).unwrap();
-        assert_eq!(store.store_stats().batch_commits, 2);
+        assert_eq!(commits(), 2);
     }
 
     #[test]
@@ -1394,7 +1373,7 @@ mod tests {
         assert_eq!(store.get(&5), Some(9));
         assert_eq!(store.patch(5, clear), None);
         assert!(!store.contains(&5));
-        assert!(store.store_stats().batch_commits >= 5);
+        assert!(store.metrics().counter("store_batch_commits") >= Some(5));
     }
 
     #[test]
@@ -1437,7 +1416,7 @@ mod tests {
                 );
             }
         });
-        assert!(store.store_stats().batch_commits >= 2001);
+        assert!(store.metrics().counter("store_batch_commits") >= Some(2001));
     }
 
     #[test]

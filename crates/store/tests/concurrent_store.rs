@@ -13,6 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use wft_api::{RangeScan, RangeSpec, ScanCursor};
+use wft_obs::MetricsSource;
 use wft_store::{ShardedStore, StoreConfig, StoreOp};
 
 const WRITERS: i64 = 4;
@@ -232,13 +233,13 @@ fn a_reader_expires_at_most_once_per_update() {
     for w in writers {
         w.join().unwrap();
     }
-    let stats = store.store_stats();
+    let metrics = store.metrics();
+    let resumes = metrics.counter("store_scan_resumes").unwrap();
+    let retries = metrics.counter("store_snapshot_retries").unwrap();
     assert!(drains > 0);
     assert!(
-        stats.scan_resumes + stats.snapshot_retries <= 2 * UPDATES_PER_WRITER,
-        "{} resumes + {} retries over {drains} read rounds against {} updates",
-        stats.scan_resumes,
-        stats.snapshot_retries,
+        resumes + retries <= 2 * UPDATES_PER_WRITER,
+        "{resumes} resumes + {retries} retries over {drains} read rounds against {} updates",
         2 * UPDATES_PER_WRITER
     );
     store.check_invariants();

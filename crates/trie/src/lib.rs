@@ -63,9 +63,9 @@ pub use tree::WaitFreeTrie;
 
 // The engine's vocabulary, so a trie user needs one import: the shape, the
 // key trait it routes on (under the name this crate has always used), the
-// configuration and what the reads and stats speak.
+// configuration and what the reads speak.
 pub use wft_core::{
-    FrontMiss, OpKind, Radix, RadixKey as TrieKey, ReadPath, Timestamp, TreeConfig, TreeStats,
+    FrontMiss, OpKind, Radix, RadixKey as TrieKey, ReadPath, Timestamp, TreeConfig,
 };
 
 // Re-export the augmentation vocabulary for convenience.

@@ -24,9 +24,9 @@ use wft_core::{Radix, Size, WaitFreeTree};
 /// Every constructor and method is the tree's: `new`, `with_config`,
 /// `from_entries`, `from_entries_with_config`, `insert`,
 /// `insert_or_replace`, `remove`, `get`, `contains`, `count`, `range_agg`,
-/// `collect_range`, the `*_at_front` reads, `stats`, `check_invariants`, and
-/// the `wft_api` trait family. Metrics are reported under the `trie_`
-/// prefix.
+/// `collect_range`, the `*_at_front` reads, `check_invariants`, and the
+/// `wft_api` trait family. Its `wft_obs::MetricsSource` impl reports under
+/// the `trie_` prefix.
 ///
 /// # Example
 ///
@@ -48,6 +48,7 @@ pub type WaitFreeTrie<K, V = (), A = Size> = WaitFreeTree<K, V, A, Radix>;
 mod tests {
     use super::*;
     use wft_core::{FrontMiss, ReadPath, TreeConfig};
+    use wft_obs::MetricsSource;
 
     #[test]
     fn empty_trie_properties() {
@@ -131,7 +132,7 @@ mod tests {
         assert_eq!(trie.insert_or_replace(5, 51), Some(50));
         assert_eq!(trie.len(), 1);
         assert_eq!(trie.get(&5), Some(51));
-        assert_eq!(trie.stats().replaces, 2);
+        assert_eq!(trie.metrics().counter("trie_replaces"), Some(2));
         // Replacing keeps the size augmentation consistent.
         assert_eq!(trie.count(0, 10), 1);
         trie.check_invariants();
@@ -172,10 +173,10 @@ mod tests {
         trie.insert(2, ());
         trie.remove(&1);
         trie.remove(&3);
-        let stats = trie.stats();
-        assert_eq!(stats.inserts, 2);
-        assert_eq!(stats.removes, 1);
-        assert_eq!(stats.failed_updates, 2);
+        let metrics = trie.metrics();
+        assert_eq!(metrics.counter("trie_inserts"), Some(2));
+        assert_eq!(metrics.counter("trie_removes"), Some(1));
+        assert_eq!(metrics.counter("trie_failed_updates"), Some(2));
         assert_eq!(trie.len(), 1);
     }
 
@@ -216,10 +217,13 @@ mod tests {
                 "collect [{min},{max}]"
             );
         }
-        let stats = fast.stats();
-        assert!(stats.fast_point_reads > 0);
-        assert!(stats.fast_range_hits > 0, "quiescent range reads validate");
-        assert_eq!(desc.stats().fast_point_reads, 0);
+        let metrics = fast.metrics();
+        assert!(metrics.counter("trie_fast_point_reads") > Some(0));
+        assert!(
+            metrics.counter("trie_fast_range_hits") > Some(0),
+            "quiescent range reads validate"
+        );
+        assert_eq!(desc.metrics().counter("trie_fast_point_reads"), Some(0));
         fast.check_invariants();
         desc.check_invariants();
     }

@@ -4,6 +4,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use wft_obs::MetricsSource;
 use wft_trie::WaitFreeTrie;
 
 /// Simple xorshift so the tests do not depend on `rand` ordering.
@@ -163,9 +164,10 @@ fn helping_counters_register_under_contention() {
     for h in handles {
         h.join().unwrap();
     }
-    let stats = trie.stats();
+    let metrics = trie.metrics();
+    let count = |name| metrics.counter(name).unwrap();
     assert_eq!(
-        stats.inserts - stats.removes,
+        count("trie_inserts") - count("trie_removes"),
         trie.len(),
         "successful updates must account for the final size"
     );

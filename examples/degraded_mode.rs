@@ -59,13 +59,12 @@ fn main() {
             .unwrap();
     }
     faulty.every(0, io::ErrorKind::Interrupted);
-    let stats = store.stats();
-    assert!(stats.io_retries > 0, "the drizzle really fired");
-    assert_eq!(stats.degraded, 0, "transient faults never degrade");
-    println!(
-        "healthy: 100 acknowledged writes, {} transient faults absorbed by retry",
-        stats.io_retries
-    );
+    let metrics = store.metrics();
+    let io_retries = metrics.counter("durable_io_retries").unwrap();
+    assert!(io_retries > 0, "the drizzle really fired");
+    let degraded = metrics.gauge("durable_degraded");
+    assert_eq!(degraded, Some(0), "transient faults never degrade");
+    println!("healthy: 100 acknowledged writes, {io_retries} transient faults absorbed by retry");
 
     // ---- 2. the disk dies -----------------------------------------------
     faulty.outage_now(io::ErrorKind::Other);
@@ -78,6 +77,7 @@ fn main() {
     assert!(matches!(err, DurableError::Degraded(_)));
     assert!(store.is_degraded());
     assert!(!store.is_halted(), "degraded is not dead");
+    assert_eq!(store.metrics().gauge("durable_degraded"), Some(1));
     println!("outage: write refused with `{err}`");
 
     // Reads keep serving the acknowledged prefix from memory.
@@ -113,13 +113,14 @@ fn main() {
             .apply_durable(vec![StoreOp::Insert { key: k, value: k }])
             .unwrap();
     }
-    let stats = store.stats();
-    assert_eq!(stats.degraded_entries, 1);
-    assert_eq!(stats.resumes, 1);
-    assert_eq!(stats.degraded, 0);
+    let metrics = store.metrics();
+    let degraded_entries = metrics.counter("durable_degraded_entries").unwrap();
+    let resumed = metrics.counter("durable_resumes").unwrap();
+    assert_eq!((degraded_entries, resumed), (1, 1));
+    assert_eq!(metrics.gauge("durable_degraded"), Some(0));
     println!(
-        "resumed: 20 more acknowledged writes; stats: {} degraded entry, {} resume",
-        stats.degraded_entries, stats.resumes
+        "resumed: 20 more acknowledged writes; metrics: {degraded_entries} degraded entry, \
+         {resumed} resume"
     );
 
     // The trace ring recorded the whole arc: retries, the degradation,

@@ -13,11 +13,11 @@
 //! * **window deltas**: a [`MetricsSnapshot`] taken before and after the
 //!   race, subtracted bucket-wise/counter-wise — per-measurement-window
 //!   arithmetic;
-//! * **one counter, three views**: `snapshot_retries` read through the
-//!   legacy `StoreStats` API, through the registry's snapshot, and as
-//!   per-shard-attributed `SnapshotRetry` events in the global
-//!   [`TraceRing`] timeline — all fed by the same atomics, so the views
-//!   cannot disagree;
+//! * **one counter, two views**: `store_snapshot_retries` read by name
+//!   from the registry's snapshot (the store's cells are the only storage
+//!   of the counter), and as per-shard-attributed `SnapshotRetry` events in
+//!   the global [`TraceRing`] timeline, emitted at the same sites that
+//!   bump the counter;
 //! * **exporters**: the same snapshot rendered as Prometheus text and
 //!   round-tripped through the JSON exporter.
 
@@ -110,28 +110,22 @@ fn main() {
     let writes: u64 = writers.into_iter().map(|h| h.join().unwrap()).sum();
     scanners.into_iter().for_each(|h| h.join().unwrap());
 
-    // -- one counter, three views ----------------------------------------
-    let stats = store.store_stats();
+    // -- one counter, two views ------------------------------------------
     let end = registry.snapshot();
-    assert_eq!(
-        end.counter("store_snapshot_retries"),
-        Some(stats.snapshot_retries),
-        "the registry view reads the same atomics as StoreStats"
-    );
+    let retries = end
+        .counter("store_snapshot_retries")
+        .expect("the store reports its front counters by name");
     let events = trace::global().drain();
     let traced_retries = events
         .iter()
         .filter(|e| e.kind == TraceKind::SnapshotRetry)
         .count() as u64;
     println!(
-        "snapshot_retries: {} (StoreStats) == {:?} (registry); {} in the trace ring \
-         (bounded buffer, so ≤ the counter)",
-        stats.snapshot_retries,
-        end.counter("store_snapshot_retries").unwrap(),
-        traced_retries,
+        "store_snapshot_retries: {retries} (registry); {traced_retries} in the trace ring \
+         (bounded buffer, so ≤ the counter)"
     );
     assert!(
-        traced_retries <= stats.snapshot_retries + trace::global().dropped(),
+        traced_retries <= retries + trace::global().dropped(),
         "trace events are a (possibly truncated) subset of the counted retries"
     );
 

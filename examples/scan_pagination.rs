@@ -99,20 +99,19 @@ fn main() {
         "a snapshot drain equals one collect_range"
     );
 
-    let stats = store.store_stats();
-    let shard_exits: u64 = store
-        .shard_stats()
-        .iter()
-        .map(|s| s.fast_range_early_exits)
-        .sum();
+    let metrics = store.metrics();
+    let resumes = metrics.counter("store_scan_resumes").unwrap();
+    let exits = metrics
+        .counter("store_tree_fast_range_early_exits")
+        .unwrap();
     println!("scan_pagination example");
     println!("  page size:                   {PAGE}");
     println!("  pages served:                {pages} ({drained_entries} entries)");
     println!(
         "  drains snapshot / resumed:   {snapshot_drains} / {resumed_drains} (under {writes} writes)"
     );
-    println!("  cursor resumes (store):      {}", stats.scan_resumes);
-    println!("  chunk early exits (shards):  {shard_exits}");
+    println!("  cursor resumes (store):      {resumes}");
+    println!("  chunk early exits (shards):  {exits}");
     println!("  final inventory size:        {}", listing.len());
     println!("ok: every page resumed exactly after the last, duplicates impossible");
 }

@@ -100,14 +100,16 @@ fn main() {
     ]);
     assert_eq!(final_counts, vec![PAIRS as u64, PAIRS as u64]);
 
-    let stats = store.store_stats();
+    let metrics = store.metrics();
+    let counter = |name| metrics.counter(name).unwrap();
     println!("snapshot_read example");
     println!("  pairs written:               {PAIRS}");
     println!("  snapshots taken:             {snapshots}");
     println!("  max observed imbalance:      {max_imbalance} (bounded by in-flight pairs)");
     println!(
         "  front acquires / retries:    {} / {}",
-        stats.snapshot_acquires, stats.snapshot_retries
+        counter("store_snapshot_acquires"),
+        counter("store_snapshot_retries")
     );
     println!(
         "  final debits / credits:      {} / {}",

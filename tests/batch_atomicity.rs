@@ -25,6 +25,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use proptest::prelude::*;
 
 use wait_free_range_trees::api::{RangeScan, RangeSpec, ScanConsistency, ScanCursor, SnapshotRead};
+use wait_free_range_trees::obs::MetricsSource;
 use wait_free_range_trees::{ShardedStore, StoreOp};
 
 /// Key universe the stripe spreads over. Large enough that the store's
@@ -181,5 +182,5 @@ fn stripe_is_uniform_through_repeated_scan_drains() {
             );
         }
     }
-    assert!(store.store_stats().batch_commits >= 64);
+    assert!(store.metrics().counter("store_batch_commits") >= Some(64));
 }

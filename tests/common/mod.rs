@@ -155,9 +155,7 @@ where
         PointMap::len(self)
     }
     fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut out = MetricsSnapshot::new();
-        MetricsSource::collect_metrics(self, &mut out);
-        out
+        MetricsSource::metrics(self)
     }
 }
 

@@ -405,13 +405,14 @@ fn concurrent_chaos_survives_outage_and_resume_cycles() {
         assert_eq!(PointMap::get(&*store, key), Some(*value), "key {key}");
     }
     assert_eq!(PointMap::len(&*store), acked.len() as u64);
-    let stats = store.stats();
+    let metrics = store.metrics();
     assert_eq!(
-        stats.degraded_entries, cycles,
+        metrics.counter("durable_degraded_entries"),
+        Some(cycles),
         "one entry per induced outage"
     );
-    assert_eq!(stats.resumes, cycles);
-    assert_eq!(stats.degraded, 0);
+    assert_eq!(metrics.counter("durable_resumes"), Some(cycles));
+    assert_eq!(metrics.gauge("durable_degraded"), Some(0));
     store.shutdown();
     drop(store);
 

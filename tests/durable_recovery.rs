@@ -668,13 +668,16 @@ fn online_checkpoints_under_concurrent_writers_lose_nothing() {
         assert!(PointMap::insert(&*store, -1, -1).is_applied());
         assert!(PointMap::insert(&*store, -2, -2).is_applied());
         survivor_entries = store.store().entries_quiescent();
-        let stats = store.stats();
-        assert_eq!(stats.checkpoints, 4);
-        assert_eq!(stats.wal_appends, 4 * 300 + 2);
+        let metrics = store.metrics();
+        let counter = |name| metrics.counter(name).unwrap();
+        let fsyncs = counter("durable_wal_fsyncs");
+        assert_eq!(counter("durable_checkpoints"), 4);
+        assert_eq!(counter("durable_wal_appends"), 4 * 300 + 2);
         // Group commit under the four writers: one fsync per flushed group,
         // so a commit never pays more than one.
-        assert!(stats.wal_fsyncs <= stats.wal_appends);
-        assert_eq!(stats.group_size.count, stats.wal_fsyncs);
+        assert!(fsyncs <= counter("durable_wal_appends"));
+        let groups = metrics.histogram("durable_group_size").unwrap();
+        assert_eq!(groups.count, fsyncs);
         store.shutdown();
     }
 

@@ -98,7 +98,9 @@ fn assert_limited<S: Shape<i64>>(
     limit: usize,
 ) {
     let want = listing(oracle, lo, hi);
-    let exits_before = tree.stats().fast_range_early_exits;
+    let exits_name = format!("{}_fast_range_early_exits", S::METRIC_PREFIX);
+    let early_exits = || tree.metrics().counter(&exits_name).unwrap();
+    let exits_before = early_exits();
     let got = tree.collect_range_limited(lo, hi, limit);
     assert_eq!(got, want[..limit.min(want.len())], "limited [{lo}, {hi}]");
     if tree.config().read_path == ReadPath::Fast && want.len() > limit {
@@ -107,7 +109,7 @@ fn assert_limited<S: Shape<i64>>(
             "a bitten limit yields a strict prefix"
         );
         assert_eq!(
-            tree.stats().fast_range_early_exits,
+            early_exits(),
             exits_before + 1,
             "limit {limit} cut [{lo}, {hi}] short of {} entries without an early exit",
             want.len()
@@ -388,7 +390,10 @@ fn heavy_rebuilds_on_two_runs_preserve_contents() {
     for h in handles {
         expected.extend(h.join().unwrap());
     }
-    assert!(tree.stats().rebuilds > 0, "rebuild factor 0.5 must rebuild");
+    assert!(
+        tree.metrics().counter("tree_rebuilds") > Some(0),
+        "rebuild factor 0.5 must rebuild"
+    );
     assert_eq!(
         tree.entries_quiescent(),
         expected.into_iter().collect::<Vec<_>>()

@@ -13,7 +13,12 @@
 //!   concurrent `inc`/`record` sums come out exactly, not approximately;
 //! * the [`TraceRing`] keeps exactly the most recent `capacity` events
 //!   across wrap-around, with contiguous sequence numbers and an exact
-//!   dropped-event count.
+//!   dropped-event count;
+//! * every backend's metric names are pinned: a name is the only way to
+//!   read a counter, and a reader that looks one up with
+//!   `counter(name).unwrap_or(0)` silently reads 0 after a rename;
+//! * the store's `store_tree_*` counters are the sums of its shards'
+//!   `tree_*` counters.
 
 use std::sync::Arc;
 use std::thread;
@@ -21,10 +26,12 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
+use wait_free_range_trees::durable::{DurableStore, ScratchDir};
 use wait_free_range_trees::obs::hist::LINEAR_MAX;
 use wait_free_range_trees::obs::trace::{TraceKind, TraceRing};
-use wait_free_range_trees::obs::{Counter, Gauge, MetricsSnapshot, Registry};
-use wait_free_range_trees::prelude::LatencyHistogram;
+use wait_free_range_trees::obs::{Counter, Gauge, MetricsSnapshot, MetricsSource, Registry};
+use wait_free_range_trees::persistent::PersistentRangeTree;
+use wait_free_range_trees::prelude::{LatencyHistogram, ShardedStore, WaitFreeTree, WaitFreeTrie};
 
 /// The oracle the histogram approximates: the rank-`ceil(p * n)` element of
 /// the sorted recordings (matching `HistogramSnapshot::quantile`'s rank
@@ -268,4 +275,113 @@ fn trace_ring_survives_concurrent_emitters() {
         events.windows(2).all(|w| w[1].seq == w[0].seq + 1),
         "a quiescent drain sees a contiguous suffix"
     );
+}
+
+/// The tree's counter names, without the shape prefix.
+const TREE: &str = "failed_updates fast_point_reads fast_range_early_exits fast_range_hits \
+    fast_range_retries helped_executions inserts range_fallbacks rebuilds rebuilds_lost \
+    rebuilt_items removes replaces";
+/// The store's own counter names, without the `store_` prefix.
+const STORE: &str = "batch_commits commit_gate_waits len_fallbacks scan_resumes \
+    snapshot_acquires snapshot_retries";
+/// The durable layer's counter names, without the `durable_` prefix.
+const DURABLE: &str = "auto_checkpoints checkpoints degraded_entries io_retries \
+    recovery_replayed_ops recovery_replayed_records resumes segments_truncated wal_appends \
+    wal_bytes wal_fsyncs wal_rotations wal_stalls";
+
+/// Every sample `source` reports, as sorted `kind name` lines.
+fn names(source: &dyn MetricsSource) -> Vec<String> {
+    let m = source.metrics();
+    let mut names: Vec<String> = (m.counters.iter().map(|c| format!("counter {}", c.name)))
+        .chain(m.gauges.iter().map(|g| format!("gauge {}", g.name)))
+        .chain(m.histograms.iter().map(|h| format!("histogram {}", h.name)))
+        .collect();
+    names.sort();
+    names
+}
+
+/// `kind {prefix}{name}` for each name in the whitespace-separated `names`.
+fn expect(kind: &str, prefix: &str, names: &str) -> Vec<String> {
+    let names = names.split_whitespace();
+    names.map(|n| format!("{kind} {prefix}{n}")).collect()
+}
+
+#[test]
+fn metric_names_are_a_contract() {
+    let tree = |p: &str| [expect("counter", p, TREE), expect("gauge", p, "len")].concat();
+    let store = [
+        expect("counter", "store_", STORE),
+        expect("counter", "store_tree_", TREE),
+        expect("gauge", "store_", "len shards"),
+    ]
+    .concat();
+    let durable_levels = "degraded recovered_through seq_applied seq_durable";
+    let durable_histograms = "checkpoint_duration_ns commit_latency_ns group_size";
+    let durable = [
+        expect("counter", "durable_", DURABLE),
+        expect("gauge", "durable_", durable_levels),
+        expect("histogram", "durable_", durable_histograms),
+        store.clone(),
+    ]
+    .concat();
+    let persistent = [
+        expect("counter", "persistent_", "cas_retries versions"),
+        expect("gauge", "persistent_", "len"),
+    ]
+    .concat();
+
+    let dir = ScratchDir::new("metric-names");
+    let durable_store = DurableStore::<i64>::open(dir.path()).unwrap();
+    let sharded = ShardedStore::<i64>::with_boundaries(vec![0]);
+    let sources: [(&dyn MetricsSource, Vec<String>); 5] = [
+        (&WaitFreeTree::<i64>::new(), tree("tree_")),
+        (&WaitFreeTrie::<i64>::new(), tree("trie_")),
+        (&sharded, store),
+        (&durable_store, durable),
+        (&PersistentRangeTree::<i64>::new(), persistent),
+    ];
+    for (source, mut want) in sources {
+        want.sort();
+        assert_eq!(names(source), want);
+    }
+}
+
+#[test]
+fn store_tree_counters_are_the_sums_of_the_shards() {
+    // One single-threaded op sequence, run on a four-shard store and, routed
+    // by `shard_of`, on four standalone trees: each store op is one op on
+    // the owning shard, so the shards count what the standalone trees count.
+    let store: ShardedStore<i64> = ShardedStore::with_boundaries(vec![100, 200, 300]);
+    let trees: Vec<WaitFreeTree<i64>> = (0..4).map(|_| WaitFreeTree::new()).collect();
+    // Ascending inserts first, so every shard rebuilds.
+    let ops = (0..400).map(|key| (0, key));
+    for (op, key) in ops.chain((0..4_000).map(|i| (i % 6, i * 7_919 % 400))) {
+        let tree = &trees[store.shard_of(&key)];
+        let hi = key - key % 100 + 99; // a range inside the key's shard
+        match op {
+            0 | 1 => assert_eq!(store.insert(key, ()), tree.insert(key, ())),
+            2 => assert_eq!(
+                store.insert_or_replace(key, ()),
+                tree.insert_or_replace(key, ())
+            ),
+            3 => assert_eq!(store.remove(&key), tree.remove(&key)),
+            4 => assert_eq!(store.contains(&key), tree.contains(&key)),
+            _ => assert_eq!(store.count(key, hi), tree.count(key, hi)),
+        }
+    }
+    let folded = store.metrics();
+    let per_tree: Vec<MetricsSnapshot> = trees.iter().map(|t| t.metrics()).collect();
+    for name in TREE.split_whitespace() {
+        let shards = per_tree.iter().map(|m| m.counter(&format!("tree_{name}")));
+        let sum = shards.map(Option::unwrap).sum::<u64>();
+        let store_name = format!("store_tree_{name}");
+        assert_eq!(folded.counter(&store_name), Some(sum), "{name}");
+    }
+    // Every shard saw the traffic: the sums are neither 0 = 0 nor one
+    // shard's reading.
+    for name in ["inserts", "removes", "rebuilds", "fast_range_hits"] {
+        let name = format!("tree_{name}");
+        let every_shard = per_tree.iter().all(|m| m.counter(&name) > Some(0));
+        assert!(every_shard, "{name}");
+    }
 }

@@ -218,9 +218,10 @@ fn fast_range_reads_are_monotone_during_inserts() {
     }
     done.store(true, Ordering::Relaxed);
     reader.join().unwrap();
-    let stats = tree.stats();
+    let metrics = tree.metrics();
+    let counter = |name| metrics.counter(name).unwrap();
     assert!(
-        stats.fast_range_hits + stats.range_fallbacks > 0,
+        counter("tree_fast_range_hits") + counter("tree_range_fallbacks") > 0,
         "the reader must have exercised the fast path dispatch"
     );
     assert_eq!(

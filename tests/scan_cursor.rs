@@ -248,8 +248,8 @@ fn pre_yield_writes_refresh_the_token_instead_of_degrading() {
     assert_eq!(drained.len(), 401);
     assert_eq!(drained.first(), Some(&(-100, ())));
     assert_eq!(
-        store.store_stats().scan_resumes,
-        0,
+        store.metrics().counter("store_scan_resumes"),
+        Some(0),
         "a pre-yield re-anchor is not a resume"
     );
     assert_eq!(
@@ -304,25 +304,25 @@ fn limited_collect_early_exit_is_observable() {
     let chunk = tree.collect_range_limited(0, 9_999, 100);
     assert_eq!(chunk.len(), 100);
     assert_eq!(chunk.last(), Some(&(99, ())));
-    let stats = tree.stats();
+    let early_exits = || tree.metrics().counter("tree_fast_range_early_exits");
     assert!(
-        stats.fast_range_early_exits >= 1,
-        "a 100-of-10000 chunk must early-exit, got {stats:?}"
+        early_exits() >= Some(1),
+        "a 100-of-10000 chunk must early-exit"
     );
     // An unlimited collect never early-exits.
-    let before = tree.stats().fast_range_early_exits;
+    let before = early_exits();
     assert_eq!(tree.collect_range(0, 9_999).len(), 10_000);
-    assert_eq!(tree.stats().fast_range_early_exits, before);
+    assert_eq!(early_exits(), before);
 
     let trie: WaitFreeTrie<u64> = WaitFreeTrie::from_entries((0..10_000u64).map(|k| (k, ())));
     let chunk = trie.collect_range_limited(0, 9_999, 100);
     assert_eq!(chunk.len(), 100);
-    assert!(trie.stats().fast_range_early_exits >= 1);
+    assert!(trie.metrics().counter("trie_fast_range_early_exits") >= Some(1));
 
     // Paging through the tree via the cursor keeps early-exiting.
     let mut cursor = tree.scan(RangeSpec::all());
     while !cursor.next_chunk(256).is_empty() {}
-    assert!(tree.stats().fast_range_early_exits > before);
+    assert!(early_exits() > before);
 }
 
 /// Striped concurrent writers + paginating readers on the store: every
@@ -423,10 +423,11 @@ fn store_len_rides_the_front() {
         Arc::new(ShardedStore::from_entries((0..100).map(|k| (k, ())), 4));
     assert_eq!(store.len(), 100);
     assert_eq!(store.stitched_len(), 100);
-    let acquires_before = store.store_stats().snapshot_acquires;
+    let acquires = || store.metrics().counter("store_snapshot_acquires").unwrap();
+    let acquires_before = acquires();
     store.len();
     assert!(
-        store.store_stats().snapshot_acquires > acquires_before,
+        acquires() > acquires_before,
         "a multi-shard len acquires a front cut"
     );
 
