@@ -154,7 +154,9 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> TimestampFront
 /// Reports the tree's event cells (`TreeCounters`) plus its size under the
 /// shape's prefix (`tree_` for [`crate::Balanced`], `trie_` for
 /// [`crate::Radix`]). The cells are the only storage of these counters and
-/// this impl is the only way to read them.
+/// this impl is the only way to read them. `epoch_pooled_blocks`, unprefixed,
+/// is process-wide: the blocks the epoch shim keeps for reuse, over all
+/// threads.
 impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> wft_obs::MetricsSource
     for WaitFreeTree<K, V, A, S>
 {
@@ -183,6 +185,10 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> wft_obs::MetricsSourc
             c.fast_range_early_exits.value(),
         );
         out.push_gauge(format!("{p}_len"), self.len() as i64);
+        out.push_gauge(
+            "epoch_pooled_blocks",
+            crossbeam_epoch::pooled_blocks() as i64,
+        );
     }
 }
 

@@ -144,11 +144,10 @@ impl<T> TsQueue<T> {
     /// descriptor with timestamp `ts`, so timestamps still arrive in strictly
     /// increasing order and Theorem 1 is preserved.
     pub fn push_if(&self, ts: Timestamp, item: T, guard: &Guard) -> bool {
-        let mut new = Owned::new(QNode {
-            ts,
-            item: Some(item),
-            next: Atomic::null(),
-        });
+        // Boxed on the first attempt at the link CAS, not before: a helper
+        // that finds the item already pushed allocates nothing.
+        let mut item = Some(item);
+        let mut new: Option<Owned<QNode<T>>> = None;
         loop {
             // ORDERING: Acquire pairs with the Release tail CASes, so `tail_ref.ts`
             // below reads a fully initialised node.
@@ -158,8 +157,8 @@ impl<T> TsQueue<T> {
             let tail_ref = unsafe { tail.deref() };
             if tail_ref.ts >= ts {
                 // Already inserted by another helper (or pre-dates this
-                // queue's watermark). `new` is dropped here, releasing its
-                // handle clone.
+                // queue's watermark). The item (or `new`, holding it) is
+                // dropped here, releasing its handle clone.
                 return false;
             }
             // ORDERING: Acquire pairs with the Release link CAS below.
@@ -171,11 +170,18 @@ impl<T> TsQueue<T> {
                     .compare_exchange(tail, next, Release, Relaxed, guard);
                 continue;
             }
+            let node = new.take().unwrap_or_else(|| {
+                Owned::new(QNode {
+                    ts,
+                    item: item.take(),
+                    next: Atomic::null(),
+                })
+            });
             // ORDERING: success Release publishes the initialised node to every
             // Acquire load of this link; failure only retries (Relaxed).
             match tail_ref
                 .next
-                .compare_exchange(Shared::null(), new, Release, Relaxed, guard)
+                .compare_exchange(Shared::null(), node, Release, Relaxed, guard)
             {
                 Ok(appended) => {
                     // ORDERING: Release publishes the new tail; the race loser is ignored.
@@ -185,7 +191,7 @@ impl<T> TsQueue<T> {
                     return true;
                 }
                 Err(e) => {
-                    new = e.new;
+                    new = Some(e.new);
                 }
             }
         }

@@ -207,7 +207,8 @@ where
 /// shards' own tree samples folded by name under `store_tree_` (each
 /// `store_tree_*` is the sum of the shards' `tree_*`), and the shard
 /// topology as gauges. `store_len` is the stitched (cut-free) length — a
-/// metrics poll must not spin the cut machinery.
+/// metrics poll must not spin the cut machinery. `epoch_pooled_blocks` is
+/// process-wide, so it is reported once, not summed over the shards.
 impl<K: Key, V: Value, A: Augmentation<K, V>> wft_obs::MetricsSource for ShardedStore<K, V, A> {
     fn collect_metrics(&self, out: &mut wft_obs::MetricsSnapshot) {
         out.push_counter("store_snapshot_acquires", self.front.acquires.value());
@@ -224,6 +225,10 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> wft_obs::MetricsSource for Sharded
         out.push_counter_sums("store", &shards);
         out.push_gauge("store_shards", self.num_shards() as i64);
         out.push_gauge("store_len", self.stitched_len() as i64);
+        out.push_gauge(
+            "epoch_pooled_blocks",
+            crossbeam_epoch::pooled_blocks() as i64,
+        );
     }
 }
 

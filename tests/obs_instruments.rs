@@ -18,7 +18,9 @@
 //!   read a counter, and a reader that looks one up with
 //!   `counter(name).unwrap_or(0)` silently reads 0 after a rename;
 //! * the store's `store_tree_*` counters are the sums of its shards'
-//!   `tree_*` counters.
+//!   `tree_*` counters;
+//! * `epoch_pooled_blocks` sees the blocks the epoch shim keeps for reuse
+//!   in the pools of live updater threads.
 
 use std::sync::Arc;
 use std::thread;
@@ -308,11 +310,18 @@ fn expect(kind: &str, prefix: &str, names: &str) -> Vec<String> {
 
 #[test]
 fn metric_names_are_a_contract() {
-    let tree = |p: &str| [expect("counter", p, TREE), expect("gauge", p, "len")].concat();
+    // The epoch shim's pool is process-wide: one unprefixed gauge, reported
+    // by every tree and once by a store.
+    let pool = || expect("gauge", "", "epoch_pooled_blocks");
+    let tree = |p: &str| {
+        let len = expect("gauge", p, "len");
+        [expect("counter", p, TREE), len, pool()].concat()
+    };
     let store = [
         expect("counter", "store_", STORE),
         expect("counter", "store_tree_", TREE),
         expect("gauge", "store_", "len shards"),
+        pool(),
     ]
     .concat();
     let durable_levels = "degraded recovered_through seq_applied seq_durable";
@@ -384,4 +393,46 @@ fn store_tree_counters_are_the_sums_of_the_shards() {
         let every_shard = per_tree.iter().all(|m| m.counter(&name) > Some(0));
         assert!(every_shard, "{name}");
     }
+}
+
+#[test]
+fn epoch_pool_gauge_sees_the_updaters_pools() {
+    const UPDATERS: usize = 2;
+    let tree: Arc<WaitFreeTree<i64>> =
+        Arc::new(WaitFreeTree::from_entries((0..4_096).map(|k| (k, ()))));
+    let done = Arc::new(std::sync::Barrier::new(UPDATERS + 1));
+    let read = Arc::new(std::sync::Barrier::new(UPDATERS + 1));
+    let updaters: Vec<_> = (0..UPDATERS as i64)
+        .map(|t| {
+            let (tree, done, read) = (Arc::clone(&tree), Arc::clone(&done), Arc::clone(&read));
+            thread::spawn(move || {
+                for i in 0..20_000 {
+                    let key = (i * 7_919 + t) % 8_192;
+                    if i % 2 == 0 {
+                        tree.insert(key, ());
+                    } else {
+                        tree.remove(&key);
+                    }
+                }
+                // Three flushes reclaim the thread's last bags into its pool.
+                for _ in 0..3 {
+                    crossbeam_epoch::pin().flush();
+                }
+                let pooled = crossbeam_epoch::thread_pooled_blocks();
+                done.wait();
+                read.wait();
+                pooled
+            })
+        })
+        .collect();
+    done.wait();
+    let gauge = tree.metrics().gauge("epoch_pooled_blocks").unwrap();
+    read.wait();
+    let pooled: usize = updaters.into_iter().map(|u| u.join().unwrap()).sum();
+    assert!(
+        pooled > 0,
+        "20 000 updates per thread left nothing to reuse"
+    );
+    // Other tests of this binary may keep pools of their own.
+    assert!(gauge >= pooled as i64, "gauge {gauge} < {pooled} pooled");
 }
