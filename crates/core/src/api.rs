@@ -20,7 +20,15 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> PointMap<K, V>
     for WaitFreeTree<K, V, A, S>
 {
     fn insert(&self, key: K, value: V) -> UpdateOutcome<V> {
-        let (op, _ts) = self.run_operation(crate::OpKind::Insert { key, value });
+        // One load answers a failing insert and its current value together.
+        let present =
+            |index: &wft_queue::PresenceIndex<K, V>, guard: &_| index.read_value(&key, guard);
+        if let Some(current) = self.fails_at_presence_load(present) {
+            return UpdateOutcome::Unchanged {
+                current: Some(current),
+            };
+        }
+        let op = self.run_operation(crate::OpKind::Insert { key, value });
         let decision = op.resolved_decision();
         if decision.success {
             UpdateOutcome::Applied { prior: None }
@@ -38,7 +46,10 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> PointMap<K, V>
     }
 
     fn remove(&self, key: &K) -> UpdateOutcome<V> {
-        let (op, _ts) = self.run_operation(crate::OpKind::Remove { key: *key });
+        if self.fails_fast(key, false) {
+            return UpdateOutcome::Unchanged { current: None };
+        }
+        let op = self.run_operation(crate::OpKind::Remove { key: *key });
         let decision = op.resolved_decision();
         if decision.success {
             UpdateOutcome::Applied {
@@ -166,6 +177,10 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> wft_obs::MetricsSourc
         out.push_counter(format!("{p}_replaces"), c.replaces.value());
         out.push_counter(format!("{p}_removes"), c.removes.value());
         out.push_counter(format!("{p}_failed_updates"), c.failed_updates.value());
+        out.push_counter(
+            format!("{p}_fast_failed_updates"),
+            c.fast_failed_updates.value(),
+        );
         out.push_counter(
             format!("{p}_helped_executions"),
             c.helped_executions.value(),

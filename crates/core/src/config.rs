@@ -89,6 +89,9 @@ pub(crate) struct TreeCounters {
     pub(crate) removes: Counter,
     /// Update operations whose decision was "no effect".
     pub(crate) failed_updates: Counter,
+    /// The part of `failed_updates` decided at one presence-index load,
+    /// without a descriptor ([`ReadPath::Fast`] only).
+    pub(crate) fast_failed_updates: Counter,
     /// Descriptors executed in nodes on behalf of *other* operations
     /// (hand-over-hand helping events).
     pub(crate) helped_executions: Counter,
@@ -158,6 +161,7 @@ mod tests {
             ("replaces", &c.replaces),
             ("removes", &c.removes),
             ("failed_updates", &c.failed_updates),
+            ("fast_failed_updates", &c.fast_failed_updates),
             ("helped_executions", &c.helped_executions),
             ("rebuilds", &c.rebuilds),
             ("rebuilt_items", &c.rebuilt_items),

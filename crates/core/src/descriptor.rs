@@ -14,21 +14,137 @@
 //!   query applies at a node,
 //! * the `Traverse` queue of nodes the initiator still has to visit.
 //!
-//! Descriptors are reference-counted (`Arc`); queues hold clones of the
-//! handle, so a descriptor lives until the last queue node referencing it is
-//! reclaimed.
+//! Descriptors are epoch records: `OwnedOp::new` takes one from the epoch
+//! shim's pool (`Owned::new`), and queues and announce records hold a plain
+//! [`OpRef`] pointer to it, copied without a reference count. The initiator
+//! owns the descriptor and retires it through `defer_destroy` when its
+//! `OwnedOp` drops, after the result is assembled. That is safe because
+//! by then the operation has left every queue it entered and no thread can
+//! newly obtain the pointer; DESIGN.md § "What one operation allocates"
+//! gives the argument.
 
-use std::sync::Arc;
+use std::ptr::NonNull;
 use std::sync::OnceLock;
 
+use crossbeam_epoch::{Guard, Owned, Shared};
 use wft_queue::{Decision, FirstWriteMap, TraverseQueue};
 use wft_seq::{Augmentation, Key, Value};
 
 use crate::node::{Node, NodeId};
 use crate::shape::{Balanced, Shape};
 
-/// Shared handle to a descriptor.
-pub type OpRef<K, V, A, S = Balanced> = Arc<Descriptor<K, V, A, S>>;
+/// A plain pointer to a descriptor: what the root queue, the node queues
+/// and the wait-free root queue's announce records hold. Copying one costs
+/// nothing; reading through one takes a guard ([`OpRef::deref`]).
+pub struct OpRef<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K> = Balanced>(
+    NonNull<Descriptor<K, V, A, S>>,
+);
+
+// Manual Clone/Copy: the derived impls would demand `K: Copy, V: Copy`.
+impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> Clone for OpRef<K, V, A, S> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> Copy for OpRef<K, V, A, S> {}
+
+// SAFETY: an `OpRef` is a pointer to a `Descriptor`, which is `Send + Sync`
+// (its shared-mutable parts are atomics, `OnceLock`s and first-write maps);
+// moving the pointer to another thread only lets that thread read the
+// descriptor through `deref`, under its own guard.
+unsafe impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> Send for OpRef<K, V, A, S> where
+    Descriptor<K, V, A, S>: Send + Sync
+{
+}
+// SAFETY: as for `Send` — sharing the pointer shares only `&Descriptor`,
+// and the descriptor is `Sync`.
+unsafe impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> Sync for OpRef<K, V, A, S> where
+    Descriptor<K, V, A, S>: Send + Sync
+{
+}
+
+impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> OpRef<K, V, A, S> {
+    /// The pointer to a descriptor already borrowed, for handing it on to
+    /// a queue.
+    pub(crate) fn from_ref(op: &Descriptor<K, V, A, S>) -> Self {
+        OpRef(NonNull::from(op))
+    }
+
+    /// The descriptor, for as long as `guard` lives.
+    ///
+    /// # Safety
+    ///
+    /// `guard` must have been pinned before the descriptor was retired. That
+    /// holds for a pointer peeked from a queue under `guard`: the descriptor
+    /// is retired only after its operation left every queue. A pointer
+    /// copied out of an announce record may already be retired; it only
+    /// goes to `push_if`, which rejects it unread.
+    pub unsafe fn deref(self, _guard: &Guard) -> &Descriptor<K, V, A, S> {
+        // SAFETY: non-null and allocated by `OwnedOp::new`; the caller's
+        // guard predates the retirement, so the epoch keeps the block out of
+        // every pool and allocator until the guard drops.
+        unsafe { self.0.as_ref() }
+    }
+}
+
+/// The initiator's handle on its descriptor. It pins the guard the whole
+/// operation runs under, allocates the descriptor from the epoch pool, reads
+/// it without further ceremony and retires it when dropped.
+pub(crate) struct OwnedOp<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K> = Balanced> {
+    op: OpRef<K, V, A, S>,
+    guard: Guard,
+}
+
+impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> OwnedOp<K, V, A, S> {
+    /// Pins a guard, then allocates a fresh descriptor for `kind` under it,
+    /// before the descriptor can become visible to any other thread.
+    pub(crate) fn new(kind: OpKind<K, V>) -> Self {
+        let guard = crossbeam_epoch::pin();
+        let shared = Owned::new(Descriptor::new(kind)).into_shared(&guard);
+        let ptr = NonNull::new(shared.as_raw().cast_mut()).expect("a fresh allocation");
+        OwnedOp {
+            op: OpRef(ptr),
+            guard,
+        }
+    }
+
+    /// The pointer to hand to queues.
+    pub(crate) fn op(&self) -> OpRef<K, V, A, S> {
+        self.op
+    }
+
+    /// The guard pinned before the descriptor was allocated.
+    pub(crate) fn guard(&self) -> &Guard {
+        &self.guard
+    }
+}
+
+impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> std::ops::Deref for OwnedOp<K, V, A, S> {
+    type Target = Descriptor<K, V, A, S>;
+
+    fn deref(&self) -> &Self::Target {
+        // SAFETY: this handle retires the descriptor only in its `Drop`, and
+        // its guard was pinned before the allocation.
+        unsafe { self.op.deref(&self.guard) }
+    }
+}
+
+impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> Drop for OwnedOp<K, V, A, S> {
+    fn drop(&mut self) {
+        // An operation unwinding from a panic may still sit in a queue: leak
+        // its descriptor rather than retire it.
+        if std::thread::panicking() {
+            return;
+        }
+        let shared = Shared::from(self.op.0.as_ptr().cast_const());
+        // SAFETY: the handle is the descriptor's only owner and drops once, so
+        // it is retired exactly once. The operation has left every queue it
+        // entered, so no thread pinning after this call can obtain the
+        // pointer; one that obtained it earlier is waited out by the epoch
+        // (DESIGN.md § "What one operation allocates").
+        unsafe { self.guard.defer_destroy(shared) };
+    }
+}
 
 /// The operation a descriptor performs.
 #[derive(Debug, Clone)]
@@ -206,11 +322,6 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> Descriptor<K, V, A, S
             modes: FirstWriteMap::new(),
             traverse: TraverseQueue::new(),
         }
-    }
-
-    /// Creates a reference-counted descriptor.
-    pub fn new_ref(kind: OpKind<K, V>) -> OpRef<K, V, A, S> {
-        Arc::new(Self::new(kind))
     }
 
     /// The resolved decision of an update descriptor.

@@ -10,7 +10,12 @@
 //! 3. it then walks the descriptor's `Traverse` queue (Listing 2), helping at
 //!    every node on the operation's path until the queue drains;
 //! 4. finally the result is assembled from the `Processed` map (reads) or
-//!    taken from the resolved decision (updates).
+//!    taken from the resolved decision (updates), and the initiator's
+//!    `OwnedOp` handle retires the descriptor.
+//!
+//! Under `ReadPath::Fast` an update whose key's presence state already
+//! decides it fails (an insert of a present key, a remove of an absent one)
+//! never gets here: it returns from that one load (`tree.rs`).
 //!
 //! The single function `WaitFreeTree::execute_op_at` implements "executing
 //! an operation in a node" (Listing 3) for both the fictive root and regular
@@ -34,7 +39,7 @@ use std::sync::atomic::Ordering::{AcqRel, Acquire};
 use wft_queue::{Timestamp, UpdateKind};
 use wft_seq::{Augmentation, Key, Value};
 
-use crate::descriptor::{Descriptor, OpKind, OpRef, Partial, RangeMode};
+use crate::descriptor::{Descriptor, OpKind, OpRef, OwnedOp, Partial, RangeMode};
 use crate::node::{
     admitted, build_subtree, collect_subtree, free_subtree_now, insert_into_run, leaf_range_agg,
     remove_from_run, retire_subtree, split_node, InnerNode, LeafNode, Node, NodeState, Slot,
@@ -64,37 +69,39 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> Clone for ParentRef<'
 impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> Copy for ParentRef<'_, K, V, A, S> {}
 
 impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A, S> {
-    /// Runs one operation end to end and returns its descriptor (with every
-    /// partial result recorded) plus its timestamp.
-    pub(crate) fn run_operation(&self, kind: OpKind<K, V>) -> (OpRef<K, V, A, S>, Timestamp) {
-        // The guard is pinned before the descriptor becomes visible and held
-        // until the operation completes; every node pointer the operation
+    /// Runs one operation end to end and returns the initiator's handle on
+    /// its descriptor, with every partial result recorded. Dropping the
+    /// handle retires the descriptor.
+    pub(crate) fn run_operation(&self, kind: OpKind<K, V>) -> OwnedOp<K, V, A, S> {
+        // The handle's guard is pinned before the descriptor becomes visible
+        // and held until the handle drops; every node pointer the operation
         // touches (including entries of its traverse queue) stays valid under
         // this single guard (see `Descriptor::traverse`).
-        let guard = crossbeam_epoch::pin();
-        let op = Descriptor::new_ref(kind);
-        let ts = self.root_queue.enqueue(op.clone(), &guard);
+        let op = OwnedOp::new(kind);
+        let ts = self.root_queue.enqueue(op.op(), op.guard());
+        self.complete_operation(&op, ts);
+        op
+    }
 
+    /// Phases 1 and 2 of an operation already enqueued at the root with
+    /// timestamp `ts`. Returns once the operation has left every queue it
+    /// entered, which is what lets the handle retire the descriptor.
+    pub(crate) fn complete_operation(&self, op: &OwnedOp<K, V, A, S>, ts: Timestamp) {
+        let guard = op.guard();
         // Phase 1: the fictive root. Helping everything older than us also
         // resolves our own decision / pushes us towards the real root.
-        self.help_until(ParentRef::Fictive, ts, &guard);
+        self.help_until(ParentRef::Fictive, ts, guard);
 
         // Phase 2: walk the traverse queue (Listing 2). Only the initiator
         // pops; helpers merely append.
-        loop {
-            match op.traverse.peek() {
-                None => break,
-                Some(node_ptr) => {
-                    // SAFETY: initiator + guard pinned since before enqueue; every pointer in
-                    // the traverse queue was epoch-protected when pushed.
-                    if let Node::Inner(inner) = unsafe { node_ptr.as_ref() } {
-                        self.help_until(ParentRef::Inner(inner), ts, &guard);
-                    }
-                    op.traverse.pop();
-                }
+        while let Some(node_ptr) = op.traverse.peek() {
+            // SAFETY: initiator + guard pinned since before enqueue; every pointer in
+            // the traverse queue was epoch-protected when pushed.
+            if let Node::Inner(inner) = unsafe { node_ptr.as_ref() } {
+                self.help_until(ParentRef::Inner(inner), ts, guard);
             }
+            op.traverse.pop();
         }
-        (op, ts)
     }
 
     /// `execute_until_timestamp` (Listing 1): execute every descriptor at the
@@ -119,7 +126,10 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
                     if head_ts != ts {
                         self.counters.helped_executions.inc();
                     }
-                    self.execute_op_at(&head_op, head_ts, parent, guard);
+                    // SAFETY: peeked from the queue under `guard`, so `guard` was pinned
+                    // before the descriptor's retirement (`OpRef::deref`).
+                    let head_op = unsafe { head_op.deref(guard) };
+                    self.execute_op_at(head_op, head_ts, parent, guard);
                 }
             }
         }
@@ -129,7 +139,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
     /// `parent`. Idempotent; safe to call from any number of helpers.
     pub(crate) fn execute_op_at(
         &self,
-        op: &OpRef<K, V, A, S>,
+        op: &Descriptor<K, V, A, S>,
         ts: Timestamp,
         parent: ParentRef<'_, K, V, A, S>,
         guard: &Guard,
@@ -246,7 +256,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
     /// Resolves the effect of an update descriptor through the presence
     /// index, exactly once, and maintains the tree's size, counters and the
     /// timestamp front.
-    fn resolve_update(&self, op: &OpRef<K, V, A, S>, ts: Timestamp, guard: &Guard) {
+    fn resolve_update(&self, op: &Descriptor<K, V, A, S>, ts: Timestamp, guard: &Guard) {
         let (key, update) = match &op.kind {
             OpKind::Insert { key, value } => (key, UpdateKind::Insert(value.clone())),
             OpKind::Replace { key, value } => (key, UpdateKind::Replace(value.clone())),
@@ -313,7 +323,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
     /// into them.
     fn continue_range_agg(
         &self,
-        op: &OpRef<K, V, A, S>,
+        op: &Descriptor<K, V, A, S>,
         ts: Timestamp,
         inner: &InnerNode<K, V, A, S>,
         mode: RangeMode<K>,
@@ -434,7 +444,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
     ///   into the node's partial result (lookups and range queries).
     fn continue_into_child(
         &self,
-        op: &OpRef<K, V, A, S>,
+        op: &Descriptor<K, V, A, S>,
         ts: Timestamp,
         slot: Slot<'_, K, V, A, S>,
         mode: Option<RangeMode<K>>,
@@ -493,7 +503,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
                     if op.kind.is_update() {
                         self.apply_state_delta(op, ts, c, guard);
                     }
-                    c.queue.push_if(ts, op.clone(), guard);
+                    c.queue.push_if(ts, OpRef::from_ref(op), guard);
                     return;
                 }
                 Node::Leaf(leaf) => {
@@ -512,7 +522,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
     /// child's state, exactly once (the `Ts_Mod` CAS guard of §II-C).
     fn apply_state_delta(
         &self,
-        op: &OpRef<K, V, A, S>,
+        op: &Descriptor<K, V, A, S>,
         ts: Timestamp,
         child: &InnerNode<K, V, A, S>,
         guard: &Guard,
@@ -599,7 +609,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
     #[allow(clippy::too_many_arguments)]
     fn execute_at_leaf(
         &self,
-        op: &OpRef<K, V, A, S>,
+        op: &Descriptor<K, V, A, S>,
         ts: Timestamp,
         slot: Slot<'_, K, V, A, S>,
         child: Shared<'_, Node<K, V, A, S>>,
@@ -659,7 +669,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
     #[allow(clippy::too_many_arguments)]
     fn execute_at_empty(
         &self,
-        op: &OpRef<K, V, A, S>,
+        op: &Descriptor<K, V, A, S>,
         ts: Timestamp,
         slot: &crossbeam_epoch::Atomic<Node<K, V, A, S>>,
         child: Shared<'_, Node<K, V, A, S>>,
@@ -764,7 +774,9 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
                     None => break,
                     Some((head_ts, head_op)) => {
                         self.counters.helped_executions.inc();
-                        self.execute_op_at(&head_op, head_ts, ParentRef::Inner(inner), guard);
+                        // SAFETY: peeked from the queue under `guard` (`OpRef::deref`).
+                        let head_op = unsafe { head_op.deref(guard) };
+                        self.execute_op_at(head_op, head_ts, ParentRef::Inner(inner), guard);
                     }
                 }
             }

@@ -200,7 +200,11 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
     fn resolved_update_pending(&self, guard: &Guard) -> bool {
         match self.root_queue.peek(guard) {
             None => false,
-            Some((_ts, op)) => op.kind.is_update() && op.decision.get().is_some_and(|d| d.success),
+            Some((_ts, op)) => {
+                // SAFETY: peeked from the root queue under `guard` (`OpRef::deref`).
+                let op = unsafe { op.deref(guard) };
+                op.kind.is_update() && op.decision.get().is_some_and(|d| d.success)
+            }
         }
     }
 

@@ -1,6 +1,6 @@
 //! The public concurrent tree type.
 
-use crossbeam_epoch::Atomic;
+use crossbeam_epoch::{Atomic, Guard};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use wft_queue::PresenceIndex;
@@ -173,9 +173,17 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
     /// Inserts `key → value`. Returns `true` if the key was absent (the
     /// paper's `insert` semantics: an existing key leaves the tree, and its
     /// value, unmodified).
+    ///
+    /// Under [`ReadPath::Fast`] an insert of a key that is already present
+    /// fails at one presence-index load, like [`contains`](Self::contains),
+    /// with no descriptor and no timestamp.
     pub fn insert(&self, key: K, value: V) -> bool {
-        let (op, _ts) = self.run_operation(OpKind::Insert { key, value });
-        op.resolved_decision().success
+        if self.fails_fast(&key, true) {
+            return false;
+        }
+        self.run_operation(OpKind::Insert { key, value })
+            .resolved_decision()
+            .success
     }
 
     /// Inserts `key → value`, overwriting any existing value; returns the
@@ -188,25 +196,69 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
     /// concurrent reader can observe the key absent, unlike a
     /// `remove` + `insert` composition.
     pub fn insert_or_replace(&self, key: K, value: V) -> Option<V> {
-        let (op, _ts) = self.run_operation(OpKind::Replace { key, value });
-        op.resolved_decision().prior_value.clone()
+        self.run_operation(OpKind::Replace { key, value })
+            .resolved_decision()
+            .prior_value
+            .clone()
     }
 
     /// Removes `key`. Returns `true` if it was present.
+    ///
+    /// Under [`ReadPath::Fast`] a remove of an absent key fails at one
+    /// presence-index load, with no descriptor and no timestamp.
     pub fn remove(&self, key: &K) -> bool {
-        let (op, _ts) = self.run_operation(OpKind::Remove { key: *key });
-        op.resolved_decision().success
+        if self.fails_fast(key, false) {
+            return false;
+        }
+        self.run_operation(OpKind::Remove { key: *key })
+            .resolved_decision()
+            .success
     }
 
     /// Removes `key` and returns the value it was mapped to, if any.
     pub fn remove_entry(&self, key: &K) -> Option<V> {
-        let (op, _ts) = self.run_operation(OpKind::Remove { key: *key });
+        if self.fails_fast(key, false) {
+            return None;
+        }
+        let op = self.run_operation(OpKind::Remove { key: *key });
         let decision = op.resolved_decision();
         if decision.success {
             decision.prior_value.clone()
         } else {
             None
         }
+    }
+
+    /// Whether an insert (`insert == true`) or a remove of `key` fails at
+    /// the presence load of [`fails_at_presence_load`](Self::fails_at_presence_load):
+    /// an insert of a present key, a remove of an absent one.
+    pub(crate) fn fails_fast(&self, key: &K, insert: bool) -> bool {
+        self.fails_at_presence_load(|index, guard| {
+            (index.contains_key(key, guard) == insert).then_some(())
+        })
+        .is_some()
+    }
+
+    /// The failure fast path of `insert` and `remove`: under
+    /// [`ReadPath::Fast`], loads the key's presence state once through
+    /// `fails`, which answers `Some` when that state already decides the
+    /// update fails. The update then linearizes at that load, like
+    /// [`contains`](Self::contains): the presence index is the resolution
+    /// authority, and an update that changes nothing needs no timestamp.
+    /// Counted in both `failed_updates` and `fast_failed_updates`. `None`
+    /// means the caller runs the descriptor, which may still fail at the
+    /// root.
+    pub(crate) fn fails_at_presence_load<T>(
+        &self,
+        fails: impl FnOnce(&PresenceIndex<K, V>, &Guard) -> Option<T>,
+    ) -> Option<T> {
+        if self.config.read_path != ReadPath::Fast {
+            return None;
+        }
+        let out = fails(&self.presence, &crossbeam_epoch::pin())?;
+        self.counters.failed_updates.inc();
+        self.counters.fast_failed_updates.inc();
+        Some(out)
     }
 
     /// Returns `true` if `key` is in the tree.
@@ -222,8 +274,8 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
             let guard = crossbeam_epoch::pin();
             return self.presence.contains_key(key, &guard);
         }
-        let (op, _ts) = self.run_operation(OpKind::Lookup { key: *key });
-        op.assemble_lookup_present()
+        self.run_operation(OpKind::Lookup { key: *key })
+            .assemble_lookup_present()
     }
 
     /// Returns the value associated with `key`, if any.
@@ -238,8 +290,8 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
             let guard = crossbeam_epoch::pin();
             return self.presence.read_value(key, &guard);
         }
-        let (op, _ts) = self.run_operation(OpKind::Lookup { key: *key });
-        op.assemble_lookup()
+        self.run_operation(OpKind::Lookup { key: *key })
+            .assemble_lookup()
     }
 
     /// Aggregate of every entry with key in `[min, max]` under the tree's
@@ -261,8 +313,8 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
             }
             self.note_range_fallback();
         }
-        let (op, _ts) = self.run_operation(OpKind::RangeAgg { min, max });
-        op.assemble_agg()
+        self.run_operation(OpKind::RangeAgg { min, max })
+            .assemble_agg()
     }
 
     /// Every `(key, value)` with key in `[min, max]`, in key order. Linear in
@@ -281,8 +333,8 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
             }
             self.note_range_fallback();
         }
-        let (op, _ts) = self.run_operation(OpKind::Collect { min, max });
-        op.assemble_entries()
+        self.run_operation(OpKind::Collect { min, max })
+            .assemble_entries()
     }
 
     /// The (up to) `limit` smallest entries with key in `[min, max]`, in key
@@ -311,8 +363,9 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
             }
             self.note_range_fallback();
         }
-        let (op, _ts) = self.run_operation(OpKind::Collect { min, max });
-        let mut entries = op.assemble_entries();
+        let mut entries = self
+            .run_operation(OpKind::Collect { min, max })
+            .assemble_entries();
         entries.truncate(limit);
         entries
     }
@@ -421,7 +474,9 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
                 // head for the whole window (it is only resolved as the head
                 // and only popped afterwards). Help it to completion.
                 self.counters.helped_executions.inc();
-                self.execute_op_at(&head_op, head_ts, crate::exec::ParentRef::Fictive, &guard);
+                // SAFETY: peeked from the root queue under `guard` (`OpRef::deref`).
+                let head_op = unsafe { head_op.deref(&guard) };
+                self.execute_op_at(head_op, head_ts, crate::exec::ParentRef::Fictive, &guard);
             }
             // `resolved < advertised` with an empty queue: the resolving
             // helper is between its two watermark bumps — re-read.
@@ -1057,17 +1112,37 @@ mod tests {
 
         tree.insert(1, ());
         assert!(!tree.front_unchanged(front), "an update advances the front");
-        // Failed updates linearize too (they occupy a timestamp).
+        // A failed insert or remove is answered at the presence load and
+        // takes no timestamp: the front stays exact and still answers.
         let front = tree.settle_front();
-        tree.insert(1, ());
-        assert!(!tree.front_unchanged(front));
+        assert!(!tree.insert(1, ()));
+        assert!(!tree.remove(&2));
+        assert!(tree.front_unchanged(front));
+        assert_eq!(tree.range_agg_at_front(0, 10, front), Ok(1));
         // Read-only operations never advance the front.
-        let front = tree.settle_front();
         tree.contains(&1);
         tree.count(0, 10);
         tree.collect_range(0, 10);
         assert!(tree.front_unchanged(front));
         assert_eq!(tree.stable_ts(), tree.advertised_ts());
+        assert_eq!(tree.metrics().counter("tree_fast_failed_updates"), Some(2));
+
+        // Under `ReadPath::Descriptor` a failed update still runs its
+        // descriptor and occupies a timestamp.
+        let desc: WaitFreeTree<i64> = WaitFreeTree::with_config(TreeConfig {
+            read_path: ReadPath::Descriptor,
+            ..TreeConfig::default()
+        });
+        desc.insert(1, ());
+        let front = desc.settle_front();
+        assert!(!desc.insert(1, ()));
+        assert!(!desc.front_unchanged(front));
+        let front = desc.settle_front();
+        assert!(!desc.remove(&2));
+        assert!(!desc.front_unchanged(front));
+        let metrics = desc.metrics();
+        assert_eq!(metrics.counter("tree_failed_updates"), Some(2));
+        assert_eq!(metrics.counter("tree_fast_failed_updates"), Some(0));
     }
 
     #[test]
@@ -1103,7 +1178,7 @@ mod tests {
     }
 
     fn busy_not_expired<S: Shape<i64>>() {
-        use crate::descriptor::Descriptor;
+        use crate::descriptor::OwnedOp;
         let tree: WaitFreeTree<i64, (), Size, S> =
             WaitFreeTree::from_entries((0..1000).map(|k| (k, ())));
         let front = tree.settle_front();
@@ -1117,8 +1192,8 @@ mod tests {
         // Park a read descriptor in the root node's queue, as a concurrent
         // descriptor-path reader would: no update, so the front stands.
         let ts = wft_queue::Timestamp(1);
-        let parked = Descriptor::new_ref(OpKind::Lookup { key: 1 });
-        assert!(inner.queue.push_if(ts, parked, &guard));
+        let parked = OwnedOp::new(OpKind::Lookup { key: 1 });
+        assert!(inner.queue.push_if(ts, parked.op(), &guard));
         assert_eq!(tree.config.fast_read_attempts, 3);
         assert_eq!(tree.range_agg_at_front(0, 999, front), Err(FrontMiss::Busy));
         let retries = format!("{}_fast_range_retries", S::METRIC_PREFIX);
@@ -1137,11 +1212,100 @@ mod tests {
         );
         assert!(tree.front_unchanged(front));
         assert!(inner.queue.pop_if(ts, &guard));
+        drop(parked);
         assert_eq!(tree.range_agg_at_front(0, 999, front), Ok(1000));
         assert_eq!(
             tree.collect_range_at_front(5, 7, front).map(|v| v.len()),
             Ok(3)
         );
+    }
+
+    /// A value whose original, and not its clones, counts its drops: the
+    /// original of an insert lives in the descriptor alone.
+    #[derive(Debug, PartialEq)]
+    struct Probe {
+        original: bool,
+    }
+
+    static PROBE_DROPS: AtomicU64 = AtomicU64::new(0);
+
+    impl Clone for Probe {
+        fn clone(&self) -> Self {
+            Probe { original: false }
+        }
+    }
+
+    impl Drop for Probe {
+        fn drop(&mut self) {
+            if self.original {
+                PROBE_DROPS.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    #[test]
+    fn a_descriptor_outlives_its_initiator_for_an_earlier_guard() {
+        use crate::descriptor::OwnedOp;
+        use std::sync::{mpsc, Barrier};
+
+        let drops = || PROBE_DROPS.load(Ordering::Relaxed);
+        let flush = || crossbeam_epoch::pin().flush();
+        let tree: WaitFreeTree<i64, Probe> = WaitFreeTree::new();
+        // The initiator's first step: its descriptor enters the root queue.
+        let op = OwnedOp::new(OpKind::Insert {
+            key: 7,
+            value: Probe { original: true },
+        });
+        let ts = tree.root_queue.enqueue(op.op(), op.guard());
+        let (peeked, returned, released) = (Barrier::new(2), Barrier::new(2), Barrier::new(2));
+        let (decision_tx, decision_rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                // A helper peeks the descriptor under its guard, then stalls
+                // across the initiator's return.
+                let guard = crossbeam_epoch::pin();
+                let (head_ts, head) = tree.root_queue.peek(&guard).expect("the op is queued");
+                assert_eq!(head_ts, ts);
+                peeked.wait();
+                returned.wait();
+                // SAFETY: peeked from the root queue under `guard`, pinned
+                // before the initiator retired the descriptor.
+                let op = unsafe { head.deref(&guard) };
+                decision_tx.send(op.decision.get().cloned()).unwrap();
+                assert_eq!(drops(), 0, "read through a retired descriptor");
+                released.wait();
+                drop(guard);
+                released.wait();
+            });
+            peeked.wait();
+            tree.complete_operation(&op, ts);
+            assert!(op.resolved_decision().success);
+            drop(op); // The initiator returns and retires its descriptor.
+            returned.wait();
+            let seen = decision_rx.recv().unwrap().expect("resolved");
+            assert!(seen.success && seen.prior_value.is_none());
+            // However often this thread flushes, the helper's guard holds
+            // the epoch back.
+            for _ in 0..16 {
+                flush();
+            }
+            assert_eq!(drops(), 0, "destroyed under the helper's guard");
+            released.wait();
+            released.wait();
+        });
+        // Once the guard is gone the descriptor is destroyed, exactly once.
+        for _ in 0..10_000 {
+            if drops() > 0 {
+                break;
+            }
+            flush();
+            std::thread::yield_now();
+        }
+        for _ in 0..16 {
+            flush();
+        }
+        assert_eq!(drops(), 1);
+        assert!(tree.contains(&7));
     }
 
     #[test]

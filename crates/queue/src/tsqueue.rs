@@ -19,9 +19,9 @@
 //! mechanism of §II-D. The wait-free variant (Lemma 1) is layered on top in
 //! [`crate::root`].
 //!
-//! The queue is generic over the descriptor handle `T`; the tree uses
-//! `Arc<Descriptor>`. Nodes unlinked by `pop_if` are retired through
-//! `crossbeam-epoch`.
+//! The queue is generic over the descriptor handle `T`; the tree uses a
+//! plain pointer to an epoch-managed descriptor, which `peek` and `push_if`
+//! copy. Nodes unlinked by `pop_if` are retired through `crossbeam-epoch`.
 
 use crossbeam_epoch::{Atomic, Guard, Owned, Shared};
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
@@ -32,9 +32,9 @@ use crate::timestamp::Timestamp;
 struct QNode<T> {
     ts: Timestamp,
     /// `None` only for the initial dummy node; every enqueued node holds a
-    /// descriptor. Former descriptor nodes become dummies after `pop_if`,
-    /// keeping their item alive until the node is reclaimed (harmless: the
-    /// handle is reference counted).
+    /// descriptor. Former descriptor nodes become dummies after `pop_if` and
+    /// keep their item until the node is reclaimed; nobody reads a dummy's
+    /// item (`peek` reads `head.next`).
     item: Option<T>,
     next: Atomic<QNode<T>>,
 }
@@ -158,7 +158,7 @@ impl<T> TsQueue<T> {
             if tail_ref.ts >= ts {
                 // Already inserted by another helper (or pre-dates this
                 // queue's watermark). The item (or `new`, holding it) is
-                // dropped here, releasing its handle clone.
+                // dropped here.
                 return false;
             }
             // ORDERING: Acquire pairs with the Release link CAS below.
@@ -197,7 +197,7 @@ impl<T> TsQueue<T> {
         }
     }
 
-    /// Returns the timestamp and a clone of the head descriptor, or `None`
+    /// Returns the timestamp and a copy of the head descriptor handle, or `None`
     /// if the queue is currently empty.
     pub fn peek(&self, guard: &Guard) -> Option<(Timestamp, T)>
     where

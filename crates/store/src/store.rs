@@ -1247,9 +1247,37 @@ mod tests {
         assert_eq!(store.metrics().counter("store_snapshot_acquires"), Some(0));
         let before = store.shard_fronts();
         assert_eq!(before, vec![0; 4], "prefill does not occupy timestamps");
+        let front = store.acquire_front();
+        assert!(store.metrics().counter("store_snapshot_acquires") >= Some(1));
+        // A failed insert or remove is answered at a presence load and
+        // occupies no timestamp: the cut stays valid and still answers.
+        assert!(!store.insert(0, ()));
+        assert!(!store.remove(&1_000));
+        assert!(store.front_valid(&front));
+        assert_eq!(store.range_agg_at_front(&front, 0, 399), Some(400));
+        store.count(0, 399); // cross-shard: acquires a front
+        assert_eq!(store.shard_fronts(), before, "nothing linearized");
+        // A successful update still expires the cut and advances the front.
+        assert!(store.insert(400, ()));
+        assert!(!store.front_valid(&front));
+        store.count(0, 400);
+        let last = store.shard_of(&400);
+        let after = store.shard_fronts();
+        assert!(after[last] >= 1, "shard {last}'s front advanced: {after:?}");
+
+        // Under `ReadPath::Descriptor` a failed insert still linearizes on
+        // shard 0 through its descriptor, and its front advances.
+        let config = StoreConfig {
+            tree: wft_core::TreeConfig {
+                read_path: wft_core::ReadPath::Descriptor,
+                ..wft_core::TreeConfig::default()
+            },
+            ..StoreConfig::default()
+        };
+        let store: ShardedStore<i64> =
+            ShardedStore::from_entries_with_config((0..400).map(|k| (k, ())), 4, config);
         store.insert(0, ()); // failed insert still linearizes on shard 0
         store.count(0, 399); // cross-shard: acquires a front
-        assert!(store.metrics().counter("store_snapshot_acquires") >= Some(1));
         let after = store.shard_fronts();
         assert!(
             after[0] >= 1,

@@ -13,6 +13,7 @@
 //! composition (weaknesses of the prior-work class that the paper's design
 //! closes).
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -296,6 +297,131 @@ fn sharded_store_descriptor_read_path_linearizes() {
     // The same check with every shard's reads forced through the descriptor
     // machinery: the front argument is read-path independent.
     assert_linearizable(TreeImpl::ShardedDescReads, 15, true);
+}
+
+/// Key universe of the fail-heavy histories: three keys, so nearly every
+/// update meets another one on its key.
+const FAIL_KEYS: i64 = 3;
+
+/// Records a history in which most updates fail: each thread issues every
+/// insert and remove twice in a row on the same key, so the second fails
+/// unless another thread changed the key in between, and the rounds start
+/// from a full or an empty key space. `updates` counts `(updates, failed)`.
+fn record_fail_heavy_round(
+    set: Arc<dyn ConcurrentSet>,
+    seed: u64,
+    updates: &Arc<[AtomicU64; 2]>,
+) -> History<RangeSetOp, RangeSetRet> {
+    History::record(THREADS, |recorders| {
+        let handles: Vec<_> = recorders
+            .iter()
+            .enumerate()
+            .map(|(t, recorder)| {
+                let recorder: ThreadRecorder<RangeSetOp, RangeSetRet> = recorder.clone();
+                let (set, updates) = (Arc::clone(&set), Arc::clone(updates));
+                std::thread::spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9E37));
+                    let mut repeat = None;
+                    for _ in 0..OPS_PER_THREAD {
+                        // Insert, remove, contains, count: updates twice as
+                        // likely as each read.
+                        let (kind, key, repeated) = match repeat.take() {
+                            Some((kind, key)) => (kind, key, true),
+                            None => {
+                                let kind = [0, 0, 1, 1, 2, 3][rng.gen_range(0..6i64) as usize];
+                                (kind, rng.gen_range(0..FAIL_KEYS), false)
+                            }
+                        };
+                        let (op, ret) = match kind {
+                            0 | 1 => {
+                                if !repeated {
+                                    repeat = Some((kind, key));
+                                }
+                                let token = recorder.invoke(if kind == 0 {
+                                    RangeSetOp::Insert(key)
+                                } else {
+                                    RangeSetOp::Remove(key)
+                                });
+                                let ok = if kind == 0 {
+                                    set.insert(key)
+                                } else {
+                                    set.remove(key)
+                                };
+                                updates[0].fetch_add(1, Ordering::Relaxed);
+                                updates[1].fetch_add(u64::from(!ok), Ordering::Relaxed);
+                                (token, RangeSetRet::Bool(ok))
+                            }
+                            2 => {
+                                let token = recorder.invoke(RangeSetOp::Contains(key));
+                                (token, RangeSetRet::Bool(set.contains(key)))
+                            }
+                            _ => {
+                                let token = recorder.invoke(RangeSetOp::Count(0, key));
+                                (token, RangeSetRet::Count(set.count(0, key)))
+                            }
+                        };
+                        recorder.respond(op, ret);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+    })
+}
+
+#[test]
+fn failed_updates_racing_successful_ones_linearize() {
+    // Under `ReadPath::Fast` an update its key's presence state already
+    // decides to fail returns from that one load, without a descriptor;
+    // under `ReadPath::Descriptor` it runs through the root queue as in the
+    // paper. Both must linearize against the successful updates they race
+    // on the same three keys, on both shapes.
+    let imps = [
+        TreeImpl::WaitFree,
+        TreeImpl::WaitFreeDescReads,
+        TreeImpl::Trie,
+        TreeImpl::TrieDescReads,
+    ];
+    for imp in imps {
+        let updates = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+        let mut fast_failed = 0;
+        for round in 0..30 {
+            let prefill: Vec<i64> = if round % 2 == 0 {
+                Vec::new()
+            } else {
+                (0..FAIL_KEYS).collect()
+            };
+            let set = imp.build(&prefill, THREADS);
+            let history = record_fail_heavy_round(Arc::clone(&set), 0xFA11 + round, &updates);
+            let initial = RangeSetSpec::prefilled(prefill.iter().copied());
+            let verdict = check_history_with_initial::<RangeSetSpec>(&history, initial);
+            assert!(
+                verdict.is_linearizable(),
+                "{}: round {round} produced a non-linearizable history:\n{verdict:?}\n{history:#?}",
+                imp.name()
+            );
+            let metrics = set.metrics_snapshot();
+            fast_failed += (metrics.counters.iter())
+                .filter(|c| c.name.ends_with("_fast_failed_updates"))
+                .map(|c| c.value)
+                .sum::<u64>();
+        }
+        let [total, failed] = [0, 1].map(|i| updates[i].load(Ordering::Relaxed));
+        assert!(
+            2 * failed > total,
+            "{}: {failed} of {total} updates failed, want most",
+            imp.name()
+        );
+        let fast = !matches!(imp, TreeImpl::WaitFreeDescReads | TreeImpl::TrieDescReads);
+        assert_eq!(
+            fast_failed > 0,
+            fast,
+            "{}: {fast_failed} updates failed at the presence load",
+            imp.name()
+        );
+    }
 }
 
 #[test]

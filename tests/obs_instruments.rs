@@ -280,9 +280,9 @@ fn trace_ring_survives_concurrent_emitters() {
 }
 
 /// The tree's counter names, without the shape prefix.
-const TREE: &str = "failed_updates fast_point_reads fast_range_early_exits fast_range_hits \
-    fast_range_retries helped_executions inserts range_fallbacks rebuilds rebuilds_lost \
-    rebuilt_items removes replaces";
+const TREE: &str = "failed_updates fast_failed_updates fast_point_reads fast_range_early_exits \
+    fast_range_hits fast_range_retries helped_executions inserts range_fallbacks rebuilds \
+    rebuilds_lost rebuilt_items removes replaces";
 /// The store's own counter names, without the `store_` prefix.
 const STORE: &str = "batch_commits commit_gate_waits len_fallbacks scan_resumes \
     snapshot_acquires snapshot_retries";

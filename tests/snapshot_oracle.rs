@@ -148,18 +148,20 @@ proptest! {
     }
 }
 
-/// A front expires exactly when a touched shard linearizes an update, and a
-/// fresh front sees the new state.
+/// A front expires exactly when a touched shard linearizes an update that
+/// changes it, and a fresh front sees the new state.
 #[test]
 fn front_expiry_is_exact() {
     let store: ShardedStore<i64> = ShardedStore::from_entries((0..400).map(|k| (k, ())), 4);
     let front = store.acquire_front();
     assert_eq!(store.range_agg_at_front(&front, 0, 399), Some(400));
 
-    // A *failed* insert still occupies a timestamp on its shard: the cut is
-    // conservative and expires.
+    // A *failed* insert or remove is answered at a presence load and takes
+    // no timestamp: the front stays valid and still answers.
     assert!(!store.insert(5, ()));
-    assert_eq!(store.range_agg_at_front(&front, 0, 399), None);
+    assert!(!store.remove(&1_000));
+    assert!(store.front_valid(&front));
+    assert_eq!(store.range_agg_at_front(&front, 0, 399), Some(400));
 
     let fresh = store.acquire_front();
     store.remove(&5);
@@ -167,6 +169,19 @@ fn front_expiry_is_exact() {
     let newest = store.acquire_front();
     assert_eq!(store.range_agg_at_front(&newest, 0, 399), Some(398));
     assert_eq!(store.range_agg_at_front(&fresh, 0, 399), None);
+    assert_eq!(store.range_agg_at_front(&front, 0, 399), None);
+
+    // Under `ReadPath::Descriptor` a failed insert still occupies a
+    // timestamp on its shard: the cut is conservative and expires.
+    let store: ShardedStore<i64> = ShardedStore::from_entries_with_config(
+        (0..400).map(|k| (k, ())),
+        4,
+        store_config(ReadPath::Descriptor),
+    );
+    let front = store.acquire_front();
+    assert_eq!(store.range_agg_at_front(&front, 0, 399), Some(400));
+    assert!(!store.insert(5, ()));
+    assert_eq!(store.range_agg_at_front(&front, 0, 399), None);
 }
 
 /// Striped concurrent writers + snapshot readers: every writer inserts its
