@@ -2,8 +2,6 @@
 
 use wft_obs::Counter;
 
-pub use wft_queue::ReadPath;
-
 /// Which root-queue implementation allocates timestamps (§II-D / §II-F).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RootQueueKind {
@@ -18,6 +16,27 @@ pub enum RootQueueKind {
     },
 }
 
+/// Which implementation answers read operations on a tree.
+///
+/// The presence index is the tree's *resolution authority*: every update's
+/// effect is fixed there, in strict root-queue timestamp order, while the
+/// update is executed at the fictive root. A snapshot read of a key's state
+/// record is therefore linearizable on its own — which lets `get` /
+/// `contains` skip the descriptor machinery entirely, and lets aggregate
+/// range queries attempt an optimistic descriptor-free traversal first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ReadPath {
+    /// Point reads are answered in `O(1)` from the presence index; range
+    /// reads attempt a validated optimistic traversal and fall back to the
+    /// descriptor path when validation fails. This is the default.
+    #[default]
+    Fast,
+    /// Every read runs as a full descriptor through the root queue (the
+    /// paper's original scheme). The reference the fast paths are tested
+    /// against: the linearizability suites run under both variants.
+    Descriptor,
+}
+
 /// Construction-time parameters of a [`crate::WaitFreeTree`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TreeConfig {
@@ -25,8 +44,6 @@ pub struct TreeConfig {
     /// counter exceeds `K` times its size at creation. Not consulted by the
     /// [`Radix`](crate::Radix) shape, which never rebuilds.
     pub rebuild_factor: f64,
-    /// Number of hash buckets of the presence index.
-    pub presence_buckets: usize,
     /// Root queue implementation.
     pub root_queue: RootQueueKind,
     /// Which implementation answers reads (`get`/`contains`/`count`/
@@ -35,24 +52,14 @@ pub struct TreeConfig {
     /// descriptor machinery ([`ReadPath::Descriptor`], for testing and
     /// comparison). See `crate::read` for the linearization argument.
     pub read_path: ReadPath,
-    /// How many optimistic traversals a range read attempts before falling
-    /// back to the descriptor slow path (under [`ReadPath::Fast`]). A failed
-    /// validation is usually caused by one in-flight update that the next
-    /// attempt no longer sees, so a small bounded retry converts most
-    /// would-be fallbacks into fast hits on bursty write traffic; `1`
-    /// restores the single-attempt behaviour. Extra attempts are counted in
-    /// the `tree_fast_range_retries` metric.
-    pub fast_read_attempts: usize,
 }
 
 impl Default for TreeConfig {
     fn default() -> Self {
         TreeConfig {
             rebuild_factor: 1.0,
-            presence_buckets: 1 << 16,
             root_queue: RootQueueKind::LockFree,
             read_path: ReadPath::Fast,
-            fast_read_attempts: 3,
         }
     }
 }
@@ -67,10 +74,6 @@ impl TreeConfig {
         if let RootQueueKind::WaitFree { slots } = self.root_queue {
             assert!(slots >= 1, "wait-free root queue needs at least one slot");
         }
-        assert!(
-            self.fast_read_attempts >= 1,
-            "range reads need at least one optimistic attempt"
-        );
     }
 }
 
@@ -110,7 +113,7 @@ pub(crate) struct TreeCounters {
     /// descriptor.
     pub(crate) fast_range_hits: Counter,
     /// Additional optimistic attempts made after a failed validation
-    /// (bounded by [`TreeConfig::fast_read_attempts`]) before either
+    /// (bounded by `FAST_READ_ATTEMPTS` in `tree.rs`) before either
     /// succeeding or falling back.
     pub(crate) fast_range_retries: Counter,
     /// Range reads whose optimistic traversals all failed validation and

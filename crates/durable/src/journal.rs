@@ -43,17 +43,13 @@
 //! [`RetryPolicy`] budget with capped exponential backoff, each attempt
 //! counted in `durable_io_retries` and announced as
 //! [`TraceKind::IoRetry`]. Structural errors (path gone, permission
-//! denied) and an exhausted budget escalate per [`Escalation`]:
-//!
-//! - [`Escalation::Degrade`] (default): the journal enters **degraded
-//!   read-only mode**. The failed group and everything queued fail with
-//!   [`DurableError::Degraded`]; *nothing unacknowledged was applied*, so
-//!   the in-memory store still equals the WAL's durable prefix and reads
-//!   keep serving it. [`Journal::try_resume`] re-probes storage with a
-//!   genuine write (rollback + segment rotation) and re-arms the log
-//!   thread on success.
-//! - [`Escalation::Halt`]: the pre-fault-policy behaviour — the journal
-//!   halts for good with [`HaltReason::Io`].
+//! denied) and an exhausted budget escalate into **degraded read-only
+//! mode**. The failed group and everything queued fail with
+//! [`DurableError::Degraded`]; *nothing unacknowledged was applied*, so
+//! the in-memory store still equals the WAL's durable prefix and reads
+//! keep serving it. [`Journal::try_resume`] re-probes storage with a
+//! genuine write (rollback + segment rotation) and re-arms the log thread
+//! on success.
 //!
 //! # Halting
 //!
@@ -89,9 +85,6 @@ pub enum HaltReason {
     /// A crash (real or [`crate::DurableStore::simulate_crash`]):
     /// queued, unacknowledged batches were abandoned mid-flight.
     Crash,
-    /// A persistent I/O failure under [`Escalation::Halt`] — the
-    /// storage died and the configuration chose stopping over degrading.
-    Io,
 }
 
 impl std::fmt::Display for HaltReason {
@@ -99,7 +92,6 @@ impl std::fmt::Display for HaltReason {
         match self {
             HaltReason::Shutdown => write!(f, "graceful shutdown"),
             HaltReason::Crash => write!(f, "crash"),
-            HaltReason::Io => write!(f, "unrecoverable I/O failure"),
         }
     }
 }
@@ -146,19 +138,6 @@ impl RetryPolicy {
             .saturating_mul(1u32.checked_shl(attempt.min(20)).unwrap_or(u32::MAX))
             .min(self.max_backoff)
     }
-}
-
-/// What a persistent flush failure escalates into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Escalation {
-    /// Enter degraded read-only mode: reads keep serving, writes fail
-    /// fast with [`DurableError::Degraded`], and
-    /// [`crate::DurableStore::try_resume`] can restore service.
-    #[default]
-    Degrade,
-    /// Halt the journal for good with [`HaltReason::Io`] (the
-    /// pre-fault-policy behaviour).
-    Halt,
 }
 
 /// A submitted batch waiting for its commit group.
@@ -292,7 +271,7 @@ pub(crate) struct DurableInstruments {
     pub(crate) segments_truncated: Counter,
     /// Flush attempts retried after a transient I/O error (backoff path).
     pub(crate) io_retries: Counter,
-    /// Escalations of a persistent failure into degraded read-only mode.
+    /// Entries into degraded read-only mode after a persistent failure.
     pub(crate) degraded_entries: Counter,
     /// Successful `try_resume` calls (degraded → running transitions).
     pub(crate) resumes: Counter,
@@ -339,7 +318,6 @@ pub(crate) struct Shared<K: Key, V: Value> {
     pub(crate) live_wal_segments: AtomicU64,
     pub(crate) instruments: DurableInstruments,
     retry: RetryPolicy,
-    escalation: Escalation,
     fsync: bool,
 }
 
@@ -368,7 +346,6 @@ where
         recovered_through: u64,
         live_wal: (u64, u64),
         retry: RetryPolicy,
-        escalation: Escalation,
         fsync: bool,
     ) -> Self {
         let shared = Arc::new(Shared {
@@ -385,7 +362,6 @@ where
             live_wal_segments: AtomicU64::new(live_wal.1),
             instruments: DurableInstruments::default(),
             retry,
-            escalation,
             fsync,
         });
         let handle = spawn_log_thread(&shared, &store);
@@ -722,8 +698,8 @@ where
 }
 
 /// The retry budget is spent (or the error was structural): fail the
-/// in-flight group and everything queued, then either degrade or halt per
-/// the configured [`Escalation`]. Runs on the log thread, which exits
+/// in-flight group and everything queued with [`DurableError::Degraded`]
+/// and enter degraded read-only mode. Runs on the log thread, which exits
 /// right after.
 fn escalate<K, V>(shared: &Shared<K, V>, group: Vec<Resolved<K, V>>, err: &std::io::Error)
 where
@@ -731,30 +707,18 @@ where
     V: Value + WalCodec,
 {
     let msg = err.to_string();
-    let (group_err, state) = match shared.escalation {
-        Escalation::Degrade => (
-            DurableError::Degraded(msg.clone()),
-            JournalState::Degraded(msg),
-        ),
-        Escalation::Halt => (DurableError::Io(msg), JournalState::Halted(HaltReason::Io)),
-    };
+    let group_err = DurableError::Degraded(msg.clone());
     // Publish the state *before* releasing any waiter: a writer that
     // wakes up with a Degraded error must already observe
     // `is_degraded()`.
     {
         let mut queue = shared.queue.lock().unwrap();
-        let queued_err = match &state {
-            JournalState::Degraded(m) => DurableError::Degraded(m.clone()),
-            _ => DurableError::Halted(HaltReason::Io),
-        };
         for pending in queue.pending.drain(..) {
-            pending.slot.fill(Err(queued_err.clone()));
+            pending.slot.fill(Err(group_err.clone()));
         }
-        if matches!(state, JournalState::Degraded(_)) {
-            shared.instruments.degraded_entries.inc();
-            wft_obs::trace::emit(TraceKind::DegradedEnter, 0);
-        }
-        queue.state = state;
+        shared.instruments.degraded_entries.inc();
+        wft_obs::trace::emit(TraceKind::DegradedEnter, 0);
+        queue.state = JournalState::Degraded(msg);
     }
     // Nothing in this group (or behind it) was applied: the in-memory
     // store still equals the durable WAL prefix, which is what makes

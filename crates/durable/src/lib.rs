@@ -28,11 +28,11 @@
 //!   [`FaultyStorage`] injector). The log thread retries transient I/O
 //!   errors with capped exponential backoff ([`RetryPolicy`]), rolling the
 //!   segment tail back before each attempt so retried records reuse their
-//!   sequence numbers. A persistent failure escalates — per
-//!   [`Escalation`] — into **degraded read-only mode**: acknowledged data
-//!   keeps serving from memory, writes fail fast with
-//!   [`DurableError::Degraded`], and [`DurableStore::try_resume`] re-probes
-//!   storage and re-arms the journal once the disk recovers.
+//!   sequence numbers. A persistent failure escalates into **degraded
+//!   read-only mode**: acknowledged data keeps serving from memory, writes
+//!   fail fast with [`DurableError::Degraded`], and
+//!   [`DurableStore::try_resume`] re-probes storage and re-arms the journal
+//!   once the disk recovers.
 //!
 //! The write path is fully instrumented through `wft-obs`: appends,
 //! fsyncs, group sizes, commit latencies, checkpoint durations, retries,
@@ -69,7 +69,7 @@ mod store;
 mod wal;
 
 pub use codec::WalCodec;
-pub use journal::{Escalation, HaltReason, RetryPolicy};
+pub use journal::{HaltReason, RetryPolicy};
 pub use scratch::ScratchDir;
 pub use storage::{Fault, FaultKind, FaultOp, FaultyStorage, FsStorage, Storage, StorageFile};
 pub use store::{
@@ -93,8 +93,8 @@ pub enum DurableError {
     /// reports the typed error instead).
     Batch(String),
     /// The journal has halted and accepts no further writes; the
-    /// [`HaltReason`] says whether that was a graceful shutdown, a
-    /// (simulated) crash, or an unrecoverable I/O escalation.
+    /// [`HaltReason`] says whether that was a graceful shutdown or a
+    /// (simulated) crash.
     Halted(HaltReason),
     /// The journal is in degraded read-only mode after a persistent
     /// storage failure: reads keep serving from memory, writes fail fast

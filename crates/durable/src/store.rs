@@ -9,8 +9,8 @@
 //! *and* applied, so the in-memory store is always exactly a replay of the
 //! WAL's committed prefix and no reader ever observes state a crash could
 //! roll back. Reads go straight to the inner [`ShardedStore`] with zero
-//! durability overhead: point gets, stitched range reads, snapshot reads,
-//! and streaming scan cursors are all untouched.
+//! durability overhead: point gets, range reads, snapshot reads, and
+//! streaming scan cursors are all untouched.
 //!
 //! Logical operations ([`StoreOp::Patch`], [`StoreOp::CompareAndSet`],
 //! [`StoreOp::Get`]) never reach the disk: the journal's log thread
@@ -90,7 +90,7 @@ use wft_store::{ShardedStore, StoreConfig, StoreScanCursor};
 
 use crate::checkpoint::{load_newest_checkpoint, write_checkpoint};
 use crate::codec::WalCodec;
-use crate::journal::{Escalation, HaltMode, Journal, JournalState, RetryPolicy};
+use crate::journal::{HaltMode, Journal, JournalState, RetryPolicy};
 use crate::storage::{FsStorage, Storage};
 use crate::wal::{read_wal, WalWriter};
 use crate::DurableError;
@@ -98,6 +98,9 @@ use crate::DurableError;
 /// Chunked snapshot-drain attempts before the checkpoint falls back to a
 /// single whole-range chunk (one validation window instead of many).
 const CHECKPOINT_DRAIN_ATTEMPTS: u32 = 16;
+
+/// Entries per chunk of the checkpoint's snapshot drain.
+const CHECKPOINT_CHUNK: usize = 1024;
 
 /// When to auto-trigger a checkpoint (see
 /// [`DurableStore::maybe_checkpoint`]). Thresholds compare against
@@ -110,14 +113,6 @@ pub struct CheckpointPolicy {
     pub max_wal_bytes: Option<u64>,
     /// Checkpoint once the live WAL spans more than this many segments.
     pub max_wal_segments: Option<u64>,
-}
-
-impl CheckpointPolicy {
-    /// `true` when neither axis is configured (the policy can never
-    /// fire).
-    pub fn is_disabled(&self) -> bool {
-        self.max_wal_bytes.is_none() && self.max_wal_segments.is_none()
-    }
 }
 
 /// What caused a checkpoint to run.
@@ -146,24 +141,24 @@ impl CheckpointTrigger {
 /// Configuration for a [`DurableStore`].
 #[derive(Debug, Clone)]
 pub struct DurableConfig {
-    /// Shards for the inner [`ShardedStore`].
+    /// Upper bound on the shards of the inner [`ShardedStore`]. The store
+    /// is built from the recovered image, whose key distribution picks the
+    /// split keys, so it has at most this many shards and fewer when the
+    /// image holds fewer entries than `shards` — a fresh directory opens as
+    /// one shard until a checkpoint of enough entries is reopened.
     pub shards: usize,
     /// Configuration forwarded to the inner store.
     pub store: StoreConfig,
     /// Rotate WAL segments once they exceed this many bytes.
     pub segment_bytes: u64,
-    /// Chunk size for the checkpoint's snapshot drain.
-    pub checkpoint_chunk: usize,
     /// Whether commit groups fsync (`true` for real durability; `false`
     /// trades the crash guarantee for throughput, useful in benches to
     /// isolate the logging cost from the disk cost).
     pub fsync: bool,
-    /// Retry budget for transient I/O errors on the flush path.
+    /// Retry budget for transient I/O errors on the flush path; a
+    /// persistent failure degrades the store to read-only mode, resumable
+    /// via [`DurableStore::try_resume`].
     pub retry: RetryPolicy,
-    /// What a persistent flush failure escalates into (default:
-    /// [`Escalation::Degrade`] — read-only mode, resumable via
-    /// [`DurableStore::try_resume`]).
-    pub on_persistent: Escalation,
     /// Background checkpoint thresholds; `None` means checkpoints run
     /// only when explicitly called.
     pub auto_checkpoint: Option<CheckpointPolicy>,
@@ -175,10 +170,8 @@ impl Default for DurableConfig {
             shards: 4,
             store: StoreConfig::default(),
             segment_bytes: 8 * 1024 * 1024,
-            checkpoint_chunk: 1024,
             fsync: true,
             retry: RetryPolicy::default(),
-            on_persistent: Escalation::default(),
             auto_checkpoint: None,
         }
     }
@@ -260,6 +253,8 @@ where
     /// Opens (or creates) the durable store in `dir` on the real
     /// filesystem: loads the newest valid checkpoint, replays the
     /// committed WAL suffix, and resumes logging in a fresh segment.
+    /// The inner store's shards are split from the checkpoint's entries:
+    /// at most [`DurableConfig::shards`], one on a fresh directory.
     pub fn open_with_config(
         dir: impl AsRef<Path>,
         config: DurableConfig,
@@ -332,7 +327,6 @@ where
             // disk: the replayed bytes plus the fresh segment just opened.
             (replay.bytes_read, replay.segments + 1),
             config.retry,
-            config.on_persistent,
             config.fsync,
         );
 
@@ -367,7 +361,7 @@ where
     }
 
     /// The inner sharded store, for read-side access to its native API
-    /// (stitched reads, front machinery, invariant checks). Mutating the
+    /// (shard layout, front machinery, invariant checks). Mutating the
     /// inner store directly would bypass the log — it is exposed
     /// read-only by convention, not by type, because every useful read
     /// entry point takes `&self` anyway.
@@ -385,9 +379,8 @@ where
         &self.dir
     }
 
-    /// `true` once the journal has halted for good (graceful shutdown,
-    /// simulated crash, or an I/O escalation under [`Escalation::Halt`])
-    /// and writes are refused.
+    /// `true` once the journal has halted for good (graceful shutdown or
+    /// simulated crash) and writes are refused.
     pub fn is_halted(&self) -> bool {
         self.journal.is_halted()
     }
@@ -543,7 +536,7 @@ where
                 None
             };
             let mut cursor = self.inner.scan(RangeSpec::all());
-            let entries = cursor.drain(self.config.checkpoint_chunk.max(1));
+            let entries = cursor.drain(CHECKPOINT_CHUNK);
             if cursor.consistency() == ScanConsistency::Snapshot || gated {
                 // A gated drain is Snapshot unless something mutated the
                 // inner store behind the journal's back (a convention
@@ -1182,35 +1175,32 @@ mod tests {
     }
 
     #[test]
-    fn escalation_halt_preserves_the_legacy_behaviour() {
-        let dir = ScratchDir::new("store-halt-io");
-        let faulty = FaultyStorage::over_fs();
+    fn shard_count_is_taken_from_the_recovered_image() {
+        let dir = ScratchDir::new("store-shards");
         let config = DurableConfig {
-            on_persistent: Escalation::Halt,
-            ..snappy_config()
+            shards: 4,
+            ..DurableConfig::default()
         };
-        let store: DurableStore<i64, i64> =
-            DurableStore::open_with_storage(dir.path(), config, Arc::new(faulty.clone())).unwrap();
+        let open = || -> DurableStore<i64, i64> {
+            DurableStore::open_with_config(dir.path(), config.clone()).unwrap()
+        };
+        let store = open();
+        assert_eq!(store.store().num_shards(), 1, "a fresh image has no keys");
         store
-            .apply_durable(vec![StoreOp::Insert { key: 1, value: 1 }])
+            .apply_durable(
+                (0..100)
+                    .map(|k| StoreOp::Insert { key: k, value: k })
+                    .collect(),
+            )
             .unwrap();
-        faulty.outage_now(io::ErrorKind::Other);
-        let err = store
-            .apply_durable(vec![StoreOp::Insert { key: 2, value: 2 }])
-            .unwrap_err();
-        assert!(matches!(err, DurableError::Io(_)), "{err:?}");
-        assert!(store.is_halted());
-        assert!(!store.is_degraded());
-        // Halted-for-I/O is not resumable.
-        faulty.heal();
-        assert_eq!(
-            store.try_resume(),
-            Err(DurableError::Halted(HaltReason::Io))
-        );
-        assert_eq!(
-            store.apply_durable(vec![StoreOp::Insert { key: 3, value: 3 }]),
-            Err(DurableError::Halted(HaltReason::Io))
-        );
+        store.checkpoint().unwrap();
+        assert_eq!(store.store().num_shards(), 1, "writes never reshard");
+        store.shutdown();
+        drop(store);
+        let store = open();
+        assert_eq!(store.store().num_shards(), 4);
+        assert_eq!(PointMap::len(&store), 100);
+        store.store().check_invariants();
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!   success and value delta of an update at its linearization point (see
 //!   DESIGN.md §3 for why the framework needs this). Because the index is
 //!   the resolution authority, its snapshot reads double as the trees'
-//!   `O(1)` linearizable point-read fast path (selected via [`ReadPath`]).
+//!   `O(1)` linearizable point-read fast path (`wft_core::ReadPath::Fast`).
 //!
 //! All shared memory that can be unlinked while other threads may still read
 //! it is managed with `crossbeam-epoch`; structures whose nodes are only
@@ -42,7 +42,7 @@ pub mod tsqueue;
 
 pub use fwmap::FirstWriteMap;
 pub use mpsc::TraverseQueue;
-pub use presence::{Decision, PresenceIndex, PresenceSnapshot, ReadPath, UpdateKind};
+pub use presence::{Decision, PresenceIndex, PresenceSnapshot, UpdateKind};
 pub use root::WaitFreeRootQueue;
 pub use timestamp::Timestamp;
 pub use tsqueue::TsQueue;

@@ -48,27 +48,6 @@ use crate::timestamp::Timestamp;
 /// workloads; collisions only degrade constants, never correctness).
 pub const DEFAULT_BUCKETS: usize = 1 << 16;
 
-/// Which implementation answers read operations on a descriptor-based tree.
-///
-/// The presence index is the tree's *resolution authority*: every update's
-/// effect is fixed there, in strict root-queue timestamp order, while the
-/// update is executed at the fictive root. A snapshot read of a key's state
-/// record is therefore linearizable on its own — which lets `get` /
-/// `contains` skip the descriptor machinery entirely, and lets aggregate
-/// range queries attempt an optimistic descriptor-free traversal first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReadPath {
-    /// Point reads are answered in `O(1)` from the presence index; range
-    /// reads attempt a validated optimistic traversal and fall back to the
-    /// descriptor path when validation fails. This is the default.
-    #[default]
-    Fast,
-    /// Every read runs as a full descriptor through the root queue (the
-    /// paper's original scheme). Primarily for testing and comparison: the
-    /// linearizability suites run under both variants.
-    Descriptor,
-}
-
 /// The kind of update being resolved.
 #[derive(Debug, Clone)]
 pub enum UpdateKind<V> {

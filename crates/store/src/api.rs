@@ -131,7 +131,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> TimestampFront for ShardedStore<K,
 /// shards) holds the sums still, so the sum sandwich alone could validate
 /// a read of a half-applied batch. No-commit-in-flight at entry plus
 /// no-commit-started across the read excludes exactly that.
-fn stitched_read_at<K, V, A, R>(
+fn sum_sandwich_read<K, V, A, R>(
     store: &ShardedStore<K, V, A>,
     token: &SnapshotToken,
     read: impl FnOnce() -> R,
@@ -183,22 +183,24 @@ where
     }
 
     fn range_agg_at(&self, token: &SnapshotToken, range: RangeSpec<K>) -> Option<Self::Agg> {
-        stitched_read_at(self, token, || {
+        sum_sandwich_read(self, token, || {
             wft_api::agg_over(range, A::identity, |min, max| {
-                self.stitched_range_agg(min, max)
+                self.per_shard_range_agg(min, max)
             })
         })
     }
 
     fn count_at(&self, token: &SnapshotToken, range: RangeSpec<K>) -> Option<u64> {
-        stitched_read_at(self, token, || {
-            wft_api::agg_over(range, || 0, |min, max| self.stitched_count(min, max))
-        })
+        let count = |min, max| {
+            A::count_of(&self.per_shard_range_agg(min, max))
+                .unwrap_or_else(|| self.per_shard_collect_range(min, max).len() as u64)
+        };
+        sum_sandwich_read(self, token, || wft_api::agg_over(range, || 0, count))
     }
 
     fn collect_range_at(&self, token: &SnapshotToken, range: RangeSpec<K>) -> Option<Vec<(K, V)>> {
-        stitched_read_at(self, token, || {
-            wft_api::collect_over(range, |min, max| self.stitched_collect_range(min, max))
+        sum_sandwich_read(self, token, || {
+            wft_api::collect_over(range, |min, max| self.per_shard_collect_range(min, max))
         })
     }
 }
@@ -224,7 +226,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> wft_obs::MetricsSource for Sharded
         }
         out.push_counter_sums("store", &shards);
         out.push_gauge("store_shards", self.num_shards() as i64);
-        out.push_gauge("store_len", self.stitched_len() as i64);
+        out.push_gauge("store_len", self.shard_len_sum() as i64);
         out.push_gauge(
             "epoch_pooled_blocks",
             crossbeam_epoch::pooled_blocks() as i64,

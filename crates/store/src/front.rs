@@ -47,9 +47,9 @@
 //! validation failure implies a concurrent update linearized — so the
 //! retry loop is lock-free but not wait-free: a sustained write storm on a
 //! touched shard can starve a cross-shard reader. The
-//! `store_snapshot_retries` metric exposes the retry pressure; the
-//! non-linearizable pre-PR-4 behaviour remains available as the explicitly
-//! named `stitched_*` reads for comparison and benchmarks.
+//! `store_snapshot_retries` metric exposes the retry pressure. Only `len()`
+//! bounds its cut attempts and then answers with the plain per-shard sum
+//! (counted in `store_len_fallbacks`).
 //!
 //! Atomic cross-shard **batch commits** add one more coupling on top of the
 //! cut: the per-shard commit gate documented on the crate-private

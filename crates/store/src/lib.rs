@@ -23,9 +23,8 @@
 //!   making them linearizable, and [`wft_api::SnapshotRead`] exposes
 //!   consistent multi-range snapshot reads on top. `len` takes the same
 //!   discipline with a bounded number of cut attempts, falling back to the
-//!   stitched sum (counted in the `store_len_fallbacks` metric) under
-//!   sustained write traffic. The pre-front behaviour remains available as
-//!   the `stitched_*` reads.
+//!   stitched sum of per-shard lengths (counted in the
+//!   `store_len_fallbacks` metric) under sustained write traffic.
 //! * [`StoreScanCursor`] — the store's native [`wft_api::RangeScan`] (see
 //!   [`scan`]): streaming snapshot-consistent cursors that drain a range in
 //!   caller-bounded chunks, shard after shard in key order, validated
@@ -67,7 +66,7 @@ mod store;
 pub use front::GlobalFront;
 pub use op::{BatchError, OpOutcome, StoreConfig, StoreOp};
 pub use scan::StoreScanCursor;
-pub use store::{split_keys_from_sample, BatchPlan, ShardedStore};
+pub use store::{split_keys_from_sample, ShardedStore};
 
 // Re-export the shared trait family the store implements (the batch
 // vocabulary above is likewise defined in `wft-api` and re-exported here).

@@ -4,7 +4,7 @@
 //! they are now defined in [`wft_api`] (so single trees accept the same
 //! batches through [`wft_api::BatchApply`]) and re-exported for source
 //! compatibility. What remains store-specific is [`StoreConfig`]: the
-//! per-shard tree configuration and the two-phase pipeline's tuning knobs.
+//! per-shard tree configuration and the batch size bound.
 
 pub use wft_api::{BatchError, OpOutcome, StoreOp};
 
@@ -16,13 +16,6 @@ pub struct StoreConfig {
     /// Upper bound accepted by `apply_batch`; larger batches are rejected in
     /// phase one. Defaults to `usize::MAX` (unbounded).
     pub max_batch_ops: usize,
-    /// Minimum number of operations a batch must carry before execution
-    /// fans out across shards on worker threads; smaller batches run on the
-    /// calling thread (spawning costs more than it saves). On single-core
-    /// hosts the fan-out is suppressed entirely — except with the special
-    /// value `0`, which forces the parallel path unconditionally (used to
-    /// exercise it in tests).
-    pub parallel_threshold: usize,
 }
 
 impl Default for StoreConfig {
@@ -30,7 +23,6 @@ impl Default for StoreConfig {
         StoreConfig {
             tree: wft_core::TreeConfig::default(),
             max_batch_ops: wft_api::UNBOUNDED_BATCH_OPS,
-            parallel_threshold: 64,
         }
     }
 }

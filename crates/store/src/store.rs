@@ -29,11 +29,8 @@
 //! front-validated entry points, and the attempt retries on a fresh cut if
 //! any shard advanced mid-read — so `count` / `range_agg` / `collect_range`
 //! are linearizable across shards; `len()` takes the same discipline with a
-//! **bounded** number of cut attempts, falling back to the stitched sum
-//! under sustained contention (the pre-front
-//! stitched behaviour remains available as
-//! [`ShardedStore::stitched_range_agg`] /
-//! [`ShardedStore::stitched_collect_range`] / [`ShardedStore::stitched_len`]).
+//! **bounded** number of cut attempts, falling back to the stitched sum of
+//! per-shard lengths under sustained contention.
 //! Streaming reads take the same discipline shard-by-shard: the store's
 //! [`wft_api::RangeScan`] cursor (see [`crate::scan`]) drains a range in
 //! chunks at one cut.
@@ -74,12 +71,16 @@ pub struct ShardedStore<K: Key, V: Value = (), A: Augmentation<K, V> = Size> {
     pub(crate) front: FrontTable,
 }
 
+/// Minimum number of operations a batch must carry before execution fans
+/// out across shards on worker threads; smaller batches run on the calling
+/// thread (spawning costs more than it saves).
+const PARALLEL_THRESHOLD: usize = 64;
+
 /// The validated, shard-grouped form of a batch: the output of phase one.
 ///
 /// Holding a plan proves the batch passed validation; executing it is
-/// phase two. The plan borrows nothing from the store, so tests can assert
-/// that a failed validation left every shard untouched.
-pub struct BatchPlan<K: Key, V: Value> {
+/// phase two.
+pub(crate) struct BatchPlan<K: Key, V: Value> {
     /// One group per shard: `(original batch index, operation)`, in batch
     /// order (the grouping is stable).
     groups: Vec<Vec<(usize, StoreOp<K, V>)>>,
@@ -87,19 +88,17 @@ pub struct BatchPlan<K: Key, V: Value> {
 }
 
 impl<K: Key, V: Value> BatchPlan<K, V> {
-    /// Number of operations in the planned batch.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when the planned batch carries no operations.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Number of shards the batch touches.
-    pub fn shards_touched(&self) -> usize {
+    fn shards_touched(&self) -> usize {
         self.groups.iter().filter(|g| !g.is_empty()).count()
+    }
+
+    /// Whether phase two fans the per-shard groups out across worker
+    /// threads: at least [`PARALLEL_THRESHOLD`] operations over at least two
+    /// shards, on a host with more than one hardware thread (on one core the
+    /// fan-out can only add spawn overhead).
+    fn fans_out(&self) -> bool {
+        self.len >= PARALLEL_THRESHOLD && self.shards_touched() >= 2 && hardware_threads() > 1
     }
 
     /// Whether executing this plan requires the atomic commit gate:
@@ -110,7 +109,7 @@ impl<K: Key, V: Value> BatchPlan<K, V> {
     /// write spans must exclude concurrent point writers). A single
     /// classic operation is already atomic as one tree op and bypasses
     /// the gate.
-    pub fn needs_commit_gate(&self) -> bool {
+    fn needs_commit_gate(&self) -> bool {
         self.len > 1
             || self
                 .groups
@@ -313,11 +312,11 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
     /// multi-shard write traffic a validated cut may never materialise
     /// (each attempt is lock-free, not wait-free), so after
     /// [`LEN_CUT_ATTEMPTS`](Self::LEN_CUT_ATTEMPTS) expired cuts the read
-    /// falls back to [`ShardedStore::stitched_len`] — still a sum of
-    /// atomic per-shard lengths, just not one linearization point — and
-    /// records the degradation in `store_len_fallbacks`. Callers
-    /// polling a length on a hot path (metrics, balance probes) should
-    /// call `stitched_len()` directly and skip the cut machinery entirely.
+    /// falls back to the sum of the per-shard lengths — each read
+    /// atomically, just not at one linearization point — and records the
+    /// degradation in `store_len_fallbacks`. Callers polling a length on a
+    /// hot path (metrics, balance probes) should sum
+    /// [`ShardedStore::shard_lens`] and skip the cut machinery entirely.
     /// Single-shard stores skip the front (one tree's `len` is already a
     /// single linearization point).
     pub fn len(&self) -> u64 {
@@ -340,19 +339,18 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
         }
         self.front.len_fallbacks.inc();
         wft_obs::trace::emit(wft_obs::TraceKind::LenFallback, wft_obs::NO_SHARD);
-        self.stitched_len()
+        self.shard_len_sum()
     }
 
     /// How many settled cuts [`ShardedStore::len`] tries to validate
     /// before giving up on a single linearization point and answering with
-    /// [`ShardedStore::stitched_len`] — bounds `len()`'s completion time
+    /// the sum of the per-shard lengths — bounds `len()`'s completion time
     /// under write traffic that expires every cut.
     pub const LEN_CUT_ATTEMPTS: usize = 32;
 
     /// Sum of the per-shard lengths with no global cut: each shard length
-    /// is read atomically but the sum is not a single linearization point
-    /// (the pre-front `len`, kept as the zero-cost baseline).
-    pub fn stitched_len(&self) -> u64 {
+    /// is read atomically but the sum is not a single linearization point.
+    pub(crate) fn shard_len_sum(&self) -> u64 {
         self.shards.iter().map(WaitFreeTree::len).sum()
     }
 
@@ -360,8 +358,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
     /// [`ShardedStore::len`] — so it inherits `len()`'s cut machinery: up
     /// to [`LEN_CUT_ATTEMPTS`](Self::LEN_CUT_ATTEMPTS) settle/validate
     /// rounds under multi-shard write traffic before the stitched
-    /// fallback. Callers polling emptiness on a hot path should probe
-    /// `stitched_len() == 0` instead and skip the cut.
+    /// fallback.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -441,20 +438,11 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
             .unwrap_or_else(|| self.collect_range(min, max).len() as u64)
     }
 
-    /// [`ShardedStore::count`] assembled the pre-front way (not a single
-    /// atomic snapshot; see [`ShardedStore::stitched_range_agg`]).
-    pub fn stitched_count(&self, min: K, max: K) -> u64 {
-        A::count_of(&self.stitched_range_agg(min, max))
-            .unwrap_or_else(|| self.stitched_collect_range(min, max).len() as u64)
-    }
-
-    /// Aggregate of all entries with keys in `[min, max]` assembled the
-    /// **pre-front way**: one linearizable query per overlapped shard, each
-    /// taken at a (slightly) different instant, with no global cut. Not a
-    /// single atomic snapshot — kept as the explicitly named baseline for
-    /// benchmarks and for callers that prefer zero retry cost over
-    /// cross-shard atomicity.
-    pub fn stitched_range_agg(&self, min: K, max: K) -> A::Agg {
+    /// Aggregate of all entries with keys in `[min, max]` with no global
+    /// cut: one linearizable query per overlapped shard, each taken at a
+    /// (slightly) different instant. Atomic only inside a caller's own
+    /// validation (the snapshot sum sandwich in `api.rs`).
+    pub(crate) fn per_shard_range_agg(&self, min: K, max: K) -> A::Agg {
         if max < min {
             return A::identity();
         }
@@ -468,9 +456,9 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
         acc
     }
 
-    /// [`ShardedStore::collect_range`] assembled the pre-front way (see
-    /// [`ShardedStore::stitched_range_agg`]).
-    pub fn stitched_collect_range(&self, min: K, max: K) -> Vec<(K, V)> {
+    /// [`ShardedStore::collect_range`] with no global cut (see
+    /// [`ShardedStore::per_shard_range_agg`]).
+    pub(crate) fn per_shard_collect_range(&self, min: K, max: K) -> Vec<(K, V)> {
         if max < min {
             return Vec::new();
         }
@@ -741,7 +729,10 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
     /// [`StoreConfig::max_batch_ops`] and batches addressing any key twice
     /// (per-shard groups execute concurrently, so a batch-internal order
     /// between same-key operations cannot be guaranteed).
-    pub fn plan_batch(&self, batch: Vec<StoreOp<K, V>>) -> Result<BatchPlan<K, V>, BatchError<K>> {
+    pub(crate) fn plan_batch(
+        &self,
+        batch: Vec<StoreOp<K, V>>,
+    ) -> Result<BatchPlan<K, V>, BatchError<K>> {
         wft_api::validate_batch(&batch, self.config.max_batch_ops)?;
         let mut groups: Vec<Vec<(usize, StoreOp<K, V>)>> =
             (0..self.shards.len()).map(|_| Vec::new()).collect();
@@ -753,34 +744,23 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
         Ok(BatchPlan { groups, len })
     }
 
-    /// Phase two **without cross-shard atomicity**: executes a validated
-    /// plan op by op, fanning the per-shard groups out across worker
-    /// threads when the batch is large enough to pay for them
-    /// ([`StoreConfig::parallel_threshold`]). Each operation individually
-    /// respects the commit gate (so a piecewise execution can never
-    /// corrupt a concurrent atomic commit's read-decide-write spans), but
-    /// a concurrent reader may observe this batch half-applied —
-    /// [`ShardedStore::apply_batch`] wraps the same executor in a commit
-    /// window whenever the batch needs one.
+    /// Phase two: executes a validated plan op by op, fanning the
+    /// per-shard groups out across worker threads when the batch is large
+    /// enough to pay for them ([`BatchPlan::fans_out`]).
+    ///
+    /// `in_window == true` means the caller holds a commit window over
+    /// every touched shard (the gated commit path) and ops apply raw;
+    /// `false` routes every op through [`ShardedStore::gated_write`], so a
+    /// piecewise execution can never corrupt a concurrent atomic commit's
+    /// read-decide-write spans.
     ///
     /// Returns one [`OpOutcome`] per submitted operation, in submission
     /// order. Transactional operations resolve against the state they find
     /// (same-shard groups run in batch order, so a `Get` observes earlier
     /// same-batch operations on its key — same key means same shard).
-    pub fn execute_plan(&self, plan: BatchPlan<K, V>) -> Vec<OpOutcome<V>> {
-        self.run_plan(plan, false)
-    }
-
-    /// The shared phase-two executor. `in_window == true` means the caller
-    /// holds a commit window over every touched shard (the gated commit
-    /// path) and ops apply raw; `false` routes every op through
-    /// [`ShardedStore::gated_write`].
     fn run_plan(&self, plan: BatchPlan<K, V>, in_window: bool) -> Vec<OpOutcome<V>> {
         let mut results: Vec<Option<OpOutcome<V>>> = (0..plan.len).map(|_| None).collect();
-        let parallel = plan.len >= self.config.parallel_threshold
-            && plan.shards_touched() >= 2
-            && (hardware_threads() > 1 || self.config.parallel_threshold == 0);
-        if parallel {
+        if plan.fans_out() {
             let outcomes: Vec<Vec<(usize, OpOutcome<V>)>> = thread::scope(|scope| {
                 let handles: Vec<_> = plan
                     .groups
@@ -857,15 +837,16 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
         outcomes
     }
 
-    /// Validates and executes `batch`: [`ShardedStore::plan_batch`]
-    /// followed by phase two. On `Err` no shard was mutated.
+    /// Validates and executes `batch`: phase one validates the whole batch
+    /// and groups it by shard, phase two applies the groups. On `Err` no
+    /// shard was mutated.
     ///
-    /// A batch that needs atomicity ([`BatchPlan::needs_commit_gate`]:
-    /// more than one operation, or any `Patch` / `CompareAndSet` / `Get`)
-    /// commits through the publish-at-front commit window — concurrent
-    /// cut readers see all of it or none of it. A single classic operation
-    /// bypasses the gate (it is already atomic as one tree op), keeping
-    /// the point-write-shaped fast path free of commit traffic.
+    /// A batch that needs atomicity (more than one operation, or any
+    /// `Patch` / `CompareAndSet` / `Get`) commits through the
+    /// publish-at-front commit window — concurrent cut readers see all of
+    /// it or none of it. A single classic operation bypasses the gate (it
+    /// is already atomic as one tree op), keeping the point-write-shaped
+    /// fast path free of commit traffic.
     pub fn apply_batch(
         &self,
         batch: Vec<StoreOp<K, V>>,
@@ -874,7 +855,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
         Ok(if plan.needs_commit_gate() {
             self.commit_plan(plan)
         } else {
-            self.execute_plan(plan)
+            self.run_plan(plan, false)
         })
     }
 
@@ -1178,13 +1159,7 @@ mod tests {
 
     #[test]
     fn large_batches_take_the_parallel_path() {
-        let config = StoreConfig {
-            // 0 forces the cross-shard fan-out even on single-core hosts.
-            parallel_threshold: 0,
-            ..StoreConfig::default()
-        };
-        let store: ShardedStore<i64, i64> =
-            ShardedStore::with_boundaries_and_config(vec![100, 200, 300], config);
+        let store: ShardedStore<i64, i64> = ShardedStore::with_boundaries(vec![100, 200, 300]);
         let batch: Vec<StoreOp<i64, i64>> = (0..400)
             .map(|k| StoreOp::Insert {
                 key: k,
@@ -1193,7 +1168,10 @@ mod tests {
             .collect();
         let plan = store.plan_batch(batch).unwrap();
         assert_eq!(plan.shards_touched(), 4);
-        let outcomes = store.execute_plan(plan);
+        // 400 ops over 4 shards clear the threshold: the fan-out is taken
+        // wherever there is more than one hardware thread.
+        assert_eq!(plan.fans_out(), hardware_threads() > 1);
+        let outcomes = store.run_plan(plan, false);
         assert!(outcomes.iter().all(|o| *o == OpOutcome::Inserted(true)));
         assert_eq!(store.len(), 400);
         assert_eq!(store.get(&123), Some(246));
@@ -1295,17 +1273,6 @@ mod tests {
             Some(0),
             "a single-shard range needs no global front"
         );
-    }
-
-    #[test]
-    fn stitched_reads_match_on_a_quiescent_store() {
-        let store = store_with_shards(4, 500);
-        assert_eq!(store.stitched_count(10, 490), store.count(10, 490));
-        assert_eq!(
-            store.stitched_collect_range(10, 490),
-            store.collect_range(10, 490)
-        );
-        assert_eq!(store.stitched_count(9, 3), 0);
     }
 
     #[test]

@@ -158,16 +158,13 @@ fn rejected_batches_leave_concurrent_store_untouched() {
 
 #[test]
 fn forced_parallel_fanout_is_correct_under_contention() {
-    // parallel_threshold = 0 forces the scoped-thread fan-out even on a
-    // single-core host, stacking it on top of the callers' own threads.
-    let config = StoreConfig {
-        parallel_threshold: 0,
-        ..StoreConfig::default()
-    };
-    let store: Arc<ShardedStore<i64, i64>> = Arc::new(ShardedStore::from_entries_with_config(
-        (0..4096).map(|k| (k, 0)),
+    // Every batch carries BATCH = 64 ops spread over the whole keyspace, so
+    // it clears the store's fan-out threshold and touches several shards:
+    // on a multi-core host the scoped-thread fan-out runs on top of the
+    // callers' own threads.
+    let store: Arc<ShardedStore<i64, i64>> = Arc::new(ShardedStore::from_entries(
+        (0..KEYSPACE).step_by(16).map(|k| (k, 0)),
         4,
-        config,
     ));
     let handles: Vec<_> = (0..WRITERS)
         .map(|w| {
@@ -176,6 +173,9 @@ fn forced_parallel_fanout_is_correct_under_contention() {
                 let mut rng = StdRng::seed_from_u64(900 + w as u64);
                 for round in 0..20 {
                     let batch = writer_batch(w, round, &mut rng);
+                    let shards: std::collections::HashSet<usize> =
+                        batch.iter().map(|op| store.shard_of(op.key())).collect();
+                    assert!(batch.len() >= 64 && shards.len() >= 2, "{shards:?}");
                     store.apply_batch(batch).unwrap();
                 }
             })

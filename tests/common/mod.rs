@@ -3,7 +3,8 @@
 //! `i64` keys, unit values and subtree-size augmentation, as an
 //! `Arc<dyn ConcurrentSet>`. [`ConcurrentSet`] is implemented **once**, as
 //! a blanket impl over the `wft-api` trait family, so a backend that
-//! implements those traits joins every sweep without adapter code.
+//! implements those traits (and names its invariant check, [`Invariants`])
+//! joins every sweep without adapter code.
 
 // Each test binary that declares `mod common;` uses a different subset of
 // this module.
@@ -21,7 +22,7 @@ use wait_free_range_trees::lockbased::LockedRangeTree;
 use wait_free_range_trees::lockfree::LockFreeBst;
 use wait_free_range_trees::obs::{MetricsSnapshot, MetricsSource};
 use wait_free_range_trees::persistent::PersistentRangeTree;
-use wait_free_range_trees::store::{ShardedStore, StoreConfig};
+use wait_free_range_trees::store::{split_keys_from_sample, ShardedStore, StoreConfig};
 use wait_free_range_trees::trie::WaitFreeTrie;
 
 /// The `wft-api` trait family monomorphised to `i64` keys and unit values,
@@ -40,9 +41,13 @@ pub trait ConcurrentSet: Send + Sync + 'static {
     fn contains(&self, key: i64) -> bool;
     /// Number of keys in `[min, max]` via the aggregate range query.
     fn count(&self, min: i64, max: i64) -> u64;
+    /// The keys in `[min, max]`, ascending, via `collect_range`.
+    fn collect(&self, min: i64, max: i64) -> Vec<i64>;
     /// Number of keys in `[min, max]` as `collect(min, max).len()`, linear
     /// in the range size.
-    fn count_via_collect(&self, min: i64, max: i64) -> u64;
+    fn count_via_collect(&self, min: i64, max: i64) -> u64 {
+        self.collect(min, max).len() as u64
+    }
     /// Counts of `[a_min, a_max]` and `[b_min, b_max]` answered from **one
     /// snapshot** (`SnapshotRead`): both describe the same instant.
     fn snapshot_count_pair(&self, a_min: i64, a_max: i64, b_min: i64, b_max: i64) -> (u64, u64);
@@ -71,6 +76,42 @@ pub trait ConcurrentSet: Send + Sync + 'static {
     fn len(&self) -> u64;
     /// One snapshot of the backend's counters and gauges.
     fn metrics_snapshot(&self) -> MetricsSnapshot;
+    /// The backend's structural invariant check; quiescent only, panics on
+    /// a violation.
+    fn check_invariants(&self);
+}
+
+/// A backend's quiescent structural self-check. Every backend has one as an
+/// inherent method; this trait only names it for the blanket
+/// [`ConcurrentSet`] impl.
+pub trait Invariants {
+    /// Panics unless the backend's structural invariants hold.
+    fn check_invariants(&self);
+}
+
+macro_rules! invariants_are_inherent {
+    ($($backend:ty),* $(,)?) => {$(
+        impl Invariants for $backend {
+            fn check_invariants(&self) {
+                <$backend>::check_invariants(self)
+            }
+        }
+    )*};
+}
+
+invariants_are_inherent!(
+    WaitFreeTree<i64>,
+    WaitFreeTrie<i64>,
+    PersistentRangeTree<i64>,
+    LockedRangeTree<i64>,
+    LockFreeBst<i64>,
+    ShardedStore<i64>,
+);
+
+impl Invariants for DurableStore<i64> {
+    fn check_invariants(&self) {
+        self.store().check_invariants()
+    }
 }
 
 impl<T> ConcurrentSet for T
@@ -81,6 +122,7 @@ where
         + RangeScan<i64, ()>
         + BatchApply<i64, ()>
         + MetricsSource
+        + Invariants
         + 'static,
 {
     fn insert(&self, key: i64) -> bool {
@@ -98,8 +140,11 @@ where
     fn count(&self, min: i64, max: i64) -> u64 {
         RangeRead::count(self, RangeSpec::inclusive(min, max))
     }
-    fn count_via_collect(&self, min: i64, max: i64) -> u64 {
-        RangeRead::collect_range(self, RangeSpec::inclusive(min, max)).len() as u64
+    fn collect(&self, min: i64, max: i64) -> Vec<i64> {
+        RangeRead::collect_range(self, RangeSpec::inclusive(min, max))
+            .into_iter()
+            .map(|(k, ())| k)
+            .collect()
     }
     fn snapshot_count_pair(&self, a_min: i64, a_max: i64, b_min: i64, b_max: i64) -> (u64, u64) {
         let counts = SnapshotRead::snapshot_counts(
@@ -156,6 +201,9 @@ where
     }
     fn metrics_snapshot(&self) -> MetricsSnapshot {
         MetricsSource::metrics(self)
+    }
+    fn check_invariants(&self) {
+        Invariants::check_invariants(self)
     }
 }
 
@@ -305,8 +353,14 @@ impl TreeImpl {
                     shards: max_threads.max(1),
                     ..DurableConfig::default()
                 };
-                let store = DurableStore::<i64>::open_with_config(scratch.path(), config)
-                    .expect("opening durable store in scratch dir");
+                let open = || {
+                    DurableStore::<i64>::open_with_config(scratch.path(), config.clone())
+                        .expect("opening durable store in scratch dir")
+                };
+                // The store splits its shards from the recovered image, so a
+                // fresh directory opens as one shard: checkpoint the prefill
+                // and reopen to shard it exactly like `Sharded`.
+                let store = open();
                 store
                     .apply_durable(
                         entries
@@ -315,6 +369,16 @@ impl TreeImpl {
                             .collect(),
                     )
                     .expect("prefilling durable store");
+                store.checkpoint().expect("checkpointing the prefill");
+                store.shutdown();
+                drop(store);
+                let store = open();
+                let shards = split_keys_from_sample(&mut entries.to_vec(), config.shards).len() + 1;
+                assert_eq!(
+                    store.store().num_shards(),
+                    shards,
+                    "the durable backend runs on max_threads shards once the prefill has as many keys"
+                );
                 Arc::new(DurableSet {
                     store,
                     _scratch: scratch,
@@ -349,8 +413,8 @@ impl ConcurrentSet for DurableSet {
     fn count(&self, min: i64, max: i64) -> u64 {
         ConcurrentSet::count(&self.store, min, max)
     }
-    fn count_via_collect(&self, min: i64, max: i64) -> u64 {
-        ConcurrentSet::count_via_collect(&self.store, min, max)
+    fn collect(&self, min: i64, max: i64) -> Vec<i64> {
+        ConcurrentSet::collect(&self.store, min, max)
     }
     fn snapshot_count_pair(&self, a_min: i64, a_max: i64, b_min: i64, b_max: i64) -> (u64, u64) {
         ConcurrentSet::snapshot_count_pair(&self.store, a_min, a_max, b_min, b_max)
@@ -375,5 +439,8 @@ impl ConcurrentSet for DurableSet {
     }
     fn metrics_snapshot(&self) -> MetricsSnapshot {
         ConcurrentSet::metrics_snapshot(&self.store)
+    }
+    fn check_invariants(&self) {
+        ConcurrentSet::check_invariants(&self.store)
     }
 }

@@ -1,24 +1,25 @@
 //! Cross-crate integration tests: every tree in the workspace must implement
 //! the same abstract ordered-set semantics.
 //!
-//! Sequential equivalence is checked exhaustively (identical random operation
-//! sequences applied to the wait-free tree, the wait-free trie, the
-//! persistent baseline, the lock-based baseline, the lock-free linear
-//! baseline, the sequential tree and the `BTreeMap` oracle must produce
-//! identical results at every step), including both root-queue variants of
-//! the wait-free tree.
+//! Sequential equivalence is checked exhaustively: identical random
+//! operation sequences applied to every backend of [`TreeImpl::ALL`] (both
+//! root-queue variants of the wait-free tree, the wait-free trie, the
+//! persistent, lock-based and lock-free linear baselines and the sharded
+//! store), the sequential tree and the `BTreeMap` oracle must produce
+//! identical results at every step.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use wait_free_range_trees::core::{RootQueueKind, TreeConfig, WaitFreeTree};
-use wait_free_range_trees::lockbased::LockedRangeTree;
-use wait_free_range_trees::lockfree::LockFreeBst;
+use wait_free_range_trees::core::WaitFreeTree;
 use wait_free_range_trees::persistent::PersistentRangeTree;
 use wait_free_range_trees::seq::{ReferenceMap, SeqRangeTree};
 use wait_free_range_trees::trie::WaitFreeTrie;
+
+mod common;
+use common::{ConcurrentSet, TreeImpl};
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -30,16 +31,22 @@ enum Op {
     Collect(i64, i64),
 }
 
+/// Keys the backends are built over and drained of before a sequence runs:
+/// the sharded store takes its split keys from them, so it starts empty on
+/// four shards instead of one.
+const SHARD_SEED: [i64; 4] = [0, 50, 100, 150];
+
 fn apply_everywhere(ops: &[Op]) {
-    let wait_free: WaitFreeTree<i64> = WaitFreeTree::new();
-    let wait_free_wf: WaitFreeTree<i64> = WaitFreeTree::with_config(TreeConfig {
-        root_queue: RootQueueKind::WaitFree { slots: 4 },
-        ..TreeConfig::default()
-    });
-    let trie: WaitFreeTrie<i64> = WaitFreeTrie::new();
-    let lockfree: LockFreeBst<i64> = LockFreeBst::new();
-    let persistent: PersistentRangeTree<i64> = PersistentRangeTree::new();
-    let locked: LockedRangeTree<i64> = LockedRangeTree::new();
+    let backends: Vec<(TreeImpl, std::sync::Arc<dyn ConcurrentSet>)> = TreeImpl::ALL
+        .iter()
+        .map(|&imp| {
+            let set = imp.build(&SHARD_SEED, SHARD_SEED.len());
+            for k in SHARD_SEED {
+                assert!(set.remove(k), "{}: draining seed key {k}", imp.name());
+            }
+            (imp, set)
+        })
+        .collect();
     let mut seq: SeqRangeTree<i64> = SeqRangeTree::new();
     let mut oracle: ReferenceMap<i64, ()> = ReferenceMap::new();
 
@@ -47,64 +54,18 @@ fn apply_everywhere(ops: &[Op]) {
         match *op {
             Op::Insert(k) => {
                 let expect = oracle.insert(k, ());
-                assert_eq!(
-                    wait_free.insert(k, ()),
-                    expect,
-                    "wait-free insert step {step}"
-                );
-                assert_eq!(
-                    wait_free_wf.insert(k, ()),
-                    expect,
-                    "wf-root insert step {step}"
-                );
-                assert_eq!(trie.insert(k, ()), expect, "trie insert step {step}");
-                assert_eq!(
-                    lockfree.insert(k, ()),
-                    expect,
-                    "lock-free insert step {step}"
-                );
-                assert_eq!(
-                    persistent.insert(k, ()),
-                    expect,
-                    "persistent insert step {step}"
-                );
-                assert_eq!(locked.insert(k, ()), expect, "locked insert step {step}");
+                for (imp, set) in &backends {
+                    assert_eq!(set.insert(k), expect, "{} insert step {step}", imp.name());
+                }
                 assert_eq!(seq.insert(k, ()), expect, "seq insert step {step}");
             }
             Op::Replace(k) => {
                 // The upsert on a unit-valued set: observable as "was the
                 // key present before?" — BTreeMap::insert semantics.
                 let expect = oracle.insert_or_replace(k, ()).is_some();
-                assert_eq!(
-                    wait_free.insert_or_replace(k, ()).is_some(),
-                    expect,
-                    "wait-free replace step {step}"
-                );
-                assert_eq!(
-                    wait_free_wf.insert_or_replace(k, ()).is_some(),
-                    expect,
-                    "wf-root replace step {step}"
-                );
-                assert_eq!(
-                    trie.insert_or_replace(k, ()).is_some(),
-                    expect,
-                    "trie replace step {step}"
-                );
-                assert_eq!(
-                    lockfree.insert_or_replace(k, ()).is_some(),
-                    expect,
-                    "lock-free replace step {step}"
-                );
-                assert_eq!(
-                    persistent.insert_or_replace(k, ()).is_some(),
-                    expect,
-                    "persistent replace step {step}"
-                );
-                assert_eq!(
-                    locked.insert_or_replace(k, ()).is_some(),
-                    expect,
-                    "locked replace step {step}"
-                );
+                for (imp, set) in &backends {
+                    assert_eq!(set.replace(k), expect, "{} replace step {step}", imp.name());
+                }
                 assert_eq!(
                     seq.insert_or_replace(k, ()).is_some(),
                     expect,
@@ -113,101 +74,38 @@ fn apply_everywhere(ops: &[Op]) {
             }
             Op::Remove(k) => {
                 let expect = oracle.remove(&k);
-                assert_eq!(wait_free.remove(&k), expect, "wait-free remove step {step}");
-                assert_eq!(
-                    wait_free_wf.remove(&k),
-                    expect,
-                    "wf-root remove step {step}"
-                );
-                assert_eq!(trie.remove(&k), expect, "trie remove step {step}");
-                assert_eq!(lockfree.remove(&k), expect, "lock-free remove step {step}");
-                assert_eq!(
-                    persistent.remove(&k),
-                    expect,
-                    "persistent remove step {step}"
-                );
-                assert_eq!(locked.remove(&k), expect, "locked remove step {step}");
+                for (imp, set) in &backends {
+                    assert_eq!(set.remove(k), expect, "{} remove step {step}", imp.name());
+                }
                 assert_eq!(seq.remove(&k), expect, "seq remove step {step}");
             }
             Op::Contains(k) => {
                 let expect = oracle.contains(&k);
-                assert_eq!(
-                    wait_free.contains(&k),
-                    expect,
-                    "wait-free contains step {step}"
-                );
-                assert_eq!(
-                    wait_free_wf.contains(&k),
-                    expect,
-                    "wf-root contains step {step}"
-                );
-                assert_eq!(trie.contains(&k), expect, "trie contains step {step}");
-                assert_eq!(
-                    lockfree.contains(&k),
-                    expect,
-                    "lock-free contains step {step}"
-                );
-                assert_eq!(
-                    persistent.contains(&k),
-                    expect,
-                    "persistent contains step {step}"
-                );
-                assert_eq!(locked.contains(&k), expect, "locked contains step {step}");
+                for (imp, set) in &backends {
+                    let name = imp.name();
+                    assert_eq!(set.contains(k), expect, "{name} contains step {step}");
+                }
                 assert_eq!(seq.contains(&k), expect, "seq contains step {step}");
             }
             Op::Count(lo, hi) => {
                 let expect = oracle.count(lo, hi);
-                assert_eq!(
-                    wait_free.count(lo, hi),
-                    expect,
-                    "wait-free count step {step}"
-                );
-                assert_eq!(
-                    wait_free_wf.count(lo, hi),
-                    expect,
-                    "wf-root count step {step}"
-                );
-                assert_eq!(trie.count(lo, hi), expect, "trie count step {step}");
-                assert_eq!(
-                    lockfree.count(lo, hi),
-                    expect,
-                    "lock-free count step {step}"
-                );
-                assert_eq!(
-                    persistent.count(lo, hi),
-                    expect,
-                    "persistent count step {step}"
-                );
-                assert_eq!(locked.count(lo, hi), expect, "locked count step {step}");
+                for (imp, set) in &backends {
+                    assert_eq!(
+                        set.count(lo, hi),
+                        expect,
+                        "{} count step {step}",
+                        imp.name()
+                    );
+                }
                 assert_eq!(seq.count(lo, hi), expect, "seq count step {step}");
             }
             Op::Collect(lo, hi) => {
                 let expect = oracle.collect_range(lo, hi);
-                assert_eq!(
-                    wait_free.collect_range(lo, hi),
-                    expect,
-                    "wait-free collect step {step}"
-                );
-                assert_eq!(
-                    trie.collect_range(lo, hi),
-                    expect,
-                    "trie collect step {step}"
-                );
-                assert_eq!(
-                    lockfree.collect_range(lo, hi),
-                    expect,
-                    "lock-free collect step {step}"
-                );
-                assert_eq!(
-                    persistent.collect_range(lo, hi),
-                    expect,
-                    "persistent collect step {step}"
-                );
-                assert_eq!(
-                    locked.collect_range(lo, hi),
-                    expect,
-                    "locked collect step {step}"
-                );
+                let keys: Vec<i64> = expect.iter().map(|&(k, ())| k).collect();
+                for (imp, set) in &backends {
+                    let name = imp.name();
+                    assert_eq!(set.collect(lo, hi), keys, "{name} collect step {step}");
+                }
                 assert_eq!(seq.collect_range(lo, hi), expect, "seq collect step {step}");
             }
         }
@@ -215,18 +113,17 @@ fn apply_everywhere(ops: &[Op]) {
 
     // Final-state agreement and structural invariants.
     let expect_entries = oracle.entries();
-    assert_eq!(wait_free.entries_quiescent(), expect_entries);
-    assert_eq!(trie.entries_quiescent(), expect_entries);
-    assert_eq!(lockfree.entries_quiescent(), expect_entries);
-    assert_eq!(persistent.entries(), expect_entries);
-    assert_eq!(locked.entries(), expect_entries);
+    let expect_keys: Vec<i64> = expect_entries.iter().map(|&(k, ())| k).collect();
+    for (imp, set) in &backends {
+        assert_eq!(
+            set.collect(i64::MIN, i64::MAX),
+            expect_keys,
+            "{}",
+            imp.name()
+        );
+        set.check_invariants();
+    }
     assert_eq!(seq.entries(), expect_entries);
-    wait_free.check_invariants();
-    wait_free_wf.check_invariants();
-    trie.check_invariants();
-    lockfree.check_invariants();
-    persistent.check_invariants();
-    locked.check_invariants();
     seq.check_invariants();
 }
 

@@ -453,8 +453,8 @@ fn checker_rejects_a_broken_implementation() {
         fn count(&self, _min: i64, _max: i64) -> u64 {
             0
         }
-        fn count_via_collect(&self, min: i64, max: i64) -> u64 {
-            self.count(min, max)
+        fn collect(&self, _min: i64, _max: i64) -> Vec<i64> {
+            Vec::new()
         }
         fn snapshot_count_pair(&self, _: i64, _: i64, _: i64, _: i64) -> (u64, u64) {
             (0, 0)
@@ -480,6 +480,7 @@ fn checker_rejects_a_broken_implementation() {
         fn metrics_snapshot(&self) -> MetricsSnapshot {
             MetricsSnapshot::new()
         }
+        fn check_invariants(&self) {}
     }
     let set: Arc<dyn ConcurrentSet> = Arc::new(AlwaysEmpty);
     // A single thread suffices: insert twice (both "succeed"), which is

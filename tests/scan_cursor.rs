@@ -409,20 +409,20 @@ fn concurrent_cursor_drains_never_tear() {
         let all = store.scan_snapshot(RangeSpec::all(), 64);
         assert_eq!(all.len(), KEYS as usize);
         assert_eq!(store.len(), KEYS as u64);
-        assert_eq!(store.stitched_len(), KEYS as u64);
+        assert_eq!(store.metrics().gauge("store_len"), Some(KEYS));
         store.check_invariants();
     }
 }
 
-/// `ShardedStore::len` now rides the global front: it is exact and
-/// linearizable (monotone under insert-only writers), and the pre-front sum
-/// survives as `stitched_len`.
+/// `ShardedStore::len` rides the global front: it is exact and
+/// linearizable (monotone under insert-only writers); the `store_len` gauge
+/// reports the cut-free per-shard sum.
 #[test]
 fn store_len_rides_the_front() {
     let store: Arc<ShardedStore<i64>> =
         Arc::new(ShardedStore::from_entries((0..100).map(|k| (k, ())), 4));
     assert_eq!(store.len(), 100);
-    assert_eq!(store.stitched_len(), 100);
+    assert_eq!(store.metrics().gauge("store_len"), Some(100));
     let acquires = || store.metrics().counter("store_snapshot_acquires").unwrap();
     let acquires_before = acquires();
     store.len();

@@ -120,7 +120,10 @@ proptest! {
                 }
                 Step::Count(a, b) => {
                     prop_assert_eq!(store.count(a, b), oracle_count(&oracle, a, b));
-                    prop_assert_eq!(store.stitched_count(a, b), oracle_count(&oracle, a, b));
+                    prop_assert_eq!(
+                        store.snapshot_counts(&[RangeSpec::inclusive(a, b)])[0],
+                        oracle_count(&oracle, a, b)
+                    );
                 }
                 Step::Collect(a, b) => {
                     prop_assert_eq!(store.collect_range(a, b), oracle_entries(&oracle, a, b));
