@@ -10,7 +10,7 @@
 //!   update's effect is fixed there, exactly once, in strict root-queue
 //!   timestamp order, *at* the update's linearization point
 //!   ([`wft_queue::PresenceIndex::resolve`]). A snapshot load of a key's
-//!   state record therefore linearizes at the load instant — `O(1)`, no
+//!   current state therefore linearizes at the load instant — `O(1)`, no
 //!   descriptor, no allocation. This lives in
 //!   [`wft_queue::PresenceIndex::read_value`] /
 //!   [`wft_queue::PresenceIndex::contains_key`]; the tree merely counts the

@@ -155,14 +155,14 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
         entries: I,
         config: TreeConfig,
     ) -> Self {
-        let tree = Self::with_config(config);
+        let mut tree = Self::with_config(config);
         let mut sorted: Vec<(K, V)> = entries.into_iter().collect();
         sorted.sort_by_key(|a| a.0);
         sorted.dedup_by(|a, b| a.0 == b.0);
-        let guard = crossbeam_epoch::pin();
         for (key, value) in &sorted {
-            tree.presence.prefill(*key, value.clone(), &guard);
+            tree.presence.prefill(*key, value.clone());
         }
+        let guard = crossbeam_epoch::pin();
         let (root, _agg) =
             build_subtree::<K, V, A, S>(&sorted, S::WHOLE, wft_queue::Timestamp::ZERO, &tree.ids);
         // The tree is still private to this thread: a plain store is fine and

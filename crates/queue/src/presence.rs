@@ -16,27 +16,32 @@
 //! at the fictive root — i.e. still in strict timestamp order — the
 //! executing process *resolves* the update against the index:
 //!
-//! 1. load the entry's state; if its timestamp is already `>= ts`, the
-//!    update was resolved by another helper and its published
+//! 1. load the key's current state; if its timestamp is already `>= ts`,
+//!    the update was resolved by another helper and its published
 //!    [`Decision`] is returned;
 //! 2. otherwise compute the decision from the state (insert succeeds iff the
 //!    key is absent, remove succeeds iff present), publish it in the
 //!    descriptor's write-once decision cell (first publisher wins), and
-//! 3. advance the entry with a timestamp-guarded CAS.
+//! 3. advance the key with a timestamp-guarded CAS.
+//!
+//! A key the index has never seen has the absent pre-state; its first
+//! update publishes the decision and then links an entry *born* with the
+//! resolved state by one bucket-head CAS, so step 3 is that CAS.
 //!
 //! The protocol is idempotent under any number of helpers and stalled
-//! processes: a stale helper either observes an already-advanced entry (and
+//! processes: a stale helper either observes an already-advanced key (and
 //! reads the published decision) or loses the CAS race, so every update is
 //! applied to the index exactly once and every helper returns the same
 //! decision. See DESIGN.md §3 for the full argument and why this preserves
 //! the paper's linearization order and wait-freedom.
 //!
 //! The index is insert-only (removed keys stay with `present = false`) and
-//! uses a fixed number of buckets chosen at construction; bucket chains are
-//! freed on `Drop`, replaced state records are retired through the epoch
-//! collector.
+//! uses a fixed number of buckets chosen at construction. An entry carries
+//! the state it was published with inline and is freed on `Drop`; the
+//! records of later changes are swapped in beside it and retired through
+//! the epoch collector.
 
-use crossbeam_epoch::{Atomic, Guard, Owned};
+use crossbeam_epoch::{Atomic, Guard, Owned, Shared};
 use std::hash::{Hash, Hasher};
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
@@ -82,18 +87,107 @@ pub struct PresenceSnapshot<V> {
     pub last_ts: Timestamp,
 }
 
-/// Immutable, epoch-managed state record of one key.
+/// Immutable state of one key: inline in its entry, or an epoch-managed
+/// record swapped in by a later change.
 struct KeyState<V> {
     present: bool,
     value: Option<V>,
     ts: Timestamp,
 }
 
-/// One key's entry: bucket-chain link plus the swappable state record.
+impl<V: Clone> KeyState<V> {
+    /// The state of a key no update has touched.
+    const ABSENT: KeyState<V> = KeyState {
+        present: false,
+        value: None,
+        ts: Timestamp::ZERO,
+    };
+
+    /// The decision of `kind` against this pre-state, published in `cell`
+    /// (first publisher wins); returns the published one.
+    fn decide(&self, kind: &UpdateKind<V>, cell: &OnceLock<Decision<V>>) -> Decision<V> {
+        let success = match kind {
+            UpdateKind::Insert(_) => !self.present,
+            // A replace always takes effect; `prior_value` carries the
+            // overwritten value (None when the key was absent), which is
+            // both the caller's return value and the augmentation delta's
+            // subtrahend.
+            UpdateKind::Replace(_) => true,
+            UpdateKind::Remove => self.present,
+        };
+        cell.get_or_init(|| Decision {
+            success,
+            prior_value: self.value.clone(),
+        })
+        .clone()
+    }
+
+    /// The state this one advances to once the update `(ts, kind)` resolves
+    /// with `decision`. An unsuccessful update still stamps `ts`, so stale
+    /// helpers can detect that resolution is done.
+    fn after(&self, decision: &Decision<V>, kind: &UpdateKind<V>, ts: Timestamp) -> Self {
+        match (decision.success, kind) {
+            (true, UpdateKind::Insert(v) | UpdateKind::Replace(v)) => KeyState {
+                present: true,
+                value: Some(v.clone()),
+                ts,
+            },
+            (true, UpdateKind::Remove) => KeyState {
+                present: false,
+                value: None,
+                ts,
+            },
+            (false, _) => KeyState {
+                present: self.present,
+                value: self.value.clone(),
+                ts,
+            },
+        }
+    }
+}
+
+/// One key's entry: bucket-chain link, the state it was published with,
+/// and the record of its latest change since.
 struct KeyEntry<K, V> {
     key: K,
+    /// The state the entry was published with; never changes after
+    /// publication.
+    first: KeyState<V>,
+    /// Null until the key's first change after publication, then the
+    /// current state record. The entry owns it.
     state: Atomic<KeyState<V>>,
     next: AtomicPtr<KeyEntry<K, V>>,
+}
+
+impl<K, V> KeyEntry<K, V> {
+    /// The key's current state: the swapped-in record if there is one, else
+    /// `first`. Also returns the record pointer (null while `first` is
+    /// current), which `resolve` expects in its CAS.
+    fn current<'g>(&'g self, guard: &'g Guard) -> (Shared<'g, KeyState<V>>, &'g KeyState<V>) {
+        // ORDERING: Acquire pairs with the Release half of the state CAS in
+        // `advance`, so a record's fields are visible before they are read.
+        let record = self.state.load(Ordering::Acquire, guard);
+        // SAFETY: a non-null record was published by the state CAS in `advance`
+        // and is retired only through `defer_destroy` once a later CAS unlinks
+        // it, so it stays valid while `guard` is pinned.
+        let state = unsafe { record.as_ref() }.unwrap_or(&self.first);
+        (record, state)
+    }
+}
+
+impl<K, V> Drop for KeyEntry<K, V> {
+    fn drop(&mut self) {
+        // SAFETY: `&mut self` — no thread can still reach the entry, so the
+        // record in `state` (if any) is owned solely by it and freed once.
+        unsafe {
+            let record = self
+                .state
+                .load(Ordering::Relaxed, crossbeam_epoch::unprotected());
+            if !record.is_null() {
+                drop(record.into_owned());
+            }
+        }
+    }
 }
 
 /// Concurrent per-key last-update index. See the module documentation.
@@ -134,107 +228,80 @@ where
         }
     }
 
-    fn bucket_of(&self, key: &K) -> &AtomicPtr<KeyEntry<K, V>> {
+    fn slot_of(&self, key: &K) -> usize {
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut hasher);
-        &self.buckets[(hasher.finish() as usize) & self.mask]
+        (hasher.finish() as usize) & self.mask
     }
 
-    /// Finds the entry for `key`, inserting a fresh (absent, ts 0) entry if
-    /// none exists. Returns a reference valid for the index's lifetime
-    /// (entries are never unlinked before `Drop`).
-    fn entry(&self, key: &K) -> &KeyEntry<K, V> {
-        let bucket = self.bucket_of(key);
-        // Fast path: the key is usually already in the chain.
-        // ORDERING: Acquire pairs with the Release bucket-head CAS in the insert
-        // loop below, so a found entry's fields (key, initial state) are visible.
-        if let Some(found) = Self::find(bucket.load(Ordering::Acquire), key) {
-            return found;
-        }
-        let fresh = Box::into_raw(Box::new(KeyEntry {
-            key: key.clone(),
-            state: Atomic::new(KeyState {
-                present: false,
-                value: None,
-                ts: Timestamp::ZERO,
-            }),
-            next: AtomicPtr::new(ptr::null_mut()),
-        }));
-        loop {
-            // ORDERING: Acquire pairs with the Release bucket-head CAS so the chain we
-            // re-walk includes every published entry.
-            let head = bucket.load(Ordering::Acquire);
-            if let Some(found) = Self::find(head, key) {
-                // Someone else inserted it; discard our speculative entry.
-                // SAFETY: `fresh` was never published.
-                unsafe {
-                    let boxed = Box::from_raw(fresh);
-                    // The unpublished entry owns its initial state record.
-                    drop(
-                        boxed
-                            .state
-                            .load(Ordering::Relaxed, crossbeam_epoch::unprotected())
-                            .into_owned(),
-                    );
-                    drop(boxed);
-                }
-                return found;
-            }
-            // SAFETY: `fresh` is still unpublished — this thread has exclusive access
-            // until the CAS below succeeds.
-            unsafe { (*fresh).next.store(head, Ordering::Relaxed) };
-            if bucket
-                // ORDERING: Release publishes the fully initialised entry (key, state
-                // record, next link) to the Acquire bucket loads above; failure re-reads the
-                // head with Acquire to re-walk the updated chain.
-                .compare_exchange(head, fresh, Ordering::Release, Ordering::Acquire)
-                .is_ok()
-            {
-                self.entries.fetch_add(1, Ordering::Relaxed);
-                // SAFETY: the CAS published `fresh` into the bucket chain; entries are never
-                // unlinked before `Drop` takes `&mut self`, so the reference is valid for
-                // the index's (and hence the caller's borrow) lifetime.
-                return unsafe { &*fresh };
-            }
-        }
+    fn bucket_of(&self, key: &K) -> &AtomicPtr<KeyEntry<K, V>> {
+        &self.buckets[self.slot_of(key)]
+    }
+
+    /// The published entry of `key`, if an update has touched it. Entries
+    /// are never unlinked before `Drop`, so the reference lives as long as
+    /// the index.
+    fn lookup(&self, key: &K) -> Option<&KeyEntry<K, V>> {
+        // ORDERING: Acquire pairs with the Release bucket-head CAS in `resolve`,
+        // so a found entry's fields (key, `first`, next link) are visible.
+        Self::find(self.bucket_of(key).load(Ordering::Acquire), key)
     }
 
     fn find<'a>(mut cur: *mut KeyEntry<K, V>, key: &K) -> Option<&'a KeyEntry<K, V>> {
         while !cur.is_null() {
             // SAFETY: `cur` came from a bucket head or `next` link published by the
-            // Release CAS in `entry`; entries are never unlinked before `Drop`.
+            // Release CAS in `resolve` (or by `prefill` under `&mut self`); entries
+            // are never unlinked before `Drop`.
             let entry = unsafe { &*cur };
             if &entry.key == key {
                 return Some(entry);
             }
             // ORDERING: Acquire pairs with the Relaxed store + Release CAS publication
-            // ordering in `entry` — the `next` field is written before the entry is
+            // ordering in `resolve` — the `next` field is written before the entry is
             // published, so a non-null next pointer is always a fully initialised entry.
             cur = entry.next.load(Ordering::Acquire);
         }
         None
     }
 
-    /// Pre-loads the index with an initially present key (used when a tree
-    /// is bulk-constructed from existing entries before any concurrent
-    /// operation starts).
-    pub fn prefill(&self, key: K, value: V, guard: &Guard) {
-        let entry = self.entry(&key);
-        let new = Owned::new(KeyState {
+    /// Bulk-loads an initially present key while the index is still owned
+    /// by one thread (a tree being built from existing entries). The key's
+    /// entry is born present at timestamp zero: one allocation, no pin and
+    /// no atomic read-modify-write. Loading a key twice keeps one entry
+    /// holding the later value.
+    pub fn prefill(&mut self, key: K, value: V) {
+        let born = KeyState {
             present: true,
             value: Some(value),
             ts: Timestamp::ZERO,
-        });
-        // ORDERING: AcqRel — Release publishes the new state record, Acquire orders
-        // the swap after construction-time readers (prefill races no concurrent
-        // resolve by contract, but a torn record must still never be observable).
-        let old = entry.state.swap(new, Ordering::AcqRel, guard);
-        if !old.is_null() {
-            // SAFETY: `old` was the published state record; after the swap no new
-            // reader can reach it, and current readers hold guards, so `defer_destroy`
-            // is the unique retirement (swap returns the old pointer exactly once).
-            unsafe { guard.defer_destroy(old) };
+        };
+        let slot = self.slot_of(&key);
+        let head = self.buckets[slot].get_mut();
+        let mut cur = *head;
+        while !cur.is_null() {
+            // SAFETY: `&mut self` — no other thread can reach the chain, and
+            // every entry was boxed by this index and stays linked until `Drop`.
+            let entry = unsafe { &mut *cur };
+            if entry.key == key {
+                // Replacing the entry frees any record a resolution swapped in.
+                let next = *entry.next.get_mut();
+                *entry = KeyEntry {
+                    key,
+                    first: born,
+                    state: Atomic::null(),
+                    next: AtomicPtr::new(next),
+                };
+                return;
+            }
+            cur = *entry.next.get_mut();
         }
+        *head = Box::into_raw(Box::new(KeyEntry {
+            key,
+            first: born,
+            state: Atomic::null(),
+            next: AtomicPtr::new(*head),
+        }));
+        *self.entries.get_mut() += 1;
     }
 
     /// Resolves the update `(key, ts, kind)` against the index, publishing
@@ -256,17 +323,62 @@ where
         decision_cell: &OnceLock<Decision<V>>,
         guard: &Guard,
     ) -> (Decision<V>, bool) {
-        let entry = self.entry(key);
+        let bucket = self.bucket_of(key);
+        // ORDERING: Acquire pairs with the Release bucket-head CAS below, so a
+        // found entry's fields are visible.
+        if let Some(entry) = Self::find(bucket.load(Ordering::Acquire), key) {
+            return Self::advance(entry, ts, kind, decision_cell, guard);
+        }
+        // A key no update has touched: every update before `ts` is resolved,
+        // so its pre-state is absent. Publish the decision, then link an
+        // entry born with the resolved state.
+        let decision = KeyState::ABSENT.decide(kind, decision_cell);
+        let fresh = Box::into_raw(Box::new(KeyEntry {
+            key: key.clone(),
+            first: KeyState::ABSENT.after(&decision, kind, ts),
+            state: Atomic::null(),
+            next: AtomicPtr::new(ptr::null_mut()),
+        }));
         loop {
-            // ORDERING: Acquire pairs with the Release half of the state CAS below, so
-            // the record's fields are visible before we read them.
-            let state = entry.state.load(Ordering::Acquire, guard);
-            // The entry always carries a state record.
-            // SAFETY: a `KeyEntry` always carries a non-null state record (installed at
-            // construction, only ever swapped for another record) and records are
-            // retired via `defer_destroy`, so the deref is valid under `guard`.
-            let state_ref = unsafe { state.deref() };
-            if state_ref.ts >= ts {
+            // ORDERING: Acquire pairs with the Release bucket-head CAS so the chain we
+            // re-walk includes every published entry.
+            let head = bucket.load(Ordering::Acquire);
+            if let Some(found) = Self::find(head, key) {
+                // Another helper linked the key first (its entry is stamped
+                // `ts` or later), so this resolution is done: discard the
+                // unpublished entry and report the published decision.
+                // SAFETY: `fresh` was never published; this thread owns it.
+                drop(unsafe { Box::from_raw(fresh) });
+                return Self::advance(found, ts, kind, decision_cell, guard);
+            }
+            // SAFETY: `fresh` is still unpublished — this thread has exclusive access
+            // until the CAS below succeeds.
+            unsafe { (*fresh).next.store(head, Ordering::Relaxed) };
+            if bucket
+                // ORDERING: Release publishes the fully initialised entry (key, `first`,
+                // next link) to the Acquire bucket loads; failure re-reads the head with
+                // Acquire to re-walk the updated chain.
+                .compare_exchange(head, fresh, Ordering::Release, Ordering::Acquire)
+                .is_ok()
+            {
+                self.entries.fetch_add(1, Ordering::Relaxed);
+                return (decision, true);
+            }
+        }
+    }
+
+    /// `resolve` for a key whose entry is published: advances its current
+    /// state with a timestamp-guarded CAS of the state record.
+    fn advance(
+        entry: &KeyEntry<K, V>,
+        ts: Timestamp,
+        kind: &UpdateKind<V>,
+        decision_cell: &OnceLock<Decision<V>>,
+        guard: &Guard,
+    ) -> (Decision<V>, bool) {
+        loop {
+            let (record, state) = entry.current(guard);
+            if state.ts >= ts {
                 // Already applied (possibly by a faster helper of this very
                 // descriptor); the decision was published before the index
                 // advanced, so it must be available.
@@ -278,62 +390,26 @@ where
                     false,
                 );
             }
-            // Compute the decision from the (stable) pre-state.
-            let computed = match kind {
-                UpdateKind::Insert(_) => Decision {
-                    success: !state_ref.present,
-                    prior_value: state_ref.value.clone(),
-                },
-                // A replace always takes effect; `prior_value` carries the
-                // overwritten value (None when the key was absent), which is
-                // both the caller's return value and the augmentation delta's
-                // subtrahend.
-                UpdateKind::Replace(_) => Decision {
-                    success: true,
-                    prior_value: state_ref.value.clone(),
-                },
-                UpdateKind::Remove => Decision {
-                    success: state_ref.present,
-                    prior_value: state_ref.value.clone(),
-                },
-            };
-            // First publisher wins; everyone uses the published decision.
-            let decision = decision_cell.get_or_init(|| computed).clone();
-            // Advance the index. Unsuccessful updates still advance the
-            // timestamp so stale helpers can detect that resolution is done.
-            let new_state = match (&decision.success, kind) {
-                (true, UpdateKind::Insert(v)) | (true, UpdateKind::Replace(v)) => KeyState {
-                    present: true,
-                    value: Some(v.clone()),
-                    ts,
-                },
-                (true, UpdateKind::Remove) => KeyState {
-                    present: false,
-                    value: None,
-                    ts,
-                },
-                (false, _) => KeyState {
-                    present: state_ref.present,
-                    value: state_ref.value.clone(),
-                    ts,
-                },
-            };
+            let decision = state.decide(kind, decision_cell);
+            let next = Owned::new(state.after(&decision, kind, ts));
             // ORDERING: AcqRel — Release publishes the new record's fields to the
-            // Acquire load at the top of the loop (and to every reader), Acquire orders
-            // the advance after the decision publication in `decision_cell`; failure
+            // Acquire load in `current` (and to every reader), Acquire orders the
+            // advance after the decision publication in `decision_cell`; failure
             // Acquire re-reads the state another helper installed.
             match entry.state.compare_exchange(
-                state,
-                Owned::new(new_state),
+                record,
+                next,
                 Ordering::AcqRel,
                 Ordering::Acquire,
                 guard,
             ) {
                 Ok(_) => {
-                    // SAFETY: our CAS unlinked `state` from the entry; exactly one helper wins
-                    // the CAS for a given predecessor record, so it is retired exactly once,
-                    // and concurrent readers are protected by their guards.
-                    unsafe { guard.defer_destroy(state) };
+                    if !record.is_null() {
+                        // SAFETY: our CAS unlinked `record` from the entry; exactly one helper
+                        // wins the CAS for a given predecessor record, so it is retired
+                        // exactly once, and concurrent readers are protected by their guards.
+                        unsafe { guard.defer_destroy(record) };
+                    }
                     return (decision, true);
                 }
                 Err(_) => {
@@ -348,26 +424,15 @@ where
     /// Current snapshot of `key`'s state (absent keys report `present =
     /// false` with timestamp zero). Primarily for tests and diagnostics.
     pub fn snapshot(&self, key: &K, guard: &Guard) -> PresenceSnapshot<V> {
-        let bucket = self.bucket_of(key);
-        // ORDERING: Acquire pairs with the Release bucket-head CAS in `entry`.
-        match Self::find(bucket.load(Ordering::Acquire), key) {
-            None => PresenceSnapshot {
-                present: false,
-                value: None,
-                last_ts: Timestamp::ZERO,
-            },
-            Some(entry) => {
-                // ORDERING: Acquire pairs with the Release state CAS in `resolve`.
-                let state = entry.state.load(Ordering::Acquire, guard);
-                // SAFETY: state records are non-null by construction and epoch-protected
-                // under `guard`; see `resolve`.
-                let state_ref = unsafe { state.deref() };
-                PresenceSnapshot {
-                    present: state_ref.present,
-                    value: state_ref.value.clone(),
-                    last_ts: state_ref.ts,
-                }
-            }
+        let absent = KeyState::ABSENT;
+        let state = match self.lookup(key) {
+            Some(entry) => entry.current(guard).1,
+            None => &absent,
+        };
+        PresenceSnapshot {
+            present: state.present,
+            value: state.value.clone(),
+            last_ts: state.ts,
         }
     }
 
@@ -380,20 +445,17 @@ where
     /// one state-record load, no allocation, and the value is cloned only
     /// when the key is present (this *is* the caller's return value).
     ///
-    /// Linearizes at the atomic load of the state record: updates are applied
-    /// to the index exactly once, in strict root-queue timestamp order, at
-    /// their linearization point (see [`PresenceIndex::resolve`]), so the
-    /// loaded record is the authoritative outcome of the last linearized
-    /// update on `key`. This is the tree's `O(1)` read fast path.
+    /// Linearizes at the atomic load of the state record (or, for a key not
+    /// changed since its entry was linked, of the bucket link that published
+    /// the entry): updates are applied to the index exactly once, in strict
+    /// root-queue timestamp order, at their linearization point (see
+    /// [`PresenceIndex::resolve`]), so the loaded state is the authoritative
+    /// outcome of the last linearized update on `key`. This is the tree's
+    /// `O(1)` read fast path.
     pub fn read_value(&self, key: &K, guard: &Guard) -> Option<V> {
-        let bucket = self.bucket_of(key);
-        let entry = Self::find(bucket.load(Ordering::Acquire), key)?; // ORDERING: pairs with the Release bucket-head CAS in `entry`.
-        let state = entry.state.load(Ordering::Acquire, guard); // ORDERING: pairs with the Release state CAS in `resolve` — this load is the read's linearization point.
-                                                                // SAFETY: state records are non-null by construction and epoch-protected
-                                                                // under `guard`; see `resolve`.
-        let state_ref = unsafe { state.deref() };
-        if state_ref.present {
-            state_ref.value.clone()
+        let state = self.lookup(key)?.current(guard).1;
+        if state.present {
+            state.value.clone()
         } else {
             None
         }
@@ -403,17 +465,8 @@ where
     /// clones the value — the whole read is a bucket walk plus one boolean
     /// field load. Backs the tree's allocation-free `contains`.
     pub fn contains_key(&self, key: &K, guard: &Guard) -> bool {
-        let bucket = self.bucket_of(key);
-        // ORDERING: pairs with the Release bucket-head CAS in `entry`.
-        match Self::find(bucket.load(Ordering::Acquire), key) {
-            None => false,
-            Some(entry) => {
-                let state = entry.state.load(Ordering::Acquire, guard); // ORDERING: pairs with the Release state CAS in `resolve` — the read's linearization point.
-                                                                        // SAFETY: state records are non-null by construction and epoch-protected
-                                                                        // under `guard`; see `resolve`.
-                unsafe { state.deref() }.present
-            }
-        }
+        self.lookup(key)
+            .is_some_and(|entry| entry.current(guard).1.present)
     }
 
     /// Number of distinct keys ever touched by an update (present or not).
@@ -439,26 +492,16 @@ where
 
 impl<K, V> Drop for PresenceIndex<K, V> {
     fn drop(&mut self) {
-        // Exclusive access: free every bucket chain and the state record of
-        // every entry.
-        for bucket in self.buckets.iter() {
-            let mut cur = bucket.load(Ordering::Relaxed);
+        // Exclusive access: free every bucket chain (each entry frees its
+        // own state record).
+        for bucket in self.buckets.iter_mut() {
+            let mut cur = *bucket.get_mut();
             while !cur.is_null() {
                 // SAFETY: `Drop` takes `&mut self`, so no other thread can reach the chain;
-                // each entry was allocated with `Box::into_raw` in `entry` and is reclaimed
-                // exactly once by this walk.
-                let entry = unsafe { Box::from_raw(cur) };
-                // SAFETY: exclusive access (see above); the entry's state record is always
-                // non-null and owned solely by the entry at this point.
-                unsafe {
-                    let state = entry
-                        .state
-                        .load(Ordering::Relaxed, crossbeam_epoch::unprotected());
-                    if !state.is_null() {
-                        drop(state.into_owned());
-                    }
-                }
-                cur = entry.next.load(Ordering::Relaxed);
+                // each entry was allocated with `Box::into_raw` in `resolve` or `prefill`
+                // and is reclaimed exactly once by this walk.
+                let mut entry = unsafe { Box::from_raw(cur) };
+                cur = *entry.next.get_mut();
             }
         }
     }
@@ -539,11 +582,8 @@ mod tests {
 
     #[test]
     fn prefill_marks_keys_present() {
-        let index = Index::with_buckets(64);
-        {
-            let guard = epoch::pin();
-            index.prefill(7, 70, &guard);
-        }
+        let mut index = Index::with_buckets(64);
+        index.prefill(7, 70);
         let d = resolve_one(&index, 7, 1, UpdateKind::Insert(71));
         assert!(!d.success, "prefilled key is already present");
         let d = resolve_one(&index, 7, 2, UpdateKind::Remove);
@@ -555,11 +595,9 @@ mod tests {
     fn helpers_of_the_same_descriptor_agree() {
         // Simulate many helpers racing to resolve the same descriptor: all
         // must return the identical decision and the index must advance once.
-        let index = Arc::new(Index::with_buckets(64));
-        {
-            let guard = epoch::pin();
-            index.prefill(1, 10, &guard);
-        }
+        let mut index = Index::with_buckets(64);
+        index.prefill(1, 10);
+        let index = Arc::new(index);
         let cell: Arc<OnceLock<Decision<i64>>> = Arc::new(OnceLock::new());
         let mut handles = Vec::new();
         for _ in 0..4 {
@@ -653,7 +691,7 @@ mod tests {
 
     #[test]
     fn read_value_and_contains_key_track_resolutions() {
-        let index = Index::with_buckets(64);
+        let mut index = Index::with_buckets(64);
         let guard = epoch::pin();
         assert_eq!(index.read_value(&5, &guard), None);
         assert!(!index.contains_key(&5, &guard));
@@ -669,8 +707,149 @@ mod tests {
         assert_eq!(index.read_value(&5, &guard), None);
         assert!(!index.contains_key(&5, &guard));
 
-        index.prefill(6, 60, &guard);
+        index.prefill(6, 60);
         assert_eq!(index.read_value(&6, &guard), Some(60));
+    }
+
+    #[test]
+    fn helpers_racing_on_a_never_seen_key_link_one_entry() {
+        // Every helper finds no entry, computes the decision from the absent
+        // pre-state and races its own born-resolved entry onto the bucket
+        // head. Repeated so that the link race itself is exercised.
+        const HELPERS: usize = 4;
+        for round in 0..256 {
+            let index = Arc::new(Index::with_buckets(64));
+            let cell: Arc<OnceLock<Decision<i64>>> = Arc::new(OnceLock::new());
+            let start = Arc::new(std::sync::Barrier::new(HELPERS));
+            let handles: Vec<_> = (0..HELPERS)
+                .map(|_| {
+                    let (index, cell, start) =
+                        (Arc::clone(&index), Arc::clone(&cell), Arc::clone(&start));
+                    std::thread::spawn(move || {
+                        start.wait();
+                        let guard = epoch::pin();
+                        let kind = UpdateKind::Insert(round);
+                        index.resolve(&round, Timestamp(9), &kind, &cell, &guard)
+                    })
+                })
+                .collect();
+            let results: Vec<(Decision<i64>, bool)> =
+                handles.into_iter().map(|h| h.join().unwrap()).collect();
+            for (d, _) in &results {
+                assert_eq!(d, &results[0].0, "round {round}: helpers disagree");
+            }
+            assert!(results[0].0.success);
+            assert_eq!(results[0].0.prior_value, None);
+            assert_eq!(
+                results.iter().filter(|(_, applied)| *applied).count(),
+                1,
+                "round {round}: exactly one helper links the entry"
+            );
+            assert_eq!(index.tracked_keys(), 1, "round {round}: one entry per key");
+            let guard = epoch::pin();
+            assert_eq!(index.read_value(&round, &guard), Some(round));
+            assert_eq!(index.snapshot(&round, &guard).last_ts, Timestamp(9));
+        }
+    }
+
+    #[test]
+    fn failed_remove_of_a_never_seen_key_is_stamped_with_its_ts() {
+        let index = Index::with_buckets(64);
+        let guard = epoch::pin();
+        let remove = OnceLock::new();
+        let (d, applied) = index.resolve(&9, Timestamp(3), &UpdateKind::Remove, &remove, &guard);
+        assert!(!d.success, "nothing to remove");
+        assert!(applied, "the failed remove still links the key's entry");
+        assert_eq!(index.tracked_keys(), 1);
+        let snap = index.snapshot(&9, &guard);
+        assert!(!snap.present);
+        assert_eq!(snap.value, None);
+        assert_eq!(
+            snap.last_ts,
+            Timestamp(3),
+            "stamped so stale helpers see it resolved"
+        );
+
+        resolve_one(&index, 9, 4, UpdateKind::Insert(90));
+        // A stale helper of the ts-3 remove returns the published decision,
+        // not one recomputed from the key's newer (present) state.
+        let (late, applied_late) =
+            index.resolve(&9, Timestamp(3), &UpdateKind::Remove, &remove, &guard);
+        assert_eq!(late, d);
+        assert!(!applied_late);
+        assert_eq!(index.read_value(&9, &guard), Some(90));
+        assert_eq!(index.tracked_keys(), 1);
+    }
+
+    #[test]
+    fn prefill_of_a_duplicate_key_replaces_its_value() {
+        let mut index = Index::with_buckets(2);
+        index.prefill(4, 40);
+        index.prefill(6, 60);
+        index.prefill(4, 41);
+        assert_eq!(index.tracked_keys(), 2);
+        let guard = epoch::pin();
+        assert_eq!(index.read_value(&4, &guard), Some(41));
+        assert_eq!(index.read_value(&6, &guard), Some(60));
+        drop(guard);
+
+        // A key changed since it was loaded is loaded afresh too.
+        resolve_one(&index, 4, 1, UpdateKind::Remove);
+        index.prefill(4, 42);
+        assert_eq!(index.tracked_keys(), 2);
+        let guard = epoch::pin();
+        let snap = index.snapshot(&4, &guard);
+        assert!(snap.present);
+        assert_eq!(snap.value, Some(42));
+        assert_eq!(snap.last_ts, Timestamp::ZERO);
+    }
+
+    #[test]
+    fn first_update_of_a_loaded_key_swaps_in_a_record_and_retires_nothing() {
+        // `Arc` values count who holds them: the entry's inline state, the
+        // swapped-in record, or nobody once freed.
+        let loaded = Arc::new(70);
+        let replacement = Arc::new(71);
+        let mut index: PresenceIndex<i64, Arc<i64>> = PresenceIndex::with_buckets(64);
+        index.prefill(7, Arc::clone(&loaded));
+        let guard = epoch::pin();
+        let entry = index.lookup(&7).expect("a loaded key has an entry");
+        assert!(
+            entry.current(&guard).0.is_null(),
+            "born with its state inline"
+        );
+
+        let cell = OnceLock::new();
+        let kind = UpdateKind::Replace(Arc::clone(&replacement));
+        let (d, applied) = index.resolve(&7, Timestamp(1), &kind, &cell, &guard);
+        drop(kind);
+        assert!(applied && d.success);
+        assert_eq!(d.prior_value.as_deref(), Some(&70));
+        drop((d, cell));
+
+        // The CAS expected a null record, so there was nothing to retire;
+        // the inline state still holds the loaded value.
+        let (record, state) = entry.current(&guard);
+        assert!(!record.is_null(), "the first change swaps in a record");
+        assert_eq!(state.ts, Timestamp(1));
+        assert_eq!(state.value.as_deref(), Some(&71));
+        assert!(entry.first.present && entry.first.ts == Timestamp::ZERO);
+        assert_eq!(
+            Arc::strong_count(&loaded),
+            2,
+            "the inline state keeps its value"
+        );
+        assert_eq!(
+            Arc::strong_count(&replacement),
+            2,
+            "the record holds the new value"
+        );
+
+        // Dropping the index frees both the entry and its record.
+        drop(guard);
+        drop(index);
+        assert_eq!(Arc::strong_count(&loaded), 1);
+        assert_eq!(Arc::strong_count(&replacement), 1);
     }
 
     #[test]

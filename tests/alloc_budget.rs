@@ -89,6 +89,7 @@ fn flush_epochs() {
 /// Mean allocations per call of each operation on one tree.
 struct Budget {
     depth: f64,
+    build_per_key: f64,
     insert: f64,
     failed_insert: f64,
     failed_remove: f64,
@@ -106,8 +107,8 @@ fn measure(keys: i64) -> Budget {
     // over the key space so that no leaf run overflows and no subtree comes
     // due for a rebuild while it is measured. The sample is the same at
     // every size, so that only the depth differs: each insert of a new key
-    // leaves a presence entry and its state record behind, and those come
-    // from the pool only while earlier retirements stocked it.
+    // leaves a presence entry behind, a plain `Box` born holding its state,
+    // which stays linked and never comes from the pool.
     let stride = keys / SAMPLE;
     let absent = || (0..SAMPLE).map(move |i| 2 * i * stride + 1);
     let present = || (0..SAMPLE).map(move |i| 2 * i * stride);
@@ -120,7 +121,9 @@ fn measure(keys: i64) -> Budget {
     let baseline = live();
     let pooled_before = crossbeam_epoch::thread_pooled_blocks();
 
+    let before_build = counts().0;
     let tree: WaitFreeTree<i64, i64> = WaitFreeTree::from_entries((0..keys).map(|k| (2 * k, k)));
+    let build_per_key = (counts().0 - before_build) as f64 / keys as f64;
 
     let contains = allocations_per_op(present(), |k| assert!(tree.contains(&k)));
     let get = allocations_per_op(present(), |k| assert_eq!(tree.get(&k), Some(k / 2)));
@@ -147,6 +150,7 @@ fn measure(keys: i64) -> Budget {
     );
     Budget {
         depth,
+        build_per_key,
         insert,
         failed_insert,
         failed_remove,
@@ -173,8 +177,17 @@ fn operations_stay_within_their_allocation_budget() {
         let depth = b.depth;
         eprintln!(
             "allocations per op at depth {depth}: insert {:.1}, failed insert {:.1}, \
-             failed remove {:.1}, count {:.1}, get {:.1}, contains {:.1}",
-            b.insert, b.failed_insert, b.failed_remove, b.count, b.get, b.contains
+             failed remove {:.1}, count {:.1}, get {:.1}, contains {:.1}; \
+             from_entries {:.2} per key",
+            b.insert, b.failed_insert, b.failed_remove, b.count, b.get, b.contains, b.build_per_key
+        );
+        // A bulk load gives each key one presence entry, born present, and
+        // shares the rest (the sorted copy, the runs and the skeleton)
+        // between the keys of a run.
+        assert!(
+            b.build_per_key <= 1.25,
+            "from_entries made {:.2} allocations per key at depth {depth}, over 1.25",
+            b.build_per_key
         );
         assert_eq!(b.contains, 0.0, "contains is a presence-index read");
         assert_eq!(b.get, 0.0, "get clones an i64 out of the presence index");
@@ -187,11 +200,11 @@ fn operations_stay_within_their_allocation_budget() {
         // `contains`: no descriptor, no root-queue node, no presence record.
         assert_eq!(b.failed_insert, 0.0, "failed insert at depth {depth}");
         assert_eq!(b.failed_remove, 0.0, "failed remove at depth {depth}");
-        // The rewritten run and a new key's presence entry (a plain `Box`,
-        // never retired) are 2; every record an insert publishes through
-        // `Owned::new` (the descriptor, a state and a queue node per level,
-        // the root-queue node, the presence record, the run's node) comes
-        // from the epoch pool once retirements have stocked it.
+        // The rewritten run and a new key's presence entry (a plain `Box`
+        // born with the resolved state, never retired) are 2; every record
+        // an insert publishes through `Owned::new` (the descriptor, a state
+        // and a queue node per level, the root-queue node, the run's node)
+        // comes from the epoch pool once retirements have stocked it.
         assert!(
             b.insert <= 3.0,
             "a successful insert made {} allocations at depth {depth}, over 3",
