@@ -100,8 +100,9 @@ use crate::snapshot::{SnapshotToken, TimestampFront};
 
 /// Upper bound on a cursor's adaptive read-ahead target (entries buffered
 /// beyond what the caller asked for). Bounds both the memory a cursor can
-/// hold and the work a single validation window must cover.
-pub(crate) const READAHEAD_CAP: usize = 4096;
+/// hold and the work a single validation window must cover. Shared by
+/// [`FrontScanCursor`] and the sharded store's native cursor.
+pub const READAHEAD_CAP: usize = 4096;
 
 /// How a cursor's drain relates to its acquired [`SnapshotToken`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -43,10 +43,10 @@
 //! nested validation loops under the unconditional blanket. The sharded
 //! store is exactly that structure — its cross-shard reads acquire and
 //! validate a per-shard front cut internally — so it skips the marker and
-//! implements [`SnapshotRead`] natively: the outer sandwich over its
-//! *stitched* (cut-free) per-shard reads, one validation layer instead of
-//! two. Single trees, whose plain reads are validation-free, take the
-//! marker and the blanket.
+//! implements [`SnapshotRead`] natively: its token is the sum of a
+//! per-shard cut, and a `*_at` read is one more read at that cut, one
+//! validation layer instead of two. Single trees, whose plain reads are
+//! validation-free, take the marker and the blanket.
 //!
 //! # Progress
 //!
@@ -152,9 +152,9 @@ pub trait TimestampFront {
 /// sandwiching them between two [`TimestampFront`] observations is exactly
 /// one layer of validation. A structure whose plain reads already validate
 /// internally (the sharded store's cut-acquiring cross-shard queries) must
-/// *not* implement this — it provides its own [`SnapshotRead`] over its
-/// cheap unvalidated read path instead of stacking the blanket's sandwich
-/// on top of the internal loop. See the [module docs](self).
+/// *not* implement this — it provides its own [`SnapshotRead`] that reads
+/// at its token's cut instead of stacking the blanket's sandwich on top of
+/// the internal loop. See the [module docs](self).
 pub trait FrontSnapshot {}
 
 /// Consistent multi-range reads against one acquired snapshot front.

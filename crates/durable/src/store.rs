@@ -81,8 +81,7 @@ use std::time::{Duration, Instant};
 
 use wft_api::{
     BatchApply, BatchError, OpOutcome, PointMap, RangeKey, RangeRead, RangeScan, RangeSpec,
-    ScanConsistency, ScanCursor, SnapshotRead, SnapshotToken, StoreOp, TimestampFront,
-    UpdateOutcome,
+    ScanConsistency, ScanCursor, SnapshotRead, SnapshotToken, StoreOp, UpdateOutcome,
 };
 use wft_obs::TraceKind;
 use wft_seq::{Augmentation, Key, Size, Value};
@@ -755,25 +754,6 @@ where
 
     fn scan(&self, range: RangeSpec<K>) -> StoreScanCursor<'_, K, V, A> {
         self.inner.scan(range)
-    }
-}
-
-impl<K, V, A> TimestampFront for DurableStore<K, V, A>
-where
-    K: Key + WalCodec,
-    V: Value + WalCodec,
-    A: Augmentation<K, V>,
-{
-    fn settle_front(&self) -> u64 {
-        TimestampFront::settle_front(&*self.inner)
-    }
-
-    fn front_advertised(&self) -> u64 {
-        TimestampFront::front_advertised(&*self.inner)
-    }
-
-    fn front_resolved(&self) -> u64 {
-        TimestampFront::front_resolved(&*self.inner)
     }
 }
 

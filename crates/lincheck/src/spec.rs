@@ -74,7 +74,7 @@ pub enum RangeSetOp {
     /// (`remove(a)` + `insert(b)`, `a != b`) committed atomically:
     /// sequentially both ops apply to one state, and a concurrent
     /// execution must never expose the gap between them — the
-    /// publish-at-front claim of the store's batch commit.
+    /// all-or-nothing claim of the store's gated batch commit.
     AtomicBatch(i64, i64),
 }
 

@@ -70,8 +70,7 @@ pub enum TraceKind {
     /// degraded mode (arg: low 16 bits of the resume count).
     DegradedResume = 11,
     /// An atomic cross-shard batch commit completed through the store's
-    /// publish-at-front commit gate (arg: the number of shards the batch
-    /// touched).
+    /// commit gate (arg: the number of shards the batch touched).
     BatchCommit = 12,
     /// A point operation or cut acquisition found a commit window open on
     /// a shard it touches and had to wait for its release (arg: the blocked

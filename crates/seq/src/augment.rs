@@ -286,31 +286,6 @@ where
     }
 }
 
-/// Minimum key tracker. **Not invertible**, therefore only usable by the
-/// sequential tree (which recomputes aggregates bottom-up on rebuild paths);
-/// the concurrent tree rejects it at compile time by requiring
-/// [`Augmentation`] (the group trait) rather than this monoid-only form.
-///
-/// It is retained here because it documents the boundary of the paper's
-/// technique: eager top-down maintenance fundamentally needs invertibility.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MinKey;
-
-/// Maximum key tracker; see [`MinKey`] for the invertibility caveat.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MaxKey;
-
-/// Monoid used by [`MinKey`]/[`MaxKey`] style summaries in the sequential
-/// tree tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Extremum<K> {
-    /// No entries in the subtree.
-    #[default]
-    Empty,
-    /// The extremal key of the subtree.
-    Key(K),
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

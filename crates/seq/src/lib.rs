@@ -44,7 +44,7 @@ pub mod node;
 pub mod oracle;
 pub mod tree;
 
-pub use augment::{Augmentation, KeyRange, MaxKey, MinKey, Pair, Size, Sum, SumSquares};
+pub use augment::{Augmentation, KeyRange, Pair, Size, Sum, SumSquares};
 pub use key::{Key, Value};
 pub use node::SeqNode;
 pub use oracle::ReferenceMap;

@@ -6,11 +6,9 @@
 //! two-phase pipeline (validation, shard grouping, optional cross-shard
 //! fan-out) rather than the serial helper single trees use.
 
-use std::sync::atomic::Ordering;
-
 use wft_api::{
     BatchApply, BatchError, OpOutcome, PatchFn, PointMap, RangeKey, RangeRead, RangeSpec,
-    SnapshotRead, SnapshotToken, StoreOp, TimestampFront, UpdateOutcome,
+    SnapshotRead, SnapshotToken, StoreOp, UpdateOutcome,
 };
 use wft_seq::{Augmentation, Key, Value};
 
@@ -93,81 +91,36 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> BatchApply<K, V> for ShardedStore<
     }
 }
 
-/// The store's scalar snapshot front is the **sum** of its per-shard
-/// timestamp fronts. Per-shard watermarks are monotone, so the sum is
-/// monotone and unchanged exactly when *no* shard advanced — which is all
-/// a scalar validation sandwich needs. (Settling settles each shard in
-/// turn; a shard that advances after its settle but before the sandwich
-/// closes fails the final validation, same as in the vector-valued
-/// [`crate::GlobalFront`] used by the store's native cross-shard reads,
-/// which validates only the shards a range touches.)
-///
-/// The store deliberately does **not** take the [`wft_api::FrontSnapshot`]
-/// marker, so the blanket [`wft_api::SnapshotRead`] does not apply — see
-/// the native impl below for why.
-impl<K: Key, V: Value, A: Augmentation<K, V>> TimestampFront for ShardedStore<K, V, A> {
-    fn settle_front(&self) -> u64 {
-        self.settled_front_sum()
-    }
-
-    fn front_advertised(&self) -> u64 {
-        self.advertised_sum()
-    }
-
-    fn front_resolved(&self) -> u64 {
-        self.resolved_sum()
-    }
-}
-
-/// One scalar-sandwich snapshot read: entry validation (the summed front is
-/// settled at — and unchanged since — the token, and no batch commit is in
-/// flight), the *stitched* cut-free read, exit validation (sums unchanged
-/// **and** no commit window opened across the read). Counts a store
-/// snapshot retry when a performed read has to be discarded at the exit
-/// check (entry rejection reads nothing and counts nothing).
-///
-/// The commit stamp closes the one hole watermark sums leave open: a
-/// quiescent half-applied commit window (committer stalled between two
-/// shards) holds the sums still, so the sum sandwich alone could validate
-/// a read of a half-applied batch. No-commit-in-flight at entry plus
-/// no-commit-started across the read excludes exactly that.
-fn sum_sandwich_read<K, V, A, R>(
+/// One read at the cut a scalar token sums (see [`crate::front`], "Scalar
+/// tokens"): `None` without reading when the shards' advertised watermarks
+/// no longer sum to the token, and `None` plus one counted store snapshot
+/// retry when a shard advanced past the cut during the read.
+fn read_at_token<K, V, A, R>(
     store: &ShardedStore<K, V, A>,
     token: &SnapshotToken,
-    read: impl FnOnce() -> R,
+    read: impl FnOnce(&[u64]) -> Result<R, usize>,
 ) -> Option<R>
 where
     K: Key,
     V: Value,
     A: Augmentation<K, V>,
 {
-    let stamp = store.front.commit_stamp()?;
-    if store.resolved_sum() != token.front() || store.advertised_sum() != token.front() {
+    let cut = store.advertised_fronts();
+    if cut.iter().sum::<u64>() != token.front() {
         return None;
     }
-    let out = read();
-    if store.advertised_sum() == token.front() && store.front.commit_unchanged(stamp) {
-        Some(out)
-    } else {
-        store.front.retries.inc();
-        wft_obs::trace::emit(wft_obs::TraceKind::SnapshotRetry, wft_obs::NO_SHARD);
-        None
-    }
+    read(&cut)
+        .map_err(|advanced| store.note_snapshot_retry(advanced))
+        .ok()
 }
 
-/// The store's **native** [`SnapshotRead`], replacing the blanket impl the
-/// store pointedly opts out of (no [`wft_api::FrontSnapshot`] marker).
-///
-/// Under the blanket, every `*_at` read validated the front **twice**: once
-/// in the blanket's scalar sandwich, and once more inside the store's own
-/// plain reads, which acquire and validate a per-shard [`crate::GlobalFront`]
-/// cut with their own retry loop. The native impl runs the scalar sandwich
-/// once, around the **stitched** per-shard reads (no cut machinery at all):
-/// the summed advertised watermark is monotone and unchanged iff *no* shard
-/// advanced, so an unchanged sum across the window proves every shard was
-/// constant — the stitched read observed one global state, exactly the
-/// blanket's window argument with the store's second validation layer
-/// shaved off.
+/// The store's **native** [`SnapshotRead`]. The store does not take the
+/// [`wft_api::FrontSnapshot`] marker: its plain cross-shard reads already
+/// validate a per-shard cut, and a token read is one more read at such a
+/// cut. The token is the sum of an epoch-stable cut over every shard;
+/// a `*_at` read recovers that cut from the current advertised watermarks
+/// and reads the touched shards at it with the same front-validated
+/// per-shard reads the plain cross-shard reads use.
 impl<K, V, A> SnapshotRead<K, V> for ShardedStore<K, V, A>
 where
     K: RangeKey,
@@ -175,32 +128,43 @@ where
     A: Augmentation<K, V>,
 {
     fn acquire_snapshot(&self) -> SnapshotToken {
-        SnapshotToken::new(self.settled_front_sum())
+        SnapshotToken::new(self.settle_all_stable().iter().sum())
     }
 
     fn snapshot_valid(&self, token: &SnapshotToken) -> bool {
-        self.advertised_sum() == token.front()
+        self.advertised_fronts().iter().sum::<u64>() == token.front()
     }
 
     fn range_agg_at(&self, token: &SnapshotToken, range: RangeSpec<K>) -> Option<Self::Agg> {
-        sum_sandwich_read(self, token, || {
-            wft_api::agg_over(range, A::identity, |min, max| {
-                self.per_shard_range_agg(min, max)
-            })
+        read_at_token(self, token, |cut| {
+            wft_api::agg_over(
+                range,
+                || Ok(A::identity()),
+                |min, max| self.range_agg_at_cut(cut, min, max),
+            )
         })
     }
 
     fn count_at(&self, token: &SnapshotToken, range: RangeSpec<K>) -> Option<u64> {
-        let count = |min, max| {
-            A::count_of(&self.per_shard_range_agg(min, max))
-                .unwrap_or_else(|| self.per_shard_collect_range(min, max).len() as u64)
-        };
-        sum_sandwich_read(self, token, || wft_api::agg_over(range, || 0, count))
+        read_at_token(self, token, |cut| {
+            wft_api::agg_over(
+                range,
+                || Ok(0),
+                |min, max| match A::count_of(&self.range_agg_at_cut(cut, min, max)?) {
+                    Some(count) => Ok(count),
+                    None => Ok(self.collect_range_at_cut(cut, min, max)?.len() as u64),
+                },
+            )
+        })
     }
 
     fn collect_range_at(&self, token: &SnapshotToken, range: RangeSpec<K>) -> Option<Vec<(K, V)>> {
-        sum_sandwich_read(self, token, || {
-            wft_api::collect_over(range, |min, max| self.per_shard_collect_range(min, max))
+        read_at_token(self, token, |cut| {
+            wft_api::agg_over(
+                range,
+                || Ok(Vec::new()),
+                |min, max| self.collect_range_at_cut(cut, min, max),
+            )
         })
     }
 }
@@ -217,8 +181,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> wft_obs::MetricsSource for Sharded
         out.push_counter("store_snapshot_retries", self.front.retries.value());
         out.push_counter("store_scan_resumes", self.front.scan_resumes.value());
         out.push_counter("store_len_fallbacks", self.front.len_fallbacks.value());
-        let commits_finished = self.front.commits_finished.load(Ordering::Relaxed);
-        out.push_counter("store_batch_commits", commits_finished);
+        out.push_counter("store_batch_commits", self.front.batch_commits.value());
         out.push_counter("store_commit_gate_waits", self.front.gate_waits.value());
         let mut shards = wft_obs::MetricsSnapshot::new();
         for shard in &self.shards {
@@ -255,5 +218,59 @@ mod tests {
             BatchApply::apply_batch(&store, vec![StoreOp::InsertOrReplace { key: 5, value: 51 }])
                 .unwrap();
         assert_eq!(outcomes, vec![OpOutcome::Replaced(Some(50))]);
+    }
+
+    #[test]
+    fn a_scalar_token_reads_the_cut_it_sums() {
+        use wft_obs::MetricsSource;
+        // Shards [0, 100), [100, 200), [200, 300), [300, ∞).
+        let store: ShardedStore<i64> = ShardedStore::from_entries((0..400).map(|k| (k, ())), 4);
+        let low = RangeSpec::inclusive(0, 250);
+        let token = store.acquire_snapshot();
+        assert_eq!(store.count_at(&token, low), Some(251));
+
+        // A failed insert or remove takes no timestamp: the token survives.
+        assert!(!PointMap::insert(&store, 0, ()).is_applied());
+        assert!(!PointMap::remove(&store, &1_000).is_applied());
+        assert!(store.snapshot_valid(&token));
+        assert_eq!(store.count_at(&token, RangeSpec::all()), Some(400));
+
+        // A write to shard 3, outside `low`, still expires the token: it
+        // names a cut over every shard, and that cut is gone.
+        assert_eq!(store.shard_of(&399), 3);
+        assert!(PointMap::remove(&store, &399).is_applied());
+        assert!(!store.snapshot_valid(&token));
+        assert_eq!(store.count_at(&token, low), None);
+        assert_eq!(store.range_agg_at(&token, low), None);
+        assert_eq!(store.collect_range_at(&token, low), None);
+        assert_eq!(store.count_at(&token, RangeSpec::inclusive(9, 3)), None);
+
+        // A fresh token reads the new state.
+        let fresh = store.acquire_snapshot();
+        assert_ne!(fresh, token);
+        assert_eq!(store.count_at(&fresh, RangeSpec::all()), Some(399));
+        assert_eq!(
+            store.collect_range_at(&fresh, RangeSpec::inclusive(398, 1_000)),
+            Some(vec![(398, ())])
+        );
+
+        // A gated batch commits once and expires the fresh token.
+        let commits = || store.metrics().counter("store_batch_commits").unwrap();
+        let before = commits();
+        let batch = vec![
+            StoreOp::Insert { key: 50, value: () },
+            StoreOp::Insert {
+                key: 1_000,
+                value: (),
+            },
+        ];
+        assert_eq!(
+            BatchApply::apply_batch(&store, batch).unwrap(),
+            vec![OpOutcome::Inserted(false), OpOutcome::Inserted(true)]
+        );
+        assert_eq!(commits(), before + 1);
+        assert_eq!(store.count_at(&fresh, RangeSpec::all()), None);
+        let last = store.acquire_snapshot();
+        assert_eq!(store.count_at(&last, RangeSpec::all()), Some(400));
     }
 }

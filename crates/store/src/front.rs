@@ -1,20 +1,18 @@
 //! The global timestamp front: single-snapshot cross-shard reads.
 //!
 //! Every shard of a [`ShardedStore`](crate::ShardedStore) is a
-//! `WaitFreeTree` with its own root queue, and since PR 4 every tree
-//! maintains a **timestamp front**: an *advertised* watermark that advances
-//! before an update's effect can be observed, and a *resolved* watermark
-//! that trails it until the update's linearization completes
+//! `WaitFreeTree` with its own root queue, and every tree maintains a
+//! **timestamp front**: an *advertised* watermark that advances before an
+//! update's effect can be observed, and a *resolved* watermark that trails
+//! it until the update's linearization completes
 //! (`WaitFreeTree::{advertised_ts, stable_ts, settle_front}`). A
 //! [`GlobalFront`] is one settled watermark per shard — a *cut* through the
 //! store's per-shard linearization orders — and the store's cross-shard
 //! reads are executed **at** such a cut:
 //!
-//! 1. **Acquire**: settle every touched shard's front
-//!    (`settle_front`, helping any mid-linearization update to completion —
-//!    lock-free) and record the per-shard watermarks; publish each into the
-//!    store's monotone published-front table (a `fetch_max` per shard — the
-//!    "front CAS", which can only move forward).
+//! 1. **Acquire**: settle every touched shard's front (`settle_front`,
+//!    helping any mid-linearization update to completion — lock-free) and
+//!    record the per-shard watermarks.
 //! 2. **Read**: answer each shard's sub-query with the tree's ordinary
 //!    linearizable range read, *front-validated* on both sides
 //!    (`range_agg_at_front` / `collect_range_at_front`): the result is
@@ -41,6 +39,18 @@
 //! watermark sandwich couples them, which is exactly what a
 //! validated double-collect couples.)
 //!
+//! # Scalar tokens
+//!
+//! The store's [`wft_api::SnapshotRead`] token is one number: the **sum**
+//! of an epoch-stable cut over every shard. It names that cut exactly.
+//! Watermarks are monotone, so each shard's current advertised watermark is
+//! at least its minted one, and the current watermarks sum to the token
+//! only while **every** shard still sits at its minted front. A `*_at`
+//! read therefore reads the current advertised watermarks, and if they sum
+//! to the token, reads at them as a cut like any cross-shard read; if they
+//! do not, the token is stale. The mint was epoch-stable, so the cut splits
+//! no atomic batch.
+//!
 //! # Progress
 //!
 //! Acquisition is lock-free (settling helps the pending update), and a
@@ -56,7 +66,7 @@
 //! `FrontTable`. While a
 //! commit window is open on a shard, point ops and cut acquisitions touching
 //! that shard wait for its release — so batch effects become visible all at
-//! once, never piecemeal (see `DESIGN.md`, "Publish-at-front batch commit").
+//! once, never piecemeal (see `DESIGN.md`, "Atomic cross-shard commit").
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -95,10 +105,10 @@ impl GlobalFront {
     }
 }
 
-/// The store-internal front bookkeeping: the monotone published front
-/// table, the per-shard **commit gate** behind atomic cross-shard batches,
-/// plus the store's event counters (`wft_obs` cells, reported as
-/// `store_*` by the store's `MetricsSource` impl).
+/// The store-internal front bookkeeping: the per-shard **commit gate**
+/// behind atomic cross-shard batches, plus the store's event counters
+/// (`wft_obs` cells, reported as `store_*` by the store's `MetricsSource`
+/// impl).
 ///
 /// # The commit gate
 ///
@@ -107,33 +117,21 @@ impl GlobalFront {
 /// mutations. A gated commit acquires the epochs of every touched shard in
 /// **ascending shard order** (CAS even → odd; ordered acquisition makes
 /// concurrent commits deadlock-free), drains the touched shards' writers
-/// to zero, applies the batch, settles + publishes the touched fronts, and
-/// releases the epochs (odd → next even). Point mutations register in
-/// `writers` *before* checking the epoch; point reads and cut acquisitions
-/// sandwich their work between two matching even-epoch observations. Under
-/// `SeqCst` this gives exclusion both ways: a writer that saw an open
-/// epoch is visible to the committer's drain, and a committer that closed
-/// the epoch is visible to the writer's check — so no point op and no
-/// validated cut ever overlaps a commit window on a shard it touches.
-///
-/// The global `commits_started` / `commits_finished` pair is the scalar
-/// flavour of the same sandwich, used by the token-based snapshot reads
-/// that validate with watermark *sums* instead of per-shard cuts.
+/// to zero, applies the batch, and releases the epochs (odd → next even).
+/// Point mutations register in `writers` *before* checking the epoch;
+/// point reads and cut acquisitions sandwich their work between two
+/// matching even-epoch observations. Under `SeqCst` this gives exclusion
+/// both ways: a writer that saw an open epoch is visible to the
+/// committer's drain, and a committer that closed the epoch is visible to
+/// the writer's check — so no point op and no validated cut ever overlaps
+/// a commit window on a shard it touches.
 pub(crate) struct FrontTable {
-    /// The highest watermark ever *published* per shard. Written with
-    /// `fetch_max` — the monotone front CAS: the published front can only
-    /// move forward, so readers observing it see a lower bound on each
-    /// shard's linearized prefix.
-    published: Box<[AtomicU64]>,
     /// Per-shard commit epoch: even = open, odd = commit window.
     epochs: Box<[AtomicU64]>,
     /// Per-shard count of in-flight point mutations.
     writers: Box<[AtomicU64]>,
-    /// Commit windows ever opened (incremented before epoch acquisition).
-    commits_started: AtomicU64,
-    /// Commit windows fully released. `finished <= started` always;
-    /// equality means no commit is in flight (`store_batch_commits`).
-    pub(crate) commits_finished: AtomicU64,
+    /// Batches committed through the gate (`store_batch_commits`).
+    pub(crate) batch_commits: Counter,
     /// Global-front acquisitions (`store_snapshot_acquires`).
     pub(crate) acquires: Counter,
     /// Cross-shard read attempts discarded by an expired cut
@@ -180,11 +178,9 @@ pub(crate) fn read_at_cut<T>(read: impl Fn() -> Result<T, FrontMiss>) -> Option<
 impl FrontTable {
     pub(crate) fn new(shards: usize) -> Self {
         FrontTable {
-            published: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             epochs: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             writers: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            commits_started: AtomicU64::new(0),
-            commits_finished: AtomicU64::new(0),
+            batch_commits: Counter::new(),
             acquires: Counter::new(),
             retries: Counter::new(),
             scan_resumes: Counter::new(),
@@ -233,11 +229,6 @@ impl FrontTable {
     /// the touched shards' in-flight point mutations.
     pub(crate) fn begin_commit(&self, touched: &[usize]) {
         debug_assert!(touched.windows(2).all(|w| w[0] < w[1]));
-        // ORDERING: SeqCst — `started` must be bumped before the epoch
-        // acquisitions so a scalar-stamp reader never sees `finished == started`
-        // mid-commit.
-        // wft-lint: allow(seqcst) -- the commit_stamp sandwich needs the counter bumps and epoch writes in one total order.
-        self.commits_started.fetch_add(1, Ordering::SeqCst);
         for &shard in touched {
             let mut spins = 0u32;
             let mut waited = false;
@@ -282,65 +273,12 @@ impl FrontTable {
             // wft-lint: allow(seqcst) -- pairs with the SeqCst epoch reads in epoch_open/epoch_is.
             self.epochs[shard].fetch_add(1, Ordering::SeqCst);
         }
-        // ORDERING: SeqCst — `finished` is bumped after every epoch reopen, so a
-        // stamp reader seeing `started == finished` sees the reopened shards.
-        // wft-lint: allow(seqcst) -- commit_stamp sandwich argument.
-        self.commits_finished.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Entry half of the scalar commit sandwich: the commit counter when
-    /// no commit is in flight, `None` otherwise.
-    pub(crate) fn commit_stamp(&self) -> Option<u64> {
-        // ORDERING: SeqCst — equality of the two counters proves no commit was in
-        // flight at one point of the total order.
-        // wft-lint: allow(seqcst) -- sandwich entry; needs the counter bumps in one total order.
-        let started = self.commits_started.load(Ordering::SeqCst);
-        // ORDERING: as above — the second SeqCst read of the sandwich entry.
-        // wft-lint: allow(seqcst) -- same sandwich argument.
-        let finished = self.commits_finished.load(Ordering::SeqCst);
-        (started == finished).then_some(started)
-    }
-
-    /// Exit half of the scalar sandwich: no commit window opened since
-    /// `stamp` was taken.
-    pub(crate) fn commit_unchanged(&self, stamp: u64) -> bool {
-        // ORDERING: SeqCst re-read — an unchanged `started` proves no commit
-        // window opened since the stamp; sandwich exit.
-        // wft-lint: allow(seqcst) -- same total-order argument as commit_stamp.
-        self.commits_started.load(Ordering::SeqCst) == stamp
-    }
-
-    /// Publishes a freshly settled watermark for `shard` (monotone).
-    pub(crate) fn publish(&self, shard: usize, front: u64) {
-        // ORDERING: SeqCst monotone publish, ordered against the commit-gate bumps
-        // that token validation also observes.
-        // wft-lint: allow(seqcst) -- token-sum validation compares fronts across shards in one total order.
-        self.published[shard].fetch_max(front, Ordering::SeqCst);
-    }
-
-    /// The published (monotone) front vector.
-    pub(crate) fn published(&self) -> Vec<u64> {
-        // ORDERING: SeqCst reads give a coherent lower bound across shards.
-        // wft-lint: allow(seqcst) -- same total-order argument as publish.
-        self.published
-            .iter()
-            .map(|w| w.load(Ordering::SeqCst))
-            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn published_front_is_monotone() {
-        let table = FrontTable::new(3);
-        table.publish(1, 5);
-        table.publish(1, 3); // older publish must not regress
-        table.publish(2, 7);
-        assert_eq!(table.published(), vec![0, 5, 7]);
-    }
 
     #[test]
     fn stats_count_acquires_and_retries() {
@@ -353,19 +291,17 @@ mod tests {
             ("store_scan_resumes", &table.scan_resumes),
             ("store_len_fallbacks", &table.len_fallbacks),
             ("store_commit_gate_waits", &table.gate_waits),
+            ("store_batch_commits", &table.batch_commits),
         ];
         // A distinct amount per cell, so a sample reading the wrong cell
         // shows up.
         for (n, (_, cell)) in cells.iter().enumerate() {
             cell.add(n as u64 + 1);
         }
-        table.begin_commit(&[0]);
-        table.end_commit(&[0]);
         let metrics = store.metrics();
         for (n, (name, _)) in cells.iter().enumerate() {
             assert_eq!(metrics.counter(name), Some(n as u64 + 1), "{name}");
         }
-        assert_eq!(metrics.counter("store_batch_commits"), Some(1));
     }
 
     #[test]
@@ -377,15 +313,9 @@ mod tests {
         assert_eq!(table.epoch_open(2), None);
         let e1 = table.epoch_open(1).expect("untouched shard stays open");
         assert!(table.epoch_is(1, e1));
-        assert_eq!(table.commit_stamp(), None, "a commit is in flight");
         table.end_commit(&[0, 2]);
         let e0_after = table.epoch_open(0).expect("released shard reopens");
         assert_eq!(e0_after, e0 + 2, "each window advances the epoch by 2");
-        let stamp = table.commit_stamp().expect("quiescent after release");
-        assert!(table.commit_unchanged(stamp));
-        table.begin_commit(&[1]);
-        assert!(!table.commit_unchanged(stamp), "new window moves the stamp");
-        table.end_commit(&[1]);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!   cross-shard `count` / `range_agg` / `collect_range` acquire one
 //!   settled per-shard watermark cut and read every touched shard at it,
 //!   making them linearizable, and [`wft_api::SnapshotRead`] exposes
-//!   consistent multi-range snapshot reads on top. `len` takes the same
+//!   consistent multi-range snapshot reads at the cut a scalar token sums. `len` takes the same
 //!   discipline with a bounded number of cut attempts, falling back to the
 //!   stitched sum of per-shard lengths (counted in the
 //!   `store_len_fallbacks` metric) under sustained write traffic.
@@ -72,7 +72,7 @@ pub use store::{split_keys_from_sample, ShardedStore};
 // vocabulary above is likewise defined in `wft-api` and re-exported here).
 pub use wft_api::{
     BatchApply, PointMap, RangeRead, RangeScan, RangeSpec, ScanConsistency, ScanCursor,
-    SnapshotRead, SnapshotToken, TimestampFront, UpdateOutcome,
+    SnapshotRead, SnapshotToken, UpdateOutcome,
 };
 
 // Re-export the augmentation vocabulary so store users need one import.

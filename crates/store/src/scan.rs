@@ -1,12 +1,11 @@
 //! The store's native streaming scan: a cross-shard merge cursor at one
 //! [`GlobalFront`](crate::GlobalFront)-style cut.
 //!
-//! The blanket [`wft_api::RangeScan`] cursor would work on the store (it is
-//! a `RangeRead + TimestampFront`), but poorly: the scalar-sum front settles
-//! **every** shard per chunk and invalidates on a write to **any** shard,
-//! even one the scan never touches. [`StoreScanCursor`] does what the
-//! store's one-shot cross-shard reads already do — per-shard watermarks —
-//! and streams on top of them:
+//! A cursor validated against the store's scalar token would settle
+//! **every** shard per chunk and expire on a write to **any** shard, even
+//! one the scan never touches. [`StoreScanCursor`] does what the store's
+//! one-shot cross-shard reads already do — per-shard watermarks — and
+//! streams on top of them:
 //!
 //! * **Open** (`RangeScan::scan`): settle one watermark per shard — a cut,
 //!   acquired exactly like [`ShardedStore::acquire_front`] — and remember
@@ -51,22 +50,20 @@
 //! exactly the state the scan reports: the full drain equals one
 //! `collect_range` of the store at that instant, no matter how many chunks
 //! (or how much wall-clock time) it took. This validates strictly less
-//! eagerly than the store's scalar [`SnapshotToken`] sandwich — only the
-//! *touched, not-yet-drained* shards can expire the cursor — so a
-//! `Snapshot` drain may outlive the scalar token it reports.
+//! eagerly than the store's scalar [`SnapshotToken`] — only the *touched,
+//! not-yet-drained* shards can expire the cursor — so a `Snapshot` drain
+//! may outlive the scalar token it reports.
 
 use std::collections::VecDeque;
 
-use wft_api::{RangeKey, RangeScan, RangeSpec, ScanConsistency, ScanCursor, SnapshotToken};
+use wft_api::{
+    RangeKey, RangeScan, RangeSpec, ScanConsistency, ScanCursor, SnapshotToken, READAHEAD_CAP,
+};
 use wft_core::Timestamp;
 use wft_seq::{Augmentation, Value};
 
 use crate::front::read_at_cut;
 use crate::store::ShardedStore;
-
-/// Upper bound on the cursor's adaptive read-ahead target (see the field
-/// docs on [`StoreScanCursor`]); mirrors the shared `FrontScanCursor` cap.
-const READAHEAD_CAP: usize = 4096;
 
 /// How many pre-yield fresh-cut re-acquisitions a cursor performs before it
 /// stops discarding progress and degrades to [`ScanConsistency::Resumed`]
@@ -131,9 +128,9 @@ where
     A: Augmentation<K, V>,
 {
     pub(crate) fn new(store: &'a ShardedStore<K, V, A>, range: RangeSpec<K>) -> Self {
-        // Settle every shard exactly like `acquire_front` (publishing into
-        // the monotone front table, epoch-stable so the cut cannot split an
-        // atomic batch commit); the scalar token is the cut's sum.
+        // Settle every shard exactly like `acquire_front` (epoch-stable, so
+        // the cut cannot split an atomic batch commit); the scalar token is
+        // the cut's sum.
         let cut = store.settle_all_stable();
         let token = SnapshotToken::new(cut.iter().sum());
         let (resume, hi) = match range.to_closed() {

@@ -42,13 +42,12 @@
 //! ([`StoreOp::Patch`] / [`StoreOp::CompareAndSet`] / [`StoreOp::Get`]) —
 //! commits **atomically**: [`ShardedStore::apply_batch`] applies it inside
 //! a per-shard *commit window* (the commit gate on [`crate::front`]) that
-//! excludes point operations and cut acquisitions on the touched shards,
-//! then settles and publishes every touched shard's front before the
-//! window is released. A validated cut reader therefore observes all of a
-//! batch or none of it, never a half-applied prefix across shards — the
-//! linearization argument lives in `DESIGN.md` ("Publish-at-front batch
-//! commit"). Single-operation *classic* batches bypass the gate entirely
-//! (one tree op is already atomic).
+//! excludes point operations and cut acquisitions on the touched shards.
+//! A validated cut reader therefore observes all of a batch or none of it,
+//! never a half-applied prefix across shards — the linearization argument
+//! lives in `DESIGN.md` ("Atomic cross-shard commit"). Single-operation
+//! *classic* batches bypass the gate entirely (one tree op is already
+//! atomic).
 
 use std::thread;
 
@@ -66,8 +65,8 @@ pub struct ShardedStore<K: Key, V: Value = (), A: Augmentation<K, V> = Size> {
     /// first key owned by shard `i + 1`.
     pub(crate) bounds: Vec<K>,
     config: StoreConfig,
-    /// Global-front bookkeeping: the monotone published front table and the
-    /// snapshot counters (see [`crate::front`]).
+    /// Global-front bookkeeping: the commit gate and the store's counters
+    /// (see [`crate::front`]).
     pub(crate) front: FrontTable,
 }
 
@@ -438,48 +437,14 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
             .unwrap_or_else(|| self.collect_range(min, max).len() as u64)
     }
 
-    /// Aggregate of all entries with keys in `[min, max]` with no global
-    /// cut: one linearizable query per overlapped shard, each taken at a
-    /// (slightly) different instant. Atomic only inside a caller's own
-    /// validation (the snapshot sum sandwich in `api.rs`).
-    pub(crate) fn per_shard_range_agg(&self, min: K, max: K) -> A::Agg {
-        if max < min {
-            return A::identity();
-        }
-        let first = self.shard_of(&min);
-        let last = self.shard_of(&max);
-        let mut acc = A::identity();
-        for i in first..=last {
-            let lo = if i == first { min } else { self.bounds[i - 1] };
-            acc = A::combine(&acc, &self.shards[i].range_agg(lo, max));
-        }
-        acc
-    }
-
-    /// [`ShardedStore::collect_range`] with no global cut (see
-    /// [`ShardedStore::per_shard_range_agg`]).
-    pub(crate) fn per_shard_collect_range(&self, min: K, max: K) -> Vec<(K, V)> {
-        if max < min {
-            return Vec::new();
-        }
-        let first = self.shard_of(&min);
-        let last = self.shard_of(&max);
-        let mut out = Vec::new();
-        for i in first..=last {
-            let lo = if i == first { min } else { self.bounds[i - 1] };
-            out.extend(self.shards[i].collect_range(lo, max));
-        }
-        out
-    }
-
     // -- the global front --------------------------------------------------
 
     /// Acquires a [`GlobalFront`]: one settled watermark per shard (helping
-    /// any mid-linearization update to completion — lock-free), published
-    /// into the monotone front table. Reads against the front succeed while
-    /// [`ShardedStore::front_valid`] holds; see [`crate::front`]. The
-    /// acquisition is epoch-stable: it never lands inside a batch-commit
-    /// window, so the cut cannot split an atomic batch.
+    /// any mid-linearization update to completion — lock-free). Reads
+    /// against the front succeed while [`ShardedStore::front_valid`] holds;
+    /// see [`crate::front`]. The acquisition is epoch-stable: it never lands
+    /// inside a batch-commit window, so the cut cannot split an atomic
+    /// batch.
     pub fn acquire_front(&self) -> GlobalFront {
         GlobalFront::new(self.settle_all_stable())
     }
@@ -500,13 +465,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
     /// of the store's state at exactly that cut, or `None` once a *touched*
     /// shard advanced past it (acquire a fresh front and retry).
     pub fn range_agg_at_front(&self, front: &GlobalFront, min: K, max: K) -> Option<A::Agg> {
-        if max < min {
-            return Some(A::identity());
-        }
-        let first = self.shard_of(&min);
-        let last = self.shard_of(&max);
-        let touched: Vec<u64> = (first..=last).map(|i| front.of(i)).collect();
-        self.try_agg_at(first, last, min, max, &touched).ok()
+        self.range_agg_at_cut(front.fronts(), min, max).ok()
     }
 
     /// [`ShardedStore::collect_range`] at an acquired front; `None` once a
@@ -517,38 +476,45 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
         min: K,
         max: K,
     ) -> Option<Vec<(K, V)>> {
+        self.collect_range_at_cut(front.fronts(), min, max).ok()
+    }
+
+    /// [`ShardedStore::range_agg`] at a per-shard cut (`cut[i]` is shard
+    /// `i`'s watermark, every shard covered): `Err(i)` once touched shard
+    /// `i` advanced past it.
+    pub(crate) fn range_agg_at_cut(&self, cut: &[u64], min: K, max: K) -> Result<A::Agg, usize> {
         if max < min {
-            return Some(Vec::new());
+            return Ok(A::identity());
         }
         let first = self.shard_of(&min);
         let last = self.shard_of(&max);
-        let touched: Vec<u64> = (first..=last).map(|i| front.of(i)).collect();
-        self.try_collect_at(first, last, min, max, &touched).ok()
+        self.try_agg_at(first, last, min, max, &cut[first..=last])
     }
 
-    /// The monotone **published** front: the highest watermark ever settled
-    /// and published per shard (a lower bound on each shard's linearized
-    /// prefix; diagnostics and tests).
-    pub fn shard_fronts(&self) -> Vec<u64> {
-        self.front.published()
+    /// [`ShardedStore::collect_range`] at a per-shard cut (see
+    /// [`ShardedStore::range_agg_at_cut`]).
+    pub(crate) fn collect_range_at_cut(
+        &self,
+        cut: &[u64],
+        min: K,
+        max: K,
+    ) -> Result<Vec<(K, V)>, usize> {
+        if max < min {
+            return Ok(Vec::new());
+        }
+        let first = self.shard_of(&min);
+        let last = self.shard_of(&max);
+        self.try_collect_at(first, last, min, max, &cut[first..=last])
     }
 
-    /// Sum of the per-shard settled fronts — the store's *scalar* front for
-    /// the blanket [`wft_api::SnapshotRead`] (see the `TimestampFront` impl
-    /// in `crate::api`). Monotone, and unchanged iff no shard advanced.
-    /// Epoch-stable, so a scalar token is never minted mid-commit-window.
-    pub(crate) fn settled_front_sum(&self) -> u64 {
-        self.settle_all_stable().iter().sum()
-    }
-
-    /// Sum of the per-shard advertised watermarks.
-    pub(crate) fn advertised_sum(&self) -> u64 {
-        self.shards.iter().map(|s| s.advertised_ts().get()).sum()
-    }
-
-    /// Sum of the per-shard resolved watermarks.
-    pub(crate) fn resolved_sum(&self) -> u64 {
-        self.shards.iter().map(|s| s.stable_ts().get()).sum()
+    /// The per-shard advertised watermarks (`result[i]` is shard `i`'s):
+    /// the current cut a scalar snapshot token is checked against (see
+    /// [`crate::front`], "Scalar tokens").
+    pub(crate) fn advertised_fronts(&self) -> Vec<u64> {
+        self.shards
+            .iter()
+            .map(|s| s.advertised_ts().get())
+            .collect()
     }
 
     /// Settles the fronts of shards `first..=last` (acquire phase of one
@@ -562,15 +528,11 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
     pub(crate) fn settle_touched(&self, first: usize, last: usize) -> Vec<u64> {
         self.front.acquires.inc();
         (first..=last)
-            .map(|i| {
-                let f = self.shards[i].settle_front().get();
-                self.front.publish(i, f);
-                f
-            })
+            .map(|i| self.shards[i].settle_front().get())
             .collect()
     }
 
-    /// [`ShardedStore::settle_all`] sandwiched in even commit epochs (see
+    /// Every shard's front settled in even commit epochs (see
     /// [`ShardedStore::settle_touched_stable`]).
     pub(crate) fn settle_all_stable(&self) -> Vec<u64> {
         self.settle_touched_stable(0, self.shards.len() - 1)
@@ -808,11 +770,10 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
 
     /// Executes a plan inside one atomic commit window: closes the commit
     /// gate over every touched shard (ascending order, waiting out
-    /// in-flight point writers), applies the per-shard groups, settles and
-    /// publishes the touched fronts, and releases the gate — at which
-    /// point the whole batch becomes visible to cut readers at once. The
-    /// guard releases the window even if an op panics, so waiters never
-    /// deadlock on a poisoned commit.
+    /// in-flight point writers), applies the per-shard groups, and releases
+    /// the gate — at which point the whole batch becomes visible to cut
+    /// readers at once. The guard releases the window even if an op panics,
+    /// so waiters never deadlock on a poisoned commit.
     fn commit_plan(&self, plan: BatchPlan<K, V>) -> Vec<OpOutcome<V>> {
         let touched = plan.touched_shards();
         if touched.is_empty() {
@@ -820,16 +781,9 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
         }
         let guard = CommitGuard::begin(&self.front, touched);
         let outcomes = self.run_plan(plan, true);
-        // Settle + publish every touched front *inside* the window: the
-        // batch's effects sit below the published watermarks before any
-        // reader can acquire a cut again, so the first post-release cut
-        // already covers the whole batch.
-        for &shard in &guard.touched {
-            let f = self.shards[shard].settle_front().get();
-            self.front.publish(shard, f);
-        }
         let shards_touched = guard.touched.len();
         drop(guard);
+        self.front.batch_commits.inc();
         wft_obs::trace::emit(
             wft_obs::TraceKind::BatchCommit,
             shard_trace_arg(shards_touched),
@@ -842,11 +796,11 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
     /// shard was mutated.
     ///
     /// A batch that needs atomicity (more than one operation, or any
-    /// `Patch` / `CompareAndSet` / `Get`) commits through the
-    /// publish-at-front commit window — concurrent cut readers see all of
-    /// it or none of it. A single classic operation bypasses the gate (it
-    /// is already atomic as one tree op), keeping the point-write-shaped
-    /// fast path free of commit traffic.
+    /// `Patch` / `CompareAndSet` / `Get`) commits through the commit
+    /// window — concurrent cut readers see all of it or none of it. A
+    /// single classic operation bypasses the gate (it is already atomic as
+    /// one tree op), keeping the point-write-shaped fast path free of
+    /// commit traffic.
     pub fn apply_batch(
         &self,
         batch: Vec<StoreOp<K, V>>,
@@ -1220,28 +1174,38 @@ mod tests {
     }
 
     #[test]
-    fn published_fronts_and_counters_advance() {
+    fn settled_fronts_and_counters_advance() {
         let store = store_with_shards(4, 400);
-        assert_eq!(store.metrics().counter("store_snapshot_acquires"), Some(0));
-        let before = store.shard_fronts();
-        assert_eq!(before, vec![0; 4], "prefill does not occupy timestamps");
+        let acquires = || store.metrics().counter("store_snapshot_acquires").unwrap();
+        assert_eq!(acquires(), 0);
         let front = store.acquire_front();
-        assert!(store.metrics().counter("store_snapshot_acquires") >= Some(1));
+        assert_eq!(
+            front.fronts(),
+            &[0; 4],
+            "prefill does not occupy timestamps"
+        );
+        assert_eq!(acquires(), 1);
         // A failed insert or remove is answered at a presence load and
         // occupies no timestamp: the cut stays valid and still answers.
         assert!(!store.insert(0, ()));
         assert!(!store.remove(&1_000));
         assert!(store.front_valid(&front));
         assert_eq!(store.range_agg_at_front(&front, 0, 399), Some(400));
-        store.count(0, 399); // cross-shard: acquires a front
-        assert_eq!(store.shard_fronts(), before, "nothing linearized");
+        assert_eq!(store.count(0, 399), 400); // cross-shard: acquires a front
+        assert_eq!(acquires(), 2);
+        assert_eq!(store.acquire_front(), front, "nothing linearized");
         // A successful update still expires the cut and advances the front.
         assert!(store.insert(400, ()));
         assert!(!store.front_valid(&front));
-        store.count(0, 400);
+        assert_eq!(store.count(0, 400), 401);
         let last = store.shard_of(&400);
-        let after = store.shard_fronts();
-        assert!(after[last] >= 1, "shard {last}'s front advanced: {after:?}");
+        let after = store.acquire_front();
+        assert!(
+            after.fronts()[last] >= 1,
+            "shard {last}'s front advanced: {after:?}"
+        );
+        assert_eq!(acquires(), 5);
+        assert_eq!(store.metrics().counter("store_snapshot_retries"), Some(0));
 
         // Under `ReadPath::Descriptor` a failed insert still linearizes on
         // shard 0 through its descriptor, and its front advances.
@@ -1254,12 +1218,13 @@ mod tests {
         };
         let store: ShardedStore<i64> =
             ShardedStore::from_entries_with_config((0..400).map(|k| (k, ())), 4, config);
+        let before = store.acquire_front();
         store.insert(0, ()); // failed insert still linearizes on shard 0
-        store.count(0, 399); // cross-shard: acquires a front
-        let after = store.shard_fronts();
+        assert!(!store.front_valid(&before));
+        let after = store.acquire_front();
         assert!(
-            after[0] >= 1,
-            "shard 0's published front advanced: {after:?}"
+            after.fronts()[0] >= 1,
+            "shard 0's settled front advanced: {after:?}"
         );
     }
 

@@ -1,6 +1,6 @@
 //! Property test: cross-shard batches are all-or-nothing.
 //!
-//! The sharded store's publish-at-front commit claims that a batch
+//! The sharded store's gated batch commit claims that a batch
 //! touching several shards becomes visible **atomically**: any reader
 //! whose cut validates sees either every one of the batch's effects or
 //! none of them. This suite attacks the claim directly: striped writers
@@ -9,7 +9,8 @@
 //! readers snapshot the stripe through every cut-validated read path:
 //!
 //! * `collect_range` (the native cross-shard cut read),
-//! * `collect_range_at` under an acquired [`SnapshotToken`] sandwich,
+//! * `collect_range_at` under an acquired [`SnapshotToken`] (a read at
+//!   the per-shard cut the token sums),
 //! * a [`ScanCursor`] drained to completion, whenever the drain reports
 //!   [`ScanConsistency::Snapshot`].
 //!
@@ -115,8 +116,8 @@ proptest! {
                     let entries = store.collect_range(0, UNIVERSE);
                     violations.fetch_add(torn(&entries, stripe.len()), Ordering::Relaxed);
 
-                    // Scalar-sandwich snapshot read; entry/exit validation
-                    // may reject under churn — only validated reads count.
+                    // Snapshot read at the token's cut; a token expired by
+                    // churn reads nothing — only validated reads count.
                     let token = store.acquire_snapshot();
                     if let Some(entries) = store.collect_range_at(&token, span) {
                         violations.fetch_add(torn(&entries, stripe.len()), Ordering::Relaxed);

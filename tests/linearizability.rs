@@ -172,7 +172,7 @@ fn record_round(
                                 // distinct `dst`. With per-thread shards in
                                 // the store builds this routinely crosses
                                 // shard boundaries, which is the case the
-                                // publish-at-front commit exists for.
+                                // gated batch commit exists for.
                                 let dst = (key + rng.gen_range(1..KEY_RANGE)) % KEY_RANGE;
                                 let token = recorder.invoke(RangeSetOp::AtomicBatch(key, dst));
                                 let (removed, inserted) = set.batch_move(key, dst);
@@ -277,7 +277,7 @@ fn sharded_store_cross_shard_snapshots_linearize() {
     // `batch_is_atomic` holds for the store, so these histories also mix
     // the transactional ops: membership-toggling patches, cas-inserts, and
     // two-key atomic batches whose keys routinely land on different shards
-    // — the publish-at-front commit is what keeps the gap between the two
+    // — the gated batch commit is what keeps the gap between the two
     // ops invisible to every concurrent count, collect, snapshot pair and
     // chunked scan in the history.
     assert_linearizable(TreeImpl::Sharded, 25, true);
