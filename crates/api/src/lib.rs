@@ -66,7 +66,9 @@ pub use batch::{
 pub use outcome::UpdateOutcome;
 pub use point::PointMap;
 pub use range::{agg_over, collect_over, count_over, RangeKey, RangeRead, RangeSpec};
-pub use scan::{ChunkRead, FrontScanCursor, RangeScan, ScanConsistency, ScanCursor, READAHEAD_CAP};
+pub use scan::{
+    ChunkRead, FrontScanCursor, RangeScan, ReadAhead, ScanConsistency, ScanCursor, READAHEAD_CAP,
+};
 pub use snapshot::{FrontSnapshot, SnapshotRead, SnapshotToken, TimestampFront};
 
 // Re-export the augmentation vocabulary: a consumer of the trait family

@@ -80,12 +80,15 @@
 //! an adaptive read-ahead that doubles after every validated read (capped)
 //! and collapses back to exactly-requested on a validation failure — wide
 //! reads widen the validation window, so under churn they would only fail
-//! repeatedly. Surplus entries wait in an internal buffer; they passed the
-//! same sandwich as directly yielded entries, and a pre-yield re-anchor
+//! repeatedly. Surplus entries wait in a [`ReadAhead`] buffer; they passed
+//! the same sandwich as directly yielded entries, and a pre-yield re-anchor
 //! discards them (rewinding the resume key over the buffer) so the
 //! `Snapshot` claim never rests on a read validated at a dead front.
+//!
+//! The buffer is where a backend read lands and where chunks are cut from,
+//! so an entry is copied out of the backend once and, at most, once more
+//! into a chunk: a chunk that takes everything buffered leaves by move.
 
-use std::collections::VecDeque;
 use std::marker::PhantomData;
 
 use wft_seq::Value;
@@ -103,6 +106,97 @@ use crate::snapshot::{SnapshotToken, TimestampFront};
 /// hold and the work a single validation window must cover. Shared by
 /// [`FrontScanCursor`] and the sharded store's native cursor.
 pub const READAHEAD_CAP: usize = 4096;
+
+/// A scan cursor's read-ahead buffer: validated entries in ascending key
+/// order, read from the backend ahead of the caller and handed out in
+/// chunks. Shared by [`FrontScanCursor`] and the sharded store's native
+/// cursor.
+///
+/// It is one vector plus the length of its already-handed-out prefix, so a
+/// backend read appends straight into it and a chunk costs at most one
+/// slice copy: a chunk that takes everything still buffered takes the
+/// vector itself. The consumed prefix is dropped before the next append
+/// ([`entries_mut`](ReadAhead::entries_mut)).
+#[derive(Debug)]
+pub struct ReadAhead<K, V> {
+    entries: Vec<(K, V)>,
+    /// Entries `..consumed` have been handed out.
+    consumed: usize,
+}
+
+impl<K: RangeKey, V: Value> ReadAhead<K, V> {
+    /// An empty buffer; allocates nothing until the first read lands.
+    pub fn new() -> Self {
+        ReadAhead {
+            entries: Vec::new(),
+            consumed: 0,
+        }
+    }
+
+    /// Entries buffered and not yet handed out.
+    pub fn len(&self) -> usize {
+        self.entries.len() - self.consumed
+    }
+
+    /// `true` when nothing is buffered.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The smallest buffered key: where a pre-yield re-anchor rewinds to.
+    pub fn first_key(&self) -> Option<K> {
+        self.entries.get(self.consumed).map(|(k, _)| *k)
+    }
+
+    /// Discards every buffered entry (keeping the allocation).
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.consumed = 0;
+    }
+
+    /// The buffered entries as a vector to append a validated read to.
+    /// Holds exactly the not-yet-handed-out entries: the consumed prefix is
+    /// dropped first, so the buffer never grows by more than a read.
+    pub fn entries_mut(&mut self) -> &mut Vec<(K, V)> {
+        self.entries.drain(..self.consumed);
+        self.consumed = 0;
+        &mut self.entries
+    }
+
+    /// Appends a validated read; adopted without a copy while the buffer is
+    /// empty.
+    pub fn push(&mut self, mut read: Vec<(K, V)>) {
+        if self.is_empty() {
+            self.entries = read;
+            self.consumed = 0;
+        } else {
+            self.entries_mut().append(&mut read);
+        }
+    }
+
+    /// Hands out the (up to) `limit` smallest buffered entries. A chunk
+    /// that takes everything left leaves by move (the vector itself, its
+    /// consumed prefix dropped); a shorter one is one slice copy.
+    pub fn take(&mut self, limit: usize) -> Vec<(K, V)> {
+        let end = self.consumed.saturating_add(limit);
+        if end >= self.entries.len() {
+            let mut chunk = std::mem::take(&mut self.entries);
+            chunk.drain(..self.consumed);
+            self.consumed = 0;
+            chunk
+        } else {
+            let chunk = self.entries[self.consumed..end].to_vec();
+            self.consumed = end;
+            chunk
+        }
+    }
+}
+
+impl<K: RangeKey, V: Value> Default for ReadAhead<K, V> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
 /// How a cursor's drain relates to its acquired [`SnapshotToken`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -171,7 +265,8 @@ pub trait ScanCursor<K: RangeKey, V: Value> {
         Self: Sized,
     {
         assert!(limit > 0, "draining a scan cursor needs a positive chunk");
-        let mut out = Vec::new();
+        // The first chunk becomes the listing; later ones are appended.
+        let mut out = self.next_chunk(limit);
         loop {
             let chunk = self.next_chunk(limit);
             if chunk.is_empty() {
@@ -304,7 +399,7 @@ pub struct FrontScanCursor<'a, T, K, V> {
     /// directly yielded one. A pre-yield re-anchor discards the buffer and
     /// rewinds `resume` over it, so the `Snapshot` claim never rests on
     /// entries validated at a dead front.
-    buffer: VecDeque<(K, V)>,
+    buffer: ReadAhead<K, V>,
     /// Adaptive read-ahead target: grows (×2, capped at
     /// [`READAHEAD_CAP`]) after every validated backend read, resets to 0
     /// on a validation failure — small caller chunks amortise into few
@@ -343,7 +438,7 @@ where
             working_front: token,
             hi,
             resume,
-            buffer: VecDeque::new(),
+            buffer: ReadAhead::new(),
             readahead: 0,
             yielded: false,
             consistency: ScanConsistency::Snapshot,
@@ -384,7 +479,7 @@ where
                         .and_then(|(k, _)| k.successor())
                         .filter(|next| *next <= self.hi)
                 };
-                self.buffer.extend(chunk);
+                self.buffer.push(chunk);
                 self.readahead = want.saturating_mul(2).min(READAHEAD_CAP);
                 return;
             }
@@ -408,8 +503,8 @@ where
             self.consistency = ScanConsistency::Resumed;
             self.resumes += 1;
         } else {
-            if let Some((k, _)) = self.buffer.front() {
-                self.resume = Some(*k);
+            if let Some(k) = self.buffer.first_key() {
+                self.resume = Some(k);
             }
             self.buffer.clear();
             self.token = fresh;
@@ -434,8 +529,7 @@ where
         while self.buffer.len() < limit && self.resume.is_some() {
             self.fill(limit);
         }
-        let take = limit.min(self.buffer.len());
-        let chunk: Vec<(K, V)> = self.buffer.drain(..take).collect();
+        let chunk = self.buffer.take(limit);
         self.yielded |= !chunk.is_empty();
         chunk
     }
@@ -460,6 +554,32 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn read_ahead_hands_out_in_order_and_drops_what_it_handed_out() {
+        let mut buffer: ReadAhead<i64, ()> = ReadAhead::new();
+        assert!(buffer.take(4).is_empty());
+        buffer.push((0..10).map(|k| (k, ())).collect());
+        assert_eq!(buffer.first_key(), Some(0));
+        // A part of the buffer is a slice copy; the rest leaves whole.
+        assert_eq!(buffer.take(3), (0..3).map(|k| (k, ())).collect::<Vec<_>>());
+        assert_eq!((buffer.len(), buffer.first_key()), (7, Some(3)));
+        buffer.push((10..20).map(|k| (k, ())).collect());
+        assert_eq!(
+            buffer.entries_mut().len(),
+            17,
+            "the handed-out prefix is dropped"
+        );
+        buffer.entries_mut().push((20, ()));
+        assert_eq!(
+            buffer.take(100),
+            (3..21).map(|k| (k, ())).collect::<Vec<_>>()
+        );
+        assert!(buffer.is_empty());
+        buffer.push(vec![(30, ())]);
+        buffer.clear();
+        assert_eq!((buffer.len(), buffer.first_key()), (0, None));
+    }
 
     #[test]
     fn consistency_is_plain_data() {

@@ -128,10 +128,11 @@
 use crossbeam_epoch::{Atomic, Guard, Shared};
 use std::sync::atomic::Ordering::Acquire;
 
+use wft_api::READAHEAD_CAP;
 use wft_seq::{Augmentation, Key, Value};
 
 use crate::descriptor::RangeMode;
-use crate::node::{admitted, leaf_range_agg, InnerNode, Node, NodeState};
+use crate::node::{admitted, leaf_range_agg, InnerNode, Node, NodeState, LEAF_CAP};
 use crate::shape::Shape;
 use crate::tree::WaitFreeTree;
 
@@ -165,6 +166,22 @@ impl<'g, K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> ReadLog<'g, K, V,
             descended: Vec::with_capacity(32),
             absorbed: Vec::with_capacity(32),
             slots: Vec::with_capacity(8),
+        }
+    }
+
+    /// The log of a collect walk that expects to gather `entries` entries.
+    /// A collect walk absorbs nothing, but it logs every run it reads and
+    /// every inner node above one — a slot and about one descended node per
+    /// run, where a run holds `LEAF_CAP / 2` to `LEAF_CAP` entries (about 24
+    /// after a bulk load) — so the aggregate walk's sizes would regrow
+    /// several times on a chunk of a few hundred entries. Sized for half-full
+    /// runs, it regrows only when they are emptier than that.
+    fn for_collect(entries: usize) -> Self {
+        let runs = entries / (LEAF_CAP / 2);
+        ReadLog {
+            descended: Vec::with_capacity(32 + runs),
+            absorbed: Vec::new(),
+            slots: Vec::with_capacity(8 + runs),
         }
     }
 
@@ -231,52 +248,59 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
         }
     }
 
-    /// Optimistic descriptor-free `collect_range` over `[min, max]`.
-    /// Entries come out in key order (in-order walk). Returns `None` on
-    /// validation failure.
-    pub(crate) fn try_fast_collect(&self, min: K, max: K, guard: &Guard) -> Option<Vec<(K, V)>> {
-        self.try_fast_collect_limited(min, max, usize::MAX, guard)
-            .map(|(out, _)| out)
-    }
-
     /// Optimistic descriptor-free collect of the (up to) `limit` smallest
-    /// entries of `[min, max]` — the chunk primitive behind
-    /// [`WaitFreeTree::collect_range_limited`](crate::WaitFreeTree::collect_range_limited).
+    /// entries of `[min, max]`, **appended to `out`** in key order: the one
+    /// collect walk behind `collect_range` (`limit == usize::MAX`) and the
+    /// limited collects that cursors read their chunks with.
     ///
     /// The in-order walk stops as soon as `limit` entries are gathered, in
     /// the middle of a run if need be; the result is a prefix of the full
     /// listing and validating the *visited* log suffices (module docs,
-    /// "Limited collects are prefixes"). The second return component is
-    /// `true` when the limit actually cut the walk short (the
-    /// `O(log N + limit)` early exit, counted in the
-    /// `tree_fast_range_early_exits` metric). `None` on validation
-    /// failure, as for the unbounded walk.
-    pub(crate) fn try_fast_collect_limited(
+    /// "Limited collects are prefixes"). A walk the limit actually cut
+    /// short (the `O(log N + limit)` early exit) is counted in the
+    /// `tree_fast_range_early_exits` metric. On validation failure `out`
+    /// is truncated back to its length at the call and `None` returned.
+    pub(crate) fn try_fast_collect(
         &self,
         min: K,
         max: K,
         limit: usize,
+        out: &mut Vec<(K, V)>,
         guard: &Guard,
-    ) -> Option<(Vec<(K, V)>, bool)> {
+    ) -> Option<()> {
         if self.resolved_update_pending(guard) {
             return None;
         }
-        let mut log = ReadLog::new();
-        let mut out = Vec::new();
+        // A limited walk knows the most it can gather: the entries go
+        // straight into their final buffer, which is sized once. An
+        // unbounded walk may gather three entries or three million and
+        // grows as it goes.
+        let expected = if limit == usize::MAX {
+            0
+        } else {
+            limit.min(READAHEAD_CAP)
+        };
+        out.reserve(expected);
+        let mark = out.len();
+        let mut log = ReadLog::for_collect(expected);
         let mut early_exit = false;
-        self.walk_collect_slot(
+        let walked = self.walk_collect_slot(
             &self.root_child,
             &min,
             &max,
-            limit,
-            &mut out,
+            mark.saturating_add(limit),
+            out,
             &mut early_exit,
             &mut log,
             guard,
-        )?;
-        if log.validate(guard) && !self.resolved_update_pending(guard) {
-            Some((out, early_exit))
+        );
+        if walked.is_some() && log.validate(guard) && !self.resolved_update_pending(guard) {
+            if early_exit {
+                self.counters.fast_range_early_exits.inc();
+            }
+            Some(())
         } else {
+            out.truncate(mark);
             None
         }
     }
@@ -412,7 +436,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
 
     /// Collect walk continuation into a child slot (no absorption: every
     /// overlapping subtree is descended, like the descriptor-based
-    /// `collect`). Once `out` holds `limit` entries the walk stops
+    /// `collect`). Once `out` reaches length `end` the walk stops
     /// descending: skipped slots are *not* logged, which is sound because
     /// the in-order walk guarantees they only cover keys beyond the last
     /// collected one (module docs, "Limited collects are prefixes").
@@ -422,13 +446,13 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
         slot: &'g Atomic<Node<K, V, A, S>>,
         min: &K,
         max: &K,
-        limit: usize,
+        end: usize,
         out: &mut Vec<(K, V)>,
         early_exit: &mut bool,
         log: &mut ReadLog<'g, K, V, A, S>,
         guard: &'g Guard,
     ) -> Option<()> {
-        if out.len() >= limit {
+        if out.len() >= end {
             *early_exit = true;
             return Some(());
         }
@@ -447,7 +471,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
                         &inner.left,
                         min,
                         max,
-                        limit,
+                        end,
                         out,
                         early_exit,
                         log,
@@ -459,7 +483,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
                         &inner.right,
                         min,
                         max,
-                        limit,
+                        end,
                         out,
                         early_exit,
                         log,
@@ -477,9 +501,9 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
                         max: *max,
                     },
                 );
-                // `out.len() < limit` here; a run with more admitted entries
+                // `out.len() < end` here; a run with more admitted entries
                 // than there is room for ends the walk inside the run.
-                let room = limit - out.len();
+                let room = end - out.len();
                 if part.len() > room {
                     *early_exit = true;
                 }

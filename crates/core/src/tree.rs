@@ -331,18 +331,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
     /// Attempts the same optimistic descriptor-free traversal as
     /// [`range_agg`](WaitFreeTree::range_agg) under [`ReadPath::Fast`].
     pub fn collect_range(&self, min: K, max: K) -> Vec<(K, V)> {
-        if min > max {
-            return Vec::new();
-        }
-        if self.config.read_path == ReadPath::Fast {
-            let fast = self.fast_read(|guard| self.try_fast_collect(min, max, guard), || true);
-            if let Some(entries) = fast {
-                return entries;
-            }
-            self.note_range_fallback();
-        }
-        self.run_operation(OpKind::Collect { min, max })
-            .assemble_entries()
+        self.collect_range_limited(min, max, usize::MAX)
     }
 
     /// The (up to) `limit` smallest entries with key in `[min, max]`, in key
@@ -362,12 +351,13 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
             return Vec::new();
         }
         if self.config.read_path == ReadPath::Fast {
+            let mut out = Vec::new();
             let fast = self.fast_read(
-                |guard| self.try_fast_collect_limited_counted(min, max, limit, guard),
+                |guard| self.try_fast_collect(min, max, limit, &mut out, guard),
                 || true,
             );
-            if let Some(entries) = fast {
-                return entries;
+            if fast.is_some() {
+                return out;
             }
             self.note_range_fallback();
         }
@@ -533,11 +523,10 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
         if min > max {
             return Ok(A::identity());
         }
-        self.read_at_front(
-            front,
-            |guard| self.try_fast_range_agg(min, max, guard),
-            || self.range_agg(min, max),
-        )
+        if self.config.read_path != ReadPath::Fast {
+            return self.still_at(front, self.range_agg(min, max));
+        }
+        self.read_at_front(front, |guard| self.try_fast_range_agg(min, max, guard))
     }
 
     /// [`collect_range`](WaitFreeTree::collect_range) at a settled front; see
@@ -549,55 +538,45 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
         max: K,
         front: wft_queue::Timestamp,
     ) -> Result<Vec<(K, V)>, FrontMiss> {
-        self.front_current(front)?;
-        if min > max {
-            return Ok(Vec::new());
-        }
-        self.read_at_front(
-            front,
-            |guard| self.try_fast_collect(min, max, guard),
-            || self.collect_range(min, max),
-        )
+        let mut out = Vec::new();
+        self.collect_range_limited_at_front(min, max, usize::MAX, front, &mut out)?;
+        Ok(out)
     }
 
     /// [`collect_range_limited`](WaitFreeTree::collect_range_limited) at a
-    /// settled front: the `limit` smallest entries of `[min, max]` in the
-    /// tree state at exactly `front`. This is the per-shard chunk read of
-    /// the sharded store's streaming scan cursor, with the same
-    /// optimistic-only discipline and the same two misses as
-    /// [`range_agg_at_front`](WaitFreeTree::range_agg_at_front).
+    /// settled front: **appends** the `limit` smallest entries of
+    /// `[min, max]` in the tree state at exactly `front` to `out`, with the
+    /// same optimistic-only discipline and the same two misses as
+    /// [`range_agg_at_front`](WaitFreeTree::range_agg_at_front). On a miss
+    /// `out` is left as it was. This is the per-shard read of the sharded
+    /// store's cross-shard collects and of its streaming scan cursor, which
+    /// append every shard's entries into the one buffer they return or
+    /// hand out from: each entry is copied once, out of its run.
     pub fn collect_range_limited_at_front(
         &self,
         min: K,
         max: K,
         limit: usize,
         front: wft_queue::Timestamp,
-    ) -> Result<Vec<(K, V)>, FrontMiss> {
+        out: &mut Vec<(K, V)>,
+    ) -> Result<(), FrontMiss> {
         self.front_current(front)?;
         if min > max || limit == 0 {
-            return Ok(Vec::new());
+            return Ok(());
         }
-        self.read_at_front(
-            front,
-            |guard| self.try_fast_collect_limited_counted(min, max, limit, guard),
-            || self.collect_range_limited(min, max, limit),
-        )
-    }
-
-    /// One optimistic limited traversal, counting its early exit in
-    /// `fast_range_early_exits`.
-    fn try_fast_collect_limited_counted(
-        &self,
-        min: K,
-        max: K,
-        limit: usize,
-        guard: &crossbeam_epoch::Guard,
-    ) -> Option<Vec<(K, V)>> {
-        let (entries, early_exit) = self.try_fast_collect_limited(min, max, limit, guard)?;
-        if early_exit {
-            self.counters.fast_range_early_exits.inc();
+        let mark = out.len();
+        let read = if self.config.read_path == ReadPath::Fast {
+            self.read_at_front(front, |guard| {
+                self.try_fast_collect(min, max, limit, out, guard)
+            })
+        } else {
+            out.extend(self.collect_range_limited(min, max, limit));
+            self.still_at(front, ())
+        };
+        if read.is_err() {
+            out.truncate(mark);
         }
-        Some(entries)
+        read
     }
 
     /// Entry check of the front-anchored reads: both watermarks still equal
@@ -612,30 +591,29 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
         }
     }
 
-    /// The shared body of the `*_at_front` reads: `attempt` is one
-    /// optimistic traversal, `descriptor` the plain read taken under
-    /// [`ReadPath::Descriptor`]. Either result counts only if the front
-    /// still holds after it.
+    /// Exit check of the front-anchored reads: `out` counts only if the
+    /// front still holds after it was read.
+    fn still_at<T>(&self, front: wft_queue::Timestamp, out: T) -> Result<T, FrontMiss> {
+        if self.front_unchanged(front) {
+            Ok(out)
+        } else {
+            Err(FrontMiss::Expired)
+        }
+    }
+
+    /// The shared body of the `*_at_front` reads under [`ReadPath::Fast`]:
+    /// `attempt` is one optimistic traversal (under
+    /// [`ReadPath::Descriptor`] the callers read the plain way and apply
+    /// [`still_at`](Self::still_at) themselves).
     fn read_at_front<T>(
         &self,
         front: wft_queue::Timestamp,
-        attempt: impl Fn(&crossbeam_epoch::Guard) -> Option<T>,
-        descriptor: impl FnOnce() -> T,
+        attempt: impl FnMut(&crossbeam_epoch::Guard) -> Option<T>,
     ) -> Result<T, FrontMiss> {
-        let still_current = |out| {
-            if self.front_unchanged(front) {
-                Ok(out)
-            } else {
-                Err(FrontMiss::Expired)
-            }
-        };
-        if self.config.read_path != ReadPath::Fast {
-            return still_current(descriptor());
-        }
         // The front only moves forward, so one look after the attempts tells
         // the two misses apart.
         match self.fast_read(attempt, || self.front_unchanged(front)) {
-            Some(out) => still_current(out),
+            Some(out) => self.still_at(front, out),
             None if self.front_unchanged(front) => Err(FrontMiss::Busy),
             None => Err(FrontMiss::Expired),
         }
@@ -651,7 +629,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
     /// miss, not a retry.
     fn fast_read<T>(
         &self,
-        attempt: impl Fn(&crossbeam_epoch::Guard) -> Option<T>,
+        mut attempt: impl FnMut(&crossbeam_epoch::Guard) -> Option<T>,
         worth_retrying: impl Fn() -> bool,
     ) -> Option<T> {
         let guard = crossbeam_epoch::pin();
@@ -1162,6 +1140,13 @@ mod tests {
             tree.collect_range_at_front(10, 12, front).map(|v| v.len()),
             Ok(3)
         );
+        // A limited read appends behind what the buffer already holds.
+        let mut out = vec![(-1, ())];
+        assert_eq!(
+            tree.collect_range_limited_at_front(20, 49, 2, front, &mut out),
+            Ok(())
+        );
+        assert_eq!(out, vec![(-1, ()), (20, ()), (21, ())]);
         tree.remove(&25);
         assert_eq!(
             tree.range_agg_at_front(0, 49, front),
@@ -1172,9 +1157,10 @@ mod tests {
             Err(FrontMiss::Expired)
         );
         assert_eq!(
-            tree.collect_range_limited_at_front(0, 49, 5, front),
+            tree.collect_range_limited_at_front(0, 49, 5, front, &mut out),
             Err(FrontMiss::Expired)
         );
+        assert_eq!(out.len(), 3, "a miss leaves the buffer as it was");
         let fresh = tree.settle_front();
         assert_eq!(tree.range_agg_at_front(0, 49, fresh), Ok(49));
     }
@@ -1214,10 +1200,12 @@ mod tests {
             tree.collect_range_at_front(0, 999, front),
             Err(FrontMiss::Busy)
         );
+        let mut out = vec![(-1, ())];
         assert_eq!(
-            tree.collect_range_limited_at_front(0, 999, 10, front),
+            tree.collect_range_limited_at_front(0, 999, 10, front, &mut out),
             Err(FrontMiss::Busy)
         );
+        assert_eq!(out, vec![(-1, ())], "a miss leaves the buffer as it was");
         assert!(tree.front_unchanged(front));
         assert!(inner.queue.pop_if(ts, &guard));
         drop(parked);

@@ -164,7 +164,7 @@ pub(crate) fn gate_backoff(spins: &mut u32) {
 /// read is retried through [`gate_backoff`]: nothing is re-settled and
 /// nothing is counted. `None` only once the shard advanced past the cut,
 /// which proves an update linearized on it.
-pub(crate) fn read_at_cut<T>(read: impl Fn() -> Result<T, FrontMiss>) -> Option<T> {
+pub(crate) fn read_at_cut<T>(mut read: impl FnMut() -> Result<T, FrontMiss>) -> Option<T> {
     let mut spins = 0u32;
     loop {
         match read() {

@@ -54,10 +54,9 @@
 //! not-yet-drained* shards can expire the cursor — so a `Snapshot` drain
 //! may outlive the scalar token it reports.
 
-use std::collections::VecDeque;
-
 use wft_api::{
-    RangeKey, RangeScan, RangeSpec, ScanConsistency, ScanCursor, SnapshotToken, READAHEAD_CAP,
+    RangeKey, RangeScan, RangeSpec, ReadAhead, ScanConsistency, ScanCursor, SnapshotToken,
+    READAHEAD_CAP,
 };
 use wft_core::Timestamp;
 use wft_seq::{Augmentation, Value};
@@ -100,8 +99,9 @@ pub struct StoreScanCursor<'a, K: RangeKey, V: Value, A: Augmentation<K, V>> {
     /// rewinds `resume` over it (the `Snapshot` claim never rests on reads
     /// validated at a dead cut); after the first yield — or once the
     /// restart bound is spent — the buffer survives expiries, as `Resumed`
-    /// promises per-read validation only.
-    buffer: VecDeque<(K, V)>,
+    /// promises per-read validation only. Merge passes append into it
+    /// directly.
+    buffer: ReadAhead<K, V>,
     /// Adaptive read-ahead target: doubles (capped at [`READAHEAD_CAP`])
     /// after every merge pass that validated throughout, resets to 0 on any
     /// cut expiry — small caller chunks amortise into few large merge
@@ -145,7 +145,7 @@ where
             hi,
             last_shard,
             resume,
-            buffer: VecDeque::new(),
+            buffer: ReadAhead::new(),
             readahead: 0,
             yielded: false,
             restarts: 0,
@@ -155,11 +155,11 @@ where
     }
 
     /// One merge pass at the current cut: reads the caller's shortfall
-    /// (widened to the adaptive read-ahead target) into the buffer, shard
-    /// after shard in key order. Post-yield cut expiries re-settle the
-    /// suffix shards and keep merging (`Resumed`); a pre-yield expiry
-    /// rewinds the whole cursor to a fresh cut and returns for a clean
-    /// retry.
+    /// (widened to the adaptive read-ahead target) straight into the
+    /// buffer, shard after shard in key order. Post-yield cut expiries
+    /// re-settle the suffix shards and keep merging (`Resumed`); a
+    /// pre-yield expiry rewinds the whole cursor to a fresh cut and returns
+    /// for a clean retry.
     fn fill(&mut self, limit: usize) {
         let Some(lo) = self.resume else {
             return;
@@ -168,21 +168,23 @@ where
             .saturating_sub(self.buffer.len())
             .max(self.readahead)
             .max(1);
-        let mut out: Vec<(K, V)> = Vec::new();
+        // The pass appends behind the `kept` entries already buffered.
+        let out = self.buffer.entries_mut();
+        let kept = out.len();
+        out.reserve(target.min(READAHEAD_CAP));
         let mut shard = self.store.shard_of(&lo);
         let mut shard_lo = lo;
         let mut expired = false;
-        while out.len() < target && shard <= self.last_shard {
-            let want = target - out.len();
+        while out.len() - kept < target && shard <= self.last_shard {
+            let want = target - (out.len() - kept);
             let front = Timestamp(self.cut[shard]);
+            let before = out.len();
+            let tree = &self.store.shards[shard];
             match read_at_cut(|| {
-                self.store.shards[shard]
-                    .collect_range_limited_at_front(shard_lo, self.hi, want, front)
+                tree.collect_range_limited_at_front(shard_lo, self.hi, want, front, out)
             }) {
-                Some(chunk) => {
-                    let drained_dry = chunk.len() < want;
-                    out.extend(chunk);
-                    if drained_dry {
+                Some(()) => {
+                    if out.len() - before < want {
                         // This shard's suffix is exhausted at the cut; step
                         // into the next shard's slice. `bounds[shard]` is the
                         // first key the next shard owns, and it exceeds every
@@ -199,8 +201,8 @@ where
                         // Re-settle the not-yet-drained suffix shards only
                         // (drained shards are never read again) and retry
                         // this shard; the drain is no longer a single
-                        // snapshot. Entries of earlier shards already in
-                        // `out` (and in the read-ahead buffer) stay: the
+                        // snapshot. Entries of earlier shards already read
+                        // by this pass (and buffered before it) stay: the
                         // caller has accepted `Resumed` semantics, where
                         // one chunk may stitch per-shard reads taken at
                         // different cuts (documented in `wft_api::scan`).
@@ -221,8 +223,8 @@ where
                         // the drain stays `Snapshot` against the new token,
                         // exactly as the `ScanCursor` contract promises for
                         // pre-yield failures. The merge rewinds to the
-                        // first key the caller has not seen (the front of
-                        // the buffer, else this pass's resume key): shards
+                        // first key the caller has not seen (the first
+                        // buffered entry, else this pass's resume key): shards
                         // already stepped over, partially read, or buffered
                         // were drained at the OLD cut, and the new cut may
                         // have landed keys in them — a `Snapshot` drain
@@ -235,9 +237,8 @@ where
                         // the first chunk cannot be starved forever.
                         self.restarts += 1;
                         self.store.note_snapshot_retry(shard);
+                        let restart = if kept > 0 { out[0].0 } else { lo };
                         out.clear();
-                        let restart = self.buffer.front().map(|(k, _)| *k).unwrap_or(lo);
-                        self.buffer.clear();
                         self.cut = self.store.settle_all_stable();
                         self.token = SnapshotToken::new(self.cut.iter().sum());
                         self.resume = Some(restart);
@@ -252,14 +253,13 @@ where
         // Commit the pagination point: a short pass proves exhaustion, a
         // full one resumes strictly after its last key. A pass that
         // validated throughout earns a doubled read-ahead target.
-        self.resume = if out.len() < target {
+        self.resume = if out.len() - kept < target {
             None
         } else {
             out.last()
                 .and_then(|(k, _)| k.successor())
                 .filter(|next| *next <= self.hi)
         };
-        self.buffer.extend(out);
         self.readahead = if expired {
             0
         } else {
@@ -284,8 +284,7 @@ where
         while self.buffer.len() < limit && self.resume.is_some() {
             self.fill(limit);
         }
-        let take = limit.min(self.buffer.len());
-        let chunk: Vec<(K, V)> = self.buffer.drain(..take).collect();
+        let chunk = self.buffer.take(limit);
         self.yielded |= !chunk.is_empty();
         chunk
     }

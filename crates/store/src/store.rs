@@ -662,13 +662,15 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
         max: K,
         fronts: &[u64],
     ) -> Result<Vec<(K, V)>, usize> {
+        // Every shard appends into the one vector returned.
         let mut out = Vec::new();
         for i in first..=last {
             let lo = if i == first { min } else { self.bounds[i - 1] };
             let front = Timestamp(fronts[i - first]);
-            out.extend(
-                read_at_cut(|| self.shards[i].collect_range_at_front(lo, max, front)).ok_or(i)?,
-            );
+            read_at_cut(|| {
+                self.shards[i].collect_range_limited_at_front(lo, max, usize::MAX, front, &mut out)
+            })
+            .ok_or(i)?;
         }
         Ok(out)
     }

@@ -13,7 +13,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use wait_free_range_trees::core::node::LEAF_CAP;
-use wait_free_range_trees::WaitFreeTree;
+use wait_free_range_trees::prelude::{RangeRead, RangeScan, RangeSpec, ScanCursor};
+use wait_free_range_trees::{ShardedStore, WaitFreeTree};
 
 thread_local! {
     /// `(allocations, frees)` made by this thread while `COUNTING`.
@@ -160,6 +161,41 @@ fn measure(keys: i64) -> Budget {
     }
 }
 
+/// Allocations of the store's listing reads on a quiescent eight-shard
+/// store of 2^15 even keys (the benchmark's store): a one-shot
+/// `collect_range` of 8192 keys across a shard boundary, and a chunk-256
+/// drain of the same range, per yielded chunk. Both are means over ranges
+/// at several offsets.
+struct ListingBudget {
+    collect: f64,
+    drain_per_chunk: f64,
+}
+
+fn measure_listings() -> ListingBudget {
+    const WIDTH: i64 = 8192;
+    const OFFSETS: i64 = 16;
+    let store: ShardedStore<i64, i64> =
+        ShardedStore::from_entries((0..1 << 15).map(|k| (2 * k, k)), 8);
+    // Each range straddles the boundary between shards `i % 7` and the
+    // next one, at a different offset each time.
+    let range = |i: i64| {
+        let bound = store.boundaries()[(i % 7) as usize];
+        let lo = bound - WIDTH / 2 + (i - OFFSETS / 2) * 97;
+        RangeSpec::inclusive(lo, lo + WIDTH - 1)
+    };
+    let collect = allocations_per_op(0..OFFSETS, |i| {
+        assert_eq!(RangeRead::collect_range(&store, range(i)).len(), 4096);
+    });
+    // 4096 entries are 16 chunks of 256.
+    let drain_per_chunk = allocations_per_op(0..OFFSETS, |i| {
+        assert_eq!(RangeScan::scan(&store, range(i)).drain(256).len(), 4096);
+    }) / 16.0;
+    ListingBudget {
+        collect,
+        drain_per_chunk,
+    }
+}
+
 #[test]
 fn operations_stay_within_their_allocation_budget() {
     // Everything lazy (the thread's epoch record, its buffers, its bag queue
@@ -211,6 +247,32 @@ fn operations_stay_within_their_allocation_budget() {
             b.insert
         );
     }
+    COUNTING.with(|c| c.set(true));
+    let listings = measure_listings();
+    COUNTING.with(|c| c.set(false));
+    eprintln!(
+        "allocations of a quiescent 8-shard store: collect_range of 4096 entries {:.1}, \
+         chunk-256 drain {:.2} per chunk",
+        listings.collect, listings.drain_per_chunk
+    );
+    // Every shard appends into the one vector returned, which grows by
+    // doubling; each shard's walk adds its read log and the log's regrowth.
+    // An intermediate vector per shard, as the shards once returned, is
+    // another dozen.
+    assert!(
+        listings.collect <= 30.0,
+        "a cross-shard collect of 4096 entries made {:.1} allocations, over 30",
+        listings.collect
+    );
+    // A chunk is one slice copy out of the read-ahead buffer (or the buffer
+    // itself); a merge pass reserves the buffer once and its walks size
+    // their logs from the pass. A per-chunk intermediate vector or an
+    // unsized pass shows as one or more extra per chunk.
+    assert!(
+        listings.drain_per_chunk <= 3.0,
+        "a chunk-256 drain made {:.2} allocations per chunk, over 3",
+        listings.drain_per_chunk
+    );
     // Three more levels would cost at least three more allocations if any
     // per-level record missed the pool.
     assert!(

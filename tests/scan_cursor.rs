@@ -31,6 +31,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use wait_free_range_trees::api::READAHEAD_CAP;
 use wait_free_range_trees::prelude::*;
 
 mod common;
@@ -190,6 +191,65 @@ fn chunk_size_edges() {
     let mut cursor = tree.scan(RangeSpec::from_bounds(3..7));
     assert_eq!(cursor.next_chunk(1000).len(), 4);
     assert!(cursor.is_exhausted());
+}
+
+/// Read-ahead at its cap: a range of more than `2 * READAHEAD_CAP` keys, so
+/// the read-ahead doubles up to the cap and then stays there. Quiescent
+/// drains at chunk sizes around the store's page (255, 256) and the cap
+/// (4095, 4096, 4097), and one cursor whose limit changes on every call —
+/// so chunks leave the buffer both whole (by move) and in part (by a slice
+/// copy) — equal `collect_range` and `collect_range_at` of the cursor's
+/// token, on a store and on a tree.
+#[test]
+fn read_ahead_edges_past_the_cap() {
+    let keys = 2 * READAHEAD_CAP as i64 + 1500;
+    let entries = || (0..keys + 100).map(|k| (k, 7 * k));
+    let range = RangeSpec::inclusive(50, keys + 49);
+    let store: ShardedStore<i64, i64> = ShardedStore::from_entries(entries(), 4);
+    drains_past_the_cap("store", &store, range);
+    let tree: WaitFreeTree<i64, i64> = WaitFreeTree::from_entries(entries());
+    drains_past_the_cap("tree", &tree, range);
+}
+
+fn drains_past_the_cap<B>(name: &str, backend: &B, range: RangeSpec<i64>)
+where
+    B: RangeScan<i64, i64> + SnapshotRead<i64, i64>,
+{
+    let listed = RangeRead::collect_range(backend, range);
+    assert!(listed.len() > 2 * READAHEAD_CAP);
+    for chunk in [1, 255, 256, 4095, 4096, 4097] {
+        let mut cursor = backend.scan(range);
+        let token = cursor.token();
+        let drained = cursor.drain(chunk);
+        assert_eq!(cursor.consistency(), ScanConsistency::Snapshot);
+        assert!(drained == listed, "{name}: chunk-{chunk} drain differs");
+        assert!(
+            backend.collect_range_at(&token, range).as_ref() == Some(&listed),
+            "{name}: chunk-{chunk} token read differs"
+        );
+    }
+    let limits = [1, 4097, 3, 256, 5000, 255, 4096, 2, 10_000, 4095, 7];
+    let mut cursor = backend.scan(range);
+    let token = cursor.token();
+    let mut drained: Vec<(i64, i64)> = Vec::new();
+    for &limit in limits.iter().cycle() {
+        let page = cursor.next_chunk(limit);
+        if page.is_empty() {
+            break;
+        }
+        assert!(
+            page.len() == limit || drained.len() + page.len() == listed.len(),
+            "{name}: a page of {} entries for a limit of {limit} before the end",
+            page.len()
+        );
+        drained.extend(page);
+    }
+    assert_eq!(cursor.consistency(), ScanConsistency::Snapshot);
+    assert!(drained == listed, "{name}: varying-limit drain differs");
+    assert!(
+        backend.collect_range_at(&token, range).as_ref() == Some(&listed),
+        "{name}: varying-limit token read differs"
+    );
 }
 
 /// A write between chunks re-anchors the cursor: the drain degrades to

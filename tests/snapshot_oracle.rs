@@ -21,7 +21,7 @@
 //! `SnapshotCounts` mix in `tests/linearizability.rs`.)
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -279,6 +279,128 @@ fn concurrent_snapshots_see_gap_free_writer_prefixes() {
         );
         store.check_invariants();
     }
+}
+
+/// A scalar token keeps reading the cut it was minted at while writers move
+/// the store on: every `Some` from `count_at`, `range_agg_at` or
+/// `collect_range_at` equals the state at mint, never the state the shards
+/// are in when the read runs. Writers insert and remove odd keys and
+/// rewrite the values of even ones inside the read ranges on every shard;
+/// readers answer one round before the writers start (so `Some` answers
+/// are certain) and keep reading until the writers are done, after which
+/// the token has expired and every read is `None`.
+#[test]
+fn token_reads_answer_the_state_at_mint_under_writes() {
+    const KEYS: i64 = 4000;
+    const WRITERS: i64 = 2;
+    const READERS: usize = 2;
+    const ROUNDS: usize = 30;
+    let store: Arc<ShardedStore<i64, i64, Pair<Size, Sum>>> =
+        Arc::new(ShardedStore::with_boundaries(vec![1000, 2000, 3000]));
+    let mut oracle = BTreeMap::new();
+    for k in (0..KEYS).step_by(2) {
+        store.insert(k, k);
+        oracle.insert(k, k);
+    }
+    // All four shards, three of them, and one alone.
+    let ranges = [(0, KEYS - 1), (500, 2600), (1100, 1900)];
+    // Per range: the count, the `(count, sum)` aggregate and the listing.
+    let expected: Vec<_> = ranges
+        .iter()
+        .map(|&(a, b)| {
+            let entries = oracle_entries(&oracle, a, b);
+            let sum: i128 = entries.iter().map(|&(_, v)| v as i128).sum();
+            (entries.len() as u64, (entries.len() as u64, sum), entries)
+        })
+        .collect();
+    let token = store.acquire_snapshot();
+    let read_round = |store: &ShardedStore<i64, i64, Pair<Size, Sum>>| -> (usize, usize) {
+        let (mut some, mut none) = (0, 0);
+        for (&(a, b), (count, agg, entries)) in ranges.iter().zip(&expected) {
+            let range = RangeSpec::inclusive(a, b);
+            match store.count_at(&token, range) {
+                Some(got) => {
+                    assert_eq!(got, *count, "count_at [{a}, {b}] left the minted cut");
+                    some += 1;
+                }
+                None => none += 1,
+            }
+            match store.range_agg_at(&token, range) {
+                Some(got) => {
+                    assert_eq!(got, *agg, "range_agg_at [{a}, {b}] left the minted cut");
+                    some += 1;
+                }
+                None => none += 1,
+            }
+            match store.collect_range_at(&token, range) {
+                Some(got) => {
+                    assert!(
+                        got == *entries,
+                        "collect_range_at [{a}, {b}] left the minted cut: {} entries, {} at mint",
+                        got.len(),
+                        entries.len()
+                    );
+                    some += 1;
+                }
+                None => none += 1,
+            }
+        }
+        (some, none)
+    };
+    let start = std::sync::Barrier::new(READERS + WRITERS as usize);
+    let finished = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for w in 0..WRITERS {
+            let (store, start, finished) = (&store, &start, &finished);
+            scope.spawn(move || {
+                start.wait();
+                // Writer `w` owns the keys whose pair index is `w` modulo
+                // `WRITERS`, spread over every shard by the stride.
+                let owned = move |k: &i64| (k / 2) % WRITERS == w;
+                for round in 0..ROUNDS as i64 {
+                    for k in (1..KEYS).step_by(38).filter(owned) {
+                        assert!(store.insert(k, k));
+                    }
+                    for k in (0..KEYS).step_by(46).filter(owned) {
+                        store.insert_or_replace(k, k + round + 1);
+                    }
+                    for k in (1..KEYS).step_by(38).filter(owned) {
+                        assert!(store.remove(&k));
+                    }
+                }
+                // Leave the store in a state unlike the minted one.
+                for k in (1..KEYS).step_by(38).filter(owned) {
+                    assert!(store.insert(k, k));
+                }
+                finished.fetch_add(1, Ordering::Release);
+            });
+        }
+        let readers: Vec<_> = (0..READERS)
+            .map(|_| {
+                let (store, start, finished, read_round) = (&store, &start, &finished, &read_round);
+                scope.spawn(move || {
+                    let (first, none) = read_round(store);
+                    assert_eq!(none, 0, "no writer has started: every token read answers");
+                    start.wait();
+                    let mut answered = first;
+                    while finished.load(Ordering::Acquire) < WRITERS as usize {
+                        answered += read_round(store).0;
+                    }
+                    answered
+                })
+            })
+            .collect();
+        for reader in readers {
+            assert!(reader.join().unwrap() >= 3 * ranges.len());
+        }
+    });
+    assert!(!store.snapshot_valid(&token));
+    assert_eq!(
+        read_round(&store),
+        (0, 3 * ranges.len()),
+        "the token expired"
+    );
+    store.check_invariants();
 }
 
 /// The single-front blanket impl on a single tree: token reads are mutually
