@@ -321,9 +321,16 @@ pub trait BatchApply<K: Key, V: Value> {
     fn apply_batch(&self, batch: Vec<StoreOp<K, V>>) -> Result<Vec<OpOutcome<V>>, BatchError<K>>;
 }
 
+/// Batches of at most this many ops find duplicate keys by comparing
+/// pairs, without allocating; longer ones hash.
+const PAIRWISE_DUPLICATE_CHECK_MAX: usize = 32;
+
 /// The shared phase-one check: rejects batches larger than `max_ops` and
 /// batches *mutating* any key twice ([`StoreOp::Get`]s are free to repeat
 /// keys and to accompany a mutation of the same key). Mutates nothing.
+///
+/// A duplicate is reported at the first mutation, in batch order, whose
+/// key an earlier mutation already used.
 pub fn validate_batch<K: Key, V: Value>(
     batch: &[StoreOp<K, V>],
     max_ops: usize,
@@ -333,6 +340,19 @@ pub fn validate_batch<K: Key, V: Value>(
             len: batch.len(),
             max: max_ops,
         });
+    }
+    if batch.len() <= PAIRWISE_DUPLICATE_CHECK_MAX {
+        for (i, op) in batch.iter().enumerate() {
+            let key = op.key();
+            if op.is_mutation()
+                && batch[..i]
+                    .iter()
+                    .any(|earlier| earlier.is_mutation() && earlier.key() == key)
+            {
+                return Err(BatchError::DuplicateKey { key: *key });
+            }
+        }
+        return Ok(());
     }
     let mut seen = HashSet::with_capacity(batch.len());
     for op in batch {
@@ -551,6 +571,72 @@ mod tests {
         assert_eq!(
             validate_batch(&two_mutations, UNBOUNDED_BATCH_OPS),
             Err(BatchError::DuplicateKey { key: 1 })
+        );
+    }
+
+    /// The duplicate check as a hash set states it: the first mutation
+    /// whose key an earlier mutation used.
+    fn first_duplicate_by_hashing(batch: &[StoreOp<i64, i64>]) -> Result<(), BatchError<i64>> {
+        let mut seen = HashSet::new();
+        match batch
+            .iter()
+            .find(|op| op.is_mutation() && !seen.insert(*op.key()))
+        {
+            Some(op) => Err(BatchError::DuplicateKey { key: *op.key() }),
+            None => Ok(()),
+        }
+    }
+
+    #[test]
+    fn pairwise_and_hashed_duplicate_checks_agree() {
+        // splitmix64: a fixed stream, so a failure names its round.
+        let mut state = 0x5eed_u64;
+        let mut next = move |bound: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        };
+        let (mut rejected, mut across_cutoff) = (0, [false; 2]);
+        for round in 0..4000 {
+            let len = next(65) as usize;
+            // Half the batches draw from a key space smaller than the
+            // batch (duplicates certain), half from one far larger (rare).
+            let keys = if next(2) == 0 {
+                1 + len / 2
+            } else {
+                1 + 4 * len * len
+            };
+            let batch: Vec<StoreOp<i64, i64>> = (0..len)
+                .map(|_| {
+                    let key = next(keys as u64) as i64;
+                    match next(6) {
+                        0 => StoreOp::Get { key },
+                        1 => StoreOp::Insert { key, value: 0 },
+                        2 => StoreOp::InsertOrReplace { key, value: 1 },
+                        3 => StoreOp::Remove { key },
+                        4 => StoreOp::RemoveEntry { key },
+                        _ => StoreOp::Patch { key, patch: bump },
+                    }
+                })
+                .collect();
+            let expected = first_duplicate_by_hashing(&batch);
+            assert_eq!(
+                validate_batch(&batch, UNBOUNDED_BATCH_OPS),
+                expected,
+                "round {round}: {batch:?}"
+            );
+            rejected += usize::from(expected.is_err());
+            across_cutoff[usize::from(len > PAIRWISE_DUPLICATE_CHECK_MAX)] = true;
+        }
+        assert!(
+            across_cutoff == [true, true],
+            "lengths on both sides of the cutoff"
+        );
+        assert!(
+            (400..3600).contains(&rejected),
+            "{rejected} of 4000 batches rejected: the generator should make both outcomes common"
         );
     }
 

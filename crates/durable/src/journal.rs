@@ -6,13 +6,18 @@
 //! # Protocol
 //!
 //! Writers [`submit`](Journal::submit) a validated batch and block on a
-//! per-batch slot. The log thread drains the whole queue as one **commit
-//! group**, **resolves** every logical operation (`Patch` /
-//! `CompareAndSet` / `Get`) into its physical effect against the store
-//! plus a group-spanning overlay (see [`resolve_group`] — physical
-//! logging), appends every record with one `write`, fsyncs once, then
-//! applies each batch to the in-memory store *in sequence order* and fills
-//! the slots with the typed outcomes. Two invariants fall out:
+//! per-batch slot; the submit wakes the log thread only if it is parked
+//! on an empty queue (a busy log thread looks at the queue again before
+//! it parks). The log thread drains the whole queue as one **commit
+//! group**. If the group carries a logical operation (`Patch` /
+//! `CompareAndSet` / `Get`), it **resolves** every op into its physical
+//! effect against the store plus a group-spanning overlay (see
+//! [`resolve_group`] — physical logging); a group of physical ops only is
+//! logged as submitted. It appends every record with one `write`, fsyncs
+//! once, then applies each batch to the in-memory store *in sequence
+//! order* and fills the slots with the typed outcomes: the ones
+//! resolution computed, or, for an unresolved batch, the ones the apply
+//! returns. Two invariants fall out:
 //!
 //! - **Durability before visibility.** A batch touches the store only
 //!   after its record is on stable storage, so no read (point, range, or
@@ -152,7 +157,9 @@ struct Pending<K: Key, V: Value> {
 /// group is durable and applied.
 struct Resolved<K: Key, V: Value> {
     physical: Vec<StoreOp<K, V>>,
-    outcomes: Vec<OpOutcome<V>>,
+    /// The outcomes resolution computed, or `None` when the batch was
+    /// already physical and the store's apply answers for it.
+    outcomes: Option<Vec<OpOutcome<V>>>,
     slot: Arc<Slot<V>>,
 }
 
@@ -162,11 +169,16 @@ struct Resolved<K: Key, V: Value> {
 /// happens only under `apply_gate`, checkpoints only read), so a
 /// shadow-resolution against the live store, layered with a group-wide
 /// overlay that carries each key's post-value from batch to batch, sees
-/// exactly the state each op will execute against. Classic ops resolve to
-/// themselves byte-for-byte, so a WAL stream without logical ops is
-/// unchanged by this pass; `Get`s and missed `CompareAndSet`s produce no
-/// physical op at all (an all-read batch still appends an *empty* record,
-/// keeping WAL sequence numbers contiguous with acknowledgements).
+/// exactly the state each op will execute against. `Get`s and missed
+/// `CompareAndSet`s produce no physical op at all (an all-read batch still
+/// appends an *empty* record, keeping WAL sequence numbers contiguous with
+/// acknowledgements).
+///
+/// Only a group carrying a logical op is resolved. Classic ops resolve to
+/// themselves byte for byte, and the store's apply computes their outcomes
+/// again, in the same sequence order, against the same state: a group of
+/// physical ops only is passed through as submitted, with no shadow read,
+/// and its outcomes are the ones the apply returns.
 fn resolve_group<K, V, A>(
     store: &ShardedStore<K, V, A>,
     group: Vec<Pending<K, V>>,
@@ -176,6 +188,19 @@ where
     V: Value,
     A: Augmentation<K, V>,
 {
+    if group
+        .iter()
+        .all(|pending| pending.ops.iter().all(StoreOp::is_physical))
+    {
+        return group
+            .into_iter()
+            .map(|pending| Resolved {
+                physical: pending.ops,
+                outcomes: None,
+                slot: pending.slot,
+            })
+            .collect();
+    }
     let mut overlay: HashMap<K, Option<V>> = HashMap::new();
     group
         .into_iter()
@@ -195,7 +220,7 @@ where
             }
             Resolved {
                 physical,
-                outcomes,
+                outcomes: Some(outcomes),
                 slot: pending.slot,
             }
         })
@@ -248,6 +273,11 @@ pub(crate) enum JournalState {
 struct Queue<K: Key, V: Value> {
     pending: VecDeque<Pending<K, V>>,
     state: JournalState,
+    /// `true` while the log thread waits on `work` for an empty queue:
+    /// set before the wait and cleared after it, both under this lock, so
+    /// a submit that finds it `false` knows the log thread will look at
+    /// the queue again before it parks, and need not wake it.
+    log_parked: bool,
 }
 
 /// The durable layer's counters and histograms: `wft-obs` cells, the only
@@ -321,6 +351,19 @@ pub(crate) struct Shared<K: Key, V: Value> {
     fsync: bool,
 }
 
+#[cfg(test)]
+impl<K: Key, V: Value> Shared<K, V> {
+    /// Batches queued for the next commit group.
+    pub(crate) fn queued(&self) -> usize {
+        self.queue.lock().unwrap().pending.len()
+    }
+
+    /// Whether the log thread is parked on an empty queue.
+    pub(crate) fn log_parked(&self) -> bool {
+        self.queue.lock().unwrap().log_parked
+    }
+}
+
 /// Handle owning the log thread.
 pub(crate) struct Journal<K: Key, V: Value, A: Augmentation<K, V>> {
     shared: Arc<Shared<K, V>>,
@@ -354,6 +397,7 @@ where
             queue: Mutex::new(Queue {
                 pending: VecDeque::new(),
                 state: JournalState::Running,
+                log_parked: false,
             }),
             work: Condvar::new(),
             durable_seq: AtomicU64::new(recovered_through),
@@ -396,7 +440,12 @@ where
                 ops,
                 slot: Arc::clone(&slot),
             });
-            self.shared.work.notify_one();
+            // A log thread that is not parked drains this batch with its
+            // next group; only a parked one needs the wake-up, and only
+            // the first submit after it parked sends one.
+            if std::mem::take(&mut queue.log_parked) {
+                self.shared.work.notify_one();
+            }
         }
         let result = slot.wait();
         if result.is_ok() {
@@ -573,7 +622,11 @@ where
                         }
                         return;
                     }
-                    (JournalState::Running, true) => queue = shared.work.wait(queue).unwrap(),
+                    (JournalState::Running, true) => {
+                        queue.log_parked = true;
+                        queue = shared.work.wait(queue).unwrap();
+                        queue.log_parked = false;
+                    }
                     (JournalState::Running, false) => break,
                 }
             }
@@ -581,7 +634,8 @@ where
         };
 
         // Resolve logical ops to physical effects *before* any byte is
-        // encoded: the WAL stores physical ops only (see `resolve_group`).
+        // encoded: the WAL stores physical ops only (see `resolve_group`;
+        // a group without logical ops passes through unresolved).
         let group = resolve_group(&store, group);
 
         let (first_seq, bytes) = match flush_group(&shared, &group) {
@@ -616,18 +670,17 @@ where
         // store — nothing else ever mutates it.
         let _applying = shared.apply_gate.lock().unwrap();
         for (i, resolved) in group.into_iter().enumerate() {
-            // Resolution already computed every outcome; the store only
-            // needs the physical effects (none at all for a pure-read or
-            // all-missed batch). The resolution is authoritative because
-            // nothing mutated the store since — this thread is the sole
-            // mutator.
-            let outcome = if resolved.physical.is_empty() {
-                Ok(resolved.outcomes)
-            } else {
-                store
+            // An unresolved batch is answered by its apply. A resolved one
+            // already has every outcome, and the store only needs the
+            // physical effects (none at all for a pure-read or all-missed
+            // batch); the resolution is authoritative because nothing
+            // mutated the store since — this thread is the sole mutator.
+            let outcome = match resolved.outcomes {
+                Some(outcomes) if resolved.physical.is_empty() => Ok(outcomes),
+                resolved_outcomes => store
                     .apply_batch(resolved.physical)
-                    .map(|_| resolved.outcomes)
-                    .map_err(|err| DurableError::Batch(err.to_string()))
+                    .map(|applied| resolved_outcomes.unwrap_or(applied))
+                    .map_err(|err| DurableError::Batch(err.to_string())),
             };
             // ORDERING: Release publishes the applied effects to the Acquire
             // `applied_seq` reads (checkpoint cut, metrics).

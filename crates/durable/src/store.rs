@@ -1252,4 +1252,233 @@ mod tests {
         drop(guard); // joins the thread
         store.shutdown();
     }
+
+    /// Spins until `ready` holds, failing the test after ten seconds.
+    fn await_condition(what: &str, ready: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !ready() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// A sequential model of one batch: the outcomes a one-at-a-time
+    /// execution reports, applied to `model`.
+    fn model_batch(
+        model: &mut std::collections::BTreeMap<i64, i64>,
+        batch: &[StoreOp<i64, i64>],
+    ) -> Vec<OpOutcome<i64>> {
+        batch
+            .iter()
+            .map(|op| match op {
+                StoreOp::Insert { key, value } => {
+                    let absent = !model.contains_key(key);
+                    if absent {
+                        model.insert(*key, *value);
+                    }
+                    OpOutcome::Inserted(absent)
+                }
+                StoreOp::InsertOrReplace { key, value } => {
+                    OpOutcome::Replaced(model.insert(*key, *value))
+                }
+                StoreOp::Remove { key } => OpOutcome::Removed(model.remove(key).is_some()),
+                StoreOp::RemoveEntry { key } => OpOutcome::RemovedEntry(model.remove(key)),
+                StoreOp::CompareAndSet { key, expect, value } => {
+                    let hit = model.get(key) == expect.as_ref();
+                    if hit {
+                        model.insert(*key, *value);
+                    }
+                    OpOutcome::CompareSet(hit)
+                }
+                other => unreachable!("the model covers the ops this test sends, not {other:?}"),
+            })
+            .collect()
+    }
+
+    /// Commits `batches` so that all but the first form one commit group,
+    /// in batch order: the apply gate is held while the first batch is
+    /// flushed (its log thread then blocks on the gate) and while the rest
+    /// queue up one at a time. Returns every batch's outcomes.
+    fn commit_as_one_group(
+        store: &DurableStore<i64, i64>,
+        batches: Vec<Vec<StoreOp<i64, i64>>>,
+    ) -> Vec<Vec<OpOutcome<i64>>> {
+        let shared = store.journal.shared();
+        let flushed_before = shared.durable_seq.load(Ordering::Acquire);
+        let gate = shared.apply_gate.lock().unwrap();
+        std::thread::scope(|scope| {
+            let mut handles = Vec::new();
+            for (i, batch) in batches.into_iter().enumerate() {
+                handles.push(scope.spawn(move || store.apply_durable(batch).unwrap()));
+                if i == 0 {
+                    await_condition("the first batch is flushed", || {
+                        shared.durable_seq.load(Ordering::Acquire) == flushed_before + 1
+                    });
+                } else {
+                    await_condition("the batch is queued", || shared.queued() == i);
+                }
+            }
+            drop(gate);
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
+    #[test]
+    fn group_outcomes_come_from_the_apply() {
+        use std::collections::BTreeMap;
+        let dir = ScratchDir::new("store-group-outcomes");
+        let config = DurableConfig {
+            fsync: false,
+            ..DurableConfig::default()
+        };
+        let mut model = BTreeMap::new();
+        let seed = vec![
+            StoreOp::Insert { key: 1, value: 10 },
+            StoreOp::Insert { key: 2, value: 20 },
+        ];
+        let ior = |key, value| StoreOp::InsertOrReplace { key, value };
+        // Classic batches only, sharing keys: this group is not resolved.
+        let classic = vec![
+            vec![ior(100, 0)],
+            vec![StoreOp::Insert { key: 1, value: 11 }, ior(2, 21)],
+            vec![ior(1, 12), StoreOp::RemoveEntry { key: 2 }],
+            vec![
+                StoreOp::Insert { key: 2, value: 22 },
+                StoreOp::Remove { key: 1 },
+            ],
+            vec![
+                StoreOp::Remove { key: 1 },
+                StoreOp::RemoveEntry { key: 2 },
+                StoreOp::Insert { key: 3, value: 30 },
+            ],
+            vec![ior(3, 31)],
+        ];
+        // One `CompareAndSet` among classic batches: this group is.
+        let with_cas = vec![
+            vec![ior(100, 1)],
+            vec![ior(5, 50), StoreOp::Insert { key: 6, value: 60 }],
+            vec![StoreOp::CompareAndSet {
+                key: 5,
+                expect: Some(50),
+                value: 51,
+            }],
+            vec![
+                StoreOp::RemoveEntry { key: 5 },
+                StoreOp::Insert { key: 6, value: 61 },
+                StoreOp::InsertOrReplace { key: 3, value: 32 },
+            ],
+            vec![StoreOp::Remove { key: 6 }],
+        ];
+        {
+            let store: DurableStore<i64, i64> =
+                DurableStore::open_with_config(dir.path(), config.clone()).unwrap();
+            model_batch(&mut model, &seed);
+            store.apply_durable(seed).unwrap();
+            let stalls = || store.metrics().counter("durable_wal_stalls").unwrap();
+            for batches in [classic, with_cas] {
+                let expected: Vec<_> = batches.iter().map(|b| model_batch(&mut model, b)).collect();
+                let stalls_before = stalls();
+                let group = batches.len() as u64 - 1;
+                assert_eq!(commit_as_one_group(&store, batches), expected);
+                assert_eq!(
+                    stalls() - stalls_before,
+                    group - 1,
+                    "all but the first batch formed one group of {group}"
+                );
+                assert_eq!(
+                    store.store().entries_quiescent(),
+                    model.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>()
+                );
+            }
+            store.shutdown();
+        }
+        let store: DurableStore<i64, i64> =
+            DurableStore::open_with_config(dir.path(), config).unwrap();
+        assert_eq!(
+            store.store().entries_quiescent(),
+            model.into_iter().collect::<Vec<_>>(),
+            "replay of the log reproduces the acknowledged state"
+        );
+    }
+
+    #[test]
+    fn a_submit_wakes_the_parked_log_thread() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::sync::atomic::AtomicU64;
+        use std::sync::mpsc;
+
+        const WRITERS: u64 = 2;
+        const COMMITS: u64 = 400;
+        let config = DurableConfig {
+            fsync: false,
+            ..DurableConfig::default()
+        };
+        let dir = ScratchDir::new("store-wakeups");
+        let store: Arc<DurableStore<i64, i64>> =
+            Arc::new(DurableStore::open_with_config(dir.path(), config.clone()).unwrap());
+        // Plain threads, not scoped ones: a lost wake-up leaves a writer
+        // blocked for good, and the watchdog below must fail, not join it.
+        let committed = Arc::new(AtomicU64::new(0));
+        for writer in 0..WRITERS {
+            let (store, committed) = (Arc::clone(&store), Arc::clone(&committed));
+            std::thread::spawn(move || {
+                let mut rng = StdRng::seed_from_u64(writer);
+                for i in 0..COMMITS {
+                    // An idle gap of 0–50 µs lets the log thread park
+                    // between commits.
+                    let resume = Instant::now() + Duration::from_micros(rng.gen_range(0..=50));
+                    while Instant::now() < resume {
+                        std::hint::spin_loop();
+                    }
+                    let key = (writer * COMMITS + i) as i64;
+                    store
+                        .apply_durable(vec![StoreOp::InsertOrReplace { key, value: key }])
+                        .unwrap();
+                    committed.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        }
+        let mut last = (0, Instant::now());
+        loop {
+            let done = committed.load(Ordering::Relaxed);
+            if done == WRITERS * COMMITS {
+                break;
+            }
+            if done != last.0 {
+                last = (done, Instant::now());
+            }
+            assert!(
+                last.1.elapsed() < Duration::from_secs(5),
+                "no commit finished for 5 s after {done} of {}: a submit did not wake the \
+                 parked log thread",
+                WRITERS * COMMITS
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(PointMap::len(&*store), WRITERS * COMMITS);
+
+        // A halt or a drop reaches a parked log thread too.
+        let shared = Arc::clone(store.journal.shared());
+        await_condition("the log thread parks", || shared.log_parked());
+        let (stopped, watchdog) = mpsc::channel();
+        std::thread::spawn(move || {
+            store.shutdown();
+            stopped.send("shutdown").unwrap();
+            let dir = ScratchDir::new("store-wakeups-drop");
+            let store: DurableStore<i64, i64> =
+                DurableStore::open_with_config(dir.path(), config).unwrap();
+            let shared = Arc::clone(store.journal.shared());
+            await_condition("the log thread parks", || shared.log_parked());
+            drop(store);
+            stopped.send("drop").unwrap();
+        });
+        for what in ["shutdown", "drop"] {
+            assert_eq!(
+                watchdog.recv_timeout(Duration::from_secs(5)),
+                Ok(what),
+                "{what} of a store whose log thread is parked did not finish in 5 s"
+            );
+        }
+    }
 }

@@ -100,23 +100,6 @@ impl<K: Key, V: Value> BatchPlan<K, V> {
         self.len >= PARALLEL_THRESHOLD && self.shards_touched() >= 2 && hardware_threads() > 1
     }
 
-    /// Whether executing this plan requires the atomic commit gate:
-    /// `true` for any multi-operation batch (cross-shard — or even
-    /// same-shard multi-op — visibility must be all-or-nothing) and for
-    /// any batch carrying a transactional operation (`Patch` /
-    /// `CompareAndSet` / `Get` read current state, so their read-decide-
-    /// write spans must exclude concurrent point writers). A single
-    /// classic operation is already atomic as one tree op and bypasses
-    /// the gate.
-    fn needs_commit_gate(&self) -> bool {
-        self.len > 1
-            || self
-                .groups
-                .iter()
-                .flatten()
-                .any(|(_, op)| !op.is_physical())
-    }
-
     /// Ascending indices of the shards the plan touches (the commit gate's
     /// required acquisition order).
     fn touched_shards(&self) -> Vec<usize> {
@@ -710,19 +693,14 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
 
     /// Phase two: executes a validated plan op by op, fanning the
     /// per-shard groups out across worker threads when the batch is large
-    /// enough to pay for them ([`BatchPlan::fans_out`]).
-    ///
-    /// `in_window == true` means the caller holds a commit window over
-    /// every touched shard (the gated commit path) and ops apply raw;
-    /// `false` routes every op through [`ShardedStore::gated_write`], so a
-    /// piecewise execution can never corrupt a concurrent atomic commit's
-    /// read-decide-write spans.
+    /// enough to pay for them ([`BatchPlan::fans_out`]). The caller holds a
+    /// commit window over every touched shard, so ops apply raw.
     ///
     /// Returns one [`OpOutcome`] per submitted operation, in submission
     /// order. Transactional operations resolve against the state they find
     /// (same-shard groups run in batch order, so a `Get` observes earlier
     /// same-batch operations on its key — same key means same shard).
-    fn run_plan(&self, plan: BatchPlan<K, V>, in_window: bool) -> Vec<OpOutcome<V>> {
+    fn run_plan(&self, plan: BatchPlan<K, V>) -> Vec<OpOutcome<V>> {
         let mut results: Vec<Option<OpOutcome<V>>> = (0..plan.len).map(|_| None).collect();
         if plan.fans_out() {
             let outcomes: Vec<Vec<(usize, OpOutcome<V>)>> = thread::scope(|scope| {
@@ -735,9 +713,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
                         scope.spawn(move || {
                             group
                                 .into_iter()
-                                .map(|(index, op)| {
-                                    (index, self.apply_routed(shard_idx, op, in_window))
-                                })
+                                .map(|(index, op)| (index, apply_one(&self.shards[shard_idx], op)))
                                 .collect::<Vec<_>>()
                         })
                     })
@@ -750,7 +726,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
         } else {
             for (shard_idx, group) in plan.groups.into_iter().enumerate() {
                 for (index, op) in group {
-                    results[index] = Some(self.apply_routed(shard_idx, op, in_window));
+                    results[index] = Some(apply_one(&self.shards[shard_idx], op));
                 }
             }
         }
@@ -758,16 +734,6 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
             .into_iter()
             .map(|r| r.expect("every batch index receives an outcome"))
             .collect()
-    }
-
-    /// Applies one planned op to its shard, raw inside a commit window and
-    /// through the point-write gate outside one.
-    fn apply_routed(&self, shard_idx: usize, op: StoreOp<K, V>, in_window: bool) -> OpOutcome<V> {
-        if in_window {
-            apply_one(&self.shards[shard_idx], op)
-        } else {
-            self.gated_write(shard_idx, move || apply_one(&self.shards[shard_idx], op))
-        }
     }
 
     /// Executes a plan inside one atomic commit window: closes the commit
@@ -782,7 +748,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
             return Vec::new();
         }
         let guard = CommitGuard::begin(&self.front, touched);
-        let outcomes = self.run_plan(plan, true);
+        let outcomes = self.run_plan(plan);
         let shards_touched = guard.touched.len();
         drop(guard);
         self.front.batch_commits.inc();
@@ -800,19 +766,23 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
     /// A batch that needs atomicity (more than one operation, or any
     /// `Patch` / `CompareAndSet` / `Get`) commits through the commit
     /// window — concurrent cut readers see all of it or none of it. A
-    /// single classic operation bypasses the gate (it is already atomic as
-    /// one tree op), keeping the point-write-shaped fast path free of
-    /// commit traffic.
+    /// single classic operation is already atomic as one tree op: it runs
+    /// as the point write it is, through the point-write gate, with no
+    /// plan and no commit traffic. WAL replay, which applies one record
+    /// at a time, takes that path for every one-op record.
     pub fn apply_batch(
         &self,
-        batch: Vec<StoreOp<K, V>>,
+        mut batch: Vec<StoreOp<K, V>>,
     ) -> Result<Vec<OpOutcome<V>>, BatchError<K>> {
+        if batch.len() == 1 && batch[0].is_physical() {
+            wft_api::validate_batch(&batch, self.config.max_batch_ops)?;
+            let op = batch.pop().expect("a one-op batch");
+            let shard = self.shard_of(op.key());
+            let outcome = self.gated_write(shard, move || apply_one(&self.shards[shard], op));
+            return Ok(vec![outcome]);
+        }
         let plan = self.plan_batch(batch)?;
-        Ok(if plan.needs_commit_gate() {
-            self.commit_plan(plan)
-        } else {
-            self.run_plan(plan, false)
-        })
+        Ok(self.commit_plan(plan))
     }
 
     // -- introspection ----------------------------------------------------
@@ -909,10 +879,8 @@ fn apply_one<K: Key, V: Value, A: Augmentation<K, V>>(
         StoreOp::Remove { key } => OpOutcome::Removed(shard.remove(&key)),
         StoreOp::RemoveEntry { key } => OpOutcome::RemovedEntry(shard.remove_entry(&key)),
         // Transactional ops: resolve against the shard's current value,
-        // then apply the pinned physical effect. Inside a commit window the
-        // read-decide-write span is exclusive; outside one the per-op gate
-        // only excludes commit windows, which is exactly the piecewise
-        // (`stitched`) contract.
+        // then apply the pinned physical effect. They run only inside a
+        // commit window, so the read-decide-write span is exclusive.
         op => {
             let resolved = wft_api::resolve_op(&op, shard.get(op.key()));
             match resolved.physical {
@@ -1127,7 +1095,7 @@ mod tests {
         // 400 ops over 4 shards clear the threshold: the fan-out is taken
         // wherever there is more than one hardware thread.
         assert_eq!(plan.fans_out(), hardware_threads() > 1);
-        let outcomes = store.run_plan(plan, false);
+        let outcomes = store.commit_plan(plan);
         assert!(outcomes.iter().all(|o| *o == OpOutcome::Inserted(true)));
         assert_eq!(store.len(), 400);
         assert_eq!(store.get(&123), Some(246));

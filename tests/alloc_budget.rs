@@ -12,9 +12,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use wait_free_range_trees::api::{validate_batch, UNBOUNDED_BATCH_OPS};
 use wait_free_range_trees::core::node::LEAF_CAP;
 use wait_free_range_trees::prelude::{RangeRead, RangeScan, RangeSpec, ScanCursor};
-use wait_free_range_trees::{ShardedStore, WaitFreeTree};
+use wait_free_range_trees::{ShardedStore, StoreOp, WaitFreeTree};
 
 thread_local! {
     /// `(allocations, frees)` made by this thread while `COUNTING`.
@@ -196,6 +197,51 @@ fn measure_listings() -> ListingBudget {
     }
 }
 
+/// Allocations of a one-op write batch on the same eight-shard store,
+/// against the point write it amounts to, and of validating a 16-op batch.
+struct BatchBudget {
+    insert: f64,
+    one_op_batch: f64,
+    validate_16: f64,
+}
+
+fn measure_batches() -> BatchBudget {
+    const SAMPLE: i64 = 256;
+    let store: ShardedStore<i64, i64> =
+        ShardedStore::from_entries((0..1 << 15).map(|k| (2 * k, k)), 8);
+    // Two interleaved sets of absent odd keys, spread over every shard.
+    let stride = (1 << 16) / SAMPLE;
+    let insert = allocations_per_op((0..SAMPLE).map(|i| i * stride + 1), |k| {
+        assert!(store.insert(k, -1));
+    });
+    // The batches are built before counting: what is counted is the
+    // store's own work, of which the returned vector is one allocation.
+    let mut batches = (0..SAMPLE)
+        .map(|i| {
+            vec![StoreOp::Insert {
+                key: i * stride + 3,
+                value: -1,
+            }]
+        })
+        .collect::<Vec<_>>()
+        .into_iter();
+    let one_op_batch = allocations_per_op(0..SAMPLE, |_| {
+        let batch = batches.next().expect("one batch per call");
+        assert_eq!(store.apply_batch(batch).unwrap().len(), 1);
+    });
+    let sixteen: Vec<StoreOp<i64, i64>> = (0..16)
+        .map(|k| StoreOp::InsertOrReplace { key: k, value: k })
+        .collect();
+    let validate_16 = allocations_per_op(0..SAMPLE, |_| {
+        assert!(validate_batch(&sixteen, UNBOUNDED_BATCH_OPS).is_ok());
+    });
+    BatchBudget {
+        insert,
+        one_op_batch,
+        validate_16,
+    }
+}
+
 #[test]
 fn operations_stay_within_their_allocation_budget() {
     // Everything lazy (the thread's epoch record, its buffers, its bag queue
@@ -272,6 +318,27 @@ fn operations_stay_within_their_allocation_budget() {
         listings.drain_per_chunk <= 3.0,
         "a chunk-256 drain made {:.2} allocations per chunk, over 3",
         listings.drain_per_chunk
+    );
+    COUNTING.with(|c| c.set(true));
+    let batches = measure_batches();
+    COUNTING.with(|c| c.set(false));
+    eprintln!(
+        "allocations on the same store: insert {:.2}, one-op apply_batch {:.2}; \
+         validate_batch of 16 ops {:.2}",
+        batches.insert, batches.one_op_batch, batches.validate_16
+    );
+    // A one-op physical batch runs as the point write it is: no plan, no
+    // per-shard groups, no results vector of options, no hash set.
+    assert!(
+        batches.one_op_batch <= batches.insert + 1.0,
+        "a one-op apply_batch made {:.2} allocations against {:.2} for insert, over one more",
+        batches.one_op_batch,
+        batches.insert
+    );
+    // Short batches find duplicate keys by comparing pairs.
+    assert_eq!(
+        batches.validate_16, 0.0,
+        "validate_batch of 16 ops allocated"
     );
     // Three more levels would cost at least three more allocations if any
     // per-level record missed the pool.
