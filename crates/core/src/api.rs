@@ -4,8 +4,7 @@
 //! every update maps to exactly one descriptor (including
 //! [`PointMap::replace`] → [`crate::OpKind::Replace`]), range reads resolve
 //! their [`RangeSpec`] once and answer with the native closed-interval
-//! query, and batches run through the shared serial phase-two helper (a
-//! single tree has one root queue — there is nothing to fan out over).
+//! query, and batches run through the shared serial phase-two helper.
 
 use wft_api::{
     apply_batch_point, BatchApply, BatchError, ChunkRead, FrontScanCursor, OpOutcome, PointMap,

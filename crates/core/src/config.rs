@@ -2,20 +2,6 @@
 
 use wft_obs::Counter;
 
-/// Which root-queue implementation allocates timestamps (§II-D / §II-F).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RootQueueKind {
-    /// Michael–Scott based queue whose enqueue assigns `tail.ts + 1` in a
-    /// CAS loop. Lock-free; this is the paper's baseline implementation.
-    LockFree,
-    /// Announce-array + fetch-and-add + helping queue (Lemma 1). Wait-free;
-    /// bounded by the configured number of announce slots.
-    WaitFree {
-        /// Maximum number of concurrent enqueuers (the paper's `|P|`).
-        slots: usize,
-    },
-}
-
 /// Which implementation answers read operations on a tree.
 ///
 /// The presence index is the tree's *resolution authority*: every update's
@@ -44,8 +30,6 @@ pub struct TreeConfig {
     /// counter exceeds `K` times its size at creation. Not consulted by the
     /// [`Radix`](crate::Radix) shape, which never rebuilds.
     pub rebuild_factor: f64,
-    /// Root queue implementation.
-    pub root_queue: RootQueueKind,
     /// Which implementation answers reads (`get`/`contains`/`count`/
     /// `range_agg`/`collect_range`): the presence-index + optimistic-
     /// traversal fast paths ([`ReadPath::Fast`], the default) or the full
@@ -58,7 +42,6 @@ impl Default for TreeConfig {
     fn default() -> Self {
         TreeConfig {
             rebuild_factor: 1.0,
-            root_queue: RootQueueKind::LockFree,
             read_path: ReadPath::Fast,
         }
     }
@@ -71,9 +54,6 @@ impl TreeConfig {
             self.rebuild_factor.is_finite() && self.rebuild_factor > 0.0,
             "rebuild factor must be positive and finite"
         );
-        if let RootQueueKind::WaitFree { slots } = self.root_queue {
-            assert!(slots >= 1, "wait-free root queue needs at least one slot");
-        }
     }
 }
 
@@ -139,16 +119,6 @@ mod tests {
     fn zero_rebuild_factor_rejected() {
         TreeConfig {
             rebuild_factor: 0.0,
-            ..TreeConfig::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one slot")]
-    fn zero_slot_wait_free_queue_rejected() {
-        TreeConfig {
-            root_queue: RootQueueKind::WaitFree { slots: 0 },
             ..TreeConfig::default()
         }
         .validate();

@@ -33,8 +33,8 @@ use wft_seq::{Augmentation, Key, Value};
 use crate::node::{Node, NodeId};
 use crate::shape::{Balanced, Shape};
 
-/// A plain pointer to a descriptor: what the root queue, the node queues
-/// and the wait-free root queue's announce records hold. Copying one costs
+/// A plain pointer to a descriptor: what the root queue's announce records
+/// and queue nodes and the node queues hold. Copying one costs
 /// nothing; reading through one takes a guard ([`OpRef::deref`]).
 pub struct OpRef<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K> = Balanced>(
     NonNull<Descriptor<K, V, A, S>>,

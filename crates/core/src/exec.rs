@@ -36,7 +36,7 @@ use crossbeam_epoch::{Guard, Owned, Shared};
 use std::ptr::NonNull;
 use std::sync::atomic::Ordering::{AcqRel, Acquire};
 
-use wft_queue::{Timestamp, UpdateKind};
+use wft_queue::{RootSlot, Timestamp, UpdateKind};
 use wft_seq::{Augmentation, Key, Value};
 
 use crate::descriptor::{Descriptor, OpKind, OpRef, OwnedOp, Partial, RangeMode};
@@ -78,7 +78,9 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
         // touches (including entries of its traverse queue) stays valid under
         // this single guard (see `Descriptor::traverse`).
         let op = OwnedOp::new(kind);
-        let ts = self.root_queue.enqueue(op.op(), op.guard());
+        let ts = self
+            .root_queue
+            .enqueue(&RootSlot::current(), op.op(), op.guard());
         self.complete_operation(&op, ts);
         op
     }

@@ -16,7 +16,9 @@
 //! * Every inner node owns a FIFO queue of operation descriptors; operations
 //!   are applied to a subtree strictly in the order their descriptors entered
 //!   that queue, and the root queue doubles as the timestamp allocator that
-//!   defines the linearization order.
+//!   defines the linearization order. It allocates wait-free (Lemma 1):
+//!   each thread announces in its own slot and every enqueuer helps the
+//!   others it finds (`wft_queue::WaitFreeRootQueue`).
 //! * A process traverses the tree top-down; before it may execute its own
 //!   operation in a node it first **helps** execute every descriptor ahead of
 //!   it — a wait-free analogue of hand-over-hand locking ("hand-over-hand
@@ -85,11 +87,10 @@ pub mod exec;
 pub mod key;
 pub mod node;
 pub mod read;
-mod rootq;
 pub mod shape;
 pub mod tree;
 
-pub use config::{ReadPath, RootQueueKind, TreeConfig};
+pub use config::{ReadPath, TreeConfig};
 pub use descriptor::{OpKind, RangeMode};
 pub use key::RadixKey;
 pub use shape::{Balanced, Radix, Shape};

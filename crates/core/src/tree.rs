@@ -3,15 +3,14 @@
 use crossbeam_epoch::{Atomic, Guard};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use wft_queue::PresenceIndex;
+use wft_queue::{PresenceIndex, WaitFreeRootQueue};
 use wft_seq::{Augmentation, Key, Size, Value};
 
-use crate::config::{ReadPath, RootQueueKind, TreeConfig, TreeCounters};
+use crate::config::{ReadPath, TreeConfig, TreeCounters};
 use crate::descriptor::OpKind;
 use crate::node::{
     build_subtree, collect_subtree, free_subtree_now, run_agg, IdAllocator, Node, Slot, LEAF_CAP,
 };
-use crate::rootq::RootQueue;
 use crate::shape::{Balanced, Shape};
 
 /// How many optimistic traversals a range read attempts before falling back
@@ -50,9 +49,9 @@ pub enum FrontMiss {
 /// * the linear-time [`collect_range`](WaitFreeTree::collect_range) of prior
 ///   work is also available,
 /// * all operations are linearizable (ordered by their root-queue timestamp)
-///   and free of locks; with the wait-free root queue
-///   ([`RootQueueKind::WaitFree`]) every operation completes in a bounded
-///   number of steps.
+///   and wait-free: the root queue allocates timestamps by announce,
+///   fetch-and-add and helping (Lemma 1, [`WaitFreeRootQueue`]), so every
+///   operation completes in a bounded number of steps.
 ///
 /// The tree is generic over the key, the value and the
 /// [`Augmentation`] maintained in inner nodes; the defaults (`V = ()`,
@@ -74,7 +73,7 @@ pub enum FrontMiss {
 /// ```
 pub struct WaitFreeTree<K: Key, V: Value = (), A: Augmentation<K, V> = Size, S: Shape<K> = Balanced>
 {
-    pub(crate) root_queue: RootQueue<crate::descriptor::OpRef<K, V, A, S>>,
+    pub(crate) root_queue: WaitFreeRootQueue<crate::descriptor::OpRef<K, V, A, S>>,
     pub(crate) root_child: Atomic<Node<K, V, A, S>>,
     pub(crate) presence: PresenceIndex<K, V>,
     pub(crate) ids: IdAllocator,
@@ -115,8 +114,8 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> Default for WaitFreeT
 }
 
 impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A, S> {
-    /// Creates an empty tree with the default configuration (lock-free root
-    /// queue, rebuild factor 1).
+    /// Creates an empty tree with the default configuration (rebuild
+    /// factor 1, fast reads).
     pub fn new() -> Self {
         Self::with_config(TreeConfig::default())
     }
@@ -124,12 +123,10 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
     /// Creates an empty tree with an explicit [`TreeConfig`].
     pub fn with_config(config: TreeConfig) -> Self {
         config.validate();
-        let root_queue = match config.root_queue {
-            RootQueueKind::LockFree => RootQueue::lock_free(),
-            RootQueueKind::WaitFree { slots } => RootQueue::wait_free(slots),
-        };
         WaitFreeTree {
-            root_queue,
+            // The first announce chunk holds eight threads' slots; more
+            // threads are served by later chunks.
+            root_queue: WaitFreeRootQueue::new(8),
             root_child: Atomic::new(Node::empty(wft_queue::Timestamp::ZERO)),
             presence: PresenceIndex::new(),
             ids: IdAllocator::new(),
@@ -938,21 +935,6 @@ mod tests {
     }
 
     #[test]
-    fn wait_free_root_queue_variant_works() {
-        let cfg = TreeConfig {
-            root_queue: RootQueueKind::WaitFree { slots: 8 },
-            ..TreeConfig::default()
-        };
-        let tree: WaitFreeTree<i64> = WaitFreeTree::with_config(cfg);
-        for k in 0..500 {
-            assert!(tree.insert(k, ()));
-        }
-        assert_eq!(tree.count(0, 499), 500);
-        assert_eq!(tree.len(), 500);
-        tree.check_invariants();
-    }
-
-    #[test]
     fn stats_track_updates() {
         let tree: WaitFreeTree<i64> = WaitFreeTree::new();
         tree.insert(1, ());
@@ -1252,7 +1234,9 @@ mod tests {
             key: 7,
             value: Probe { original: true },
         });
-        let ts = tree.root_queue.enqueue(op.op(), op.guard());
+        let ts = tree
+            .root_queue
+            .enqueue(&wft_queue::RootSlot::current(), op.op(), op.guard());
         let (peeked, returned, released) = (Barrier::new(2), Barrier::new(2), Barrier::new(2));
         let (decision_tx, decision_rx) = mpsc::channel();
         std::thread::scope(|scope| {

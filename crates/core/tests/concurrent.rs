@@ -21,7 +21,7 @@ use std::thread;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use wft_core::{RootQueueKind, TreeConfig, WaitFreeTree};
+use wft_core::{TreeConfig, WaitFreeTree};
 use wft_obs::MetricsSource;
 
 /// Number of worker threads used throughout (kept small so the suite stays
@@ -296,13 +296,13 @@ fn heavy_rebuilds_under_concurrency_preserve_contents() {
 
 #[test]
 fn wait_free_root_queue_under_concurrency() {
+    // Four times as many enqueuers as the other tests, and twice as many as
+    // the first chunk of the root queue's announce array holds: every
+    // thread announces in its own slot, so none waits for one.
+    const ENQUEUERS: usize = 4 * THREADS;
     const PER_THREAD: i64 = 800;
-    let cfg = TreeConfig {
-        root_queue: RootQueueKind::WaitFree { slots: THREADS * 2 },
-        ..TreeConfig::default()
-    };
-    let tree: Arc<WaitFreeTree<i64>> = Arc::new(WaitFreeTree::with_config(cfg));
-    let handles: Vec<_> = (0..THREADS as i64)
+    let tree: Arc<WaitFreeTree<i64>> = Arc::new(WaitFreeTree::new());
+    let handles: Vec<_> = (0..ENQUEUERS as i64)
         .map(|t| {
             let tree = Arc::clone(&tree);
             thread::spawn(move || {
@@ -320,7 +320,7 @@ fn wait_free_root_queue_under_concurrency() {
     for h in handles {
         h.join().unwrap();
     }
-    let total = (THREADS as i64 * PER_THREAD / 2) as u64;
+    let total = (ENQUEUERS as i64 * PER_THREAD / 2) as u64;
     assert_eq!(tree.len(), total);
     assert_eq!(tree.count(i64::MIN, i64::MAX), total);
     tree.check_invariants();

@@ -8,12 +8,14 @@
 //! * [`TsQueue`] — the per-node descriptor queue (§II-D): a Michael–Scott
 //!   queue whose nodes carry monotonically increasing timestamps and which
 //!   supports the paper's exactly-once `push_if` / `pop_if` operations plus a
-//!   non-destructive `peek`. The same structure doubles as the lock-free root
-//!   queue through [`TsQueue::enqueue_assign`], which allocates the next
-//!   timestamp while enqueuing.
-//! * [`WaitFreeRootQueue`] — the wait-free timestamp-allocating root queue of
-//!   §II-F (Lemma 1): announce array + fetch-and-add versions + helping, on
-//!   top of a [`TsQueue`].
+//!   non-destructive `peek`. [`TsQueue::enqueue_assign`] also allocates the
+//!   next timestamp while enqueuing (the lock-free root queue of §II-D); no
+//!   tree uses it.
+//! * [`WaitFreeRootQueue`] — the root queue of every tree, which allocates
+//!   timestamps wait-free (§II-F, Lemma 1): announce array + fetch-and-add
+//!   versions + helping, on top of a [`TsQueue`]. A thread announces in the
+//!   slot of its epoch participant index ([`RootSlot`]), so it never claims
+//!   or waits for one.
 //! * [`TraverseQueue`] — the multi-producer single-consumer queue of nodes
 //!   still to be visited by an operation (`Op.Traverse`, §II-B): node
 //!   pointers in CAS-published inline slots, a heap chain only beyond them.
@@ -43,6 +45,6 @@ pub mod tsqueue;
 pub use fwmap::FirstWriteMap;
 pub use mpsc::TraverseQueue;
 pub use presence::{Decision, PresenceIndex, PresenceSnapshot, UpdateKind};
-pub use root::WaitFreeRootQueue;
+pub use root::{RootSlot, WaitFreeRootQueue};
 pub use timestamp::Timestamp;
 pub use tsqueue::TsQueue;

@@ -13,11 +13,11 @@
 //! * [`TsQueue::pop_if`] — remove the head descriptor *only if it still is*
 //!   the descriptor with the given timestamp (exactly-once removal, §II-C).
 //!
-//! The root queue additionally allocates timestamps:
-//! [`TsQueue::enqueue_assign`] reads the tail timestamp, increments it and
-//! appends in one CAS loop, which yields the lock-free timestamp allocation
-//! mechanism of §II-D. The wait-free variant (Lemma 1) is layered on top in
-//! [`crate::root`].
+//! [`TsQueue::enqueue_assign`] allocates timestamps as well: it reads the
+//! tail timestamp, increments it and appends in one CAS loop, the lock-free
+//! timestamp allocation of §II-D. A CAS loop can starve an enqueuer, so the
+//! trees' root queue is the wait-free one of Lemma 1 in [`crate::root`],
+//! which uses this queue for its appends only.
 //!
 //! The queue is generic over the descriptor handle `T`; the tree uses a
 //! plain pointer to an epoch-managed descriptor, which `peek` and `push_if`

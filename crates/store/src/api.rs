@@ -3,8 +3,9 @@
 //! Point operations route to the owning shard and inherit the tree's typed
 //! outcomes; range reads resolve their [`RangeSpec`] once and split the
 //! closed interval at shard boundaries; [`BatchApply`] is the store's own
-//! two-phase pipeline (validation, shard grouping, optional cross-shard
-//! fan-out) rather than the serial helper single trees use.
+//! two-phase pipeline (validation and shard grouping, then one atomic
+//! commit window over the touched shards) rather than the serial helper
+//! single trees use.
 
 use wft_api::{
     BatchApply, BatchError, OpOutcome, PatchFn, PointMap, RangeKey, RangeRead, RangeSpec,

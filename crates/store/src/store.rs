@@ -49,8 +49,6 @@
 //! *classic* batches bypass the gate entirely (one tree op is already
 //! atomic).
 
-use std::thread;
-
 use wft_core::{Timestamp, WaitFreeTree};
 use wft_seq::{Augmentation, Key, Size, Value};
 
@@ -70,11 +68,6 @@ pub struct ShardedStore<K: Key, V: Value = (), A: Augmentation<K, V> = Size> {
     pub(crate) front: FrontTable,
 }
 
-/// Minimum number of operations a batch must carry before execution fans
-/// out across shards on worker threads; smaller batches run on the calling
-/// thread (spawning costs more than it saves).
-const PARALLEL_THRESHOLD: usize = 64;
-
 /// The validated, shard-grouped form of a batch: the output of phase one.
 ///
 /// Holding a plan proves the batch passed validation; executing it is
@@ -87,19 +80,6 @@ pub(crate) struct BatchPlan<K: Key, V: Value> {
 }
 
 impl<K: Key, V: Value> BatchPlan<K, V> {
-    /// Number of shards the batch touches.
-    fn shards_touched(&self) -> usize {
-        self.groups.iter().filter(|g| !g.is_empty()).count()
-    }
-
-    /// Whether phase two fans the per-shard groups out across worker
-    /// threads: at least [`PARALLEL_THRESHOLD`] operations over at least two
-    /// shards, on a host with more than one hardware thread (on one core the
-    /// fan-out can only add spawn overhead).
-    fn fans_out(&self) -> bool {
-        self.len >= PARALLEL_THRESHOLD && self.shards_touched() >= 2 && hardware_threads() > 1
-    }
-
     /// Ascending indices of the shards the plan touches (the commit gate's
     /// required acquisition order).
     fn touched_shards(&self) -> Vec<usize> {
@@ -691,10 +671,9 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
         Ok(BatchPlan { groups, len })
     }
 
-    /// Phase two: executes a validated plan op by op, fanning the
-    /// per-shard groups out across worker threads when the batch is large
-    /// enough to pay for them ([`BatchPlan::fans_out`]). The caller holds a
-    /// commit window over every touched shard, so ops apply raw.
+    /// Phase two: executes a validated plan op by op on the calling thread,
+    /// one shard's group after the other. The caller holds a commit window
+    /// over every touched shard, so ops apply raw.
     ///
     /// Returns one [`OpOutcome`] per submitted operation, in submission
     /// order. Transactional operations resolve against the state they find
@@ -702,32 +681,9 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
     /// same-batch operations on its key — same key means same shard).
     fn run_plan(&self, plan: BatchPlan<K, V>) -> Vec<OpOutcome<V>> {
         let mut results: Vec<Option<OpOutcome<V>>> = (0..plan.len).map(|_| None).collect();
-        if plan.fans_out() {
-            let outcomes: Vec<Vec<(usize, OpOutcome<V>)>> = thread::scope(|scope| {
-                let handles: Vec<_> = plan
-                    .groups
-                    .into_iter()
-                    .enumerate()
-                    .filter(|(_, group)| !group.is_empty())
-                    .map(|(shard_idx, group)| {
-                        scope.spawn(move || {
-                            group
-                                .into_iter()
-                                .map(|(index, op)| (index, apply_one(&self.shards[shard_idx], op)))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            for (index, outcome) in outcomes.into_iter().flatten() {
-                results[index] = Some(outcome);
-            }
-        } else {
-            for (shard_idx, group) in plan.groups.into_iter().enumerate() {
-                for (index, op) in group {
-                    results[index] = Some(apply_one(&self.shards[shard_idx], op));
-                }
+        for (shard_idx, group) in plan.groups.into_iter().enumerate() {
+            for (index, op) in group {
+                results[index] = Some(apply_one(&self.shards[shard_idx], op));
             }
         }
         results
@@ -835,17 +791,6 @@ pub(crate) fn shard_trace_arg(shard: usize) -> u16 {
         .min(wft_obs::NO_SHARD - 1)
 }
 
-/// Cached `available_parallelism`: on a single-core host the fan-out path
-/// can only add spawn overhead, so batches always run on the caller.
-fn hardware_threads() -> usize {
-    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THREADS.get_or_init(|| {
-        thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    })
-}
-
 /// An open commit window over `touched` shards; dropping it releases the
 /// window (also on unwind, so a panicking op cannot leave the gate closed
 /// and deadlock every waiter).
@@ -934,6 +879,7 @@ fn equi_depth_split_keys<T, K: Key>(
 mod tests {
     use super::*;
     use crate::op::{BatchError, OpOutcome, StoreConfig, StoreOp};
+    use std::thread;
     use wft_obs::MetricsSource;
     use wft_seq::{Pair, Sum};
 
@@ -1082,7 +1028,7 @@ mod tests {
     }
 
     #[test]
-    fn large_batches_take_the_parallel_path() {
+    fn large_batches_commit_across_shards() {
         let store: ShardedStore<i64, i64> = ShardedStore::with_boundaries(vec![100, 200, 300]);
         let batch: Vec<StoreOp<i64, i64>> = (0..400)
             .map(|k| StoreOp::Insert {
@@ -1091,10 +1037,7 @@ mod tests {
             })
             .collect();
         let plan = store.plan_batch(batch).unwrap();
-        assert_eq!(plan.shards_touched(), 4);
-        // 400 ops over 4 shards clear the threshold: the fan-out is taken
-        // wherever there is more than one hardware thread.
-        assert_eq!(plan.fans_out(), hardware_threads() > 1);
+        assert_eq!(plan.touched_shards(), vec![0, 1, 2, 3]);
         let outcomes = store.commit_plan(plan);
         assert!(outcomes.iter().all(|o| *o == OpOutcome::Inserted(true)));
         assert_eq!(store.len(), 400);

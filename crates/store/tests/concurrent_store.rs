@@ -157,11 +157,10 @@ fn rejected_batches_leave_concurrent_store_untouched() {
 }
 
 #[test]
-fn forced_parallel_fanout_is_correct_under_contention() {
+fn large_cross_shard_batches_are_correct_under_contention() {
     // Every batch carries BATCH = 64 ops spread over the whole keyspace, so
-    // it clears the store's fan-out threshold and touches several shards:
-    // on a multi-core host the scoped-thread fan-out runs on top of the
-    // callers' own threads.
+    // it touches several shards, and the writers' commit windows over them
+    // overlap.
     let store: Arc<ShardedStore<i64, i64>> = Arc::new(ShardedStore::from_entries(
         (0..KEYSPACE).step_by(16).map(|k| (k, 0)),
         4,

@@ -27,8 +27,8 @@
 //! The interface is the tree's: `insert`, `remove`, `contains`, `get`,
 //! `count`, `range_agg`, `collect_range`, all linearizable, with aggregate
 //! range queries in time proportional to the depth rather than to the number
-//! of keys in the range. A non-default read path or root queue is chosen
-//! through [`TreeConfig`], as for the tree.
+//! of keys in the range. A non-default read path is chosen through
+//! [`TreeConfig`], as for the tree.
 //!
 //! ## Example
 //!

@@ -88,7 +88,7 @@ pub mod prelude {
     // The augmentation algebra.
     pub use wft_seq::{Augmentation, Key, KeyRange, Pair, Size, Sum, SumSquares, Value};
     // The concrete structures applications reach for first.
-    pub use wft_core::{ReadPath, RootQueueKind, TreeConfig, WaitFreeTree};
+    pub use wft_core::{ReadPath, TreeConfig, WaitFreeTree};
     pub use wft_durable::{DurableConfig, DurableStore};
     pub use wft_store::{split_keys_from_sample, ShardedStore, StoreConfig};
     pub use wft_trie::WaitFreeTrie;

@@ -11,7 +11,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use wait_free_range_trees::core::{RootQueueKind, TreeConfig};
+use wait_free_range_trees::core::TreeConfig;
 use wait_free_range_trees::WaitFreeTree;
 
 /// Writers swap keys in and out of a window so its population stays within
@@ -103,16 +103,8 @@ fn window_population_stays_consistent(config: TreeConfig) {
 }
 
 #[test]
-fn counts_are_atomic_with_the_lock_free_root_queue() {
-    window_population_stays_consistent(TreeConfig::default());
-}
-
-#[test]
 fn counts_are_atomic_with_the_wait_free_root_queue() {
-    window_population_stays_consistent(TreeConfig {
-        root_queue: RootQueueKind::WaitFree { slots: 8 },
-        ..TreeConfig::default()
-    });
+    window_population_stays_consistent(TreeConfig::default());
 }
 
 #[test]

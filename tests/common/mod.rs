@@ -16,7 +16,7 @@ use wait_free_range_trees::api::{
     BatchApply, OpOutcome, PointMap, RangeRead, RangeScan, RangeSpec, ScanConsistency,
     SnapshotRead, StoreOp,
 };
-use wait_free_range_trees::core::{ReadPath, RootQueueKind, TreeConfig, WaitFreeTree};
+use wait_free_range_trees::core::{ReadPath, TreeConfig, WaitFreeTree};
 use wait_free_range_trees::durable::{DurableConfig, DurableStore, ScratchDir};
 use wait_free_range_trees::lockbased::LockedRangeTree;
 use wait_free_range_trees::lockfree::LockFreeBst;
@@ -210,10 +210,8 @@ where
 /// Selects one of the backends under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TreeImpl {
-    /// The paper's wait-free tree with the lock-free root queue.
+    /// The paper's wait-free tree.
     WaitFree,
-    /// The wait-free tree with the wait-free root queue (Lemma 1).
-    WaitFreeWfRoot,
     /// The persistent path-copying baseline (the paper's competitor).
     Persistent,
     /// The global-lock baseline.
@@ -244,9 +242,8 @@ pub enum TreeImpl {
 
 impl TreeImpl {
     /// The in-memory backends every cross-backend sweep covers.
-    pub const ALL: [TreeImpl; 7] = [
+    pub const ALL: [TreeImpl; 6] = [
         TreeImpl::WaitFree,
-        TreeImpl::WaitFreeWfRoot,
         TreeImpl::Persistent,
         TreeImpl::Locked,
         TreeImpl::LockFreeLinear,
@@ -258,7 +255,6 @@ impl TreeImpl {
     pub fn name(&self) -> &'static str {
         match self {
             TreeImpl::WaitFree => "wait-free-tree",
-            TreeImpl::WaitFreeWfRoot => "wait-free-tree(wf-root)",
             TreeImpl::Persistent => "persistent-tree",
             TreeImpl::Locked => "locked-tree",
             TreeImpl::LockFreeLinear => "lock-free-bst(linear)",
@@ -302,8 +298,7 @@ impl TreeImpl {
     }
 
     /// Builds the backend pre-filled with `entries`, sized for
-    /// `max_threads` concurrent callers (the store's shard count and the
-    /// wait-free root queue's slot count).
+    /// `max_threads` concurrent callers (the store's shard count).
     pub fn build(&self, entries: &[i64], max_threads: usize) -> Arc<dyn ConcurrentSet> {
         let pairs = entries.iter().map(|&k| (k, ()));
         let descriptor_reads = TreeConfig {
@@ -312,15 +307,6 @@ impl TreeImpl {
         };
         match self {
             TreeImpl::WaitFree => Arc::new(WaitFreeTree::<i64>::from_entries(pairs)),
-            TreeImpl::WaitFreeWfRoot => {
-                let config = TreeConfig {
-                    root_queue: RootQueueKind::WaitFree {
-                        slots: max_threads.max(1) * 2,
-                    },
-                    ..TreeConfig::default()
-                };
-                Arc::new(WaitFreeTree::<i64>::from_entries_with_config(pairs, config))
-            }
             TreeImpl::Persistent => Arc::new(PersistentRangeTree::<i64>::from_entries(pairs)),
             TreeImpl::Locked => Arc::new(LockedRangeTree::<i64>::from_entries(pairs)),
             TreeImpl::LockFreeLinear => Arc::new(LockFreeBst::<i64>::from_entries(pairs)),

@@ -2,10 +2,10 @@
 //! the same abstract ordered-set semantics.
 //!
 //! Sequential equivalence is checked exhaustively: identical random
-//! operation sequences applied to every backend of [`TreeImpl::ALL`] (both
-//! root-queue variants of the wait-free tree, the wait-free trie, the
-//! persistent, lock-based and lock-free linear baselines and the sharded
-//! store), the sequential tree and the `BTreeMap` oracle must produce
+//! operation sequences applied to every backend of [`TreeImpl::ALL`] (the
+//! wait-free tree, the wait-free trie, the persistent, lock-based and
+//! lock-free linear baselines and the sharded store), the sequential tree
+//! and the `BTreeMap` oracle must produce
 //! identical results at every step.
 
 use proptest::collection::vec;

@@ -302,7 +302,6 @@ fn assert_runs_linearize<S: Shape<i64>>(
             Arc::new(WaitFreeTree::with_config(TreeConfig {
                 rebuild_factor: 0.5,
                 read_path,
-                ..TreeConfig::default()
             }));
         for &k in prefill {
             assert!(tree.insert(k, ()));

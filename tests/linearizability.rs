@@ -245,11 +245,6 @@ fn wait_free_tree_descriptor_read_path_linearizes() {
 }
 
 #[test]
-fn wait_free_tree_with_wait_free_root_queue_linearizes() {
-    assert_linearizable(TreeImpl::WaitFreeWfRoot, 20, true);
-}
-
-#[test]
 fn persistent_baseline_linearizes() {
     assert_linearizable(TreeImpl::Persistent, 20, true);
 }
