@@ -3,8 +3,9 @@
 //! Every concurrent map in this workspace — the paper's
 //! `WaitFreeTree`, the wait-free trie, the persistent / lock-based /
 //! lock-free baselines and the sharded store — exposes the same abstract
-//! vocabulary: point updates, aggregate range reads and two-phase batches.
-//! This crate defines that vocabulary **once**, as a trait family, so that
+//! vocabulary for point updates and aggregate range reads; the tree, the
+//! trie and the stores add batches, snapshots and streaming scans. This
+//! crate defines that vocabulary **once**, as a trait family, so that
 //! harnesses, checkers, benches and applications are written against the
 //! interface rather than against any one implementation:
 //!
@@ -17,21 +18,20 @@
 //!   `(min, max)` pair conventions;
 //! * [`BatchApply`] — the sharded store's two-phase batched-write vocabulary
 //!   ([`StoreOp`] / [`OpOutcome`] / [`BatchError`]) promoted to the shared
-//!   API, so single trees accept the same batches a sharded store does;
+//!   API, so a single tree accepts the same batches a sharded store does;
 //! * [`SnapshotRead`] — consistent multi-range reads against one acquired
-//!   [`SnapshotToken`], derived for every single-front structure from the
-//!   two watermark primitives of [`TimestampFront`] by a blanket impl (a
-//!   single linearizable tree is trivially its own snapshot once it can
-//!   certify "nothing changed since the token was taken");
+//!   [`SnapshotToken`]: the tree reads at its root-queue timestamp front,
+//!   the store at the per-shard cut its token sums;
 //! * [`RangeScan`] — streaming snapshot-consistent cursors: a
 //!   [`ScanCursor`] yields a range in ascending key order in caller-bounded
 //!   chunks with keyset pagination and per-chunk front validation, so a
 //!   full drain equals one `collect_range_at` of the cursor's token (or
 //!   transparently re-reads the unseen suffix and reports
-//!   [`ScanConsistency::Resumed`]). Single-front backends implement it by
-//!   delegating to the shared [`FrontScanCursor`] over [`ChunkRead`] +
-//!   [`TimestampFront`]; the sharded store implements it natively over its
-//!   per-shard front cut.
+//!   [`ScanConsistency::Resumed`]). The tree's cursor lives in `wft-core`,
+//!   the store's in `wft-store`; both share the [`ReadAhead`] buffer.
+//!
+//! The baselines implement [`PointMap`] and [`RangeRead`] only: they are
+//! the paper's comparators for point operations and range reads.
 //!
 //! The crate is deliberately *pure interface*: it depends only on the
 //! augmentation algebra in `wft-seq` and contains no concurrency machinery.
@@ -66,10 +66,8 @@ pub use batch::{
 pub use outcome::UpdateOutcome;
 pub use point::PointMap;
 pub use range::{agg_over, collect_over, count_over, RangeKey, RangeRead, RangeSpec};
-pub use scan::{
-    ChunkRead, FrontScanCursor, RangeScan, ReadAhead, ScanConsistency, ScanCursor, READAHEAD_CAP,
-};
-pub use snapshot::{FrontSnapshot, SnapshotRead, SnapshotToken, TimestampFront};
+pub use scan::{RangeScan, ReadAhead, ScanConsistency, ScanCursor, READAHEAD_CAP};
+pub use snapshot::{SnapshotRead, SnapshotToken};
 
 // Re-export the augmentation vocabulary: a consumer of the trait family
 // almost always needs the `Key`/`Value` bounds and an augmentation type.

@@ -23,30 +23,23 @@
 //! of it equals the abstract state at a single linearization instant inside
 //! the token's validity window.
 //!
-//! # The single-front blanket impl
+//! # Implementations
 //!
-//! A structure that can expose its front as the two (three) watermark
-//! primitives of [`TimestampFront`] gets the whole of [`SnapshotRead`] for
-//! free through a blanket impl: acquisition is
-//! [`settle_front`](TimestampFront::settle_front), validation compares
-//! [`front_advertised`](TimestampFront::front_advertised) with the token,
-//! and a `*_at` read is an ordinary [`RangeRead`] query sandwiched between
-//! two validations. This is how every single tree in the workspace — the
-//! wait-free tree and trie (root-queue timestamp fronts), the persistent
-//! baseline (version sequence), the lock-based baseline (write version) and
-//! even the lock-free linear baseline (an update gauge) — implements the
-//! trait.
+//! The trait is implemented where a front exists to read at:
 //!
-//! The blanket is **opt-in** through the empty [`FrontSnapshot`] marker
-//! rather than unconditional: a structure whose ordinary [`RangeRead`]
-//! queries already carry their *own* validation machinery would pay for two
-//! nested validation loops under the unconditional blanket. The sharded
-//! store is exactly that structure — its cross-shard reads acquire and
-//! validate a per-shard front cut internally — so it skips the marker and
-//! implements [`SnapshotRead`] natively: its token is the sum of a
-//! per-shard cut, and a `*_at` read is one more read at that cut, one
-//! validation layer instead of two. Single trees, whose plain reads are
-//! validation-free, take the marker and the blanket.
+//! * the wait-free tree and trie (`wft-core`): the token is the tree's
+//!   root-queue timestamp front, settled by helping any mid-linearization
+//!   update to completion; a `*_at` read is the tree's ordinary
+//!   linearizable read between an entry check (the front is settled *at*
+//!   the token) and an exit check (it is still there);
+//! * the sharded store (`wft-store`): the token is the sum of an
+//!   epoch-stable per-shard cut, and a `*_at` read is one more cross-shard
+//!   read at that cut — the store's plain cross-shard reads validate a cut
+//!   already, so there is one validation layer, not two;
+//! * the durable store (`wft-durable`), which delegates to its inner store.
+//!
+//! The baselines (persistent, lock-based, lock-free) are comparators for
+//! point operations and range reads only and do not implement it.
 //!
 //! # Progress
 //!
@@ -98,64 +91,6 @@ impl SnapshotToken {
         self.front
     }
 }
-
-/// The low-level watermark primitives of a structure with a single monotone
-/// **front**: a counter that advances whenever an update linearizes, and
-/// *before* the update's effect can be observed by any read.
-///
-/// Implementing this trait is the whole cost of joining [`SnapshotRead`]:
-/// a blanket impl derives the full snapshot API from these primitives plus
-/// the structure's ordinary [`RangeRead`] queries.
-///
-/// # Contract
-///
-/// * **Monotonicity** — both watermarks only ever increase.
-/// * **Advertise-before-effect** — [`front_advertised`] reaches an update's
-///   watermark *before* any read can observe that update's effect. This is
-///   what makes the validation sandwich sound: if `front_advertised()` is
-///   unchanged across a window, no update became visible inside it.
-/// * **Settled means quiescent** — the value returned by [`settle_front`]
-///   was observed at an instant with no update mid-linearization:
-///   everything advertised was already resolved
-///   ([`front_resolved`]` == `[`front_advertised`]).
-///
-/// [`front_advertised`]: TimestampFront::front_advertised
-/// [`settle_front`]: TimestampFront::settle_front
-/// [`front_resolved`]: TimestampFront::front_resolved
-pub trait TimestampFront {
-    /// Returns a front watermark observed at an instant with no update in
-    /// flight, helping/waiting past any in-flight update if necessary.
-    ///
-    /// Lock-free at best (the wait-free tree *helps* the pending update to
-    /// completion); the lock-free linear baseline merely spins until the
-    /// writer finishes.
-    fn settle_front(&self) -> u64;
-
-    /// The highest watermark any update has *announced* — advanced before
-    /// the update's effect is visible to any read.
-    fn front_advertised(&self) -> u64;
-
-    /// The highest watermark whose update effects are fully linearized.
-    /// Defaults to [`front_advertised`](TimestampFront::front_advertised),
-    /// which is correct for structures whose updates commit at one atomic
-    /// instant (a version CAS, a mutex release); structures with a window
-    /// between announcement and visibility override it.
-    fn front_resolved(&self) -> u64 {
-        self.front_advertised()
-    }
-}
-
-/// Opt-in marker for the single-front blanket [`SnapshotRead`] impl.
-///
-/// Implemented (as an empty one-liner) by every structure whose ordinary
-/// [`RangeRead`] queries are validation-free linearizable reads, so
-/// sandwiching them between two [`TimestampFront`] observations is exactly
-/// one layer of validation. A structure whose plain reads already validate
-/// internally (the sharded store's cut-acquiring cross-shard queries) must
-/// *not* implement this — it provides its own [`SnapshotRead`] that reads
-/// at its token's cut instead of stacking the blanket's sandwich on top of
-/// the internal loop. See the [module docs](self).
-pub trait FrontSnapshot {}
 
 /// Consistent multi-range reads against one acquired snapshot front.
 ///
@@ -258,58 +193,6 @@ pub trait SnapshotRead<K: RangeKey, V: Value>: RangeRead<K, V> {
             }
             std::hint::spin_loop();
         }
-    }
-}
-
-/// The single-front blanket impl: any linearizable range-readable structure
-/// exposing [`TimestampFront`] watermarks — and opting in through the
-/// [`FrontSnapshot`] marker — is a [`SnapshotRead`].
-///
-/// Soundness of the sandwich: `acquire` returns a front `f` observed at an
-/// instant with nothing in flight (settled); a later validation seeing
-/// `front_advertised() == f` proves (by monotonicity and
-/// advertise-before-effect) that no update became visible in between, so the
-/// state was constant across the whole window — every linearizable read
-/// inside the window observed exactly the state at `f`.
-impl<K, V, T> SnapshotRead<K, V> for T
-where
-    K: RangeKey,
-    V: Value,
-    T: RangeRead<K, V> + TimestampFront + FrontSnapshot,
-{
-    fn acquire_snapshot(&self) -> SnapshotToken {
-        SnapshotToken::new(self.settle_front())
-    }
-
-    fn snapshot_valid(&self, token: &SnapshotToken) -> bool {
-        self.front_advertised() == token.front()
-    }
-
-    fn range_agg_at(&self, token: &SnapshotToken, range: RangeSpec<K>) -> Option<Self::Agg> {
-        // Entry check: the front must be settled *at* the token (an update
-        // may be mid-linearization if the token was forged from a raw
-        // watermark; both checks are trivially true for a fresh token).
-        if self.front_resolved() != token.front() || !self.snapshot_valid(token) {
-            return None;
-        }
-        let agg = self.range_agg(range);
-        self.snapshot_valid(token).then_some(agg)
-    }
-
-    fn count_at(&self, token: &SnapshotToken, range: RangeSpec<K>) -> Option<u64> {
-        if self.front_resolved() != token.front() || !self.snapshot_valid(token) {
-            return None;
-        }
-        let count = self.count(range);
-        self.snapshot_valid(token).then_some(count)
-    }
-
-    fn collect_range_at(&self, token: &SnapshotToken, range: RangeSpec<K>) -> Option<Vec<(K, V)>> {
-        if self.front_resolved() != token.front() || !self.snapshot_valid(token) {
-            return None;
-        }
-        let entries = self.collect_range(range);
-        self.snapshot_valid(token).then_some(entries)
     }
 }
 

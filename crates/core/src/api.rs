@@ -4,14 +4,17 @@
 //! every update maps to exactly one descriptor (including
 //! [`PointMap::replace`] → [`crate::OpKind::Replace`]), range reads resolve
 //! their [`RangeSpec`] once and answer with the native closed-interval
-//! query, and batches run through the shared serial phase-two helper.
+//! query, batches run through the shared serial phase-two helper, and
+//! snapshot reads and scans are anchored at the root-queue timestamp front.
 
 use wft_api::{
-    apply_batch_point, BatchApply, BatchError, ChunkRead, FrontScanCursor, OpOutcome, PointMap,
-    RangeKey, RangeRead, RangeScan, RangeSpec, StoreOp, TimestampFront, UpdateOutcome,
+    apply_batch_point, BatchApply, BatchError, OpOutcome, PointMap, RangeKey, RangeRead, RangeScan,
+    RangeSpec, SnapshotRead, SnapshotToken, StoreOp, UpdateOutcome,
 };
+use wft_queue::Timestamp;
 use wft_seq::{Augmentation, Key, Value};
 
+use crate::scan::TreeScanCursor;
 use crate::shape::Shape;
 use crate::tree::WaitFreeTree;
 
@@ -96,31 +99,18 @@ impl<K: RangeKey, V: Value, A: Augmentation<K, V>, S: Shape<K>> RangeRead<K, V>
     }
 }
 
-/// The tree's chunk primitive is the limit-bounded optimistic collect:
-/// `O(log N + limit)` per chunk on the fast path (early exit after `limit`
-/// leaves, counted in the `tree_fast_range_early_exits` metric), with
-/// the descriptor fallback preserved.
-impl<K: RangeKey, V: Value, A: Augmentation<K, V>, S: Shape<K>> ChunkRead<K, V>
-    for WaitFreeTree<K, V, A, S>
-{
-    fn collect_chunk(&self, min: K, max: K, limit: usize) -> Vec<(K, V)> {
-        WaitFreeTree::collect_range_limited(self, min, max, limit)
-    }
-}
-
-/// Streaming scans: the tree's cursor is the shared front-sandwiched
-/// [`FrontScanCursor`] over the chunk primitive above — the scan logic
-/// lives once in `wft-api`, this impl only hands the cursor out.
+/// Streaming scans: each chunk is a limit-bounded collect read inside the
+/// snapshot sandwich (see [`TreeScanCursor`]).
 impl<K: RangeKey, V: Value, A: Augmentation<K, V>, S: Shape<K>> RangeScan<K, V>
     for WaitFreeTree<K, V, A, S>
 {
     type Cursor<'a>
-        = FrontScanCursor<'a, Self, K, V>
+        = TreeScanCursor<'a, K, V, A, S>
     where
         Self: 'a;
 
-    fn scan(&self, range: RangeSpec<K>) -> FrontScanCursor<'_, Self, K, V> {
-        FrontScanCursor::new(self, range)
+    fn scan(&self, range: RangeSpec<K>) -> TreeScanCursor<'_, K, V, A, S> {
+        TreeScanCursor::new(self, range)
     }
 }
 
@@ -132,32 +122,52 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> BatchApply<K, V>
     }
 }
 
-/// Opts into the blanket `SnapshotRead`: plain reads here are
-/// validation-free linearizable queries, so the blanket's sandwich is the
-/// single validation layer.
-impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> wft_api::FrontSnapshot
-    for WaitFreeTree<K, V, A, S>
-{
+impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A, S> {
+    /// The snapshot sandwich: `read` runs only while the front is settled
+    /// at `token` (an update mid-linearization, or a token forged from a
+    /// raw watermark, fails this entry check), and its result counts only
+    /// if the front is still there afterwards. `read` is a plain read, so
+    /// behind a stalled updater it takes the descriptor fallback and helps.
+    pub(crate) fn read_at_token<T>(
+        &self,
+        token: &SnapshotToken,
+        read: impl FnOnce() -> T,
+    ) -> Option<T> {
+        let front = Timestamp(token.front());
+        self.front_current(front).ok()?;
+        self.still_at(front, read()).ok()
+    }
 }
 
-/// The tree's snapshot front is its root-queue timestamp front: the
-/// watermarks maintained at update resolution (see
-/// [`WaitFreeTree::stable_ts`]). With this impl in place the blanket
-/// [`wft_api::SnapshotRead`] applies: the tree supports consistent
-/// multi-range reads against one acquired front.
-impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> TimestampFront
+/// The tree's snapshot front is its root-queue timestamp front: the token
+/// is a settled watermark ([`WaitFreeTree::settle_front`], which helps any
+/// mid-linearization update), and a `*_at` read is the plain linearizable
+/// read between an entry check (the front is settled at the token) and an
+/// exit check (it is still there).
+/// Soundness: the advertised watermark is monotone and advances before an
+/// update's effect is visible, so an unchanged watermark across the read
+/// proves the state was the one at the token throughout.
+impl<K: RangeKey, V: Value, A: Augmentation<K, V>, S: Shape<K>> SnapshotRead<K, V>
     for WaitFreeTree<K, V, A, S>
 {
-    fn settle_front(&self) -> u64 {
-        WaitFreeTree::settle_front(self).get()
+    fn acquire_snapshot(&self) -> SnapshotToken {
+        SnapshotToken::new(self.settle_front().get())
     }
 
-    fn front_advertised(&self) -> u64 {
-        self.advertised_ts().get()
+    fn snapshot_valid(&self, token: &SnapshotToken) -> bool {
+        self.front_unchanged(Timestamp(token.front()))
     }
 
-    fn front_resolved(&self) -> u64 {
-        self.stable_ts().get()
+    fn range_agg_at(&self, token: &SnapshotToken, range: RangeSpec<K>) -> Option<A::Agg> {
+        self.read_at_token(token, || RangeRead::range_agg(self, range))
+    }
+
+    fn count_at(&self, token: &SnapshotToken, range: RangeSpec<K>) -> Option<u64> {
+        self.read_at_token(token, || RangeRead::count(self, range))
+    }
+
+    fn collect_range_at(&self, token: &SnapshotToken, range: RangeSpec<K>) -> Option<Vec<(K, V)>> {
+        self.read_at_token(token, || RangeRead::collect_range(self, range))
     }
 }
 
@@ -271,6 +281,29 @@ mod tests {
         assert_eq!(RangeRead::count(&tree, RangeSpec::inclusive(5, 2)), 0);
         assert_eq!(RangeRead::range_agg(&tree, RangeSpec::at_least(7)), 3);
         assert!(RangeRead::collect_range(&tree, RangeSpec::from_bounds(4..4)).is_empty());
+    }
+
+    #[test]
+    fn token_reads_check_the_front_on_entry_and_exit() {
+        let tree: WaitFreeTree<i64> = WaitFreeTree::from_entries((0..10).map(|k| (k, ())));
+        let token = tree.acquire_snapshot();
+        assert_eq!(tree.count_at(&token, RangeSpec::all()), Some(10));
+        // A token forged past the front fails the entry check.
+        let forged = SnapshotToken::new(token.front() + 1);
+        assert!(!tree.snapshot_valid(&forged));
+        assert_eq!(tree.range_agg_at(&forged, RangeSpec::all()), None);
+        // The exit check: an update inside the read voids its result.
+        assert_eq!(
+            tree.read_at_token(&token, || PointMap::insert(&tree, 10, ())),
+            None
+        );
+        assert!(!tree.snapshot_valid(&token));
+        let fresh = tree.acquire_snapshot();
+        assert_eq!(
+            tree.collect_range_at(&fresh, RangeSpec::at_least(9))
+                .map(|v| v.len()),
+            Some(2)
+        );
     }
 
     #[test]

@@ -43,6 +43,7 @@
 //! | [`tree`] | the public [`WaitFreeTree`] API |
 //! | [`exec`] | the hand-over-hand helping engine (Listings 1–3, rebuilds) |
 //! | [`read`] | descriptor-free read fast paths (presence-index point reads, optimistic validated range traversal) |
+//! | [`scan`] | the streaming scan cursor ([`TreeScanCursor`]) |
 //! | [`node`] | node layout, immutable states, subtree build/split/retire |
 //! | [`shape`] | the sealed [`Shape`] parameter: [`Balanced`] (the paper's BST) or [`Radix`] (a binary trie over [`RadixKey`] bits) |
 //! | [`descriptor`] | operation descriptors, range modes, partial results |
@@ -87,24 +88,27 @@ pub mod exec;
 pub mod key;
 pub mod node;
 pub mod read;
+pub mod scan;
 pub mod shape;
 pub mod tree;
 
 pub use config::{ReadPath, TreeConfig};
 pub use descriptor::{OpKind, RangeMode};
 pub use key::RadixKey;
+pub use scan::TreeScanCursor;
 pub use shape::{Balanced, Radix, Shape};
 pub use tree::{FrontMiss, WaitFreeTree};
 
 // Re-export the timestamp type: the tree's front API (`stable_ts`,
-// `settle_front`, the `*_at` reads) speaks it, and downstream layers (the
-// sharded store's global front) should not need a direct `wft-queue` edge.
+// `settle_front`, the `*_at_front` reads) speaks it, and downstream layers
+// (the sharded store's per-shard cuts) should not need a direct `wft-queue`
+// edge.
 pub use wft_queue::Timestamp;
 
 // Re-export the shared trait family: the tree is its reference
 // implementation (see the `api` module).
 pub use wft_api::{
-    BatchApply, PointMap, RangeRead, RangeSpec, SnapshotRead, SnapshotToken, TimestampFront,
+    BatchApply, PointMap, RangeRead, RangeScan, RangeSpec, SnapshotRead, SnapshotToken,
     UpdateOutcome,
 };
 

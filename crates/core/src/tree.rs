@@ -578,7 +578,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
 
     /// Entry check of the front-anchored reads: both watermarks still equal
     /// `front`, i.e. nothing linearized past it and nothing is mid-flight.
-    fn front_current(&self, front: wft_queue::Timestamp) -> Result<(), FrontMiss> {
+    pub(crate) fn front_current(&self, front: wft_queue::Timestamp) -> Result<(), FrontMiss> {
         // ORDERING: pairs with the SeqCst resolve bump in `resolve_update`.
         // wft-lint: allow(seqcst) -- front anchoring compares both SeqCst watermarks; a weaker read could see a stale resolved value and accept an expired front.
         if self.resolved_ts.load(Ordering::SeqCst) == front.get() && self.front_unchanged(front) {
@@ -590,7 +590,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
 
     /// Exit check of the front-anchored reads: `out` counts only if the
     /// front still holds after it was read.
-    fn still_at<T>(&self, front: wft_queue::Timestamp, out: T) -> Result<T, FrontMiss> {
+    pub(crate) fn still_at<T>(&self, front: wft_queue::Timestamp, out: T) -> Result<T, FrontMiss> {
         if self.front_unchanged(front) {
             Ok(out)
         } else {

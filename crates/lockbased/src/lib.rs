@@ -5,12 +5,12 @@
 //! solutions"). [`LockedRangeTree`] does exactly that: a `parking_lot` mutex
 //! around [`wft_seq::SeqRangeTree`]. It is neither lock-free nor scalable,
 //! but it is a useful lower bound in the benchmark harness and a sanity
-//! oracle in stress tests (its behaviour is trivially linearizable).
+//! oracle in stress tests (its behaviour is trivially linearizable). From
+//! the `wft-api` trait family it implements point operations and range
+//! reads, the two things it is measured on.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
@@ -22,12 +22,6 @@ use wft_seq::{Augmentation, Key, SeqRangeTree, Size, Value};
 /// can swap implementations.
 pub struct LockedRangeTree<K: Key, V: Value = (), A: Augmentation<K, V> = Size> {
     inner: Mutex<SeqRangeTree<K, V, A>>,
-    /// Write version, bumped while the lock is held by every mutation that
-    /// changed the tree. Mutations are only visible at lock release, and
-    /// the bump is sequenced before that release, so "version unchanged
-    /// across a window" proves no mutation became visible inside it — the
-    /// tree's snapshot front (see the `TimestampFront` impl below).
-    version: AtomicU64,
 }
 
 impl<K: Key, V: Value, A: Augmentation<K, V>> Default for LockedRangeTree<K, V, A> {
@@ -41,7 +35,6 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> LockedRangeTree<K, V, A> {
     pub fn new() -> Self {
         LockedRangeTree {
             inner: Mutex::new(SeqRangeTree::new()),
-            version: AtomicU64::new(0),
         }
     }
 
@@ -49,65 +42,29 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> LockedRangeTree<K, V, A> {
     pub fn from_entries<I: IntoIterator<Item = (K, V)>>(entries: I) -> Self {
         LockedRangeTree {
             inner: Mutex::new(SeqRangeTree::from_entries(entries)),
-            version: AtomicU64::new(0),
         }
-    }
-
-    /// The current write version (the snapshot front); see the `version`
-    /// field docs.
-    pub fn write_version(&self) -> u64 {
-        // ORDERING: SeqCst — the version sandwich compares observations taken
-        // without holding the lock.
-        // wft-lint: allow(seqcst) -- baseline keeps the cross-read comparison in one total order rather than reasoning about lock handoff.
-        self.version.load(Ordering::SeqCst)
-    }
-
-    /// Bumps the write version; callers hold the lock.
-    fn bump_version(&self) {
-        // ORDERING: SeqCst bump under the write lock, totally ordered with the
-        // sandwich reads above.
-        // wft-lint: allow(seqcst) -- same total-order argument as write_version.
-        self.version.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Inserts `key → value`; `true` if the key was absent.
     pub fn insert(&self, key: K, value: V) -> bool {
-        let mut inner = self.inner.lock();
-        let inserted = inner.insert(key, value);
-        if inserted {
-            self.bump_version();
-        }
-        inserted
+        self.inner.lock().insert(key, value)
     }
 
     /// Inserts `key → value`, overwriting any existing value; returns the
     /// value it replaced, if any. Atomic: a single lock acquisition covers
     /// the whole upsert.
     pub fn insert_or_replace(&self, key: K, value: V) -> Option<V> {
-        let mut inner = self.inner.lock();
-        let prior = inner.insert_or_replace(key, value);
-        self.bump_version();
-        prior
+        self.inner.lock().insert_or_replace(key, value)
     }
 
     /// Removes `key`; `true` if it was present.
     pub fn remove(&self, key: &K) -> bool {
-        let mut inner = self.inner.lock();
-        let removed = inner.remove(key);
-        if removed {
-            self.bump_version();
-        }
-        removed
+        self.inner.lock().remove(key)
     }
 
     /// Removes `key` and returns its value, if any.
     pub fn remove_entry(&self, key: &K) -> Option<V> {
-        let mut inner = self.inner.lock();
-        let removed = inner.remove_entry(key);
-        if removed.is_some() {
-            self.bump_version();
-        }
-        removed
+        self.inner.lock().remove_entry(key)
     }
 
     /// `true` if `key` is present.
@@ -169,7 +126,6 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> wft_api::PointMap<K, V> for Locked
             };
         }
         inner.insert(key, value);
-        self.bump_version();
         wft_api::UpdateOutcome::Applied { prior: None }
     }
 
@@ -225,71 +181,10 @@ where
     }
 }
 
-/// Chunks through the default collect-and-truncate: every chunk takes the
-/// lock once, like any other read of this baseline.
-impl<K, V, A> wft_api::ChunkRead<K, V> for LockedRangeTree<K, V, A>
-where
-    K: wft_api::RangeKey,
-    V: Value,
-    A: Augmentation<K, V>,
-{
-}
-
-/// Streaming scans through the shared front-sandwich cursor over the
-/// write-version front.
-impl<K, V, A> wft_api::RangeScan<K, V> for LockedRangeTree<K, V, A>
-where
-    K: wft_api::RangeKey,
-    V: Value,
-    A: Augmentation<K, V>,
-{
-    type Cursor<'a>
-        = wft_api::FrontScanCursor<'a, Self, K, V>
-    where
-        Self: 'a;
-
-    fn scan(&self, range: wft_api::RangeSpec<K>) -> wft_api::FrontScanCursor<'_, Self, K, V> {
-        wft_api::FrontScanCursor::new(self, range)
-    }
-}
-
-impl<K: Key, V: Value, A: Augmentation<K, V>> wft_api::BatchApply<K, V>
-    for LockedRangeTree<K, V, A>
-{
-    fn apply_batch(
-        &self,
-        batch: Vec<wft_api::StoreOp<K, V>>,
-    ) -> Result<Vec<wft_api::OpOutcome<V>>, wft_api::BatchError<K>> {
-        wft_api::apply_batch_point(self, batch)
-    }
-}
-
-/// Opts into the blanket `SnapshotRead`: plain reads here are
-/// validation-free linearizable queries, so the blanket's sandwich is the
-/// single validation layer.
-impl<K: Key, V: Value, A: Augmentation<K, V>> wft_api::FrontSnapshot for LockedRangeTree<K, V, A> {}
-
-/// The lock's write version is the snapshot front: mutations only become
-/// visible at lock release, the version bump is sequenced before that
-/// release, and reads serialize through the same lock — so announcement and
-/// visibility coincide and [`wft_api::TimestampFront::settle_front`] never
-/// waits. With this impl the blanket [`wft_api::SnapshotRead`] applies.
-impl<K: Key, V: Value, A: Augmentation<K, V>> wft_api::TimestampFront for LockedRangeTree<K, V, A> {
-    fn settle_front(&self) -> u64 {
-        self.write_version()
-    }
-
-    fn front_advertised(&self) -> u64 {
-        self.write_version()
-    }
-}
-
-/// Minimal `wft-obs` surface for the baseline: the write version (a
-/// monotone count of committed mutations) and the current size. The
+/// Minimal `wft-obs` surface for the baseline: its current size. The
 /// baseline keeps no operational counters of its own.
 impl<K: Key, V: Value, A: Augmentation<K, V>> wft_obs::MetricsSource for LockedRangeTree<K, V, A> {
     fn collect_metrics(&self, out: &mut wft_obs::MetricsSnapshot) {
-        out.push_counter("lockbased_writes", self.write_version());
         out.push_gauge("lockbased_len", wft_api::PointMap::len(self) as i64);
     }
 }

@@ -5,12 +5,11 @@
 //! in the range width, which is exactly the asymptotic gap the paper closes.
 //! Its `Agg` is therefore simply the key count. [`PointMap::replace`] is the
 //! composed (non-atomic) upsert; see
-//! [`LockFreeBst::insert_or_replace`].
+//! [`LockFreeBst::insert_or_replace`]. Like the class it stands for, the
+//! baseline offers no snapshots, scans or batches: it is measured on point
+//! operations and range reads only.
 
-use wft_api::{
-    apply_batch_point, BatchApply, BatchError, ChunkRead, FrontScanCursor, OpOutcome, PointMap,
-    RangeKey, RangeRead, RangeScan, RangeSpec, StoreOp, TimestampFront, UpdateOutcome,
-};
+use wft_api::{PointMap, RangeKey, RangeRead, RangeSpec, UpdateOutcome};
 use wft_seq::{Key, Value};
 
 use crate::tree::LockFreeBst;
@@ -67,60 +66,10 @@ impl<K: RangeKey, V: Value> RangeRead<K, V> for LockFreeBst<K, V> {
     }
 }
 
-/// Chunks through the default collect-and-truncate. Notably, the
-/// front-sandwiched scan cursor is the only way this baseline's *chunked*
-/// range reads are exact at all: its plain `collect_range` is a documented
-/// best-effort traversal, and the update-gauge validation is what upgrades
-/// a chunk to a linearizable read (same situation as its `SnapshotRead`).
-impl<K: RangeKey, V: Value> ChunkRead<K, V> for LockFreeBst<K, V> {}
-
-/// Streaming scans through the shared front-sandwich cursor over the
-/// update gauge.
-impl<K: RangeKey, V: Value> RangeScan<K, V> for LockFreeBst<K, V> {
-    type Cursor<'a>
-        = FrontScanCursor<'a, Self, K, V>
-    where
-        Self: 'a;
-
-    fn scan(&self, range: RangeSpec<K>) -> FrontScanCursor<'_, Self, K, V> {
-        FrontScanCursor::new(self, range)
-    }
-}
-
-impl<K: Key, V: Value> BatchApply<K, V> for LockFreeBst<K, V> {
-    fn apply_batch(&self, batch: Vec<StoreOp<K, V>>) -> Result<Vec<OpOutcome<V>>, BatchError<K>> {
-        apply_batch_point(self, batch)
-    }
-}
-
-/// Opts into the blanket `SnapshotRead`: plain reads here are
-/// validation-free linearizable queries, so the blanket's sandwich is the
-/// single validation layer.
-impl<K: Key, V: Value> wft_api::FrontSnapshot for LockFreeBst<K, V> {}
-
-/// The baseline's snapshot front is a plain update gauge (updates in flight
-/// vs updates finished). Settling *spins* rather than helping — the class
-/// has no descriptor to help — so acquisition is not non-blocking here; but
-/// a validated snapshot read is exact, which makes this the only
-/// configuration in which the linear baseline's range queries are
-/// linearizable at all (its plain `collect_range` is a documented
-/// best-effort traversal).
-impl<K: Key, V: Value> TimestampFront for LockFreeBst<K, V> {
-    fn settle_front(&self) -> u64 {
-        self.settle_updates()
-    }
-
-    fn front_advertised(&self) -> u64 {
-        self.updates_started()
-    }
-}
-
-/// Minimal `wft-obs` surface for the baseline: the update gauge behind its
-/// snapshot front (started vs settled) and the current size. The baseline
-/// keeps no further operational counters.
+/// The baseline's `wft-obs` surface: its current size. The class keeps no
+/// operational counters.
 impl<K: Key, V: Value> wft_obs::MetricsSource for LockFreeBst<K, V> {
     fn collect_metrics(&self, out: &mut wft_obs::MetricsSnapshot) {
-        out.push_counter("lockfree_updates_started", self.updates_started());
         out.push_gauge("lockfree_len", PointMap::len(self) as i64);
     }
 }

@@ -37,14 +37,6 @@ pub struct LockFreeBst<K: Key, V: Value = ()> {
     root: Atomic<Node<K, V>>,
     /// Number of finite keys, maintained by initiating threads on success.
     len: AtomicU64,
-    /// Update gauge, first half: bumped when an update *enters* the tree,
-    /// before it publishes the operation record whose helping makes its
-    /// effect visible. Together with `updates_finished` this is the
-    /// baseline's snapshot front: `started == finished` means no update in
-    /// flight, an unchanged `started` means none became visible.
-    updates_started: AtomicU64,
-    /// Update gauge, second half: bumped when the update returns.
-    updates_finished: AtomicU64,
 }
 
 // SAFETY: the tree owns its nodes and all shared mutation goes through
@@ -85,58 +77,6 @@ impl<K: Key, V: Value> LockFreeBst<K, V> {
         LockFreeBst {
             root: Atomic::new(root),
             len: AtomicU64::new(0),
-            updates_started: AtomicU64::new(0),
-            updates_finished: AtomicU64::new(0),
-        }
-    }
-
-    /// Runs `update` between the two halves of the update gauge (see the
-    /// field docs): `started` is bumped before the closure can publish (and
-    /// thereby make visible) any change, `finished` when it returns.
-    fn gauged_update<R>(&self, update: impl FnOnce() -> R) -> R {
-        // ORDERING: the gauge halves form the baseline's snapshot front — a reader
-        // that observes `started == finished` must also observe every effect of the
-        // counted updates, and `settle_updates` compares both counters cross-thread.
-        // wft-lint: allow(seqcst) -- settle_updates needs the started bump, the update's effects and the finished bump in one total order; cold baseline path.
-        self.updates_started
-            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        let result = update();
-        // ORDERING: second half of the gauge; see the `updates_started` bump above.
-        // wft-lint: allow(seqcst) -- same total-order argument as the started half.
-        self.updates_finished
-            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        result
-    }
-
-    /// The gauge's "started" half — the advertised snapshot front.
-    pub(crate) fn updates_started(&self) -> u64 {
-        // ORDERING: reads the snapshot front in the total order the gauge writes it.
-        // wft-lint: allow(seqcst) -- pairs with the SeqCst fetch_adds in gauged_update.
-        self.updates_started
-            .load(std::sync::atomic::Ordering::SeqCst)
-    }
-
-    /// Spins until a moment with no update in flight and returns the gauge
-    /// value observed there. **Not non-blocking**: unlike the descriptor
-    /// trees there is no operation record at a fixed place to help, so a
-    /// stalled writer stalls this loop — an accepted weakness of the
-    /// baseline class (its range queries were never linearizable to begin
-    /// with; the snapshot front at least makes them exact when it succeeds).
-    pub(crate) fn settle_updates(&self) -> u64 {
-        loop {
-            let started = self.updates_started();
-            // ORDERING: the finished/started double-read is only meaningful in the total
-            // order the SeqCst gauge bumps establish; see gauged_update.
-            // wft-lint: allow(seqcst) -- validating `started` unchanged across the finished read requires the single total order of the gauge.
-            if self
-                .updates_finished
-                .load(std::sync::atomic::Ordering::SeqCst)
-                >= started
-                && self.updates_started() == started
-            {
-                return started;
-            }
-            std::hint::spin_loop();
         }
     }
 
@@ -253,10 +193,6 @@ impl<K: Key, V: Value> LockFreeBst<K, V> {
     /// blocked the insertion (the failed operation's linearization point —
     /// a separate `get` afterwards could observe a later state). Lock-free.
     pub fn insert_entry(&self, key: K, value: V) -> Option<V> {
-        self.gauged_update(|| self.insert_entry_inner(key, value))
-    }
-
-    fn insert_entry_inner(&self, key: K, value: V) -> Option<V> {
         let guard = pin();
         let target = RoutingKey::Finite(key);
         loop {
@@ -378,10 +314,6 @@ impl<K: Key, V: Value> LockFreeBst<K, V> {
 
     /// Removes `key` and returns the value it mapped to, if any. Lock-free.
     pub fn remove_entry(&self, key: &K) -> Option<V> {
-        self.gauged_update(|| self.remove_entry_inner(key))
-    }
-
-    fn remove_entry_inner(&self, key: &K) -> Option<V> {
         let guard = pin();
         let target = RoutingKey::Finite(*key);
         loop {

@@ -2,12 +2,10 @@
 //!
 //! Every update (including [`PointMap::replace`]) publishes a whole new
 //! version with one CAS, so the typed outcomes fall straight out of the
-//! treap's return values.
+//! treap's return values. The baseline is the paper's competitor on point
+//! operations and aggregate range reads, and implements only those traits.
 
-use wft_api::{
-    apply_batch_point, BatchApply, BatchError, ChunkRead, FrontScanCursor, OpOutcome, PointMap,
-    RangeKey, RangeRead, RangeScan, RangeSpec, StoreOp, TimestampFront, UpdateOutcome,
-};
+use wft_api::{PointMap, RangeKey, RangeRead, RangeSpec, UpdateOutcome};
 use wft_seq::{Augmentation, Key, Value};
 
 use crate::treap;
@@ -86,64 +84,6 @@ where
         wft_api::collect_over(range, |min, max| {
             PersistentRangeTree::collect_range(self, min, max)
         })
-    }
-}
-
-/// Chunks through the default collect-and-truncate (`O(answer)` per chunk:
-/// the persistent treap reads a whole immutable version anyway, so a
-/// limit-bounded walk would save allocation, not consistency work).
-impl<K, V, A> ChunkRead<K, V> for PersistentRangeTree<K, V, A>
-where
-    K: RangeKey,
-    V: Value,
-    A: Augmentation<K, V>,
-{
-}
-
-/// Streaming scans through the shared front-sandwich cursor over the
-/// version-sequence front.
-impl<K, V, A> RangeScan<K, V> for PersistentRangeTree<K, V, A>
-where
-    K: RangeKey,
-    V: Value,
-    A: Augmentation<K, V>,
-{
-    type Cursor<'a>
-        = FrontScanCursor<'a, Self, K, V>
-    where
-        Self: 'a;
-
-    fn scan(&self, range: RangeSpec<K>) -> FrontScanCursor<'_, Self, K, V> {
-        FrontScanCursor::new(self, range)
-    }
-}
-
-impl<K: Key, V: Value, A: Augmentation<K, V>> BatchApply<K, V> for PersistentRangeTree<K, V, A> {
-    fn apply_batch(&self, batch: Vec<StoreOp<K, V>>) -> Result<Vec<OpOutcome<V>>, BatchError<K>> {
-        apply_batch_point(self, batch)
-    }
-}
-
-/// Opts into the blanket `SnapshotRead`: plain reads here are
-/// validation-free linearizable queries, so the blanket's sandwich is the
-/// single validation layer.
-impl<K: Key, V: Value, A: Augmentation<K, V>> wft_api::FrontSnapshot
-    for PersistentRangeTree<K, V, A>
-{
-}
-
-/// The persistent tree's snapshot front is its version sequence number:
-/// every update commits a whole new version (with `seq + 1` inside the same
-/// CAS-swapped cell) at one atomic instant, so announcement, visibility and
-/// resolution coincide — the [`TimestampFront::front_resolved`] default is
-/// exact and [`TimestampFront::settle_front`] never waits.
-impl<K: Key, V: Value, A: Augmentation<K, V>> TimestampFront for PersistentRangeTree<K, V, A> {
-    fn settle_front(&self) -> u64 {
-        self.version_seq()
-    }
-
-    fn front_advertised(&self) -> u64 {
-        self.version_seq()
     }
 }
 

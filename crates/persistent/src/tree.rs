@@ -24,8 +24,8 @@ struct VersionCell<K: Key, V: Value, A: Augmentation<K, V>> {
     /// Strictly increasing along the version chain (each committed update
     /// installs `seq + 1` of the cell it replaces). Because the sequence
     /// number travels *inside* the CAS-swapped cell, reading it is always
-    /// consistent with the root it describes — it is the tree's snapshot
-    /// front (see the `TimestampFront` impl in `crate::api`).
+    /// consistent with the root it describes; it counts committed updates
+    /// (the `persistent_versions` metric).
     seq: u64,
 }
 
@@ -238,9 +238,8 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> PersistentRangeTree<K, V, A> {
     }
 
     /// The current version's sequence number: strictly increasing with every
-    /// committed update, constant across reads of one version. This is the
-    /// tree's snapshot front — two reads bracketed by equal
-    /// `version_seq()` observations ran against the same immutable version.
+    /// committed update, constant across reads of one version — the count of
+    /// committed updates reported as `persistent_versions`.
     pub fn version_seq(&self) -> u64 {
         let guard = crossbeam_epoch::pin();
         // ORDERING: Acquire pairs with the AcqRel version CAS in `update_loop`.

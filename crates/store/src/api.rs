@@ -115,8 +115,7 @@ where
         .ok()
 }
 
-/// The store's **native** [`SnapshotRead`]. The store does not take the
-/// [`wft_api::FrontSnapshot`] marker: its plain cross-shard reads already
+/// The store's [`SnapshotRead`]: its plain cross-shard reads already
 /// validate a per-shard cut, and a token read is one more read at such a
 /// cut. The token is the sum of an epoch-stable cut over every shard;
 /// a `*_at` read recovers that cut from the current advertised watermarks

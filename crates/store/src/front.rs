@@ -5,10 +5,10 @@
 //! **timestamp front**: an *advertised* watermark that advances before an
 //! update's effect can be observed, and a *resolved* watermark that trails
 //! it until the update's linearization completes
-//! (`WaitFreeTree::{advertised_ts, stable_ts, settle_front}`). A
-//! [`GlobalFront`] is one settled watermark per shard — a *cut* through the
-//! store's per-shard linearization orders — and the store's cross-shard
-//! reads are executed **at** such a cut:
+//! (`WaitFreeTree::{advertised_ts, stable_ts, settle_front}`). One settled
+//! watermark per shard is a *cut* through the store's per-shard
+//! linearization orders — the store's global front — and the store's
+//! cross-shard reads are executed **at** such a cut:
 //!
 //! 1. **Acquire**: settle every touched shard's front (`settle_front`,
 //!    helping any mid-linearization update to completion — lock-free) and
@@ -49,7 +49,10 @@
 //! read therefore reads the current advertised watermarks, and if they sum
 //! to the token, reads at them as a cut like any cross-shard read; if they
 //! do not, the token is stale. The mint was epoch-stable, so the cut splits
-//! no atomic batch.
+//! no atomic batch. The price of one number: a token expires on an update
+//! to *any* shard, even one its reads never touch. The plain cross-shard
+//! reads and the scan cursor keep the per-shard cut and expire only when a
+//! shard they touch advanced.
 //!
 //! # Progress
 //!
@@ -72,38 +75,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use wft_core::FrontMiss;
 use wft_obs::Counter;
-
-/// One settled watermark per shard: a cut through the store's per-shard
-/// linearization orders, acquired by
-/// [`ShardedStore::acquire_front`](crate::ShardedStore::acquire_front).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GlobalFront {
-    /// Per-shard settled watermarks (`fronts[i]` belongs to shard `i`).
-    fronts: Box<[u64]>,
-}
-
-impl GlobalFront {
-    pub(crate) fn new(fronts: Vec<u64>) -> Self {
-        GlobalFront {
-            fronts: fronts.into_boxed_slice(),
-        }
-    }
-
-    /// The per-shard watermarks of the cut.
-    pub fn fronts(&self) -> &[u64] {
-        &self.fronts
-    }
-
-    /// Watermark of shard `i`.
-    pub(crate) fn of(&self, shard: usize) -> u64 {
-        self.fronts[shard]
-    }
-
-    /// Number of shards the cut covers (always the store's shard count).
-    pub fn num_shards(&self) -> usize {
-        self.fronts.len()
-    }
-}
 
 /// The store-internal front bookkeeping: the per-shard **commit gate**
 /// behind atomic cross-shard batches, plus the store's event counters
@@ -344,13 +315,5 @@ mod tests {
         table.writer_exit(0);
         bg.join().unwrap();
         assert!(table.epoch_open(0).is_some());
-    }
-
-    #[test]
-    fn global_front_accessors() {
-        let front = GlobalFront::new(vec![1, 2, 3]);
-        assert_eq!(front.num_shards(), 3);
-        assert_eq!(front.fronts(), &[1, 2, 3]);
-        assert_eq!(front.of(2), 3);
     }
 }

@@ -17,8 +17,8 @@
 //! * [`split_keys_from_sample`] — balanced shard-boundary selection from a
 //!   sampled key distribution (equi-depth quantiles), used by
 //!   [`ShardedStore::from_entries`].
-//! * [`GlobalFront`] — the **global timestamp front** (see [`front`]):
-//!   cross-shard `count` / `range_agg` / `collect_range` acquire one
+//! * the **global timestamp front** (see [`front`]): cross-shard
+//!   `count` / `range_agg` / `collect_range` acquire one
 //!   settled per-shard watermark cut and read every touched shard at it,
 //!   making them linearizable, and [`wft_api::SnapshotRead`] exposes
 //!   consistent multi-range snapshot reads at the cut a scalar token sums. `len` takes the same
@@ -63,7 +63,6 @@ mod op;
 pub mod scan;
 mod store;
 
-pub use front::GlobalFront;
 pub use op::{BatchError, OpOutcome, StoreConfig, StoreOp};
 pub use scan::StoreScanCursor;
 pub use store::{split_keys_from_sample, ShardedStore};

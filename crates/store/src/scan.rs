@@ -1,5 +1,5 @@
 //! The store's native streaming scan: a cross-shard merge cursor at one
-//! [`GlobalFront`](crate::GlobalFront)-style cut.
+//! per-shard cut.
 //!
 //! A cursor validated against the store's scalar token would settle
 //! **every** shard per chunk and expire on a write to **any** shard, even
@@ -7,9 +7,11 @@
 //! one-shot cross-shard reads already do — per-shard watermarks — and
 //! streams on top of them:
 //!
-//! * **Open** (`RangeScan::scan`): settle one watermark per shard — a cut,
-//!   acquired exactly like [`ShardedStore::acquire_front`] — and remember
-//!   the closed scan range. No entries are read yet.
+//! * **Open** (`RangeScan::scan`): settle one watermark per shard — the
+//!   epoch-stable cut whose sum
+//!   [`SnapshotRead::acquire_snapshot`](wft_api::SnapshotRead::acquire_snapshot)
+//!   hands out as a token — and remember the closed scan range. No entries
+//!   are read yet.
 //! * **Chunk** (`next_chunk(limit)`): range partitioning makes the
 //!   cross-shard merge a concatenation — shards cover disjoint ascending
 //!   key slices — so the cursor simply drains the shard owning the resume
@@ -128,7 +130,7 @@ where
     A: Augmentation<K, V>,
 {
     pub(crate) fn new(store: &'a ShardedStore<K, V, A>, range: RangeSpec<K>) -> Self {
-        // Settle every shard exactly like `acquire_front` (epoch-stable, so
+        // Settle every shard exactly like `acquire_snapshot` (epoch-stable, so
         // the cut cannot split an atomic batch commit); the scalar token is
         // the cut's sum.
         let cut = store.settle_all_stable();
@@ -307,7 +309,7 @@ where
 }
 
 /// The store's native [`RangeScan`]: the per-shard-cut streaming merge
-/// above instead of the shared scalar-front `FrontScanCursor`, so writes
+/// above rather than a cursor validated against the scalar token, so writes
 /// to untouched or already-drained shards never disturb a scan.
 impl<K, V, A> RangeScan<K, V> for ShardedStore<K, V, A>
 where

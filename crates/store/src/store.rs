@@ -52,7 +52,7 @@
 use wft_core::{Timestamp, WaitFreeTree};
 use wft_seq::{Augmentation, Key, Size, Value};
 
-use crate::front::{read_at_cut, FrontTable, GlobalFront};
+use crate::front::{read_at_cut, FrontTable};
 use crate::op::{BatchError, OpOutcome, StoreConfig, StoreOp};
 
 /// A range-partitioned, wait-free-sharded concurrent ordered map with
@@ -400,47 +400,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
             .unwrap_or_else(|| self.collect_range(min, max).len() as u64)
     }
 
-    // -- the global front --------------------------------------------------
-
-    /// Acquires a [`GlobalFront`]: one settled watermark per shard (helping
-    /// any mid-linearization update to completion — lock-free). Reads
-    /// against the front succeed while [`ShardedStore::front_valid`] holds;
-    /// see [`crate::front`]. The acquisition is epoch-stable: it never lands
-    /// inside a batch-commit window, so the cut cannot split an atomic
-    /// batch.
-    pub fn acquire_front(&self) -> GlobalFront {
-        GlobalFront::new(self.settle_all_stable())
-    }
-
-    /// `true` while no shard has begun linearizing an update past its
-    /// watermark in `front` — i.e. while the cut still describes the
-    /// store's current state.
-    pub fn front_valid(&self, front: &GlobalFront) -> bool {
-        front.num_shards() == self.shards.len()
-            && self
-                .shards
-                .iter()
-                .enumerate()
-                .all(|(i, shard)| shard.front_unchanged(Timestamp(front.of(i))))
-    }
-
-    /// [`ShardedStore::range_agg`] **at** an acquired front: the aggregate
-    /// of the store's state at exactly that cut, or `None` once a *touched*
-    /// shard advanced past it (acquire a fresh front and retry).
-    pub fn range_agg_at_front(&self, front: &GlobalFront, min: K, max: K) -> Option<A::Agg> {
-        self.range_agg_at_cut(front.fronts(), min, max).ok()
-    }
-
-    /// [`ShardedStore::collect_range`] at an acquired front; `None` once a
-    /// touched shard advanced past it.
-    pub fn collect_range_at_front(
-        &self,
-        front: &GlobalFront,
-        min: K,
-        max: K,
-    ) -> Option<Vec<(K, V)>> {
-        self.collect_range_at_cut(front.fronts(), min, max).ok()
-    }
+    // -- per-shard cuts ----------------------------------------------------
 
     /// [`ShardedStore::range_agg`] at a per-shard cut (`cut[i]` is shard
     /// `i`'s watermark, every shard covered): `Err(i)` once touched shard
@@ -880,6 +840,7 @@ mod tests {
     use super::*;
     use crate::op::{BatchError, OpOutcome, StoreConfig, StoreOp};
     use std::thread;
+    use wft_api::{RangeSpec, SnapshotRead};
     use wft_obs::MetricsSource;
     use wft_seq::{Pair, Sum};
 
@@ -1059,31 +1020,31 @@ mod tests {
     }
 
     #[test]
-    fn global_front_validates_and_expires() {
+    fn snapshot_token_validates_and_expires() {
         let store = store_with_shards(4, 1000);
-        let front = store.acquire_front();
-        assert_eq!(front.num_shards(), 4);
-        assert!(store.front_valid(&front));
-        assert_eq!(store.range_agg_at_front(&front, 0, 999), Some(1000));
+        let span = |min, max| RangeSpec::inclusive(min, max);
+        let token = store.acquire_snapshot();
+        assert!(store.snapshot_valid(&token));
+        assert_eq!(store.range_agg_at(&token, span(0, 999)), Some(1000));
         assert_eq!(
             store
-                .collect_range_at_front(&front, 100, 899)
+                .collect_range_at(&token, span(100, 899))
                 .map(|v| v.len()),
             Some(800)
         );
-        // An update to any touched shard expires the cut …
-        store.insert(5000, ());
-        assert!(!store.front_valid(&front));
-        assert_eq!(store.range_agg_at_front(&front, 0, 5000), None);
-        // … but a range that avoids the advanced shard still validates.
-        let narrow_first = store.shard_of(&0);
-        let advanced = store.shard_of(&5000);
-        assert_ne!(narrow_first, advanced);
-        let hi = store.boundaries()[0] - 1;
-        assert!(store.range_agg_at_front(&front, 0, hi).is_some());
         // Inverted ranges answer the identity without touching shards.
-        assert_eq!(store.range_agg_at_front(&front, 9, 3), Some(0));
-        assert_eq!(store.collect_range_at_front(&front, 9, 3), Some(vec![]));
+        assert_eq!(store.range_agg_at(&token, span(9, 3)), Some(0));
+        assert_eq!(store.collect_range_at(&token, span(9, 3)), Some(vec![]));
+        // An update to a touched shard expires the token …
+        store.insert(5000, ());
+        assert!(!store.snapshot_valid(&token));
+        assert_eq!(store.range_agg_at(&token, span(0, 5000)), None);
+        // … and so does one to a shard the range avoids: the scalar token
+        // names the whole cut.
+        let advanced = store.shard_of(&5000);
+        assert_ne!(store.shard_of(&0), advanced);
+        let hi = store.boundaries()[0] - 1;
+        assert_eq!(store.range_agg_at(&token, span(0, hi)), None);
     }
 
     #[test]
@@ -1091,32 +1052,33 @@ mod tests {
         let store = store_with_shards(4, 400);
         let acquires = || store.metrics().counter("store_snapshot_acquires").unwrap();
         assert_eq!(acquires(), 0);
-        let front = store.acquire_front();
-        assert_eq!(
-            front.fronts(),
-            &[0; 4],
-            "prefill does not occupy timestamps"
-        );
+        let token = store.acquire_snapshot();
+        assert_eq!(token.front(), 0, "prefill does not occupy timestamps");
         assert_eq!(acquires(), 1);
         // A failed insert or remove is answered at a presence load and
-        // occupies no timestamp: the cut stays valid and still answers.
+        // occupies no timestamp: the token stays valid and still answers.
         assert!(!store.insert(0, ()));
         assert!(!store.remove(&1_000));
-        assert!(store.front_valid(&front));
-        assert_eq!(store.range_agg_at_front(&front, 0, 399), Some(400));
+        assert!(store.snapshot_valid(&token));
+        assert_eq!(
+            store.range_agg_at(&token, RangeSpec::inclusive(0, 399)),
+            Some(400)
+        );
         assert_eq!(store.count(0, 399), 400); // cross-shard: acquires a front
         assert_eq!(acquires(), 2);
-        assert_eq!(store.acquire_front(), front, "nothing linearized");
-        // A successful update still expires the cut and advances the front.
+        assert_eq!(store.acquire_snapshot(), token, "nothing linearized");
+        // A successful update still expires the token and advances the front.
         assert!(store.insert(400, ()));
-        assert!(!store.front_valid(&front));
+        assert!(!store.snapshot_valid(&token));
         assert_eq!(store.count(0, 400), 401);
         let last = store.shard_of(&400);
-        let after = store.acquire_front();
+        let after = store.acquire_snapshot();
+        let fronts = store.advertised_fronts();
         assert!(
-            after.fronts()[last] >= 1,
-            "shard {last}'s front advanced: {after:?}"
+            fronts[last] >= 1,
+            "shard {last}'s front advanced: {fronts:?}"
         );
+        assert_eq!(after.front(), fronts.iter().sum::<u64>());
         assert_eq!(acquires(), 5);
         assert_eq!(store.metrics().counter("store_snapshot_retries"), Some(0));
 
@@ -1131,14 +1093,16 @@ mod tests {
         };
         let store: ShardedStore<i64> =
             ShardedStore::from_entries_with_config((0..400).map(|k| (k, ())), 4, config);
-        let before = store.acquire_front();
+        let before = store.acquire_snapshot();
         store.insert(0, ()); // failed insert still linearizes on shard 0
-        assert!(!store.front_valid(&before));
-        let after = store.acquire_front();
+        assert!(!store.snapshot_valid(&before));
+        let after = store.acquire_snapshot();
+        let fronts = store.advertised_fronts();
         assert!(
-            after.fronts()[0] >= 1,
-            "shard 0's settled front advanced: {after:?}"
+            fronts[0] >= 1,
+            "shard 0's settled front advanced: {fronts:?}"
         );
+        assert!(after.front() > before.front());
     }
 
     #[test]

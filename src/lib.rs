@@ -4,11 +4,14 @@
 //! This crate simply re-exports the workspace members under stable names so
 //! the examples and integration tests can use one import root:
 //!
-//! * [`api`] — the shared trait family ([`PointMap`](wft_api::PointMap),
-//!   [`RangeRead`](wft_api::RangeRead), [`BatchApply`](wft_api::BatchApply))
-//!   and API vocabulary ([`UpdateOutcome`](wft_api::UpdateOutcome),
-//!   [`RangeSpec`](wft_api::RangeSpec), the batch `StoreOp` types) every
-//!   backend implements;
+//! * [`api`] — the shared trait family and API vocabulary
+//!   ([`UpdateOutcome`](wft_api::UpdateOutcome),
+//!   [`RangeSpec`](wft_api::RangeSpec), the batch `StoreOp` types): every
+//!   backend implements [`PointMap`](wft_api::PointMap) and
+//!   [`RangeRead`](wft_api::RangeRead); the tree, the trie and the stores
+//!   add [`BatchApply`](wft_api::BatchApply),
+//!   [`SnapshotRead`](wft_api::SnapshotRead) and
+//!   [`RangeScan`](wft_api::RangeScan);
 //! * [`core`] — the wait-free concurrent augmented tree (the
 //!   paper's contribution);
 //! * [`queue`] — descriptor queues, timestamp allocation, the
@@ -81,9 +84,8 @@ pub use wft_durable::DurableStore;
 pub mod prelude {
     // The trait family and its vocabulary.
     pub use wft_api::{
-        BatchApply, BatchError, ChunkRead, OpOutcome, PointMap, RangeKey, RangeRead, RangeScan,
-        RangeSpec, ScanConsistency, ScanCursor, SnapshotRead, SnapshotToken, StoreOp,
-        TimestampFront, UpdateOutcome,
+        BatchApply, BatchError, OpOutcome, PointMap, RangeKey, RangeRead, RangeScan, RangeSpec,
+        ScanConsistency, ScanCursor, SnapshotRead, SnapshotToken, StoreOp, UpdateOutcome,
     };
     // The augmentation algebra.
     pub use wft_seq::{Augmentation, Key, KeyRange, Pair, Size, Sum, SumSquares, Value};

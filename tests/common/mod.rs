@@ -1,10 +1,16 @@
 //! The cross-backend test adapter, compiled into each suite that declares
 //! `mod common;`. [`TreeImpl`] builds any backend of the workspace, with
 //! `i64` keys, unit values and subtree-size augmentation, as an
-//! `Arc<dyn ConcurrentSet>`. [`ConcurrentSet`] is implemented **once**, as
-//! a blanket impl over the `wft-api` trait family, so a backend that
-//! implements those traits (and names its invariant check, [`Invariants`])
-//! joins every sweep without adapter code.
+//! `Arc<dyn ConcurrentSet>`, and the backends that speak snapshots also as
+//! an `Arc<dyn SnapshotSet>`. Each trait is implemented **once**, as a
+//! blanket impl over the `wft-api` traits it needs:
+//!
+//! * [`ConcurrentSet`] — what every backend speaks: point operations,
+//!   range reads, the `patch` / `compare_and_set` defaults, `len`, metrics
+//!   and the invariant check ([`Invariants`]);
+//! * [`SnapshotSet`] — on top of that, snapshot pairs, chunked scans and
+//!   two-op batches: the tree, the trie and the two stores. The baselines
+//!   are measured on point operations and range reads only.
 
 // Each test binary that declares `mod common;` uses a different subset of
 // this module.
@@ -25,10 +31,9 @@ use wait_free_range_trees::persistent::PersistentRangeTree;
 use wait_free_range_trees::store::{split_keys_from_sample, ShardedStore, StoreConfig};
 use wait_free_range_trees::trie::WaitFreeTrie;
 
-/// The `wft-api` trait family monomorphised to `i64` keys and unit values,
-/// and made object-safe: the traits carry a GAT cursor (`RangeScan`), so
-/// heterogeneous backends can share one `Arc<dyn ConcurrentSet>` only
-/// through this facade.
+/// The point and range half of the `wft-api` trait family, monomorphised to
+/// `i64` keys and unit values and made object-safe, so heterogeneous
+/// backends can share one `Arc<dyn ConcurrentSet>`.
 pub trait ConcurrentSet: Send + Sync + 'static {
     /// Inserts `key`; returns `true` if it was absent.
     fn insert(&self, key: i64) -> bool;
@@ -48,6 +53,28 @@ pub trait ConcurrentSet: Send + Sync + 'static {
     fn count_via_collect(&self, min: i64, max: i64) -> u64 {
         self.collect(min, max).len() as u64
     }
+    /// Toggles `key`'s membership through one `PointMap::patch` (present →
+    /// removed, absent → inserted); returns whether the key is present
+    /// afterwards. Atomic only where [`TreeImpl::patch_is_atomic`] says so.
+    fn patch_toggle(&self, key: i64) -> bool;
+    /// Insert-if-absent through `PointMap::compare_and_set` with
+    /// `expect: None`; returns whether the write applied. Atomic only where
+    /// [`TreeImpl::patch_is_atomic`] says so.
+    fn cas_insert(&self, key: i64) -> bool;
+    /// Number of keys currently stored.
+    fn len(&self) -> u64;
+    /// One snapshot of the backend's counters and gauges.
+    fn metrics_snapshot(&self) -> MetricsSnapshot;
+    /// The backend's structural invariant check; quiescent only, panics on
+    /// a violation.
+    fn check_invariants(&self);
+}
+
+/// The snapshot half of the trait family (`SnapshotRead`, `RangeScan`,
+/// `BatchApply`), for the backends that speak it. `ConcurrentSet` is a
+/// supertrait, so an `Arc<dyn SnapshotSet>` upcasts to an
+/// `Arc<dyn ConcurrentSet>`.
+pub trait SnapshotSet: ConcurrentSet {
     /// Counts of `[a_min, a_max]` and `[b_min, b_max]` answered from **one
     /// snapshot** (`SnapshotRead`): both describe the same instant.
     fn snapshot_count_pair(&self, a_min: i64, a_max: i64, b_min: i64, b_max: i64) -> (u64, u64);
@@ -59,26 +86,11 @@ pub trait ConcurrentSet: Send + Sync + 'static {
     /// completes as a single snapshot (`RangeScan::scan_snapshot`) and
     /// returns its keys: the paginated equivalent of one `collect_range`.
     fn chunked_scan_snapshot(&self, min: i64, max: i64, chunk: usize) -> Vec<i64>;
-    /// Toggles `key`'s membership through one `PointMap::patch` (present →
-    /// removed, absent → inserted); returns whether the key is present
-    /// afterwards. Atomic only where [`TreeImpl::patch_is_atomic`] says so.
-    fn patch_toggle(&self, key: i64) -> bool;
-    /// Insert-if-absent through `PointMap::compare_and_set` with
-    /// `expect: None`; returns whether the write applied. Atomic only where
-    /// [`TreeImpl::patch_is_atomic`] says so.
-    fn cas_insert(&self, key: i64) -> bool;
     /// One two-op batch, `remove(a)` + `insert(b)`, through `BatchApply`;
     /// returns (`a` removed, `b` inserted). Requires `a != b`. All or
     /// nothing against concurrent readers only where
     /// [`TreeImpl::batch_is_atomic`] says so.
     fn batch_move(&self, a: i64, b: i64) -> (bool, bool);
-    /// Number of keys currently stored.
-    fn len(&self) -> u64;
-    /// One snapshot of the backend's counters and gauges.
-    fn metrics_snapshot(&self) -> MetricsSnapshot;
-    /// The backend's structural invariant check; quiescent only, panics on
-    /// a violation.
-    fn check_invariants(&self);
 }
 
 /// A backend's quiescent structural self-check. Every backend has one as an
@@ -116,14 +128,7 @@ impl Invariants for DurableStore<i64> {
 
 impl<T> ConcurrentSet for T
 where
-    T: PointMap<i64, ()>
-        + RangeRead<i64, ()>
-        + SnapshotRead<i64, ()>
-        + RangeScan<i64, ()>
-        + BatchApply<i64, ()>
-        + MetricsSource
-        + Invariants
-        + 'static,
+    T: PointMap<i64, ()> + RangeRead<i64, ()> + MetricsSource + Invariants + 'static,
 {
     fn insert(&self, key: i64) -> bool {
         PointMap::insert(self, key, ()).is_applied()
@@ -146,6 +151,33 @@ where
             .map(|(k, ())| k)
             .collect()
     }
+    fn patch_toggle(&self, key: i64) -> bool {
+        fn toggle(current: Option<()>) -> Option<()> {
+            match current {
+                Some(()) => None,
+                None => Some(()),
+            }
+        }
+        PointMap::patch(self, key, toggle).is_some()
+    }
+    fn cas_insert(&self, key: i64) -> bool {
+        PointMap::compare_and_set(self, key, None, ())
+    }
+    fn len(&self) -> u64 {
+        PointMap::len(self)
+    }
+    fn metrics_snapshot(&self) -> MetricsSnapshot {
+        MetricsSource::metrics(self)
+    }
+    fn check_invariants(&self) {
+        Invariants::check_invariants(self)
+    }
+}
+
+impl<T> SnapshotSet for T
+where
+    T: ConcurrentSet + SnapshotRead<i64, ()> + RangeScan<i64, ()> + BatchApply<i64, ()> + 'static,
+{
     fn snapshot_count_pair(&self, a_min: i64, a_max: i64, b_min: i64, b_max: i64) -> (u64, u64) {
         let counts = SnapshotRead::snapshot_counts(
             self,
@@ -170,18 +202,6 @@ where
             .map(|(k, ())| k)
             .collect()
     }
-    fn patch_toggle(&self, key: i64) -> bool {
-        fn toggle(current: Option<()>) -> Option<()> {
-            match current {
-                Some(()) => None,
-                None => Some(()),
-            }
-        }
-        PointMap::patch(self, key, toggle).is_some()
-    }
-    fn cas_insert(&self, key: i64) -> bool {
-        PointMap::compare_and_set(self, key, None, ())
-    }
     fn batch_move(&self, a: i64, b: i64) -> (bool, bool) {
         let outcomes = BatchApply::apply_batch(
             self,
@@ -195,15 +215,6 @@ where
             (OpOutcome::Removed(removed), OpOutcome::Inserted(inserted)) => (*removed, *inserted),
             other => unreachable!("Remove/Insert yield Removed/Inserted, got {other:?}"),
         }
-    }
-    fn len(&self) -> u64 {
-        PointMap::len(self)
-    }
-    fn metrics_snapshot(&self) -> MetricsSnapshot {
-        MetricsSource::metrics(self)
-    }
-    fn check_invariants(&self) {
-        Invariants::check_invariants(self)
     }
 }
 
@@ -301,15 +312,31 @@ impl TreeImpl {
     /// `max_threads` concurrent callers (the store's shard count).
     pub fn build(&self, entries: &[i64], max_threads: usize) -> Arc<dyn ConcurrentSet> {
         let pairs = entries.iter().map(|&k| (k, ()));
+        match self {
+            TreeImpl::Persistent => Arc::new(PersistentRangeTree::<i64>::from_entries(pairs)),
+            TreeImpl::Locked => Arc::new(LockedRangeTree::<i64>::from_entries(pairs)),
+            TreeImpl::LockFreeLinear => Arc::new(LockFreeBst::<i64>::from_entries(pairs)),
+            _ => self
+                .build_snapshot(entries, max_threads)
+                .expect("every other backend speaks snapshots"),
+        }
+    }
+
+    /// [`build`](TreeImpl::build) for the backends that speak snapshots;
+    /// `None` for the baselines.
+    pub fn build_snapshot(
+        &self,
+        entries: &[i64],
+        max_threads: usize,
+    ) -> Option<Arc<dyn SnapshotSet>> {
+        let pairs = entries.iter().map(|&k| (k, ()));
         let descriptor_reads = TreeConfig {
             read_path: ReadPath::Descriptor,
             ..TreeConfig::default()
         };
-        match self {
+        Some(match self {
+            TreeImpl::Persistent | TreeImpl::Locked | TreeImpl::LockFreeLinear => return None,
             TreeImpl::WaitFree => Arc::new(WaitFreeTree::<i64>::from_entries(pairs)),
-            TreeImpl::Persistent => Arc::new(PersistentRangeTree::<i64>::from_entries(pairs)),
-            TreeImpl::Locked => Arc::new(LockedRangeTree::<i64>::from_entries(pairs)),
-            TreeImpl::LockFreeLinear => Arc::new(LockFreeBst::<i64>::from_entries(pairs)),
             TreeImpl::Trie => Arc::new(WaitFreeTrie::<i64>::from_entries(pairs)),
             TreeImpl::Sharded => {
                 Arc::new(ShardedStore::<i64>::from_entries(pairs, max_threads.max(1)))
@@ -370,14 +397,14 @@ impl TreeImpl {
                     _scratch: scratch,
                 })
             }
-        }
+        })
     }
 }
 
 /// Keeps the scratch directory alive exactly as long as the durable store
 /// built over it (fields drop in order: the store first), so the WAL is
-/// cleaned up when the set is dropped. Delegates [`ConcurrentSet`] to the
-/// store's own blanket impl.
+/// cleaned up when the set is dropped. Delegates [`ConcurrentSet`] and
+/// [`SnapshotSet`] to the store's own blanket impls.
 struct DurableSet {
     store: DurableStore<i64>,
     _scratch: ScratchDir,
@@ -402,23 +429,11 @@ impl ConcurrentSet for DurableSet {
     fn collect(&self, min: i64, max: i64) -> Vec<i64> {
         ConcurrentSet::collect(&self.store, min, max)
     }
-    fn snapshot_count_pair(&self, a_min: i64, a_max: i64, b_min: i64, b_max: i64) -> (u64, u64) {
-        ConcurrentSet::snapshot_count_pair(&self.store, a_min, a_max, b_min, b_max)
-    }
-    fn chunked_scan_count(&self, min: i64, max: i64, chunk: usize) -> (u64, bool) {
-        ConcurrentSet::chunked_scan_count(&self.store, min, max, chunk)
-    }
-    fn chunked_scan_snapshot(&self, min: i64, max: i64, chunk: usize) -> Vec<i64> {
-        ConcurrentSet::chunked_scan_snapshot(&self.store, min, max, chunk)
-    }
     fn patch_toggle(&self, key: i64) -> bool {
         ConcurrentSet::patch_toggle(&self.store, key)
     }
     fn cas_insert(&self, key: i64) -> bool {
         ConcurrentSet::cas_insert(&self.store, key)
-    }
-    fn batch_move(&self, a: i64, b: i64) -> (bool, bool) {
-        ConcurrentSet::batch_move(&self.store, a, b)
     }
     fn len(&self) -> u64 {
         ConcurrentSet::len(&self.store)
@@ -428,5 +443,20 @@ impl ConcurrentSet for DurableSet {
     }
     fn check_invariants(&self) {
         ConcurrentSet::check_invariants(&self.store)
+    }
+}
+
+impl SnapshotSet for DurableSet {
+    fn snapshot_count_pair(&self, a_min: i64, a_max: i64, b_min: i64, b_max: i64) -> (u64, u64) {
+        SnapshotSet::snapshot_count_pair(&self.store, a_min, a_max, b_min, b_max)
+    }
+    fn chunked_scan_count(&self, min: i64, max: i64, chunk: usize) -> (u64, bool) {
+        SnapshotSet::chunked_scan_count(&self.store, min, max, chunk)
+    }
+    fn chunked_scan_snapshot(&self, min: i64, max: i64, chunk: usize) -> Vec<i64> {
+        SnapshotSet::chunked_scan_snapshot(&self.store, min, max, chunk)
+    }
+    fn batch_move(&self, a: i64, b: i64) -> (bool, bool) {
+        SnapshotSet::batch_move(&self.store, a, b)
     }
 }

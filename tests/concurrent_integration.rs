@@ -156,13 +156,22 @@ fn stress_phase(
     workers.into_iter().map(|w| w.join().unwrap()).collect()
 }
 
+/// FNV-1a of `name`: a backend's stress seed follows its name, not its
+/// position in [`TreeImpl::ALL`], so a seed printed by a failure replays
+/// after backends are added, removed or reordered.
+fn fnv1a(name: &str) -> u64 {
+    name.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[test]
 fn workers_stop_promptly_under_update_then_read_stress() {
     // The traffic under which two workers once kept spinning long after the
     // stop flag: plain inserts and removes on a half-full set, then
     // contains only, two workers, on every in-memory backend.
-    for (i, imp) in TreeImpl::ALL.into_iter().enumerate() {
-        let seed = 0x5_7E55 + i as u64;
+    for imp in TreeImpl::ALL {
+        let seed = 0x5_7E55 ^ fnv1a(imp.name());
         let mut rng = StdRng::seed_from_u64(seed);
         let prefill: Vec<i64> = (1..=STRESS_KEYS).filter(|_| rng.gen_bool(0.5)).collect();
         let set = imp.build(&prefill, STRESS_WORKERS);

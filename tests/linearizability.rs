@@ -3,15 +3,15 @@
 //! sequential range-set specification.
 //!
 //! The paper's central correctness claim (operations linearize in root-queue
-//! timestamp order) is checked here empirically for the wait-free tree with
-//! both root-queue variants, and the same harness is applied to the
-//! persistent and lock-based baselines; the op mix includes the atomic
-//! `replace` descriptor wherever the backend provides one. The lock-free
-//! external BST baseline is checked on its scalar insert/remove/contains
-//! only: its `collect`/`count` is documented as a non-linearizable
-//! best-effort traversal and its `replace` is a non-atomic remove+insert
-//! composition (weaknesses of the prior-work class that the paper's design
-//! closes).
+//! timestamp order) is checked here empirically for the wait-free tree and
+//! trie under both read paths, and for the sharded and durable stores,
+//! including snapshot pairs and chunked scans. The same harness is applied
+//! to the persistent and lock-based baselines on point operations, range
+//! reads and the atomic `replace`. The lock-free external BST baseline is
+//! checked on its scalar insert/remove/contains only: its `collect`/`count`
+//! is documented as a non-linearizable best-effort traversal and its
+//! `replace` is a non-atomic remove+insert composition (weaknesses of the
+//! prior-work class that the paper's design closes).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -25,7 +25,7 @@ use wait_free_range_trees::lincheck::{
 use wait_free_range_trees::prelude::MetricsSnapshot;
 
 mod common;
-use common::{ConcurrentSet, TreeImpl};
+use common::{ConcurrentSet, SnapshotSet, TreeImpl};
 
 /// Number of worker threads per recorded history.
 const THREADS: usize = 3;
@@ -45,12 +45,13 @@ struct OpMix {
     replace: bool,
     /// Snapshot reads: two subrange counts from one acquired front
     /// (`SnapshotRead`); the checker verifies the pair against a single
-    /// abstract state.
+    /// abstract state. Snapshot backends only.
     snapshots: bool,
     /// Chunked scans: a streaming cursor drained to completion with
     /// `ScanConsistency::Snapshot` (`RangeScan::scan_snapshot`, chunk size
     /// 2 so nearly every drain spans several chunks); the checker verifies
     /// the concatenated pages against a single abstract state's listing.
+    /// Snapshot backends only.
     scans: bool,
     /// Transactional operations: membership-toggling `Patch`,
     /// insert-if-absent `CompareAndSet`, and the two-key `AtomicBatch`
@@ -62,8 +63,11 @@ struct OpMix {
 }
 
 /// Runs one recorded execution against `set` and returns the history.
+/// `snapshot` is the same backend as a [`SnapshotSet`]; the snapshot,
+/// scan and batch ops of `mix` need it.
 fn record_round(
     set: Arc<dyn ConcurrentSet>,
+    snapshot: Option<Arc<dyn SnapshotSet>>,
     seed: u64,
     mix: OpMix,
 ) -> History<RangeSetOp, RangeSetRet> {
@@ -74,7 +78,13 @@ fn record_round(
             .map(|(t, recorder)| {
                 let recorder: ThreadRecorder<RangeSetOp, RangeSetRet> = recorder.clone();
                 let set = Arc::clone(&set);
+                let snapshot = snapshot.clone();
                 std::thread::spawn(move || {
+                    let snap = || {
+                        snapshot
+                            .as_deref()
+                            .expect("snapshot, scan and batch ops need a SnapshotSet")
+                    };
                     let mut rng = StdRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9E37));
                     // The enabled op kinds, drawn uniformly.
                     let mut kinds: Vec<u8> = vec![0, 1, 2];
@@ -139,7 +149,7 @@ fn record_round(
                                     0,
                                     KEY_RANGE - 1,
                                 ));
-                                let (a, b) = set.snapshot_count_pair(key, hi, 0, KEY_RANGE - 1);
+                                let (a, b) = snap().snapshot_count_pair(key, hi, 0, KEY_RANGE - 1);
                                 recorder.respond(token, RangeSetRet::CountPair(a, b));
                             }
                             7 => {
@@ -150,7 +160,7 @@ fn record_round(
                                 // listing.
                                 let hi = rng.gen_range(key..KEY_RANGE);
                                 let token = recorder.invoke(RangeSetOp::ChunkedScan(key, hi, 2));
-                                let keys = set.chunked_scan_snapshot(key, hi, 2);
+                                let keys = snap().chunked_scan_snapshot(key, hi, 2);
                                 recorder.respond(token, RangeSetRet::Keys(keys));
                             }
                             8 => {
@@ -175,7 +185,7 @@ fn record_round(
                                 // gated batch commit exists for.
                                 let dst = (key + rng.gen_range(1..KEY_RANGE)) % KEY_RANGE;
                                 let token = recorder.invoke(RangeSetOp::AtomicBatch(key, dst));
-                                let (removed, inserted) = set.batch_move(key, dst);
+                                let (removed, inserted) = snap().batch_move(key, dst);
                                 recorder.respond(token, RangeSetRet::Pair(removed, inserted));
                             }
                             kind => unreachable!("unknown op kind {kind}"),
@@ -193,21 +203,6 @@ fn record_round(
 /// Checks `rounds` independent executions of `imp` and panics with the
 /// offending history on the first non-linearizable one.
 fn assert_linearizable(imp: TreeImpl, rounds: u64, with_range_queries: bool) {
-    let mix = OpMix {
-        range_queries: with_range_queries,
-        replace: imp.replace_is_atomic(),
-        // Every backend speaks `SnapshotRead` (single trees through the
-        // single-front blanket impl, the store through its global front), so
-        // snapshot pairs ride along wherever range queries are checked.
-        snapshots: with_range_queries,
-        // Likewise `RangeScan`: single trees through the shared front
-        // cursor, the store through its per-shard-cut merge cursor.
-        scans: with_range_queries,
-        // Patch/CAS/AtomicBatch histories only where they are atomic:
-        // elsewhere they are documented get-then-write compositions whose
-        // lost updates the checker would rightly reject.
-        transactions: imp.batch_is_atomic() && imp.patch_is_atomic(),
-    };
     for round in 0..rounds {
         // Alternate between an empty tree and a small prefill so both code
         // paths (empty-tree fast paths, populated routing) are covered.
@@ -216,8 +211,25 @@ fn assert_linearizable(imp: TreeImpl, rounds: u64, with_range_queries: bool) {
         } else {
             (0..KEY_RANGE).step_by(2).collect()
         };
-        let set = imp.build(&prefill, THREADS);
-        let history = record_round(set, 0xA11CE + round, mix);
+        let snapshot = imp.build_snapshot(&prefill, THREADS);
+        let set: Arc<dyn ConcurrentSet> = match &snapshot {
+            Some(snapshot) => snapshot.clone(),
+            None => imp.build(&prefill, THREADS),
+        };
+        let mix = OpMix {
+            range_queries: with_range_queries,
+            replace: imp.replace_is_atomic(),
+            // The tree and trie read at their timestamp front, the stores at
+            // a per-shard cut: snapshot pairs and chunked scans ride along
+            // wherever range queries are checked on a snapshot backend.
+            snapshots: with_range_queries && snapshot.is_some(),
+            scans: with_range_queries && snapshot.is_some(),
+            // Patch/CAS/AtomicBatch histories only where they are atomic:
+            // elsewhere they are documented get-then-write compositions whose
+            // lost updates the checker would rightly reject.
+            transactions: imp.batch_is_atomic() && imp.patch_is_atomic(),
+        };
+        let history = record_round(set, snapshot, 0xA11CE + round, mix);
         let initial = RangeSetSpec::prefilled(prefill.iter().copied());
         let verdict = check_history_with_initial::<RangeSetSpec>(&history, initial);
         assert!(
@@ -451,23 +463,11 @@ fn checker_rejects_a_broken_implementation() {
         fn collect(&self, _min: i64, _max: i64) -> Vec<i64> {
             Vec::new()
         }
-        fn snapshot_count_pair(&self, _: i64, _: i64, _: i64, _: i64) -> (u64, u64) {
-            (0, 0)
-        }
-        fn chunked_scan_count(&self, _: i64, _: i64, _: usize) -> (u64, bool) {
-            (0, true)
-        }
-        fn chunked_scan_snapshot(&self, _: i64, _: i64, _: usize) -> Vec<i64> {
-            Vec::new()
-        }
         fn patch_toggle(&self, _key: i64) -> bool {
             false
         }
         fn cas_insert(&self, _key: i64) -> bool {
             true
-        }
-        fn batch_move(&self, _a: i64, _b: i64) -> (bool, bool) {
-            (false, true)
         }
         fn len(&self) -> u64 {
             0

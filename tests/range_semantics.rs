@@ -15,7 +15,7 @@ use std::ops::Bound;
 use wait_free_range_trees::prelude::*;
 
 mod common;
-use common::{ConcurrentSet, TreeImpl};
+use common::{ConcurrentSet, SnapshotSet, TreeImpl};
 
 /// Inverted and degenerate closed ranges, as `(min, max)` pairs.
 const INVERTED: [(i64, i64); 4] = [(7, 3), (1, 0), (i64::MAX, i64::MIN), (50, -50)];
@@ -128,16 +128,7 @@ fn exercise(set: &dyn ConcurrentSet, label: &str) {
     assert!(set.remove(1_000_002), "{label}");
     assert_eq!(set.count(0, 9), 10, "{label}");
     assert_eq!(set.count_via_collect(0, 9), 10, "{label}");
-    // Streaming scans: a chunked drain covers the same range, and the
-    // retrying driver produces the full sorted listing.
-    let (scanned, _snapshot) = set.chunked_scan_count(0, 99, 7);
-    assert_eq!(scanned, 100, "{label}");
-    assert_eq!(
-        set.chunked_scan_snapshot(10, 19, 3),
-        (10..=19).collect::<Vec<_>>(),
-        "{label}"
-    );
-    // The transactional surface: cas-insert, toggle, atomic move.
+    // The transactional surface: cas-insert and toggle.
     assert!(set.cas_insert(1_000_003), "{label}: absent key cas-inserts");
     assert!(
         !set.cas_insert(1_000_003),
@@ -151,6 +142,24 @@ fn exercise(set: &dyn ConcurrentSet, label: &str) {
         set.patch_toggle(1_000_003),
         "{label}: toggle re-inserts an absent key"
     );
+    assert!(set.remove(1_000_003), "{label}");
+    assert_eq!(set.len(), 100, "{label}");
+}
+
+/// One pass over the snapshot half of the adapter on a set pre-filled with
+/// `0..100`; leaves the set as it found it.
+fn exercise_snapshots(set: &dyn SnapshotSet, label: &str) {
+    // Streaming scans: a chunked drain covers the same range, and the
+    // retrying driver produces the full sorted listing.
+    let (scanned, _snapshot) = set.chunked_scan_count(0, 99, 7);
+    assert_eq!(scanned, 100, "{label}");
+    assert_eq!(
+        set.chunked_scan_snapshot(10, 19, 3),
+        (10..=19).collect::<Vec<_>>(),
+        "{label}"
+    );
+    // The atomic move.
+    assert!(set.insert(1_000_003), "{label}");
     assert_eq!(
         set.batch_move(1_000_003, 1_000_004),
         (true, true),
@@ -169,7 +178,13 @@ fn exercise(set: &dyn ConcurrentSet, label: &str) {
 fn all_implementations_expose_identical_behaviour() {
     let prefill: Vec<i64> = (0..100).collect();
     for imp in TreeImpl::ALL {
-        exercise(imp.build(&prefill, 4).as_ref(), imp.name());
+        match imp.build_snapshot(&prefill, 4) {
+            Some(set) => {
+                exercise(set.as_ref(), imp.name());
+                exercise_snapshots(set.as_ref(), imp.name());
+            }
+            None => exercise(imp.build(&prefill, 4).as_ref(), imp.name()),
+        }
     }
 }
 

@@ -32,7 +32,6 @@ use wait_free_range_trees::prelude::*;
 
 mod common;
 use common::TreeImpl;
-use wait_free_range_trees::store::GlobalFront;
 
 fn store_config(read_path: ReadPath) -> StoreConfig {
     StoreConfig {
@@ -52,9 +51,9 @@ enum Step {
     Remove(i64),
     Count(i64, i64),
     Collect(i64, i64),
-    /// Acquire a front, read `count` and `collect` of the range against it,
-    /// and check both against the oracle (the store is quiescent between
-    /// steps, so the freshly acquired front never expires here; expiry is
+    /// Acquire a token, read `range_agg` and `collect` of the range against
+    /// it, and check both against the oracle (the store is quiescent between
+    /// steps, so the freshly acquired token never expires here; expiry is
     /// exercised by `front_expiry_is_exact` and the concurrent tests).
     Snapshot(i64, i64),
 }
@@ -88,7 +87,7 @@ fn oracle_entries(oracle: &BTreeMap<i64, i64>, a: i64, b: i64) -> Vec<(i64, i64)
 }
 
 proptest! {
-    /// Front-based cross-shard reads and `*_at_front` reads agree with a
+    /// Front-based cross-shard reads and token `*_at` reads agree with a
     /// `BTreeMap` replay over random operation sequences, on both per-shard
     /// read paths. Boundaries at -20/0/20 put the proptest key domain
     /// `[-60, 60)` across four shards.
@@ -129,14 +128,14 @@ proptest! {
                     prop_assert_eq!(store.collect_range(a, b), oracle_entries(&oracle, a, b));
                 }
                 Step::Snapshot(a, b) => {
-                    let front: GlobalFront = store.acquire_front();
-                    prop_assert!(store.front_valid(&front));
+                    let token: SnapshotToken = store.acquire_snapshot();
+                    prop_assert!(store.snapshot_valid(&token));
                     prop_assert_eq!(
-                        store.range_agg_at_front(&front, a, b),
+                        store.range_agg_at(&token, RangeSpec::inclusive(a, b)),
                         Some(oracle_count(&oracle, a, b))
                     );
                     prop_assert_eq!(
-                        store.collect_range_at_front(&front, a, b),
+                        store.collect_range_at(&token, RangeSpec::inclusive(a, b)),
                         Some(oracle_entries(&oracle, a, b))
                     );
                     // The trait surface sees the same state.
@@ -151,40 +150,41 @@ proptest! {
     }
 }
 
-/// A front expires exactly when a touched shard linearizes an update that
-/// changes it, and a fresh front sees the new state.
+/// A token expires exactly when a shard linearizes an update that changes
+/// it, and a fresh token sees the new state.
 #[test]
 fn front_expiry_is_exact() {
     let store: ShardedStore<i64> = ShardedStore::from_entries((0..400).map(|k| (k, ())), 4);
-    let front = store.acquire_front();
-    assert_eq!(store.range_agg_at_front(&front, 0, 399), Some(400));
+    let all = RangeSpec::inclusive(0, 399);
+    let token = store.acquire_snapshot();
+    assert_eq!(store.range_agg_at(&token, all), Some(400));
 
     // A *failed* insert or remove is answered at a presence load and takes
-    // no timestamp: the front stays valid and still answers.
+    // no timestamp: the token stays valid and still answers.
     assert!(!store.insert(5, ()));
     assert!(!store.remove(&1_000));
-    assert!(store.front_valid(&front));
-    assert_eq!(store.range_agg_at_front(&front, 0, 399), Some(400));
+    assert!(store.snapshot_valid(&token));
+    assert_eq!(store.range_agg_at(&token, all), Some(400));
 
-    let fresh = store.acquire_front();
+    let fresh = store.acquire_snapshot();
     store.remove(&5);
     store.remove(&300);
-    let newest = store.acquire_front();
-    assert_eq!(store.range_agg_at_front(&newest, 0, 399), Some(398));
-    assert_eq!(store.range_agg_at_front(&fresh, 0, 399), None);
-    assert_eq!(store.range_agg_at_front(&front, 0, 399), None);
+    let newest = store.acquire_snapshot();
+    assert_eq!(store.range_agg_at(&newest, all), Some(398));
+    assert_eq!(store.range_agg_at(&fresh, all), None);
+    assert_eq!(store.range_agg_at(&token, all), None);
 
     // Under `ReadPath::Descriptor` a failed insert still occupies a
-    // timestamp on its shard: the cut is conservative and expires.
+    // timestamp on its shard: the token is conservative and expires.
     let store: ShardedStore<i64> = ShardedStore::from_entries_with_config(
         (0..400).map(|k| (k, ())),
         4,
         store_config(ReadPath::Descriptor),
     );
-    let front = store.acquire_front();
-    assert_eq!(store.range_agg_at_front(&front, 0, 399), Some(400));
+    let token = store.acquire_snapshot();
+    assert_eq!(store.range_agg_at(&token, all), Some(400));
     assert!(!store.insert(5, ()));
-    assert_eq!(store.range_agg_at_front(&front, 0, 399), None);
+    assert_eq!(store.range_agg_at(&token, all), None);
 }
 
 /// Striped concurrent writers + snapshot readers: every writer inserts its
@@ -403,7 +403,7 @@ fn token_reads_answer_the_state_at_mint_under_writes() {
     store.check_invariants();
 }
 
-/// The single-front blanket impl on a single tree: token reads are mutually
+/// The tree's own `SnapshotRead` at its timestamp front: token reads are mutually
 /// consistent and expire on any update, for tree and trie alike.
 #[test]
 fn single_tree_snapshot_tokens_expire_on_update() {
@@ -426,15 +426,17 @@ fn single_tree_snapshot_tokens_expire_on_update() {
     assert_eq!(trie.range_agg_at(&token, RangeSpec::all()), None);
 }
 
-/// Every backend in the workspace answers the snapshot drivers coherently
-/// (the blanket impl for the single trees and baselines, the global front
+/// Every snapshot backend in the workspace answers the snapshot drivers
+/// coherently (the timestamp front for the tree and trie, the per-shard cut
 /// for the store): halves sum to the total even while quiescent state is
 /// all we can assert uniformly.
 #[test]
 fn all_backends_answer_snapshot_drivers() {
     let prefill: Vec<i64> = (0..100).collect();
     for imp in TreeImpl::ALL {
-        let set = imp.build(&prefill, 4);
+        let Some(set) = imp.build_snapshot(&prefill, 4) else {
+            continue;
+        };
         let (a, b) = set.snapshot_count_pair(0, 49, 50, 99);
         assert_eq!(a + b, 100, "{}: halves must sum to the total", imp.name());
     }
