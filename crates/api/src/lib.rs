@@ -27,8 +27,9 @@
 //!   chunks with keyset pagination and per-chunk front validation, so a
 //!   full drain equals one `collect_range_at` of the cursor's token (or
 //!   transparently re-reads the unseen suffix and reports
-//!   [`ScanConsistency::Resumed`]). The tree's cursor lives in `wft-core`,
-//!   the store's in `wft-store`; both share the [`ReadAhead`] buffer.
+//!   [`ScanConsistency::Resumed`]). The one cursor, a merge over a
+//!   per-shard cut with a [`ReadAhead`] buffer, lives in `wft-core`; a tree
+//!   is its one-shard cut, the store a cut of its shards.
 //!
 //! The baselines implement [`PointMap`] and [`RangeRead`] only: they are
 //! the paper's comparators for point operations and range reads.

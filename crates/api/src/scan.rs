@@ -28,25 +28,26 @@
 //!    re-anchor. A `Resumed` drain is still duplicate-free and ordered, and
 //!    every yielded entry comes from a front-validated read — but the
 //!    single-instant claim is lost, and a chunk that re-anchored *mid-way*
-//!    may stitch validated reads taken at different fronts (the tree's
-//!    cursor discards failed attempts whole, so each of its chunks is one
-//!    linearizable read of its suffix; the store's merge cursor validates
-//!    per shard and makes no such per-chunk promise — only per-read). (A
+//!    may stitch validated reads taken at different fronts: a failed read
+//!    is discarded whole, but the promise is per read, not per chunk. (A
 //!    validation failure *before anything was yielded* does not degrade:
 //!    the fresh front simply becomes the cursor's token, since an empty
-//!    prefix is a snapshot of any state.)
+//!    prefix is a snapshot of any state. Such restarts are bounded: past
+//!    the bound the cursor degrades like any later failure and keeps what
+//!    it has read.)
 //!
 //! # Implementations
 //!
-//! Two cursors implement the model. The wait-free tree and trie hand out
-//! `wft_core::TreeScanCursor`: each chunk is one limit-bounded collect of
-//! `[resume_key, hi]` (`O(log N + limit)`, early-exiting after `limit`
-//! leaves) sandwiched between checks of the tree's timestamp front. The
-//! sharded store hands out `wft_store::StoreScanCursor`, a cross-shard
-//! streaming merge that validates each shard at its own watermark of one
-//! per-shard cut and drains shard after shard in key order, so only the
-//! touched, not-yet-drained shards can disturb a scan. The baselines do
-//! not implement [`RangeScan`].
+//! One cursor implements the model: `wft_core::MergeCursor`, a streaming
+//! merge over a per-shard watermark cut that drains shard after shard in
+//! key order. Each backend read is one limit-bounded collect of
+//! `[resume_key, hi]` in one shard (`O(log N + limit)`, early-exiting after
+//! `limit` leaves), validated against that shard's watermark, so only the
+//! touched, not-yet-drained shards can disturb a scan. The wait-free tree
+//! and trie are a one-shard cut (`wft_core::TreeScanCursor`); the sharded
+//! store is a cut of its shards (`wft_store::StoreScanCursor`), and the
+//! durable store hands out the store's cursor. The baselines do not
+//! implement [`RangeScan`].
 //!
 //! # Why the sandwich argument carries over from `SnapshotRead`
 //!
@@ -90,13 +91,12 @@ use crate::snapshot::SnapshotToken;
 
 /// Upper bound on a cursor's adaptive read-ahead target (entries buffered
 /// beyond what the caller asked for). Bounds both the memory a cursor can
-/// hold and the work a single validation window must cover. Shared by the
-/// tree's and the sharded store's cursors.
+/// hold and the work a single validation window must cover.
 pub const READAHEAD_CAP: usize = 4096;
 
 /// A scan cursor's read-ahead buffer: validated entries in ascending key
 /// order, read from the backend ahead of the caller and handed out in
-/// chunks. Shared by the tree's and the sharded store's cursors.
+/// chunks. It is the buffer of `wft_core`'s merge cursor.
 ///
 /// It is one vector plus the length of its already-handed-out prefix, so a
 /// backend read appends straight into it and a chunk costs at most one
@@ -149,17 +149,6 @@ impl<K: RangeKey, V: Value> ReadAhead<K, V> {
         &mut self.entries
     }
 
-    /// Appends a validated read; adopted without a copy while the buffer is
-    /// empty.
-    pub fn push(&mut self, mut read: Vec<(K, V)>) {
-        if self.is_empty() {
-            self.entries = read;
-            self.consumed = 0;
-        } else {
-            self.entries_mut().append(&mut read);
-        }
-    }
-
     /// Hands out the (up to) `limit` smallest buffered entries. A chunk
     /// that takes everything left leaves by move (the vector itself, its
     /// consumed prefix dropped); a shorter one is one slice copy.
@@ -197,8 +186,8 @@ pub enum ScanConsistency {
     /// duplicate-free and in ascending key order, and every yielded entry
     /// came from a front-validated read — but the chunks no longer describe
     /// one instant, and a chunk that re-anchored mid-way may stitch reads
-    /// taken at different fronts (see the [module docs](self) on which
-    /// cursors promise per-chunk linearizability).
+    /// taken at different fronts (see the [module docs](self): the promise
+    /// is per read, not per chunk).
     Resumed,
 }
 
@@ -210,8 +199,10 @@ pub trait ScanCursor<K: RangeKey, V: Value> {
     /// Yields the next (up to) `limit` entries of the range, in ascending
     /// key order, strictly after every previously yielded key. An empty
     /// vector means the range is exhausted (so does `limit == 0`, which
-    /// yields nothing without advancing). Blocks only for the lock-free
+    /// yields nothing without advancing). Blocks only for the
     /// re-validation loop: a retry implies a concurrent update linearized.
+    /// (The sharded store's per-shard read also waits while an update at or
+    /// below its cut finishes its descent; see `wft_store::front`.)
     fn next_chunk(&mut self, limit: usize) -> Vec<(K, V)>;
 
     /// The snapshot token the drain is anchored at: acquired when the
@@ -339,12 +330,12 @@ mod tests {
     fn read_ahead_hands_out_in_order_and_drops_what_it_handed_out() {
         let mut buffer: ReadAhead<i64, ()> = ReadAhead::new();
         assert!(buffer.take(4).is_empty());
-        buffer.push((0..10).map(|k| (k, ())).collect());
+        buffer.entries_mut().extend((0..10).map(|k| (k, ())));
         assert_eq!(buffer.first_key(), Some(0));
         // A part of the buffer is a slice copy; the rest leaves whole.
         assert_eq!(buffer.take(3), (0..3).map(|k| (k, ())).collect::<Vec<_>>());
         assert_eq!((buffer.len(), buffer.first_key()), (7, Some(3)));
-        buffer.push((10..20).map(|k| (k, ())).collect());
+        buffer.entries_mut().extend((10..20).map(|k| (k, ())));
         assert_eq!(
             buffer.entries_mut().len(),
             17,
@@ -356,7 +347,7 @@ mod tests {
             (3..21).map(|k| (k, ())).collect::<Vec<_>>()
         );
         assert!(buffer.is_empty());
-        buffer.push(vec![(30, ())]);
+        buffer.entries_mut().push((30, ()));
         buffer.clear();
         assert_eq!((buffer.len(), buffer.first_key()), (0, None));
     }

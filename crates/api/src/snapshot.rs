@@ -47,8 +47,10 @@
 //! concurrent update *linearized*, so a retry loop is lock-free (every
 //! failed round implies system-wide progress) but not wait-free — under a
 //! sustained write storm the provided drivers can retry indefinitely. The
-//! per-call `*_at` methods never loop; callers that need bounded latency
-//! use them directly and decide for themselves when to stop retrying.
+//! per-call `*_at` methods never retry on a moved front; callers that need
+//! bounded latency use them directly and decide for themselves when to stop
+//! retrying. (The sharded store's `*_at` reads do wait while a shard is
+//! busy below the cut: see `wft_store::front`, "Progress".)
 
 use wft_seq::Value;
 

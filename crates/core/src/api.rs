@@ -5,16 +5,16 @@
 //! [`PointMap::replace`] → [`crate::OpKind::Replace`]), range reads resolve
 //! their [`RangeSpec`] once and answer with the native closed-interval
 //! query, batches run through the shared serial phase-two helper, and
-//! snapshot reads and scans are anchored at the root-queue timestamp front.
+//! snapshot reads are anchored at the root-queue timestamp front. Scans
+//! are the merge cursor over the tree as one shard ([`crate::scan`]).
 
 use wft_api::{
-    apply_batch_point, BatchApply, BatchError, OpOutcome, PointMap, RangeKey, RangeRead, RangeScan,
-    RangeSpec, SnapshotRead, SnapshotToken, StoreOp, UpdateOutcome,
+    apply_batch_point, BatchApply, BatchError, OpOutcome, PointMap, RangeKey, RangeRead, RangeSpec,
+    SnapshotRead, SnapshotToken, StoreOp, UpdateOutcome,
 };
 use wft_queue::Timestamp;
 use wft_seq::{Augmentation, Key, Value};
 
-use crate::scan::TreeScanCursor;
 use crate::shape::Shape;
 use crate::tree::WaitFreeTree;
 
@@ -96,21 +96,6 @@ impl<K: RangeKey, V: Value, A: Augmentation<K, V>, S: Shape<K>> RangeRead<K, V>
         wft_api::collect_over(range, |min, max| {
             WaitFreeTree::collect_range(self, min, max)
         })
-    }
-}
-
-/// Streaming scans: each chunk is a limit-bounded collect read inside the
-/// snapshot sandwich (see [`TreeScanCursor`]).
-impl<K: RangeKey, V: Value, A: Augmentation<K, V>, S: Shape<K>> RangeScan<K, V>
-    for WaitFreeTree<K, V, A, S>
-{
-    type Cursor<'a>
-        = TreeScanCursor<'a, K, V, A, S>
-    where
-        Self: 'a;
-
-    fn scan(&self, range: RangeSpec<K>) -> TreeScanCursor<'_, K, V, A, S> {
-        TreeScanCursor::new(self, range)
     }
 }
 

@@ -43,7 +43,7 @@
 //! | [`tree`] | the public [`WaitFreeTree`] API |
 //! | [`exec`] | the hand-over-hand helping engine (Listings 1–3, rebuilds) |
 //! | [`read`] | descriptor-free read fast paths (presence-index point reads, optimistic validated range traversal) |
-//! | [`scan`] | the streaming scan cursor ([`TreeScanCursor`]) |
+//! | [`scan`] | the one streaming scan cursor ([`MergeCursor`]) over a per-shard cut ([`ScanCut`]): the tree's, as one shard, and the sharded store's |
 //! | [`node`] | node layout, immutable states, subtree build/split/retire |
 //! | [`shape`] | the sealed [`Shape`] parameter: [`Balanced`] (the paper's BST) or [`Radix`] (a binary trie over [`RadixKey`] bits) |
 //! | [`descriptor`] | operation descriptors, range modes, partial results |
@@ -95,14 +95,14 @@ pub mod tree;
 pub use config::{ReadPath, TreeConfig};
 pub use descriptor::{OpKind, RangeMode};
 pub use key::RadixKey;
-pub use scan::TreeScanCursor;
+pub use scan::{MergeCursor, ScanCut, TreeScanCursor};
 pub use shape::{Balanced, Radix, Shape};
 pub use tree::{FrontMiss, WaitFreeTree};
 
-// Re-export the timestamp type: the tree's front API (`stable_ts`,
-// `settle_front`, the `*_at_front` reads) speaks it, and downstream layers
-// (the sharded store's per-shard cuts) should not need a direct `wft-queue`
-// edge.
+// Re-export the timestamp type: the tree's front API (`advertised_ts`,
+// `settle_front`, `front_unchanged`, the `*_at_front` reads) speaks it, and
+// downstream layers (the sharded store's per-shard cuts) should not need a
+// direct `wft-queue` edge.
 pub use wft_queue::Timestamp;
 
 // Re-export the shared trait family: the tree is its reference

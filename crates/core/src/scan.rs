@@ -1,17 +1,35 @@
-//! The tree's streaming scan cursor: [`wft_api::RangeScan`] for
-//! [`WaitFreeTree`] (and so for the trie, the same engine in its `Radix`
-//! shape).
+//! The one streaming scan cursor: [`wft_api::RangeScan`] for the tree (and
+//! so the trie) and for the sharded store, as a merge over a per-shard
+//! watermark cut ([`ScanCut`]). A tree is one shard with no split keys.
 //!
-//! A chunk is one [`collect_range_limited`](WaitFreeTree::collect_range_limited)
-//! of `[resume_key, hi]` — `O(log N + limit)` on the fast path, the
-//! descriptor fallback kept — read inside the same sandwich as the tree's
-//! `SnapshotRead::collect_range_at`: the front must be settled at the
-//! cursor's working front before the read and still be there after it.
-//! The consistency model (keyset pagination, per-chunk validation,
-//! re-anchoring, adaptive read-ahead) is documented on [`wft_api::scan`].
+//! * **Open**: settle one watermark per shard — the cut, whose sum is the
+//!   cursor's [`SnapshotToken`]. Nothing is read yet.
+//! * **Chunk**: shards own disjoint ascending key slices, so the merge is a
+//!   concatenation. A pass reads the shard owning the resume key with one
+//!   front-validated, limit-bounded read (`O(log n + limit)`) at its
+//!   watermark, and steps into the next shard when that one runs dry.
+//! * **Resume**: a read fails only when its shard advanced past the cut.
+//!   The cursor re-settles the not-yet-drained shards only, degrades to
+//!   [`ScanConsistency::Resumed`] and retries the shard. Writes to drained
+//!   shards or to shards outside the range never disturb a scan.
+//! * **Pre-yield restart**: while nothing has been yielded, an expiry
+//!   instead re-acquires a whole fresh cut and token and rewinds the merge
+//!   to the first key the caller has not seen (an empty prefix is a
+//!   snapshot of any state, but shards stepped over were read at the old
+//!   cut). Each restart discards the pass, so they are bounded
+//!   (`PRE_YIELD_RESTARTS`); past the bound the cursor degrades to
+//!   `Resumed` and keeps its progress, so restarts cannot starve a first
+//!   chunk. On one shard, where a read is all-or-nothing, there is no
+//!   progress to keep and the bound changes only the label.
+//!
+//! While a drain stays [`ScanConsistency::Snapshot`] every read validated
+//! at the original cut, so each touched shard held its cut state from
+//! acquisition until its drain completed: the drain equals one
+//! `collect_range` at the acquisition instant. The model is documented on
+//! [`wft_api::scan`], the argument in `DESIGN.md` ("Streaming scans").
 
 use wft_api::{
-    RangeKey, RangeSpec, ReadAhead, ScanConsistency, ScanCursor, SnapshotRead, SnapshotToken,
+    RangeKey, RangeScan, RangeSpec, ReadAhead, ScanConsistency, ScanCursor, SnapshotToken,
     READAHEAD_CAP,
 };
 use wft_seq::{Augmentation, Value};
@@ -19,141 +37,235 @@ use wft_seq::{Augmentation, Value};
 use crate::shape::Shape;
 use crate::tree::WaitFreeTree;
 
-/// The tree's streaming cursor, produced by
-/// [`RangeScan::scan`](wft_api::RangeScan::scan). Each chunk discards a
-/// failed attempt whole, so every chunk is one linearizable read of its
-/// suffix, even after the drain degraded to
-/// [`ScanConsistency::Resumed`].
-pub struct TreeScanCursor<'a, K: RangeKey, V: Value, A: Augmentation<K, V>, S: Shape<K>> {
-    tree: &'a WaitFreeTree<K, V, A, S>,
-    /// The token the drain is anchored at. While nothing has been yielded
-    /// a re-anchor simply *replaces* it (the Snapshot claim is vacuous over
-    /// an empty prefix, so the drain stays `Snapshot` against the fresh
-    /// token); once an entry is out, re-anchoring moves only the *working*
-    /// front below and degrades the drain to `Resumed`.
-    token: SnapshotToken,
-    /// The front chunks currently validate against (`== token` until the
-    /// first post-yield re-anchor).
-    working_front: SnapshotToken,
-    /// Inclusive upper end of the scan range.
-    hi: K,
-    /// Lower bound of the next tree read — the first key neither yielded
-    /// nor buffered; `None` once the suffix is exhausted.
-    resume: Option<K>,
-    /// Validated entries read ahead of the caller: every buffered entry
-    /// passed the same sandwich as a directly yielded one. A pre-yield
-    /// re-anchor discards the buffer and rewinds `resume` over it, so the
-    /// `Snapshot` claim never rests on entries validated at a dead front.
-    buffer: ReadAhead<K, V>,
-    /// Adaptive read-ahead target: grows (×2, capped at [`READAHEAD_CAP`])
-    /// after every validated read, resets to 0 on a validation failure.
-    readahead: usize,
-    /// Whether any entry has been yielded to the caller yet.
-    yielded: bool,
-    consistency: ScanConsistency,
-    resumes: u64,
+/// Pre-yield fresh-cut restarts before a cursor degrades to `Resumed`
+/// instead: every restart implies an update linearized (lock-free, not
+/// wait-free), so without a bound a write storm starves the first chunk.
+const PRE_YIELD_RESTARTS: u64 = 16;
+
+/// What the [`MergeCursor`] asks of a backend: shards in ascending key
+/// order, each with a settleable front and a front-validated limited read.
+pub trait ScanCut<K, V> {
+    /// Number of shards.
+    fn shards(&self) -> usize;
+    /// The shard owning `key`.
+    fn shard_of(&self, key: &K) -> usize;
+    /// The first key shard `i` (`>= 1`) owns.
+    fn shard_start(&self, i: usize) -> K;
+    /// Settles shards `first..=last`; `result[i - first]` is shard `i`'s.
+    fn settle(&self, first: usize, last: usize) -> Vec<u64>;
+    /// Appends the (up to) `want` smallest entries of `[lo, hi]` in shard
+    /// `i` at watermark `front` to `out`; `false`, `out` as it was, once the
+    /// shard advanced past `front`.
+    fn read(&self, i: usize, lo: K, hi: K, want: usize, front: u64, out: &mut Vec<(K, V)>) -> bool;
+    /// Counts a resume that shard `i` caused.
+    fn note_resume(&self, _i: usize) {}
+    /// Counts a pre-yield restart that shard `i` caused.
+    fn note_restart(&self, _i: usize) {}
 }
 
-impl<'a, K, V, A, S> TreeScanCursor<'a, K, V, A, S>
+/// A tree is one shard; its front is the root-queue timestamp front.
+impl<K, V, A, S> ScanCut<K, V> for WaitFreeTree<K, V, A, S>
 where
     K: RangeKey,
     V: Value,
     A: Augmentation<K, V>,
     S: Shape<K>,
 {
-    /// Opens a cursor over `range`, anchored at a freshly settled front.
-    pub(crate) fn new(tree: &'a WaitFreeTree<K, V, A, S>, range: RangeSpec<K>) -> Self {
-        let token = tree.acquire_snapshot();
+    fn shards(&self) -> usize {
+        1
+    }
+
+    fn shard_of(&self, _: &K) -> usize {
+        0
+    }
+
+    fn shard_start(&self, _: usize) -> K {
+        unreachable!("a tree is one shard")
+    }
+
+    fn settle(&self, _: usize, _: usize) -> Vec<u64> {
+        vec![self.settle_front().get()]
+    }
+
+    /// The plain limited collect inside the snapshot sandwich: behind a
+    /// stalled updater it takes the descriptor fallback and helps.
+    fn read(&self, _: usize, lo: K, hi: K, want: usize, front: u64, out: &mut Vec<(K, V)>) -> bool {
+        let mark = out.len();
+        let read = self.read_at_token(&SnapshotToken::new(front), || {
+            self.collect_range_limited_into(lo, hi, want, out)
+        });
+        if read.is_none() {
+            out.truncate(mark);
+        }
+        read.is_some()
+    }
+}
+
+impl<K, V, A, S> RangeScan<K, V> for WaitFreeTree<K, V, A, S>
+where
+    K: RangeKey,
+    V: Value,
+    A: Augmentation<K, V>,
+    S: Shape<K>,
+{
+    type Cursor<'a>
+        = TreeScanCursor<'a, K, V, A, S>
+    where
+        Self: 'a;
+
+    fn scan(&self, range: RangeSpec<K>) -> TreeScanCursor<'_, K, V, A, S> {
+        MergeCursor::new(self, range)
+    }
+}
+
+/// The tree's (and the trie's) cursor.
+pub type TreeScanCursor<'a, K, V, A, S> = MergeCursor<'a, K, V, WaitFreeTree<K, V, A, S>>;
+
+/// The streaming cursor: keyset pagination, shard after shard, at one
+/// per-shard watermark cut; see the [module docs](self).
+pub struct MergeCursor<'a, K, V, C> {
+    source: &'a C,
+    /// `cut[i]` is shard `i`'s watermark; a resume refreshes the
+    /// not-yet-drained shards' entries.
+    cut: Vec<u64>,
+    /// The sum of the cut the drain is anchored at.
+    token: SnapshotToken,
+    /// Inclusive upper end of the range, and the shard owning it.
+    hi: K,
+    last_shard: usize,
+    /// The first key neither yielded nor buffered; `None` once exhausted.
+    resume: Option<K>,
+    /// Validated entries read ahead of the caller. A pre-yield restart
+    /// discards them and rewinds `resume` over them, so a `Snapshot` claim
+    /// never rests on a read at a dead cut; after that they survive
+    /// expiries, as `Resumed` promises per-read validation only.
+    buffer: ReadAhead<K, V>,
+    /// Adaptive read-ahead target: doubles (capped at [`READAHEAD_CAP`])
+    /// after a pass that validated throughout, resets to 0 on an expiry.
+    readahead: usize,
+    yielded: bool,
+    restarts: u64,
+    consistency: ScanConsistency,
+    resumes: u64,
+}
+
+impl<'a, K, V, C> MergeCursor<'a, K, V, C>
+where
+    K: RangeKey,
+    V: Value,
+    C: ScanCut<K, V>,
+{
+    /// Opens a cursor over `range`, anchored at a freshly settled cut.
+    pub fn new(source: &'a C, range: RangeSpec<K>) -> Self {
+        let cut = source.settle(0, source.shards() - 1);
         let (resume, hi) = match range.to_closed() {
             Some((lo, hi)) => (Some(lo), hi),
             // Empty/inverted range: born exhausted (`hi` is never read).
             None => (None, K::MIN_KEY),
         };
-        TreeScanCursor {
-            tree,
-            token,
-            working_front: token,
+        MergeCursor {
+            source,
+            token: SnapshotToken::new(cut.iter().sum()),
+            cut,
             hi,
+            last_shard: source.shard_of(&hi),
             resume,
             buffer: ReadAhead::new(),
             readahead: 0,
             yielded: false,
+            restarts: 0,
             consistency: ScanConsistency::Snapshot,
             resumes: 0,
         }
     }
 
-    /// One sandwich attempt: reads the next chunk (the caller's shortfall,
-    /// widened to the adaptive read-ahead target) into the buffer, or
-    /// re-anchors on validation failure.
+    /// One merge pass at the current cut: reads the caller's shortfall,
+    /// widened to the read-ahead target, straight into the buffer.
     fn fill(&mut self, limit: usize) {
         let Some(lo) = self.resume else {
             return;
         };
-        let want = limit.saturating_sub(self.buffer.len()).max(self.readahead);
-        let (tree, hi) = (self.tree, self.hi);
-        if let Some(chunk) = tree.read_at_token(&self.working_front, || {
-            tree.collect_range_limited(lo, hi, want)
-        }) {
-            // Validated: commit the pagination point. A short chunk proves
-            // the suffix is exhausted; a full one resumes strictly after
-            // its last key. The validated read earns a doubled read-ahead
-            // target for the next fill.
-            self.resume = if chunk.len() < want {
-                None
+        let source = self.source;
+        let target = limit
+            .saturating_sub(self.buffer.len())
+            .max(self.readahead)
+            .max(1);
+        // The pass appends behind the `kept` entries already buffered.
+        let out = self.buffer.entries_mut();
+        let kept = out.len();
+        out.reserve(target.min(READAHEAD_CAP));
+        let mut shard = source.shard_of(&lo);
+        let mut shard_lo = lo;
+        let mut expired = false;
+        while out.len() - kept < target && shard <= self.last_shard {
+            let want = target - (out.len() - kept);
+            let before = out.len();
+            if source.read(shard, shard_lo, self.hi, want, self.cut[shard], out) {
+                if out.len() - before < want {
+                    // The shard is drained at the cut: step into the next
+                    // slice, whose keys exceed every key read so far.
+                    shard += 1;
+                    if shard <= self.last_shard {
+                        shard_lo = source.shard_start(shard);
+                    }
+                }
+            } else if self.yielded || self.restarts >= PRE_YIELD_RESTARTS {
+                // Resume: re-settle the not-yet-drained shards and retry
+                // this one. What this pass read stays (one `Resumed` chunk
+                // may stitch reads at different cuts, see `wft_api::scan`).
+                let fresh = source.settle(shard, self.last_shard);
+                self.cut[shard..=self.last_shard].copy_from_slice(&fresh);
+                source.note_resume(shard);
+                self.consistency = ScanConsistency::Resumed;
+                self.resumes += 1;
+                expired = true;
+                std::hint::spin_loop();
             } else {
-                chunk
-                    .last()
-                    .and_then(|(k, _)| k.successor())
-                    .filter(|next| *next <= hi)
-            };
-            self.buffer.push(chunk);
-            self.readahead = want.saturating_mul(2).min(READAHEAD_CAP);
-            return;
-        }
-        // The front moved (or was not settled): re-anchor at a fresh
-        // settled front and shrink the read-ahead back to exactly-requested
-        // reads. Nothing of the failed attempt entered the buffer. While
-        // the caller has seen nothing at all the fresh front simply
-        // *becomes* the cursor's token and the read-ahead buffer is
-        // discarded (rewinding `resume` over it): an empty yielded prefix
-        // is trivially a snapshot of any state, but the buffered entries
-        // were validated at the dead front and the drain now owes the new
-        // token a fresh read of them. Once an entry is out, the yielded
-        // prefix is never re-read and the scan degrades to `Resumed`
-        // instead of blocking writers — buffered entries stay (each was a
-        // front-validated read, which is all `Resumed` promises).
-        self.readahead = 0;
-        let fresh = tree.acquire_snapshot();
-        self.working_front = fresh;
-        if self.yielded {
-            self.consistency = ScanConsistency::Resumed;
-            self.resumes += 1;
-        } else {
-            if let Some(k) = self.buffer.first_key() {
-                self.resume = Some(k);
+                // Restart: nothing is yielded, so drop the pass and the
+                // buffer and re-anchor at a whole fresh cut; the drain stays
+                // `Snapshot` against the new token. Rewind to the first key
+                // the caller has not seen: every shard from there was read
+                // at the old cut.
+                self.restarts += 1;
+                source.note_restart(shard);
+                let restart = if kept > 0 { out[0].0 } else { lo };
+                out.clear();
+                self.cut = source.settle(0, source.shards() - 1);
+                self.token = SnapshotToken::new(self.cut.iter().sum());
+                self.resume = Some(restart);
+                self.readahead = 0;
+                std::hint::spin_loop();
+                return;
             }
-            self.buffer.clear();
-            self.token = fresh;
         }
-        std::hint::spin_loop();
+        // A short pass proves exhaustion; a full one resumes strictly after
+        // its last key.
+        self.resume = if out.len() - kept < target {
+            None
+        } else {
+            out.last()
+                .and_then(|(k, _)| k.successor())
+                .filter(|next| *next <= self.hi)
+        };
+        self.readahead = if expired {
+            0
+        } else {
+            target.saturating_mul(2).min(READAHEAD_CAP)
+        };
     }
 }
 
-impl<K, V, A, S> ScanCursor<K, V> for TreeScanCursor<'_, K, V, A, S>
+impl<K, V, C> ScanCursor<K, V> for MergeCursor<'_, K, V, C>
 where
     K: RangeKey,
     V: Value,
-    A: Augmentation<K, V>,
-    S: Shape<K>,
+    C: ScanCut<K, V>,
 {
     fn next_chunk(&mut self, limit: usize) -> Vec<(K, V)> {
         if limit == 0 {
             return Vec::new();
         }
-        // Top the buffer up to the caller's chunk (each fill is one
-        // sandwiched tree read — possibly wider than the shortfall, per
-        // the adaptive read-ahead), then hand out exactly `limit` entries.
+        // Top the buffer up to the caller's chunk, then hand out `limit`.
         while self.buffer.len() < limit && self.resume.is_some() {
             self.fill(limit);
         }
@@ -176,5 +288,52 @@ where
 
     fn is_exhausted(&self) -> bool {
         self.resume.is_none() && self.buffer.is_empty()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{mpsc, Barrier};
+    use std::time::Duration;
+
+    /// A tree cursor's first chunk returns while a writer updates the
+    /// scanned range without pause: at most `PRE_YIELD_RESTARTS` restarts,
+    /// then the cursor degrades to `Resumed` and keeps reading. The reader
+    /// runs on its own thread, so the test fails (never hangs) if its first
+    /// chunks take over a minute.
+    #[test]
+    fn first_chunk_returns_under_a_writer_without_pause() {
+        let tree: WaitFreeTree<i64> = WaitFreeTree::from_entries((0..4096).map(|k| (2 * k, ())));
+        let (stop, start) = (AtomicBool::new(false), Barrier::new(2));
+        let (done, finished) = mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                let mut k = 1;
+                while !stop.load(Ordering::Relaxed) {
+                    tree.insert(k, ());
+                    tree.remove(&k);
+                    k = (k + 2) % 8192;
+                }
+            });
+            let reader = scope.spawn(|| {
+                start.wait();
+                for _ in 0..200 {
+                    let mut cursor = tree.scan(RangeSpec::all());
+                    let chunk = cursor.next_chunk(1024);
+                    assert_eq!(chunk.len(), 1024);
+                    assert!(chunk.windows(2).all(|w| w[0].0 < w[1].0));
+                    assert!(cursor.restarts <= PRE_YIELD_RESTARTS);
+                }
+                done.send(()).unwrap();
+            });
+            let outcome = finished.recv_timeout(Duration::from_secs(60));
+            stop.store(true, Ordering::Relaxed);
+            let timeout = Err(mpsc::RecvTimeoutError::Timeout);
+            assert_ne!(outcome, timeout, "200 first chunks did not return in 60 s");
+            reader.join().unwrap();
+        });
     }
 }

@@ -85,7 +85,7 @@ pub struct WaitFreeTree<K: Key, V: Value = (), A: Augmentation<K, V> = Size, S: 
     /// Highest update timestamp whose linearization has *begun*: bumped
     /// (monotone max) before the update is resolved through the presence
     /// index, i.e. before its effect can be observed by any read. See
-    /// [`WaitFreeTree::stable_ts`].
+    /// [`WaitFreeTree::advertised_ts`].
     pub(crate) advertised_ts: AtomicU64,
     /// Highest update timestamp whose linearization has *completed* (the
     /// presence-index resolution returned). Always `<= advertised_ts`;
@@ -344,17 +344,31 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
     /// fallback collects the full range and truncates — correct, linear,
     /// and only taken when every optimistic attempt failed validation.
     pub fn collect_range_limited(&self, min: K, max: K, limit: usize) -> Vec<(K, V)> {
+        let mut out = Vec::new();
+        self.collect_range_limited_into(min, max, limit, &mut out);
+        out
+    }
+
+    /// [`collect_range_limited`](WaitFreeTree::collect_range_limited),
+    /// **appended** to `out`: the scan cursor's per-read primitive, which
+    /// reads straight into its read-ahead buffer.
+    pub(crate) fn collect_range_limited_into(
+        &self,
+        min: K,
+        max: K,
+        limit: usize,
+        out: &mut Vec<(K, V)>,
+    ) {
         if min > max || limit == 0 {
-            return Vec::new();
+            return;
         }
         if self.config.read_path == ReadPath::Fast {
-            let mut out = Vec::new();
             let fast = self.fast_read(
-                |guard| self.try_fast_collect(min, max, limit, &mut out, guard),
+                |guard| self.try_fast_collect(min, max, limit, out, guard),
                 || true,
             );
             if fast.is_some() {
-                return out;
+                return;
             }
             self.note_range_fallback();
         }
@@ -362,7 +376,11 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
             .run_operation(OpKind::Collect { min, max })
             .assemble_entries();
         entries.truncate(limit);
-        entries
+        if out.is_empty() {
+            *out = entries;
+        } else {
+            out.append(&mut entries);
+        }
     }
 
     /// Number of keys in `[min, max]` — the paper's headline `count` query.
@@ -408,23 +426,6 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
     }
 
     // -- the timestamp front ------------------------------------------------
-
-    /// The **stable watermark**: the latest root-queue timestamp whose update
-    /// effects are fully resolved through the presence index. Every update
-    /// with a timestamp `<= stable_ts()` has linearized; an update with a
-    /// larger timestamp may be mid-linearization (see
-    /// [`settle_front`](WaitFreeTree::settle_front) for a quiescent value).
-    ///
-    /// Updates resolve strictly in root-queue order (only the queue head is
-    /// resolved), so this single number is a complete description of the
-    /// linearized prefix. Read descriptors never advance it.
-    pub fn stable_ts(&self) -> wft_queue::Timestamp {
-        // ORDERING: pairs with the SeqCst `resolved_ts` fetch_max in
-        // `resolve_update`; the watermark read must be totally ordered against
-        // every helper's bump.
-        // wft-lint: allow(seqcst) -- the stable watermark is only meaningful in the single total order the SeqCst resolve bumps establish.
-        wft_queue::Timestamp(self.resolved_ts.load(Ordering::SeqCst))
-    }
 
     /// The **advertised watermark**: the latest update timestamp whose
     /// linearization has *begun*. It is advanced before the update's effect
@@ -526,20 +527,6 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
         self.read_at_front(front, |guard| self.try_fast_range_agg(min, max, guard))
     }
 
-    /// [`collect_range`](WaitFreeTree::collect_range) at a settled front; see
-    /// [`range_agg_at_front`](WaitFreeTree::range_agg_at_front) — including
-    /// the optimistic-only read discipline under [`ReadPath::Fast`].
-    pub fn collect_range_at_front(
-        &self,
-        min: K,
-        max: K,
-        front: wft_queue::Timestamp,
-    ) -> Result<Vec<(K, V)>, FrontMiss> {
-        let mut out = Vec::new();
-        self.collect_range_limited_at_front(min, max, usize::MAX, front, &mut out)?;
-        Ok(out)
-    }
-
     /// [`collect_range_limited`](WaitFreeTree::collect_range_limited) at a
     /// settled front: **appends** the `limit` smallest entries of
     /// `[min, max]` in the tree state at exactly `front` to `out`, with the
@@ -567,7 +554,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
                 self.try_fast_collect(min, max, limit, out, guard)
             })
         } else {
-            out.extend(self.collect_range_limited(min, max, limit));
+            self.collect_range_limited_into(min, max, limit, out);
             self.still_at(front, ())
         };
         if read.is_err() {
@@ -1074,8 +1061,8 @@ mod tests {
     #[test]
     fn timestamp_front_tracks_updates() {
         let tree: WaitFreeTree<i64> = WaitFreeTree::new();
-        assert_eq!(tree.stable_ts(), wft_queue::Timestamp::ZERO);
         let front = tree.settle_front();
+        assert_eq!(front, wft_queue::Timestamp::ZERO);
         assert!(tree.front_unchanged(front));
 
         tree.insert(1, ());
@@ -1092,7 +1079,7 @@ mod tests {
         tree.count(0, 10);
         tree.collect_range(0, 10);
         assert!(tree.front_unchanged(front));
-        assert_eq!(tree.stable_ts(), tree.advertised_ts());
+        assert_eq!(tree.settle_front(), tree.advertised_ts());
         assert_eq!(tree.metrics().counter("tree_fast_failed_updates"), Some(2));
 
         // Under `ReadPath::Descriptor` a failed update still runs its
@@ -1113,15 +1100,25 @@ mod tests {
         assert_eq!(metrics.counter("tree_fast_failed_updates"), Some(0));
     }
 
+    /// The unlimited front-validated collect of `[min, max]`: how many
+    /// entries it read, or its miss.
+    fn collected_at<S: Shape<i64>>(
+        tree: &WaitFreeTree<i64, (), Size, S>,
+        min: i64,
+        max: i64,
+        front: wft_queue::Timestamp,
+    ) -> Result<usize, FrontMiss> {
+        let mut out = Vec::new();
+        tree.collect_range_limited_at_front(min, max, usize::MAX, front, &mut out)
+            .map(|()| out.len())
+    }
+
     #[test]
     fn front_bounded_reads_succeed_then_expire() {
         let tree: WaitFreeTree<i64> = WaitFreeTree::from_entries((0..50).map(|k| (k, ())));
         let front = tree.settle_front();
         assert_eq!(tree.range_agg_at_front(0, 49, front), Ok(50));
-        assert_eq!(
-            tree.collect_range_at_front(10, 12, front).map(|v| v.len()),
-            Ok(3)
-        );
+        assert_eq!(collected_at(&tree, 10, 12, front), Ok(3));
         // A limited read appends behind what the buffer already holds.
         let mut out = vec![(-1, ())];
         assert_eq!(
@@ -1134,10 +1131,7 @@ mod tests {
             tree.range_agg_at_front(0, 49, front),
             Err(FrontMiss::Expired)
         );
-        assert_eq!(
-            tree.collect_range_at_front(0, 49, front),
-            Err(FrontMiss::Expired)
-        );
+        assert_eq!(collected_at(&tree, 0, 49, front), Err(FrontMiss::Expired));
         assert_eq!(
             tree.collect_range_limited_at_front(0, 49, 5, front, &mut out),
             Err(FrontMiss::Expired)
@@ -1178,10 +1172,7 @@ mod tests {
             Some(2),
             "three failed attempts are two retries: the last one is the miss"
         );
-        assert_eq!(
-            tree.collect_range_at_front(0, 999, front),
-            Err(FrontMiss::Busy)
-        );
+        assert_eq!(collected_at(&tree, 0, 999, front), Err(FrontMiss::Busy));
         let mut out = vec![(-1, ())];
         assert_eq!(
             tree.collect_range_limited_at_front(0, 999, 10, front, &mut out),
@@ -1192,10 +1183,7 @@ mod tests {
         assert!(inner.queue.pop_if(ts, &guard));
         drop(parked);
         assert_eq!(tree.range_agg_at_front(0, 999, front), Ok(1000));
-        assert_eq!(
-            tree.collect_range_at_front(5, 7, front).map(|v| v.len()),
-            Ok(3)
-        );
+        assert_eq!(collected_at(&tree, 5, 7, front), Ok(3));
     }
 
     /// A value whose original, and not its clones, counts its drops: the

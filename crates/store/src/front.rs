@@ -5,8 +5,8 @@
 //! **timestamp front**: an *advertised* watermark that advances before an
 //! update's effect can be observed, and a *resolved* watermark that trails
 //! it until the update's linearization completes
-//! (`WaitFreeTree::{advertised_ts, stable_ts, settle_front}`). One settled
-//! watermark per shard is a *cut* through the store's per-shard
+//! (`WaitFreeTree::{advertised_ts, settle_front, front_unchanged}`). One
+//! settled watermark per shard is a *cut* through the store's per-shard
 //! linearization orders — the store's global front — and the store's
 //! cross-shard reads are executed **at** such a cut:
 //!
@@ -15,9 +15,9 @@
 //!    record the per-shard watermarks.
 //! 2. **Read**: answer each shard's sub-query with the tree's ordinary
 //!    linearizable range read, *front-validated* on both sides
-//!    (`range_agg_at_front` / `collect_range_at_front`): the result is
-//!    returned only if
-//!    the shard's advertised watermark still equals the front.
+//!    (`range_agg_at_front` / `collect_range_limited_at_front`): the
+//!    result is returned only if the shard's advertised watermark still
+//!    equals the front.
 //! 3. **Retry**: if any shard advanced past its front mid-read, the whole
 //!    attempt is discarded and the read re-acquires a fresh cut. A shard
 //!    that is merely *busy* — front unchanged, an operation mid-flight
@@ -63,6 +63,18 @@
 //! `store_snapshot_retries` metric exposes the retry pressure. Only `len()`
 //! bounds its cut attempts and then answers with the plain per-shard sum
 //! (counted in `store_len_fallbacks`).
+//!
+//! The per-shard read at the cut is **blocking**. While a shard answers
+//! [`FrontMiss::Busy`], `read_at_cut` backs off and re-reads at the same
+//! cut, helping nobody: an update at or below the cut is still on its way
+//! down, a rebuild is in progress, or another reader's descriptor sits on
+//! the path. If that operation's thread stalls and nothing else runs on
+//! the shard, the reader never returns — so the cut reads (cross-shard
+//! aggregates and collects, token reads, the scan cursor) are not
+//! lock-free. The reason is the cost of the alternative: the only read
+//! that could help instead is the tree's descriptor-path collect, which is
+//! `O(answer)`, and every updater queued behind it re-does it while
+//! helping (`DESIGN.md`, "Global snapshot front", has the measurement).
 //!
 //! Atomic cross-shard **batch commits** add one more coupling on top of the
 //! cut: the per-shard commit gate documented on the crate-private

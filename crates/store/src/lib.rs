@@ -26,9 +26,9 @@
 //!   stitched sum of per-shard lengths (counted in the
 //!   `store_len_fallbacks` metric) under sustained write traffic.
 //! * [`StoreScanCursor`] — the store's native [`wft_api::RangeScan`] (see
-//!   [`scan`]): streaming snapshot-consistent cursors that drain a range in
-//!   caller-bounded chunks, shard after shard in key order, validated
-//!   per-chunk against one cut.
+//!   [`scan`]): `wft_core`'s one merge cursor over the store's shards,
+//!   draining a range in caller-bounded chunks, shard after shard in key
+//!   order, each shard read optimistic-only at its watermark of one cut.
 //!
 //! ## Example
 //!

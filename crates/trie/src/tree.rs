@@ -245,10 +245,12 @@ mod tests {
             trie.range_agg_at_front(0, 10, front),
             Err(FrontMiss::Expired)
         );
+        let mut out = vec![(7, ())];
         assert_eq!(
-            trie.collect_range_at_front(0, 10, trie.settle_front()),
-            Ok(vec![])
+            trie.collect_range_limited_at_front(0, 10, usize::MAX, trie.settle_front(), &mut out),
+            Ok(())
         );
+        assert_eq!(out, vec![(7, ())], "an empty trie appends nothing");
     }
 
     #[test]

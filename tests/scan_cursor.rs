@@ -279,8 +279,8 @@ fn writes_between_chunks_resume_without_duplicates() {
 /// A write landing between `scan()` and the first yielded chunk does not
 /// doom the drain: nothing has been yielded, so the cursor re-anchors its
 /// *token* at the fresh front and the drain stays `Snapshot` — against the
-/// refreshed token — on both the tree's cursor and the store's merge
-/// cursor.
+/// refreshed token — on a tree's one-shard cut and on the store's
+/// shards.
 #[test]
 fn pre_yield_writes_refresh_the_token_instead_of_degrading() {
     let tree: WaitFreeTree<i64> = WaitFreeTree::from_entries((0..50).map(|k| (k, ())));
