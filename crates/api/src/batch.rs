@@ -478,36 +478,43 @@ pub fn apply_batch_point<K: Key, V: Value, M: PointMap<K, V> + ?Sized>(
     batch: Vec<StoreOp<K, V>>,
 ) -> Result<Vec<OpOutcome<V>>, BatchError<K>> {
     validate_batch(&batch, UNBOUNDED_BATCH_OPS)?;
-    Ok(batch
-        .into_iter()
-        .map(|op| match op {
-            StoreOp::Insert { key, value } => {
-                OpOutcome::Inserted(map.insert(key, value).is_applied())
-            }
-            StoreOp::InsertOrReplace { key, value } => {
-                OpOutcome::Replaced(map.replace(key, value).into_prior())
-            }
-            StoreOp::Remove { key } => OpOutcome::Removed(map.remove(&key).is_applied()),
-            StoreOp::RemoveEntry { key } => OpOutcome::RemovedEntry(map.remove(&key).into_prior()),
-            op => {
-                let resolved = resolve_op(&op, map.get(op.key()));
-                match resolved.physical {
-                    Some(StoreOp::Insert { key, value }) => {
-                        map.insert(key, value);
-                    }
-                    Some(StoreOp::InsertOrReplace { key, value }) => {
-                        map.replace(key, value);
-                    }
-                    Some(StoreOp::Remove { key }) | Some(StoreOp::RemoveEntry { key }) => {
-                        map.remove(&key);
-                    }
-                    Some(_) => unreachable!("resolve_op only emits physical ops"),
-                    None => {}
+    Ok(batch.into_iter().map(|op| apply_op(map, op)).collect())
+}
+
+/// Applies one operation to `map`: a physical op as the point write it is,
+/// a transactional one resolved ([`resolve_op`]) against the current value
+/// and then written. The read and the write of a transactional op are two
+/// steps; a caller that needs them atomic excludes concurrent writers (the
+/// sharded store runs them inside a commit window).
+pub fn apply_op<K: Key, V: Value, M: PointMap<K, V> + ?Sized>(
+    map: &M,
+    op: StoreOp<K, V>,
+) -> OpOutcome<V> {
+    match op {
+        StoreOp::Insert { key, value } => OpOutcome::Inserted(map.insert(key, value).is_applied()),
+        StoreOp::InsertOrReplace { key, value } => {
+            OpOutcome::Replaced(map.replace(key, value).into_prior())
+        }
+        StoreOp::Remove { key } => OpOutcome::Removed(map.remove(&key).is_applied()),
+        StoreOp::RemoveEntry { key } => OpOutcome::RemovedEntry(map.remove(&key).into_prior()),
+        op => {
+            let resolved = resolve_op(&op, map.get(op.key()));
+            match resolved.physical {
+                Some(StoreOp::Insert { key, value }) => {
+                    map.insert(key, value);
                 }
-                resolved.outcome
+                Some(StoreOp::InsertOrReplace { key, value }) => {
+                    map.replace(key, value);
+                }
+                Some(StoreOp::Remove { key }) | Some(StoreOp::RemoveEntry { key }) => {
+                    map.remove(&key);
+                }
+                Some(_) => unreachable!("resolve_op only emits physical ops"),
+                None => {}
             }
-        })
-        .collect())
+            resolved.outcome
+        }
+    }
 }
 
 #[cfg(test)]

@@ -20,16 +20,16 @@
 //!   ([`StoreOp`] / [`OpOutcome`] / [`BatchError`]) promoted to the shared
 //!   API, so a single tree accepts the same batches a sharded store does;
 //! * [`SnapshotRead`] — consistent multi-range reads against one acquired
-//!   [`SnapshotToken`]: the tree reads at its root-queue timestamp front,
-//!   the store at the per-shard cut its token sums;
+//!   [`SnapshotToken`], the sum of a per-shard watermark cut (a tree is one
+//!   shard); both backends' token reads are `wft-core`'s one cut protocol;
 //! * [`RangeScan`] — streaming snapshot-consistent cursors: a
 //!   [`ScanCursor`] yields a range in ascending key order in caller-bounded
 //!   chunks with keyset pagination and per-chunk front validation, so a
 //!   full drain equals one `collect_range_at` of the cursor's token (or
 //!   transparently re-reads the unseen suffix and reports
 //!   [`ScanConsistency::Resumed`]). The one cursor, a merge over a
-//!   per-shard cut with a [`ReadAhead`] buffer, lives in `wft-core`; a tree
-//!   is its one-shard cut, the store a cut of its shards.
+//!   per-shard cut, lives in `wft-core`; a tree is its one-shard cut, the
+//!   store a cut of its shards.
 //!
 //! The baselines implement [`PointMap`] and [`RangeRead`] only: they are
 //! the paper's comparators for point operations and range reads.
@@ -61,13 +61,13 @@ pub mod scan;
 pub mod snapshot;
 
 pub use batch::{
-    apply_batch_point, resolve_op, validate_batch, BatchApply, BatchError, OpOutcome, PatchFn,
-    ResolvedOp, StoreOp, UNBOUNDED_BATCH_OPS,
+    apply_batch_point, apply_op, resolve_op, validate_batch, BatchApply, BatchError, OpOutcome,
+    PatchFn, ResolvedOp, StoreOp, UNBOUNDED_BATCH_OPS,
 };
 pub use outcome::UpdateOutcome;
 pub use point::PointMap;
-pub use range::{agg_over, collect_over, count_over, RangeKey, RangeRead, RangeSpec};
-pub use scan::{RangeScan, ReadAhead, ScanConsistency, ScanCursor, READAHEAD_CAP};
+pub use range::{agg_over, count_over, RangeKey, RangeRead, RangeSpec};
+pub use scan::{RangeScan, ScanConsistency, ScanCursor};
 pub use snapshot::{SnapshotRead, SnapshotToken};
 
 // Re-export the augmentation vocabulary: a consumer of the trait family

@@ -13,7 +13,7 @@
 
 use std::ops::{Bound, RangeBounds};
 
-use wft_seq::{Key, Value};
+use wft_seq::{Augmentation, Key, Value};
 
 use crate::point::PointMap;
 
@@ -218,9 +218,10 @@ impl<K: RangeKey> RangeSpec<K> {
     }
 }
 
-/// The shared body of every `RangeRead::range_agg` implementation: resolve
-/// `range` once and answer with the backend's native closed-interval query,
-/// or `identity` when the spec denotes the empty range.
+/// The shared body of every `RangeRead::range_agg` and `collect_range`
+/// implementation: resolve `range` once and answer with the backend's
+/// native closed-interval query, or `identity` when the spec denotes the
+/// empty range.
 pub fn agg_over<K: RangeKey, Agg>(
     range: RangeSpec<K>,
     identity: impl FnOnce() -> Agg,
@@ -232,29 +233,20 @@ pub fn agg_over<K: RangeKey, Agg>(
     }
 }
 
-/// The shared body of every `RangeRead::collect_range` implementation.
-pub fn collect_over<K: RangeKey, V: Value>(
-    range: RangeSpec<K>,
-    closed: impl FnOnce(K, K) -> Vec<(K, V)>,
-) -> Vec<(K, V)> {
-    match range.to_closed() {
-        Some((min, max)) => closed(min, max),
-        None => Vec::new(),
-    }
-}
-
 /// The shared body of every `RangeRead::count` implementation: the empty
-/// range counts zero, a counting augmentation (`Augmentation::count_of`)
-/// answers from the aggregate, and anything else falls back to collecting.
-pub fn count_over<K: RangeKey, Agg>(
+/// range counts zero, a counting augmentation ([`Augmentation::counts`])
+/// answers from the aggregate, and any other collects without reading it.
+pub fn count_over<K: RangeKey, V: Value, A: Augmentation<K, V>>(
     range: RangeSpec<K>,
-    agg: impl FnOnce(K, K) -> Agg,
-    count_of: impl FnOnce(&Agg) -> Option<u64>,
+    agg: impl FnOnce(K, K) -> A::Agg,
     collect_len: impl FnOnce(K, K) -> u64,
 ) -> u64 {
     match range.to_closed() {
         None => 0,
-        Some((min, max)) => count_of(&agg(min, max)).unwrap_or_else(|| collect_len(min, max)),
+        Some((min, max)) => A::counts()
+            .then(|| A::count_of(&agg(min, max)))
+            .flatten()
+            .unwrap_or_else(|| collect_len(min, max)),
     }
 }
 

@@ -47,7 +47,10 @@
 //! and trie are a one-shard cut (`wft_core::TreeScanCursor`); the sharded
 //! store is a cut of its shards (`wft_store::StoreScanCursor`), and the
 //! durable store hands out the store's cursor. The baselines do not
-//! implement [`RangeScan`].
+//! implement [`RangeScan`]. The cursor, its read-ahead buffer and the cut
+//! protocol it shares with the token reads of [`SnapshotRead`] are
+//! implementation, not interface: they live in `wft_core::scan` and
+//! `wft_core::cut`.
 //!
 //! # Why the sandwich argument carries over from `SnapshotRead`
 //!
@@ -66,16 +69,16 @@
 //!
 //! A caller paginating with small chunks would pay one full validation
 //! sandwich (and one `O(log N + limit)` descent) per tiny chunk. The
-//! cursors therefore decouple the *backend* read size from the *caller*
+//! cursor therefore decouples the *backend* read size from the *caller*
 //! chunk size: each backend read targets the caller's shortfall widened to
-//! an adaptive read-ahead that doubles after every validated read (capped
-//! at [`READAHEAD_CAP`]) and collapses back to exactly-requested on a
-//! validation failure — wide reads widen the validation window, so under
-//! churn they would only fail repeatedly. Surplus entries wait in a
-//! [`ReadAhead`] buffer; they passed the same sandwich as directly yielded
-//! entries, and a pre-yield re-anchor discards them (rewinding the resume
-//! key over the buffer) so the `Snapshot` claim never rests on a read
-//! validated at a dead front.
+//! an adaptive read-ahead that doubles after every validated read (up to a
+//! cap of 4096 entries in `wft_core::scan`) and collapses back to
+//! exactly-requested on a validation failure — wide reads widen the
+//! validation window, so under churn they would only fail repeatedly.
+//! Surplus entries wait in the cursor's read-ahead buffer; they passed the
+//! same sandwich as directly yielded entries, and a pre-yield re-anchor
+//! discards them (rewinding the resume key over the buffer) so the
+//! `Snapshot` claim never rests on a read validated at a dead front.
 //!
 //! The buffer is where a backend read lands and where chunks are cut from,
 //! so an entry is copied out of the backend once and, at most, once more
@@ -88,90 +91,6 @@ use crate::range::{RangeKey, RangeRead, RangeSpec};
 #[allow(unused_imports)]
 use crate::snapshot::SnapshotRead;
 use crate::snapshot::SnapshotToken;
-
-/// Upper bound on a cursor's adaptive read-ahead target (entries buffered
-/// beyond what the caller asked for). Bounds both the memory a cursor can
-/// hold and the work a single validation window must cover.
-pub const READAHEAD_CAP: usize = 4096;
-
-/// A scan cursor's read-ahead buffer: validated entries in ascending key
-/// order, read from the backend ahead of the caller and handed out in
-/// chunks. It is the buffer of `wft_core`'s merge cursor.
-///
-/// It is one vector plus the length of its already-handed-out prefix, so a
-/// backend read appends straight into it and a chunk costs at most one
-/// slice copy: a chunk that takes everything still buffered takes the
-/// vector itself. The consumed prefix is dropped before the next append
-/// ([`entries_mut`](ReadAhead::entries_mut)).
-#[derive(Debug)]
-pub struct ReadAhead<K, V> {
-    entries: Vec<(K, V)>,
-    /// Entries `..consumed` have been handed out.
-    consumed: usize,
-}
-
-impl<K: RangeKey, V: Value> ReadAhead<K, V> {
-    /// An empty buffer; allocates nothing until the first read lands.
-    pub fn new() -> Self {
-        ReadAhead {
-            entries: Vec::new(),
-            consumed: 0,
-        }
-    }
-
-    /// Entries buffered and not yet handed out.
-    pub fn len(&self) -> usize {
-        self.entries.len() - self.consumed
-    }
-
-    /// `true` when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The smallest buffered key: where a pre-yield re-anchor rewinds to.
-    pub fn first_key(&self) -> Option<K> {
-        self.entries.get(self.consumed).map(|(k, _)| *k)
-    }
-
-    /// Discards every buffered entry (keeping the allocation).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.consumed = 0;
-    }
-
-    /// The buffered entries as a vector to append a validated read to.
-    /// Holds exactly the not-yet-handed-out entries: the consumed prefix is
-    /// dropped first, so the buffer never grows by more than a read.
-    pub fn entries_mut(&mut self) -> &mut Vec<(K, V)> {
-        self.entries.drain(..self.consumed);
-        self.consumed = 0;
-        &mut self.entries
-    }
-
-    /// Hands out the (up to) `limit` smallest buffered entries. A chunk
-    /// that takes everything left leaves by move (the vector itself, its
-    /// consumed prefix dropped); a shorter one is one slice copy.
-    pub fn take(&mut self, limit: usize) -> Vec<(K, V)> {
-        let end = self.consumed.saturating_add(limit);
-        if end >= self.entries.len() {
-            let mut chunk = std::mem::take(&mut self.entries);
-            chunk.drain(..self.consumed);
-            self.consumed = 0;
-            chunk
-        } else {
-            let chunk = self.entries[self.consumed..end].to_vec();
-            self.consumed = end;
-            chunk
-        }
-    }
-}
-
-impl<K: RangeKey, V: Value> Default for ReadAhead<K, V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// How a cursor's drain relates to its acquired [`SnapshotToken`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -325,32 +244,6 @@ pub trait RangeScan<K: RangeKey, V: Value>: RangeRead<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn read_ahead_hands_out_in_order_and_drops_what_it_handed_out() {
-        let mut buffer: ReadAhead<i64, ()> = ReadAhead::new();
-        assert!(buffer.take(4).is_empty());
-        buffer.entries_mut().extend((0..10).map(|k| (k, ())));
-        assert_eq!(buffer.first_key(), Some(0));
-        // A part of the buffer is a slice copy; the rest leaves whole.
-        assert_eq!(buffer.take(3), (0..3).map(|k| (k, ())).collect::<Vec<_>>());
-        assert_eq!((buffer.len(), buffer.first_key()), (7, Some(3)));
-        buffer.entries_mut().extend((10..20).map(|k| (k, ())));
-        assert_eq!(
-            buffer.entries_mut().len(),
-            17,
-            "the handed-out prefix is dropped"
-        );
-        buffer.entries_mut().push((20, ()));
-        assert_eq!(
-            buffer.take(100),
-            (3..21).map(|k| (k, ())).collect::<Vec<_>>()
-        );
-        assert!(buffer.is_empty());
-        buffer.entries_mut().push((30, ()));
-        buffer.clear();
-        assert_eq!((buffer.len(), buffer.first_key()), (0, None));
-    }
 
     #[test]
     fn consistency_is_plain_data() {

@@ -5,16 +5,17 @@
 //! [`PointMap::replace`] → [`crate::OpKind::Replace`]), range reads resolve
 //! their [`RangeSpec`] once and answer with the native closed-interval
 //! query, batches run through the shared serial phase-two helper, and
-//! snapshot reads are anchored at the root-queue timestamp front. Scans
-//! are the merge cursor over the tree as one shard ([`crate::scan`]).
+//! snapshot reads are the cut protocol over the tree as one shard
+//! ([`crate::cut`]), anchored at the root-queue timestamp front. Scans are
+//! the merge cursor over the same one-shard cut ([`crate::scan`]).
 
 use wft_api::{
     apply_batch_point, BatchApply, BatchError, OpOutcome, PointMap, RangeKey, RangeRead, RangeSpec,
     SnapshotRead, SnapshotToken, StoreOp, UpdateOutcome,
 };
-use wft_queue::Timestamp;
 use wft_seq::{Augmentation, Key, Value};
 
+use crate::cut;
 use crate::shape::Shape;
 use crate::tree::WaitFreeTree;
 
@@ -93,7 +94,7 @@ impl<K: RangeKey, V: Value, A: Augmentation<K, V>, S: Shape<K>> RangeRead<K, V>
     }
 
     fn collect_range(&self, range: RangeSpec<K>) -> Vec<(K, V)> {
-        wft_api::collect_over(range, |min, max| {
+        wft_api::agg_over(range, Vec::new, |min, max| {
             WaitFreeTree::collect_range(self, min, max)
         })
     }
@@ -107,52 +108,30 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> BatchApply<K, V>
     }
 }
 
-impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A, S> {
-    /// The snapshot sandwich: `read` runs only while the front is settled
-    /// at `token` (an update mid-linearization, or a token forged from a
-    /// raw watermark, fails this entry check), and its result counts only
-    /// if the front is still there afterwards. `read` is a plain read, so
-    /// behind a stalled updater it takes the descriptor fallback and helps.
-    pub(crate) fn read_at_token<T>(
-        &self,
-        token: &SnapshotToken,
-        read: impl FnOnce() -> T,
-    ) -> Option<T> {
-        let front = Timestamp(token.front());
-        self.front_current(front).ok()?;
-        self.still_at(front, read()).ok()
-    }
-}
-
-/// The tree's snapshot front is its root-queue timestamp front: the token
-/// is a settled watermark ([`WaitFreeTree::settle_front`], which helps any
-/// mid-linearization update), and a `*_at` read is the plain linearizable
-/// read between an entry check (the front is settled at the token) and an
-/// exit check (it is still there).
-/// Soundness: the advertised watermark is monotone and advances before an
-/// update's effect is visible, so an unchanged watermark across the read
-/// proves the state was the one at the token throughout.
+/// The cut protocol ([`crate::cut`]) over the tree as one shard: the token
+/// is a settled root-queue watermark, and a `*_at` read is the plain read
+/// between an entry and an exit check of the front.
 impl<K: RangeKey, V: Value, A: Augmentation<K, V>, S: Shape<K>> SnapshotRead<K, V>
     for WaitFreeTree<K, V, A, S>
 {
     fn acquire_snapshot(&self) -> SnapshotToken {
-        SnapshotToken::new(self.settle_front().get())
+        cut::acquire(self)
     }
 
     fn snapshot_valid(&self, token: &SnapshotToken) -> bool {
-        self.front_unchanged(Timestamp(token.front()))
+        cut::minted(self, token).is_some()
     }
 
     fn range_agg_at(&self, token: &SnapshotToken, range: RangeSpec<K>) -> Option<A::Agg> {
-        self.read_at_token(token, || RangeRead::range_agg(self, range))
+        cut::range_agg_at(self, token, range)
     }
 
     fn count_at(&self, token: &SnapshotToken, range: RangeSpec<K>) -> Option<u64> {
-        self.read_at_token(token, || RangeRead::count(self, range))
+        cut::count_at(self, token, range)
     }
 
     fn collect_range_at(&self, token: &SnapshotToken, range: RangeSpec<K>) -> Option<Vec<(K, V)>> {
-        self.read_at_token(token, || RangeRead::collect_range(self, range))
+        cut::collect_range_at(self, token, range)
     }
 }
 
@@ -266,29 +245,6 @@ mod tests {
         assert_eq!(RangeRead::count(&tree, RangeSpec::inclusive(5, 2)), 0);
         assert_eq!(RangeRead::range_agg(&tree, RangeSpec::at_least(7)), 3);
         assert!(RangeRead::collect_range(&tree, RangeSpec::from_bounds(4..4)).is_empty());
-    }
-
-    #[test]
-    fn token_reads_check_the_front_on_entry_and_exit() {
-        let tree: WaitFreeTree<i64> = WaitFreeTree::from_entries((0..10).map(|k| (k, ())));
-        let token = tree.acquire_snapshot();
-        assert_eq!(tree.count_at(&token, RangeSpec::all()), Some(10));
-        // A token forged past the front fails the entry check.
-        let forged = SnapshotToken::new(token.front() + 1);
-        assert!(!tree.snapshot_valid(&forged));
-        assert_eq!(tree.range_agg_at(&forged, RangeSpec::all()), None);
-        // The exit check: an update inside the read voids its result.
-        assert_eq!(
-            tree.read_at_token(&token, || PointMap::insert(&tree, 10, ())),
-            None
-        );
-        assert!(!tree.snapshot_valid(&token));
-        let fresh = tree.acquire_snapshot();
-        assert_eq!(
-            tree.collect_range_at(&fresh, RangeSpec::at_least(9))
-                .map(|v| v.len()),
-            Some(2)
-        );
     }
 
     #[test]

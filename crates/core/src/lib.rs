@@ -43,7 +43,8 @@
 //! | [`tree`] | the public [`WaitFreeTree`] API |
 //! | [`exec`] | the hand-over-hand helping engine (Listings 1–3, rebuilds) |
 //! | [`read`] | descriptor-free read fast paths (presence-index point reads, optimistic validated range traversal) |
-//! | [`scan`] | the one streaming scan cursor ([`MergeCursor`]) over a per-shard cut ([`ScanCut`]): the tree's, as one shard, and the sharded store's |
+//! | [`cut`] | the one cut protocol over [`ScanCut`]: token reads and cross-shard reads at a per-shard watermark cut, for the tree (one shard) and the sharded store |
+//! | [`scan`] | the one streaming scan cursor ([`MergeCursor`]) over a cut, and its read-ahead buffer |
 //! | [`node`] | node layout, immutable states, subtree build/split/retire |
 //! | [`shape`] | the sealed [`Shape`] parameter: [`Balanced`] (the paper's BST) or [`Radix`] (a binary trie over [`RadixKey`] bits) |
 //! | [`descriptor`] | operation descriptors, range modes, partial results |
@@ -83,6 +84,7 @@
 
 pub mod api;
 pub mod config;
+pub mod cut;
 pub mod descriptor;
 pub mod exec;
 pub mod key;
@@ -93,9 +95,10 @@ pub mod shape;
 pub mod tree;
 
 pub use config::{ReadPath, TreeConfig};
+pub use cut::ScanCut;
 pub use descriptor::{OpKind, RangeMode};
 pub use key::RadixKey;
-pub use scan::{MergeCursor, ScanCut, TreeScanCursor};
+pub use scan::{MergeCursor, TreeScanCursor};
 pub use shape::{Balanced, Radix, Shape};
 pub use tree::{FrontMiss, WaitFreeTree};
 

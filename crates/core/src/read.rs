@@ -128,11 +128,11 @@
 use crossbeam_epoch::{Atomic, Guard, Shared};
 use std::sync::atomic::Ordering::Acquire;
 
-use wft_api::READAHEAD_CAP;
 use wft_seq::{Augmentation, Key, Value};
 
 use crate::descriptor::RangeMode;
 use crate::node::{admitted, leaf_range_agg, InnerNode, Node, NodeState, LEAF_CAP};
+use crate::scan::READAHEAD_CAP;
 use crate::shape::Shape;
 use crate::tree::WaitFreeTree;
 

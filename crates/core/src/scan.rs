@@ -28,12 +28,10 @@
 //! `collect_range` at the acquisition instant. The model is documented on
 //! [`wft_api::scan`], the argument in `DESIGN.md` ("Streaming scans").
 
-use wft_api::{
-    RangeKey, RangeScan, RangeSpec, ReadAhead, ScanConsistency, ScanCursor, SnapshotToken,
-    READAHEAD_CAP,
-};
+use wft_api::{RangeKey, RangeScan, RangeSpec, ScanConsistency, ScanCursor, SnapshotToken};
 use wft_seq::{Augmentation, Value};
 
+use crate::cut::{token_of, ScanCut};
 use crate::shape::Shape;
 use crate::tree::WaitFreeTree;
 
@@ -42,62 +40,70 @@ use crate::tree::WaitFreeTree;
 /// wait-free), so without a bound a write storm starves the first chunk.
 const PRE_YIELD_RESTARTS: u64 = 16;
 
-/// What the [`MergeCursor`] asks of a backend: shards in ascending key
-/// order, each with a settleable front and a front-validated limited read.
-pub trait ScanCut<K, V> {
-    /// Number of shards.
-    fn shards(&self) -> usize;
-    /// The shard owning `key`.
-    fn shard_of(&self, key: &K) -> usize;
-    /// The first key shard `i` (`>= 1`) owns.
-    fn shard_start(&self, i: usize) -> K;
-    /// Settles shards `first..=last`; `result[i - first]` is shard `i`'s.
-    fn settle(&self, first: usize, last: usize) -> Vec<u64>;
-    /// Appends the (up to) `want` smallest entries of `[lo, hi]` in shard
-    /// `i` at watermark `front` to `out`; `false`, `out` as it was, once the
-    /// shard advanced past `front`.
-    fn read(&self, i: usize, lo: K, hi: K, want: usize, front: u64, out: &mut Vec<(K, V)>) -> bool;
-    /// Counts a resume that shard `i` caused.
-    fn note_resume(&self, _i: usize) {}
-    /// Counts a pre-yield restart that shard `i` caused.
-    fn note_restart(&self, _i: usize) {}
+/// Upper bound on a cursor's adaptive read-ahead target (entries buffered
+/// beyond what the caller asked for). Bounds both the memory a cursor can
+/// hold and the work a single validation window must cover.
+pub const READAHEAD_CAP: usize = 4096;
+
+/// A scan cursor's read-ahead buffer: validated entries in ascending key
+/// order, read from the backend ahead of the caller and handed out in
+/// chunks. It is the buffer of [`MergeCursor`].
+///
+/// It is one vector plus the length of its already-handed-out prefix, so a
+/// backend read appends straight into it and a chunk costs at most one
+/// slice copy: a chunk that takes everything still buffered takes the
+/// vector itself. The consumed prefix is dropped before the next append
+/// ([`entries_mut`](ReadAhead::entries_mut)).
+#[derive(Debug)]
+pub(crate) struct ReadAhead<K, V> {
+    entries: Vec<(K, V)>,
+    /// Entries `..consumed` have been handed out.
+    consumed: usize,
 }
 
-/// A tree is one shard; its front is the root-queue timestamp front.
-impl<K, V, A, S> ScanCut<K, V> for WaitFreeTree<K, V, A, S>
-where
-    K: RangeKey,
-    V: Value,
-    A: Augmentation<K, V>,
-    S: Shape<K>,
-{
-    fn shards(&self) -> usize {
-        1
-    }
-
-    fn shard_of(&self, _: &K) -> usize {
-        0
-    }
-
-    fn shard_start(&self, _: usize) -> K {
-        unreachable!("a tree is one shard")
-    }
-
-    fn settle(&self, _: usize, _: usize) -> Vec<u64> {
-        vec![self.settle_front().get()]
-    }
-
-    /// The plain limited collect inside the snapshot sandwich: behind a
-    /// stalled updater it takes the descriptor fallback and helps.
-    fn read(&self, _: usize, lo: K, hi: K, want: usize, front: u64, out: &mut Vec<(K, V)>) -> bool {
-        let mark = out.len();
-        let read = self.read_at_token(&SnapshotToken::new(front), || {
-            self.collect_range_limited_into(lo, hi, want, out)
-        });
-        if read.is_none() {
-            out.truncate(mark);
+impl<K: RangeKey, V: Value> ReadAhead<K, V> {
+    /// An empty buffer; allocates nothing until the first read lands.
+    fn new() -> Self {
+        ReadAhead {
+            entries: Vec::new(),
+            consumed: 0,
         }
-        read.is_some()
+    }
+
+    /// Entries buffered and not yet handed out.
+    fn len(&self) -> usize {
+        self.entries.len() - self.consumed
+    }
+
+    /// `true` when nothing is buffered.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The buffered entries as a vector to append a validated read to.
+    /// Holds exactly the not-yet-handed-out entries: the consumed prefix is
+    /// dropped first, so the buffer never grows by more than a read.
+    fn entries_mut(&mut self) -> &mut Vec<(K, V)> {
+        self.entries.drain(..self.consumed);
+        self.consumed = 0;
+        &mut self.entries
+    }
+
+    /// Hands out the (up to) `limit` smallest buffered entries. A chunk
+    /// that takes everything left leaves by move (the vector itself, its
+    /// consumed prefix dropped); a shorter one is one slice copy.
+    fn take(&mut self, limit: usize) -> Vec<(K, V)> {
+        let end = self.consumed.saturating_add(limit);
+        if end >= self.entries.len() {
+            let mut chunk = std::mem::take(&mut self.entries);
+            chunk.drain(..self.consumed);
+            self.consumed = 0;
+            chunk
+        } else {
+            let chunk = self.entries[self.consumed..end].to_vec();
+            self.consumed = end;
+            chunk
+        }
     }
 }
 
@@ -165,7 +171,7 @@ where
         };
         MergeCursor {
             source,
-            token: SnapshotToken::new(cut.iter().sum()),
+            token: token_of(&cut),
             cut,
             hi,
             last_shard: source.shard_of(&hi),
@@ -231,7 +237,7 @@ where
                 let restart = if kept > 0 { out[0].0 } else { lo };
                 out.clear();
                 self.cut = source.settle(0, source.shards() - 1);
-                self.token = SnapshotToken::new(self.cut.iter().sum());
+                self.token = token_of(&self.cut);
                 self.resume = Some(restart);
                 self.readahead = 0;
                 std::hint::spin_loop();
@@ -297,6 +303,28 @@ mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{mpsc, Barrier};
     use std::time::Duration;
+
+    #[test]
+    fn read_ahead_hands_out_in_order_and_drops_what_it_handed_out() {
+        let mut buffer: ReadAhead<i64, ()> = ReadAhead::new();
+        assert!(buffer.take(4).is_empty());
+        buffer.entries_mut().extend((0..10).map(|k| (k, ())));
+        // A part of the buffer is a slice copy; the rest leaves whole.
+        assert_eq!(buffer.take(3), (0..3).map(|k| (k, ())).collect::<Vec<_>>());
+        assert_eq!(buffer.len(), 7);
+        buffer.entries_mut().extend((10..20).map(|k| (k, ())));
+        assert_eq!(
+            buffer.entries_mut().len(),
+            17,
+            "the handed-out prefix is dropped"
+        );
+        buffer.entries_mut().push((20, ()));
+        assert_eq!(
+            buffer.take(100),
+            (3..21).map(|k| (k, ())).collect::<Vec<_>>()
+        );
+        assert!(buffer.is_empty());
+    }
 
     /// A tree cursor's first chunk returns while a writer updates the
     /// scanned range without pause: at most `PRE_YIELD_RESTARTS` restarts,

@@ -385,10 +385,13 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
 
     /// Number of keys in `[min, max]` — the paper's headline `count` query.
     /// `O(log N + |P|)` amortized whenever the augmentation tracks the entry
-    /// count ([`Augmentation::count_of`]: [`Size`] alone or inside a
-    /// `Pair`); otherwise the range is collected and counted.
+    /// count ([`Augmentation::counts`]: [`Size`] alone or inside a
+    /// `Pair`); otherwise the range is collected and counted, and no
+    /// aggregate is read.
     pub fn count(&self, min: K, max: K) -> u64 {
-        A::count_of(&self.range_agg(min, max))
+        A::counts()
+            .then(|| A::count_of(&self.range_agg(min, max)))
+            .flatten()
             .unwrap_or_else(|| self.collect_range(min, max).len() as u64)
     }
 
@@ -573,6 +576,17 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
         } else {
             Err(FrontMiss::Expired)
         }
+    }
+
+    /// The tree's read at a cut (`crate::cut`): `read` runs only while the
+    /// front is settled at `front` (an update mid-linearization fails this
+    /// entry check), and its result counts only if the front is still there
+    /// afterwards. `read` is a plain read, so behind a stalled updater it
+    /// takes the descriptor fallback and helps.
+    pub(crate) fn sandwiched<T>(&self, front: u64, read: impl FnOnce() -> T) -> Option<T> {
+        let front = wft_queue::Timestamp(front);
+        self.front_current(front).ok()?;
+        self.still_at(front, read()).ok()
     }
 
     /// Exit check of the front-anchored reads: `out` counts only if the
@@ -1029,6 +1043,23 @@ mod tests {
     }
 
     #[test]
+    fn a_count_over_sum_reads_the_range_once() {
+        use wft_api::{RangeSpec, SnapshotRead};
+        let tree: WaitFreeTree<i64, i64, wft_seq::Sum> =
+            WaitFreeTree::from_entries((0..100).map(|k| (k, k)));
+        let hits = || tree.metrics().counter("tree_fast_range_hits").unwrap();
+        // `Sum` does not count, so `count` collects and reads no aggregate.
+        assert_eq!(tree.count(10, 19), 10);
+        assert_eq!(hits(), 1);
+        let token = tree.acquire_snapshot();
+        assert_eq!(
+            tree.count_at(&token, RangeSpec::inclusive(10, 19)),
+            Some(10)
+        );
+        assert_eq!(hits(), 2);
+    }
+
+    #[test]
     fn fast_read_counters_track_hits() {
         let tree: WaitFreeTree<i64> = WaitFreeTree::from_entries((0..100).map(|k| (k, ())));
         assert!(tree.contains(&5));
@@ -1262,10 +1293,11 @@ mod tests {
             released.wait();
         });
         // Once the guard is gone the descriptor is destroyed, exactly once.
-        for _ in 0..10_000 {
-            if drops() > 0 {
-                break;
-            }
+        // The wait is timed, not counted: a test running beside this one may
+        // hold a guard at the old epoch for milliseconds, longer than ten
+        // thousand flushes take, and no advance can pass it meanwhile.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while drops() == 0 && std::time::Instant::now() < deadline {
             flush();
             std::thread::yield_now();
         }

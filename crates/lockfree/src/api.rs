@@ -62,7 +62,9 @@ impl<K: RangeKey, V: Value> RangeRead<K, V> for LockFreeBst<K, V> {
     }
 
     fn collect_range(&self, range: RangeSpec<K>) -> Vec<(K, V)> {
-        wft_api::collect_over(range, |min, max| LockFreeBst::collect_range(self, min, max))
+        wft_api::agg_over(range, Vec::new, |min, max| {
+            LockFreeBst::collect_range(self, min, max)
+        })
     }
 }
 

@@ -72,16 +72,15 @@ where
     }
 
     fn count(&self, range: RangeSpec<K>) -> u64 {
-        wft_api::count_over(
+        wft_api::count_over::<K, V, A>(
             range,
             |min, max| PersistentRangeTree::range_agg(self, min, max),
-            A::count_of,
             |min, max| PersistentRangeTree::collect_range(self, min, max).len() as u64,
         )
     }
 
     fn collect_range(&self, range: RangeSpec<K>) -> Vec<(K, V)> {
-        wft_api::collect_over(range, |min, max| {
+        wft_api::agg_over(range, Vec::new, |min, max| {
             PersistentRangeTree::collect_range(self, min, max)
         })
     }

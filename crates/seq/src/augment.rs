@@ -65,9 +65,16 @@ pub trait Augmentation<K: Key, V: Value>: Send + Sync + 'static {
     /// aggregate. Generic `count` implementations use this to answer
     /// counting queries in `O(log N)` whenever a [`Size`] component is
     /// present (alone, or inside a [`Pair`] / [`KeyRange`]), falling back to
-    /// collecting the range otherwise.
+    /// collecting the range otherwise. It answers for every aggregate of
+    /// the type or for none.
     fn count_of(_agg: &Self::Agg) -> Option<u64> {
         None
+    }
+
+    /// Whether [`count_of`](Augmentation::count_of) answers: decided by the
+    /// type, so a count that would collect anyway skips the aggregate read.
+    fn counts() -> bool {
+        Self::count_of(&Self::identity()).is_some()
     }
 }
 

@@ -11,6 +11,7 @@ use wft_api::{
     BatchApply, BatchError, OpOutcome, PatchFn, PointMap, RangeKey, RangeRead, RangeSpec,
     SnapshotRead, SnapshotToken, StoreOp, UpdateOutcome,
 };
+use wft_core::cut;
 use wft_seq::{Augmentation, Key, Value};
 
 use crate::store::ShardedStore;
@@ -80,7 +81,7 @@ where
     }
 
     fn collect_range(&self, range: RangeSpec<K>) -> Vec<(K, V)> {
-        wft_api::collect_over(range, |min, max| {
+        wft_api::agg_over(range, Vec::new, |min, max| {
             ShardedStore::collect_range(self, min, max)
         })
     }
@@ -92,35 +93,9 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> BatchApply<K, V> for ShardedStore<
     }
 }
 
-/// One read at the cut a scalar token sums (see [`crate::front`], "Scalar
-/// tokens"): `None` without reading when the shards' advertised watermarks
-/// no longer sum to the token, and `None` plus one counted store snapshot
-/// retry when a shard advanced past the cut during the read.
-fn read_at_token<K, V, A, R>(
-    store: &ShardedStore<K, V, A>,
-    token: &SnapshotToken,
-    read: impl FnOnce(&[u64]) -> Result<R, usize>,
-) -> Option<R>
-where
-    K: Key,
-    V: Value,
-    A: Augmentation<K, V>,
-{
-    let cut = store.advertised_fronts();
-    if cut.iter().sum::<u64>() != token.front() {
-        return None;
-    }
-    read(&cut)
-        .map_err(|advanced| store.note_snapshot_retry(advanced))
-        .ok()
-}
-
-/// The store's [`SnapshotRead`]: its plain cross-shard reads already
-/// validate a per-shard cut, and a token read is one more read at such a
-/// cut. The token is the sum of an epoch-stable cut over every shard;
-/// a `*_at` read recovers that cut from the current advertised watermarks
-/// and reads the touched shards at it with the same front-validated
-/// per-shard reads the plain cross-shard reads use.
+/// The cut protocol ([`wft_core::cut`]) over the shards, as for a tree: the
+/// token sums an epoch-stable cut over every shard ([`crate::front`],
+/// "Scalar tokens"), read at with the store's optimistic-only reads.
 impl<K, V, A> SnapshotRead<K, V> for ShardedStore<K, V, A>
 where
     K: RangeKey,
@@ -128,44 +103,23 @@ where
     A: Augmentation<K, V>,
 {
     fn acquire_snapshot(&self) -> SnapshotToken {
-        SnapshotToken::new(self.settle_all_stable().iter().sum())
+        cut::acquire(self)
     }
 
     fn snapshot_valid(&self, token: &SnapshotToken) -> bool {
-        self.advertised_fronts().iter().sum::<u64>() == token.front()
+        cut::minted(self, token).is_some()
     }
 
     fn range_agg_at(&self, token: &SnapshotToken, range: RangeSpec<K>) -> Option<Self::Agg> {
-        read_at_token(self, token, |cut| {
-            wft_api::agg_over(
-                range,
-                || Ok(A::identity()),
-                |min, max| self.range_agg_at_cut(cut, min, max),
-            )
-        })
+        cut::range_agg_at(self, token, range)
     }
 
     fn count_at(&self, token: &SnapshotToken, range: RangeSpec<K>) -> Option<u64> {
-        read_at_token(self, token, |cut| {
-            wft_api::agg_over(
-                range,
-                || Ok(0),
-                |min, max| match A::count_of(&self.range_agg_at_cut(cut, min, max)?) {
-                    Some(count) => Ok(count),
-                    None => Ok(self.collect_range_at_cut(cut, min, max)?.len() as u64),
-                },
-            )
-        })
+        cut::count_at(self, token, range)
     }
 
     fn collect_range_at(&self, token: &SnapshotToken, range: RangeSpec<K>) -> Option<Vec<(K, V)>> {
-        read_at_token(self, token, |cut| {
-            wft_api::agg_over(
-                range,
-                || Ok(Vec::new()),
-                |min, max| self.collect_range_at_cut(cut, min, max),
-            )
-        })
+        cut::collect_range_at(self, token, range)
     }
 }
 
@@ -200,6 +154,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> wft_obs::MetricsSource for Sharded
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wft_core::{ScanCut, WaitFreeTree};
 
     #[test]
     fn store_speaks_the_shared_api() {
@@ -220,39 +175,147 @@ mod tests {
         assert_eq!(outcomes, vec![OpOutcome::Replaced(Some(50))]);
     }
 
+    /// A cut that lets an insert of `key` in before each aggregate read of
+    /// a shard: an update inside a token read. (Later inserts find the key
+    /// present and change nothing.)
+    struct Meddled<'a, M> {
+        map: &'a M,
+        key: i64,
+    }
+
+    impl<M: ScanCut<i64, ()> + PointMap<i64, ()>> ScanCut<i64, ()> for Meddled<'_, M> {
+        type Aug = M::Aug;
+
+        fn shards(&self) -> usize {
+            self.map.shards()
+        }
+
+        fn shard_of(&self, key: &i64) -> usize {
+            self.map.shard_of(key)
+        }
+
+        fn shard_start(&self, i: usize) -> i64 {
+            self.map.shard_start(i)
+        }
+
+        fn settle(&self, first: usize, last: usize) -> Vec<u64> {
+            self.map.settle(first, last)
+        }
+
+        fn advertised(&self, i: usize) -> u64 {
+            self.map.advertised(i)
+        }
+
+        fn read(
+            &self,
+            i: usize,
+            lo: i64,
+            hi: i64,
+            want: usize,
+            front: u64,
+            out: &mut Vec<(i64, ())>,
+        ) -> bool {
+            self.map.read(i, lo, hi, want, front, out)
+        }
+
+        fn read_agg(
+            &self,
+            i: usize,
+            lo: i64,
+            hi: i64,
+            front: u64,
+        ) -> Option<<M::Aug as Augmentation<i64, ()>>::Agg> {
+            PointMap::insert(self.map, self.key, ());
+            self.map.read_agg(i, lo, hi, front)
+        }
+
+        fn note_restart(&self, i: usize) {
+            self.map.note_restart(i);
+        }
+    }
+
+    /// A map of the keys `0..10`, read through the token protocol.
+    fn checks_the_front_on_entry_and_exit<M>(map: &M)
+    where
+        M: SnapshotRead<i64, (), Agg = u64> + PointMap<i64, ()> + ScanCut<i64, ()>,
+    {
+        let token = map.acquire_snapshot();
+        assert_eq!(map.count_at(&token, RangeSpec::all()), Some(10));
+        // A token forged past the front fails the entry check.
+        let forged = SnapshotToken::new(token.front() + 1);
+        assert!(!map.snapshot_valid(&forged));
+        assert_eq!(map.range_agg_at(&forged, RangeSpec::all()), None);
+        // An update inside the read voids its result.
+        let meddled = Meddled { map, key: 10 };
+        assert_eq!(cut::range_agg_at(&meddled, &token, RangeSpec::all()), None);
+        assert!(!map.snapshot_valid(&token));
+        let fresh = map.acquire_snapshot();
+        assert_eq!(
+            map.collect_range_at(&fresh, RangeSpec::at_least(9))
+                .map(|v| v.len()),
+            Some(2)
+        );
+    }
+
+    #[test]
+    fn token_reads_check_the_front_on_entry_and_exit() {
+        use wft_obs::MetricsSource;
+        let tree: WaitFreeTree<i64> = WaitFreeTree::from_entries((0..10).map(|k| (k, ())));
+        checks_the_front_on_entry_and_exit(&tree);
+        let store: ShardedStore<i64> = ShardedStore::from_entries((0..10).map(|k| (k, ())), 4);
+        checks_the_front_on_entry_and_exit(&store);
+        // The store counts the voided read as one snapshot retry.
+        assert_eq!(store.metrics().counter("store_snapshot_retries"), Some(1));
+    }
+
+    /// A map of the keys `0..400`: a token reads the state it was minted
+    /// at until any update linearizes. Returns a fresh token over the
+    /// final state (399 keys).
+    fn reads_the_state_at_mint<M>(map: &M) -> SnapshotToken
+    where
+        M: SnapshotRead<i64, (), Agg = u64> + PointMap<i64, ()>,
+    {
+        let low = RangeSpec::inclusive(0, 250);
+        let token = map.acquire_snapshot();
+        assert_eq!(map.count_at(&token, low), Some(251));
+
+        // A failed insert or remove takes no timestamp: the token survives.
+        assert!(!map.insert(0, ()).is_applied());
+        assert!(!map.remove(&1_000).is_applied());
+        assert!(map.snapshot_valid(&token));
+        assert_eq!(map.count_at(&token, RangeSpec::all()), Some(400));
+
+        // A write outside `low` still expires the token: it names the
+        // state of every shard.
+        assert!(map.remove(&399).is_applied());
+        assert!(!map.snapshot_valid(&token));
+        assert_eq!(map.count_at(&token, low), None);
+        assert_eq!(map.range_agg_at(&token, low), None);
+        assert_eq!(map.collect_range_at(&token, low), None);
+        // Stale is stale, even for an inverted range.
+        assert_eq!(map.count_at(&token, RangeSpec::inclusive(9, 3)), None);
+
+        // A fresh token reads the new state.
+        let fresh = map.acquire_snapshot();
+        assert_ne!(fresh, token);
+        assert_eq!(map.count_at(&fresh, RangeSpec::all()), Some(399));
+        assert_eq!(
+            map.collect_range_at(&fresh, RangeSpec::inclusive(398, 1_000)),
+            Some(vec![(398, ())])
+        );
+        fresh
+    }
+
     #[test]
     fn a_scalar_token_reads_the_cut_it_sums() {
         use wft_obs::MetricsSource;
-        // Shards [0, 100), [100, 200), [200, 300), [300, ∞).
+        let tree: WaitFreeTree<i64> = WaitFreeTree::from_entries((0..400).map(|k| (k, ())));
+        reads_the_state_at_mint(&tree);
+        // Shards [0, 100), [100, 200), [200, 300), [300, ∞): the write to
+        // 399 lands on shard 3, which the low range never touches.
         let store: ShardedStore<i64> = ShardedStore::from_entries((0..400).map(|k| (k, ())), 4);
-        let low = RangeSpec::inclusive(0, 250);
-        let token = store.acquire_snapshot();
-        assert_eq!(store.count_at(&token, low), Some(251));
-
-        // A failed insert or remove takes no timestamp: the token survives.
-        assert!(!PointMap::insert(&store, 0, ()).is_applied());
-        assert!(!PointMap::remove(&store, &1_000).is_applied());
-        assert!(store.snapshot_valid(&token));
-        assert_eq!(store.count_at(&token, RangeSpec::all()), Some(400));
-
-        // A write to shard 3, outside `low`, still expires the token: it
-        // names a cut over every shard, and that cut is gone.
-        assert_eq!(store.shard_of(&399), 3);
-        assert!(PointMap::remove(&store, &399).is_applied());
-        assert!(!store.snapshot_valid(&token));
-        assert_eq!(store.count_at(&token, low), None);
-        assert_eq!(store.range_agg_at(&token, low), None);
-        assert_eq!(store.collect_range_at(&token, low), None);
-        assert_eq!(store.count_at(&token, RangeSpec::inclusive(9, 3)), None);
-
-        // A fresh token reads the new state.
-        let fresh = store.acquire_snapshot();
-        assert_ne!(fresh, token);
-        assert_eq!(store.count_at(&fresh, RangeSpec::all()), Some(399));
-        assert_eq!(
-            store.collect_range_at(&fresh, RangeSpec::inclusive(398, 1_000)),
-            Some(vec![(398, ())])
-        );
+        assert_eq!((store.shard_of(&250), store.shard_of(&399)), (2, 3));
+        let fresh = reads_the_state_at_mint(&store);
 
         // A gated batch commits once and expires the fresh token.
         let commits = || store.metrics().counter("store_batch_commits").unwrap();

@@ -1,23 +1,26 @@
 //! The global timestamp front: single-snapshot cross-shard reads.
 //!
-//! Every shard of a [`ShardedStore`](crate::ShardedStore) is a
-//! `WaitFreeTree` with its own root queue, and every tree maintains a
-//! **timestamp front**: an *advertised* watermark that advances before an
-//! update's effect can be observed, and a *resolved* watermark that trails
-//! it until the update's linearization completes
+//! Every shard of a [`ShardedStore`] is a `WaitFreeTree` with its own
+//! root queue, and every tree maintains a **timestamp front**: an
+//! *advertised* watermark that advances before an update's effect can be
+//! observed, and a *resolved* watermark that trails it until the update's
+//! linearization completes
 //! (`WaitFreeTree::{advertised_ts, settle_front, front_unchanged}`). One
 //! settled watermark per shard is a *cut* through the store's per-shard
 //! linearization orders — the store's global front — and the store's
-//! cross-shard reads are executed **at** such a cut:
+//! cross-shard reads are executed **at** such a cut. The protocol is
+//! written once, in `wft_core::cut`, over the store's [`ScanCut`] impl (the
+//! tree's token reads run the same code over one shard); this module holds
+//! what the store plugs in:
 //!
 //! 1. **Acquire**: settle every touched shard's front (`settle_front`,
 //!    helping any mid-linearization update to completion — lock-free) and
 //!    record the per-shard watermarks.
-//! 2. **Read**: answer each shard's sub-query with the tree's ordinary
-//!    linearizable range read, *front-validated* on both sides
-//!    (`range_agg_at_front` / `collect_range_limited_at_front`): the
-//!    result is returned only if the shard's advertised watermark still
-//!    equals the front.
+//! 2. **Read**: answer each shard's sub-query with the tree's optimistic
+//!    range read, *front-validated* on both sides (`range_agg_at_front` /
+//!    `collect_range_limited_at_front` under `read_at_cut`): the result
+//!    is returned only if the shard's advertised watermark still equals
+//!    the front.
 //! 3. **Retry**: if any shard advanced past its front mid-read, the whole
 //!    attempt is discarded and the read re-acquires a fresh cut. A shard
 //!    that is merely *busy* — front unchanged, an operation mid-flight
@@ -46,13 +49,14 @@
 //! Watermarks are monotone, so each shard's current advertised watermark is
 //! at least its minted one, and the current watermarks sum to the token
 //! only while **every** shard still sits at its minted front. A `*_at`
-//! read therefore reads the current advertised watermarks, and if they sum
-//! to the token, reads at them as a cut like any cross-shard read; if they
-//! do not, the token is stale. The mint was epoch-stable, so the cut splits
-//! no atomic batch. The price of one number: a token expires on an update
-//! to *any* shard, even one its reads never touch. The plain cross-shard
-//! reads and the scan cursor keep the per-shard cut and expire only when a
-//! shard they touch advanced.
+//! read (`wft_core::cut`'s token reads, the tree's too) therefore reads the
+//! current advertised watermarks, and if they sum to the token, reads at
+//! them as a cut like any cross-shard read; if they do not, the token is
+//! stale. The mint was epoch-stable, so the cut splits no atomic batch.
+//! The price of one number: a token expires on an update to *any* shard,
+//! even one its reads never touch. The plain cross-shard reads and the scan
+//! cursor keep the per-shard cut and expire only when a shard they touch
+//! advanced.
 //!
 //! # Progress
 //!
@@ -85,8 +89,11 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use wft_core::FrontMiss;
+use wft_core::{FrontMiss, ScanCut, Timestamp};
 use wft_obs::Counter;
+use wft_seq::{Augmentation, Key, Value};
+
+use crate::store::{shard_trace_arg, ShardedStore};
 
 /// The store-internal front bookkeeping: the per-shard **commit gate**
 /// behind atomic cross-shard batches, plus the store's event counters
@@ -155,6 +162,63 @@ pub(crate) fn read_at_cut<T>(mut read: impl FnMut() -> Result<T, FrontMiss>) -> 
             Err(FrontMiss::Expired) => return None,
             Err(FrontMiss::Busy) => gate_backoff(&mut spins),
         }
+    }
+}
+
+/// The store as a cut of its shards: what `wft_core::cut` and the merge
+/// cursor read through.
+impl<K, V, A> ScanCut<K, V> for ShardedStore<K, V, A>
+where
+    K: Key,
+    V: Value,
+    A: Augmentation<K, V>,
+{
+    type Aug = A;
+
+    fn shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    fn shard_of(&self, key: &K) -> usize {
+        ShardedStore::shard_of(self, key)
+    }
+
+    fn shard_start(&self, i: usize) -> K {
+        self.bounds[i - 1]
+    }
+
+    /// Epoch-stable: a cut cannot split an atomic batch commit.
+    fn settle(&self, first: usize, last: usize) -> Vec<u64> {
+        self.settle_touched_stable(first, last)
+    }
+
+    fn advertised(&self, i: usize) -> u64 {
+        self.shards[i].advertised_ts().get()
+    }
+
+    /// Optimistic-only at the cut; a busy shard is re-read at the same
+    /// watermark (`front::read_at_cut`).
+    fn read(&self, i: usize, lo: K, hi: K, want: usize, front: u64, out: &mut Vec<(K, V)>) -> bool {
+        let tree = &self.shards[i];
+        read_at_cut(|| tree.collect_range_limited_at_front(lo, hi, want, Timestamp(front), out))
+            .is_some()
+    }
+
+    /// Optimistic-only at the cut, like [`read`](ScanCut::read).
+    fn read_agg(&self, i: usize, lo: K, hi: K, front: u64) -> Option<A::Agg> {
+        read_at_cut(|| self.shards[i].range_agg_at_front(lo, hi, Timestamp(front)))
+    }
+
+    /// `store_scan_resumes`, traced with the shard that expired the cut.
+    fn note_resume(&self, i: usize) {
+        self.front.scan_resumes.inc();
+        wft_obs::trace::emit(wft_obs::TraceKind::ScanResume, shard_trace_arg(i));
+    }
+
+    /// A discarded read at a cut (a cross-shard or token read, or a
+    /// cursor's first pass) is a snapshot retry, not a scan resume.
+    fn note_restart(&self, i: usize) {
+        self.note_snapshot_retry(i);
     }
 }
 

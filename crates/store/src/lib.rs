@@ -11,8 +11,8 @@
 //! * [`StoreOp`] / [`ShardedStore::apply_batch`] — a **two-phase batch
 //!   API** in the style of GroveDB's `apply_batch`: phase one validates the
 //!   whole batch and groups it by destination shard without touching any
-//!   tree, phase two fans the per-shard groups out (across threads for
-//!   large batches). A batch that fails validation is rejected before any
+//!   tree, phase two applies the groups on the calling thread inside one
+//!   commit window. A batch that fails validation is rejected before any
 //!   mutation.
 //! * [`split_keys_from_sample`] — balanced shard-boundary selection from a
 //!   sampled key distribution (equi-depth quantiles), used by
@@ -21,7 +21,8 @@
 //!   `count` / `range_agg` / `collect_range` acquire one
 //!   settled per-shard watermark cut and read every touched shard at it,
 //!   making them linearizable, and [`wft_api::SnapshotRead`] exposes
-//!   consistent multi-range snapshot reads at the cut a scalar token sums. `len` takes the same
+//!   consistent multi-range snapshot reads at the cut a scalar token sums;
+//!   both run `wft_core::cut`'s one protocol over the shards. `len` takes the same
 //!   discipline with a bounded number of cut attempts, falling back to the
 //!   stitched sum of per-shard lengths (counted in the
 //!   `store_len_fallbacks` metric) under sustained write traffic.

@@ -7,64 +7,20 @@
 //! one-shot cross-shard reads do — one watermark per shard — and streams on
 //! top of them: [`wft_core::MergeCursor`] drains shard after shard in key
 //! order, and only a touched, not-yet-drained shard can expire it (see
-//! [`wft_core::scan`]). The store answers the cursor's questions as a
-//! [`ScanCut`]: cuts are settled epoch-stable, so none can split an atomic
-//! batch commit, and each shard is read optimistic-only at its watermark
-//! (`front::read_at_cut`), never through the descriptor fallback.
+//! [`wft_core::scan`]). The store answers the cursor's questions as the
+//! [`ScanCut`](wft_core::ScanCut) of [`crate::front`]: cuts are settled
+//! epoch-stable, so none can split an atomic batch commit, and each shard
+//! is read optimistic-only at its watermark, never through the descriptor
+//! fallback.
 
 use wft_api::{RangeKey, RangeScan, RangeSpec};
-use wft_core::{MergeCursor, ScanCut, Timestamp};
+use wft_core::MergeCursor;
 use wft_seq::{Augmentation, Value};
 
-use crate::front::read_at_cut;
-use crate::store::{shard_trace_arg, ShardedStore};
+use crate::store::ShardedStore;
 
 /// The store's streaming cursor (and so the durable store's).
 pub type StoreScanCursor<'a, K, V, A> = MergeCursor<'a, K, V, ShardedStore<K, V, A>>;
-
-impl<K, V, A> ScanCut<K, V> for ShardedStore<K, V, A>
-where
-    K: RangeKey,
-    V: Value,
-    A: Augmentation<K, V>,
-{
-    fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_of(&self, key: &K) -> usize {
-        ShardedStore::shard_of(self, key)
-    }
-
-    fn shard_start(&self, i: usize) -> K {
-        self.bounds[i - 1]
-    }
-
-    /// Epoch-stable, like `acquire_snapshot`: a cut cannot split an atomic
-    /// batch commit.
-    fn settle(&self, first: usize, last: usize) -> Vec<u64> {
-        self.settle_touched_stable(first, last)
-    }
-
-    /// Optimistic-only at the cut; a busy shard is re-read at the same
-    /// watermark (`front::read_at_cut`).
-    fn read(&self, i: usize, lo: K, hi: K, want: usize, front: u64, out: &mut Vec<(K, V)>) -> bool {
-        let tree = &self.shards[i];
-        read_at_cut(|| tree.collect_range_limited_at_front(lo, hi, want, Timestamp(front), out))
-            .is_some()
-    }
-
-    /// `store_scan_resumes`, traced with the shard that expired the cut.
-    fn note_resume(&self, i: usize) {
-        self.front.scan_resumes.inc();
-        wft_obs::trace::emit(wft_obs::TraceKind::ScanResume, shard_trace_arg(i));
-    }
-
-    /// A discarded first pass is a snapshot retry, not a scan resume.
-    fn note_restart(&self, i: usize) {
-        self.note_snapshot_retry(i);
-    }
-}
 
 /// The store's native [`RangeScan`]: the per-shard-cut streaming merge
 /// rather than a cursor validated against the scalar token, so writes to

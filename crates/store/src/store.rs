@@ -28,9 +28,11 @@
 //! watermark cut is acquired, every touched shard is read at its front with
 //! front-validated entry points, and the attempt retries on a fresh cut if
 //! any shard advanced mid-read — so `count` / `range_agg` / `collect_range`
-//! are linearizable across shards; `len()` takes the same discipline with a
-//! **bounded** number of cut attempts, falling back to the stitched sum of
-//! per-shard lengths under sustained contention.
+//! are linearizable across shards. That loop, and the token reads of
+//! [`wft_api::SnapshotRead`], are `wft_core::cut`'s, run over the store's
+//! [`ScanCut`](wft_core::ScanCut) impl. `len()` takes the same discipline
+//! with a **bounded** number of cut attempts, falling back to the stitched
+//! sum of per-shard lengths under sustained contention.
 //! Streaming reads take the same discipline shard-by-shard: the store's
 //! [`wft_api::RangeScan`] cursor (see [`crate::scan`]) drains a range in
 //! chunks at one cut.
@@ -49,10 +51,11 @@
 //! *classic* batches bypass the gate entirely (one tree op is already
 //! atomic).
 
-use wft_core::{Timestamp, WaitFreeTree};
+use wft_api::apply_op;
+use wft_core::{cut, Timestamp, WaitFreeTree};
 use wft_seq::{Augmentation, Key, Size, Value};
 
-use crate::front::{read_at_cut, FrontTable};
+use crate::front::FrontTable;
 use crate::op::{BatchError, OpOutcome, StoreConfig, StoreOp};
 
 /// A range-partitioned, wait-free-sharded concurrent ordered map with
@@ -286,7 +289,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
             return self.shards[0].len();
         }
         for _ in 0..Self::LEN_CUT_ATTEMPTS {
-            let fronts = self.settle_all_stable();
+            let fronts = self.settle_touched_stable(0, self.shards.len() - 1);
             let sum: u64 = self.shards.iter().map(WaitFreeTree::len).sum();
             match self
                 .shards
@@ -335,31 +338,23 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
     /// augmented root answers in `O(log n_i)`. Shards outside
     /// `[shard_of(min), shard_of(max)]` are never touched. A range inside
     /// one shard is answered directly (the shard's own read is already
-    /// linearizable); a multi-shard range acquires a settled per-shard
-    /// front, reads every touched shard at it, and retries on a fresh front
-    /// if any shard advanced mid-read (see [`crate::front`] for the
-    /// argument and the progress guarantee; retries are counted in
-    /// the `store_snapshot_retries` metric).
+    /// linearizable); a multi-shard range is [`wft_core::cut::range_agg`]:
+    /// it acquires a settled per-shard front, reads every touched shard at
+    /// it, and retries on a fresh front if any shard advanced mid-read (see
+    /// [`crate::front`] for the argument and the progress guarantee;
+    /// retries are counted in the `store_snapshot_retries` metric).
     pub fn range_agg(&self, min: K, max: K) -> A::Agg {
         if max < min {
             return A::identity();
         }
         let first = self.shard_of(&min);
-        let last = self.shard_of(&max);
-        if first == last {
+        if first == self.shard_of(&max) {
             // One shard's read is linearizable on its own, but it must not
             // land inside a commit window (a multi-op batch group on this
             // shard applies op by op) — the epoch sandwich excludes that.
             return self.gated_read(first, || self.shards[first].range_agg(min, max));
         }
-        loop {
-            let fronts = self.settle_touched_stable(first, last);
-            match self.try_agg_at(first, last, min, max, &fronts) {
-                Ok(acc) => return acc,
-                Err(advanced) => self.note_snapshot_retry(advanced),
-            }
-            std::hint::spin_loop();
-        }
+        cut::range_agg(self, min, max)
     }
 
     /// All entries with keys in `[min, max]`, in ascending key order, read
@@ -373,97 +368,34 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
             return Vec::new();
         }
         let first = self.shard_of(&min);
-        let last = self.shard_of(&max);
-        if first == last {
+        if first == self.shard_of(&max) {
             // Epoch-sandwiched for the same reason as `range_agg`'s
             // single-shard fast path.
             return self.gated_read(first, || self.shards[first].collect_range(min, max));
         }
-        loop {
-            let fronts = self.settle_touched_stable(first, last);
-            match self.try_collect_at(first, last, min, max, &fronts) {
-                Ok(out) => return out,
-                Err(advanced) => self.note_snapshot_retry(advanced),
-            }
-            std::hint::spin_loop();
-        }
+        cut::collect_range(self, min, max)
     }
 
     /// Number of keys in `[min, max]`, the paper's headline aggregate,
     /// answered per overlapped shard at one global front and summed —
     /// linearizable (see [`ShardedStore::range_agg`]). Read off the
     /// aggregate whenever the augmentation tracks the entry count
-    /// ([`Augmentation::count_of`]: `Size` alone or inside a `Pair`);
-    /// otherwise the range is collected and counted.
+    /// ([`Augmentation::counts`]: `Size` alone or inside a `Pair`);
+    /// otherwise the range is collected and counted, and no aggregate is
+    /// read.
     pub fn count(&self, min: K, max: K) -> u64 {
-        A::count_of(&self.range_agg(min, max))
+        A::counts()
+            .then(|| A::count_of(&self.range_agg(min, max)))
+            .flatten()
             .unwrap_or_else(|| self.collect_range(min, max).len() as u64)
     }
 
     // -- per-shard cuts ----------------------------------------------------
 
-    /// [`ShardedStore::range_agg`] at a per-shard cut (`cut[i]` is shard
-    /// `i`'s watermark, every shard covered): `Err(i)` once touched shard
-    /// `i` advanced past it.
-    pub(crate) fn range_agg_at_cut(&self, cut: &[u64], min: K, max: K) -> Result<A::Agg, usize> {
-        if max < min {
-            return Ok(A::identity());
-        }
-        let first = self.shard_of(&min);
-        let last = self.shard_of(&max);
-        self.try_agg_at(first, last, min, max, &cut[first..=last])
-    }
-
-    /// [`ShardedStore::collect_range`] at a per-shard cut (see
-    /// [`ShardedStore::range_agg_at_cut`]).
-    pub(crate) fn collect_range_at_cut(
-        &self,
-        cut: &[u64],
-        min: K,
-        max: K,
-    ) -> Result<Vec<(K, V)>, usize> {
-        if max < min {
-            return Ok(Vec::new());
-        }
-        let first = self.shard_of(&min);
-        let last = self.shard_of(&max);
-        self.try_collect_at(first, last, min, max, &cut[first..=last])
-    }
-
-    /// The per-shard advertised watermarks (`result[i]` is shard `i`'s):
-    /// the current cut a scalar snapshot token is checked against (see
-    /// [`crate::front`], "Scalar tokens").
-    pub(crate) fn advertised_fronts(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|s| s.advertised_ts().get())
-            .collect()
-    }
-
-    /// Settles the fronts of shards `first..=last` (acquire phase of one
-    /// cross-shard read attempt, and of a scan cursor's suffix resume);
-    /// `result[i - first]` is shard `i`'s watermark.
-    ///
-    /// **Raw**: takes no notice of the commit gate, so it may observe a
-    /// batch-commit window in progress. Only the commit path itself (which
-    /// owns its window) and the `*_stable` wrappers below may call it;
-    /// every reader-facing acquisition goes through the stable variants.
-    pub(crate) fn settle_touched(&self, first: usize, last: usize) -> Vec<u64> {
-        self.front.acquires.inc();
-        (first..=last)
-            .map(|i| self.shards[i].settle_front().get())
-            .collect()
-    }
-
-    /// Every shard's front settled in even commit epochs (see
-    /// [`ShardedStore::settle_touched_stable`]).
-    pub(crate) fn settle_all_stable(&self) -> Vec<u64> {
-        self.settle_touched_stable(0, self.shards.len() - 1)
-    }
-
-    /// Settles the fronts of shards `first..=last` **outside any commit
-    /// window**: the raw settle is sandwiched between matching even-epoch
-    /// observations of every touched shard, so the returned cut can never
+    /// Settles the fronts of shards `first..=last` (`result[i - first]` is
+    /// shard `i`'s watermark) **outside any commit window**: the settle,
+    /// one `store_snapshot_acquires`, is sandwiched between matching
+    /// even-epoch observations of every touched shard, so the cut can never
     /// have been acquired while an atomic batch was half-applied. Together
     /// with per-shard watermark validation this makes every cut read
     /// all-or-nothing with respect to gated batches: a batch's every
@@ -481,7 +413,10 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
             let epochs: Option<Vec<u64>> =
                 (first..=last).map(|i| self.front.epoch_open(i)).collect();
             if let Some(epochs) = epochs {
-                let fronts = self.settle_touched(first, last);
+                self.front.acquires.inc();
+                let fronts: Vec<u64> = (first..=last)
+                    .map(|i| self.shards[i].settle_front().get())
+                    .collect();
                 if (first..=last)
                     .zip(&epochs)
                     .all(|(i, &e)| self.front.epoch_is(i, e))
@@ -552,52 +487,6 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
         }
     }
 
-    /// One front-validated aggregate attempt over shards `first..=last`
-    /// (`fronts[i - first]` is shard `i`'s watermark). `Err(i)` as soon as
-    /// touched shard `i` advanced past its front — the attribution feeds the
-    /// retry loops' [`ShardedStore::note_snapshot_retry`] trace events.
-    fn try_agg_at(
-        &self,
-        first: usize,
-        last: usize,
-        min: K,
-        max: K,
-        fronts: &[u64],
-    ) -> Result<A::Agg, usize> {
-        let mut acc = A::identity();
-        for i in first..=last {
-            let lo = if i == first { min } else { self.bounds[i - 1] };
-            let front = Timestamp(fronts[i - first]);
-            let shard_agg =
-                read_at_cut(|| self.shards[i].range_agg_at_front(lo, max, front)).ok_or(i)?;
-            acc = A::combine(&acc, &shard_agg);
-        }
-        Ok(acc)
-    }
-
-    /// One front-validated collect attempt (see
-    /// [`ShardedStore::try_agg_at`]).
-    fn try_collect_at(
-        &self,
-        first: usize,
-        last: usize,
-        min: K,
-        max: K,
-        fronts: &[u64],
-    ) -> Result<Vec<(K, V)>, usize> {
-        // Every shard appends into the one vector returned.
-        let mut out = Vec::new();
-        for i in first..=last {
-            let lo = if i == first { min } else { self.bounds[i - 1] };
-            let front = Timestamp(fronts[i - first]);
-            read_at_cut(|| {
-                self.shards[i].collect_range_limited_at_front(lo, max, usize::MAX, front, &mut out)
-            })
-            .ok_or(i)?;
-        }
-        Ok(out)
-    }
-
     /// Records one discarded cross-shard read attempt: bumps
     /// `store_snapshot_retries` and traces **which shard** expired
     /// the cut ([`wft_obs::TraceKind::SnapshotRetry`]) — the per-shard
@@ -643,7 +532,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
         let mut results: Vec<Option<OpOutcome<V>>> = (0..plan.len).map(|_| None).collect();
         for (shard_idx, group) in plan.groups.into_iter().enumerate() {
             for (index, op) in group {
-                results[index] = Some(apply_one(&self.shards[shard_idx], op));
+                results[index] = Some(apply_op(&self.shards[shard_idx], op));
             }
         }
         results
@@ -694,7 +583,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
             wft_api::validate_batch(&batch, self.config.max_batch_ops)?;
             let op = batch.pop().expect("a one-op batch");
             let shard = self.shard_of(op.key());
-            let outcome = self.gated_write(shard, move || apply_one(&self.shards[shard], op));
+            let outcome = self.gated_write(shard, move || apply_op(&self.shards[shard], op));
             return Ok(vec![outcome]);
         }
         let plan = self.plan_batch(batch)?;
@@ -772,37 +661,6 @@ impl Drop for CommitGuard<'_> {
     }
 }
 
-fn apply_one<K: Key, V: Value, A: Augmentation<K, V>>(
-    shard: &WaitFreeTree<K, V, A>,
-    op: StoreOp<K, V>,
-) -> OpOutcome<V> {
-    match op {
-        StoreOp::Insert { key, value } => OpOutcome::Inserted(shard.insert(key, value)),
-        StoreOp::InsertOrReplace { key, value } => {
-            OpOutcome::Replaced(shard.insert_or_replace(key, value))
-        }
-        StoreOp::Remove { key } => OpOutcome::Removed(shard.remove(&key)),
-        StoreOp::RemoveEntry { key } => OpOutcome::RemovedEntry(shard.remove_entry(&key)),
-        // Transactional ops: resolve against the shard's current value,
-        // then apply the pinned physical effect. They run only inside a
-        // commit window, so the read-decide-write span is exclusive.
-        op => {
-            let resolved = wft_api::resolve_op(&op, shard.get(op.key()));
-            match resolved.physical {
-                Some(StoreOp::InsertOrReplace { key, value }) => {
-                    shard.insert_or_replace(key, value);
-                }
-                Some(StoreOp::Remove { key }) => {
-                    shard.remove(&key);
-                }
-                Some(other) => unreachable!("resolve_op pins to upserts/removes, got {other:?}"),
-                None => {}
-            }
-            resolved.outcome
-        }
-    }
-}
-
 /// Picks up to `shards - 1` strictly increasing split keys from a sample of
 /// the key distribution: the equi-depth quantiles of the sorted, deduplicated
 /// sample. With fewer distinct keys than shards the result simply yields
@@ -840,12 +698,21 @@ mod tests {
     use super::*;
     use crate::op::{BatchError, OpOutcome, StoreConfig, StoreOp};
     use std::thread;
-    use wft_api::{RangeSpec, SnapshotRead};
+    use wft_api::{PointMap, RangeSpec, SnapshotRead, SnapshotToken};
     use wft_obs::MetricsSource;
     use wft_seq::{Pair, Sum};
 
     fn store_with_shards(shards: usize, keys: i64) -> ShardedStore<i64> {
         ShardedStore::from_entries((0..keys).map(|k| (k, ())), shards)
+    }
+
+    /// Every shard's advertised watermark, in shard order.
+    fn advertised(store: &ShardedStore<i64>) -> Vec<u64> {
+        store
+            .shards
+            .iter()
+            .map(|s| s.advertised_ts().get())
+            .collect()
     }
 
     #[test]
@@ -1019,32 +886,62 @@ mod tests {
         assert_eq!(store.get(&5), Some(52));
     }
 
-    #[test]
-    fn snapshot_token_validates_and_expires() {
-        let store = store_with_shards(4, 1000);
+    /// A map of the keys `0..1000`, read through the token protocol until
+    /// an insert of 5000 expires the token it returns.
+    fn validates_and_expires<M>(map: &M) -> SnapshotToken
+    where
+        M: SnapshotRead<i64, (), Agg = u64> + PointMap<i64, ()>,
+    {
         let span = |min, max| RangeSpec::inclusive(min, max);
-        let token = store.acquire_snapshot();
-        assert!(store.snapshot_valid(&token));
-        assert_eq!(store.range_agg_at(&token, span(0, 999)), Some(1000));
+        let token = map.acquire_snapshot();
+        assert!(map.snapshot_valid(&token));
+        assert_eq!(map.range_agg_at(&token, span(0, 999)), Some(1000));
         assert_eq!(
-            store
-                .collect_range_at(&token, span(100, 899))
+            map.collect_range_at(&token, span(100, 899))
                 .map(|v| v.len()),
             Some(800)
         );
         // Inverted ranges answer the identity without touching shards.
-        assert_eq!(store.range_agg_at(&token, span(9, 3)), Some(0));
-        assert_eq!(store.collect_range_at(&token, span(9, 3)), Some(vec![]));
+        assert_eq!(map.range_agg_at(&token, span(9, 3)), Some(0));
+        assert_eq!(map.collect_range_at(&token, span(9, 3)), Some(vec![]));
         // An update to a touched shard expires the token …
-        store.insert(5000, ());
-        assert!(!store.snapshot_valid(&token));
-        assert_eq!(store.range_agg_at(&token, span(0, 5000)), None);
+        assert!(map.insert(5000, ()).is_applied());
+        assert!(!map.snapshot_valid(&token));
+        assert_eq!(map.range_agg_at(&token, span(0, 5000)), None);
+        token
+    }
+
+    #[test]
+    fn snapshot_token_validates_and_expires() {
+        let tree: WaitFreeTree<i64> = WaitFreeTree::from_entries((0..1000).map(|k| (k, ())));
+        validates_and_expires(&tree);
+        let store = store_with_shards(4, 1000);
+        let token = validates_and_expires(&store);
         // … and so does one to a shard the range avoids: the scalar token
         // names the whole cut.
         let advanced = store.shard_of(&5000);
         assert_ne!(store.shard_of(&0), advanced);
         let hi = store.boundaries()[0] - 1;
-        assert_eq!(store.range_agg_at(&token, span(0, hi)), None);
+        assert_eq!(
+            store.range_agg_at(&token, RangeSpec::inclusive(0, hi)),
+            None
+        );
+    }
+
+    #[test]
+    fn a_cross_shard_count_over_sum_settles_one_cut() {
+        let store: ShardedStore<i64, i64, Sum> =
+            ShardedStore::from_entries((0..400).map(|k| (k, k)), 4);
+        let acquires = || store.metrics().counter("store_snapshot_acquires").unwrap();
+        // `Sum` does not count, so `count` collects and reads no aggregate.
+        assert_eq!(store.count(0, 399), 400);
+        assert_eq!(acquires(), 1);
+        let token = store.acquire_snapshot();
+        assert_eq!(
+            store.count_at(&token, RangeSpec::inclusive(50, 349)),
+            Some(300)
+        );
+        assert_eq!(acquires(), 2);
     }
 
     #[test]
@@ -1073,7 +970,7 @@ mod tests {
         assert_eq!(store.count(0, 400), 401);
         let last = store.shard_of(&400);
         let after = store.acquire_snapshot();
-        let fronts = store.advertised_fronts();
+        let fronts = advertised(&store);
         assert!(
             fronts[last] >= 1,
             "shard {last}'s front advanced: {fronts:?}"
@@ -1097,7 +994,7 @@ mod tests {
         store.insert(0, ()); // failed insert still linearizes on shard 0
         assert!(!store.snapshot_valid(&before));
         let after = store.acquire_snapshot();
-        let fronts = store.advertised_fronts();
+        let fronts = advertised(&store);
         assert!(
             fronts[0] >= 1,
             "shard 0's settled front advanced: {fronts:?}"

@@ -78,7 +78,10 @@ fn main() {
         let c = oracle.range_agg::<Sum>(lo, hi);
         assert_eq!(a, b, "wait-free vs persistent disagree on [{lo}, {hi}]");
         assert_eq!(a, c, "wait-free vs oracle disagree on [{lo}, {hi}]");
-        println!("total balance of accounts [{lo:>5}, {hi:>5}] = {a}");
+        // `Sum` does not count entries: `count` collects the range.
+        let n = ledger.count(lo, hi);
+        assert_eq!(n, oracle.count(lo, hi), "count disagrees on [{lo}, {hi}]");
+        println!("total balance of {n:>5} accounts [{lo:>5}, {hi:>5}] = {a}");
     }
     println!("kv_range_sum finished successfully");
 }

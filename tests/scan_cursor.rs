@@ -31,7 +31,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use wait_free_range_trees::api::READAHEAD_CAP;
+use wait_free_range_trees::core::scan::READAHEAD_CAP;
 use wait_free_range_trees::prelude::*;
 
 mod common;
