@@ -203,18 +203,6 @@ impl<K: Key, V: Value> OpKind<K, V> {
             OpKind::Insert { .. } | OpKind::Replace { .. } | OpKind::Remove { .. }
         )
     }
-
-    /// The single routing key of a scalar operation (`insert`, `replace`,
-    /// `remove`, `contains`); range queries return `None`.
-    pub fn scalar_key(&self) -> Option<K> {
-        match self {
-            OpKind::Insert { key, .. }
-            | OpKind::Replace { key, .. }
-            | OpKind::Remove { key }
-            | OpKind::Lookup { key } => Some(*key),
-            _ => None,
-        }
-    }
 }
 
 /// Which part of a range query applies at a particular node.
@@ -404,9 +392,6 @@ mod tests {
         assert!(rem.is_update());
         assert!(!look.is_update());
         assert!(!agg.is_update());
-        assert_eq!(ins.scalar_key(), Some(1));
-        assert_eq!(rep.scalar_key(), Some(1));
-        assert_eq!(agg.scalar_key(), None);
     }
 
     #[test]

@@ -256,11 +256,6 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> Node<K, V, A, S> {
         Node::Leaf(LeafNode::from_run::<A>(run, ts))
     }
 
-    /// `true` for [`Node::Inner`].
-    pub fn is_inner(&self) -> bool {
-        matches!(self, Node::Inner(_))
-    }
-
     /// The inner node, if this is one.
     pub fn as_inner(&self) -> Option<&InnerNode<K, V, A, S>> {
         match self {
@@ -630,7 +625,6 @@ mod tests {
         assert_eq!(empty.current_agg(&guard), 0);
         let leaf: N = Node::leaf(vec![(3, ()), (5, ()), (8, ())], Timestamp::ZERO);
         assert_eq!(leaf.current_agg(&guard), 3);
-        assert!(!leaf.is_inner());
         assert!(leaf.as_inner().is_none());
     }
 

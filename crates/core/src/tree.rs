@@ -122,17 +122,30 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
 
     /// Creates an empty tree with an explicit [`TreeConfig`].
     pub fn with_config(config: TreeConfig) -> Self {
+        let root = Node::empty(wft_queue::Timestamp::ZERO);
+        Self::with_root(config, PresenceIndex::new(), IdAllocator::new(), root, 0)
+    }
+
+    /// A tree over `root`, holding the `len` keys `presence` marks present,
+    /// whose nodes took their ids from `ids`.
+    fn with_root(
+        config: TreeConfig,
+        presence: PresenceIndex<K, V>,
+        ids: IdAllocator,
+        root: Node<K, V, A, S>,
+        len: u64,
+    ) -> Self {
         config.validate();
         WaitFreeTree {
             // The first announce chunk holds eight threads' slots; more
             // threads are served by later chunks.
             root_queue: WaitFreeRootQueue::new(8),
-            root_child: Atomic::new(Node::empty(wft_queue::Timestamp::ZERO)),
-            presence: PresenceIndex::new(),
-            ids: IdAllocator::new(),
+            root_child: Atomic::new(root),
+            presence,
+            ids,
             config,
             counters: Box::default(),
-            len: AtomicU64::new(0),
+            len: AtomicU64::new(len),
             advertised_ts: AtomicU64::new(0),
             resolved_ts: AtomicU64::new(0),
         }
@@ -152,27 +165,23 @@ impl<K: Key, V: Value, A: Augmentation<K, V>, S: Shape<K>> WaitFreeTree<K, V, A,
         entries: I,
         config: TreeConfig,
     ) -> Self {
-        let mut tree = Self::with_config(config);
         let mut sorted: Vec<(K, V)> = entries.into_iter().collect();
         sorted.sort_by_key(|a| a.0);
         sorted.dedup_by(|a, b| a.0 == b.0);
+        // The index and the root are built before the tree exists: nothing
+        // is swapped, freed or pinned. The index goes first: with its bucket
+        // table (512 KiB) allocated after the nodes, glibc's malloc trimmed
+        // the heap when a dropped tree freed it, and the next build paid the
+        // page faults (a durable store's reopen took 3-5 ms instead of 1.5
+        // on a 2-core x86-64 box).
+        let mut presence = PresenceIndex::new();
         for (key, value) in &sorted {
-            tree.presence.prefill(*key, value.clone());
+            presence.prefill(*key, value.clone());
         }
-        let guard = crossbeam_epoch::pin();
+        let ids = IdAllocator::new();
         let (root, _agg) =
-            build_subtree::<K, V, A, S>(&sorted, S::WHOLE, wft_queue::Timestamp::ZERO, &tree.ids);
-        // The tree is still private to this thread: a plain store is fine and
-        // the initial Empty placeholder can be freed immediately.
-        // ORDERING: AcqRel out of caution only — the tree is still private to this
-        // thread (see above), so the swap cannot race; Release publishes the
-        // prefilled subtree to whichever thread the tree is moved to.
-        let old = tree
-            .root_child
-            .swap(crossbeam_epoch::Owned::new(root), Ordering::AcqRel, &guard);
-        free_subtree_now(old);
-        tree.len.store(sorted.len() as u64, Ordering::Relaxed);
-        tree
+            build_subtree::<K, V, A, S>(&sorted, S::WHOLE, wft_queue::Timestamp::ZERO, &ids);
+        Self::with_root(config, presence, ids, root, sorted.len() as u64)
     }
 
     /// Inserts `key → value`. Returns `true` if the key was absent (the

@@ -94,8 +94,9 @@ use crate::storage::{FsStorage, Storage};
 use crate::wal::{read_wal, WalWriter};
 use crate::DurableError;
 
-/// Chunked snapshot-drain attempts before the checkpoint falls back to a
-/// single whole-range chunk (one validation window instead of many).
+/// Chunked snapshot-drain attempts before the checkpoint falls back to
+/// holding the journal's `apply_gate` for one drain (the store is then
+/// quiescent, so that drain completes `Snapshot`).
 const CHECKPOINT_DRAIN_ATTEMPTS: u32 = 16;
 
 /// Entries per chunk of the checkpoint's snapshot drain.

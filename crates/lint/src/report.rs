@@ -15,14 +15,28 @@ pub fn render(outcome: &Outcome) -> String {
          *Generated by `cargo run -p wft-lint --release` — do not edit by hand.\n\
          CI regenerates this file and fails if it is stale.*\n\n",
     );
+    let mut per_rule = std::collections::BTreeMap::<&str, usize>::new();
+    for w in &outcome.waivers {
+        *per_rule.entry(w.rule.as_str()).or_default() += 1;
+    }
+    let per_rule: Vec<String> = per_rule
+        .iter()
+        .map(|(rule, n)| format!("{rule}: {n}"))
+        .collect();
+    let per_rule = if per_rule.is_empty() {
+        String::new()
+    } else {
+        format!(" ({})", per_rule.join(", "))
+    };
     out.push_str(&format!(
         "Scanned **{}** source files: **{}** documented `unsafe` sites, \
-         **{}** justified non-`Relaxed` atomic lines, **{}** waivers in force, \
+         **{}** justified non-`Relaxed` atomic lines, **{}** waivers in force{}, \
          **{}** violations.\n\n",
         outcome.files_scanned,
         outcome.unsafe_sites.len(),
         outcome.ordering_sites.len(),
         outcome.waivers.len(),
+        per_rule,
         outcome.violations.len(),
     ));
 
@@ -97,12 +111,16 @@ mod tests {
                 kind: "Acquire".into(),
                 justification: "ORDERING: pairs with release".into(),
             }],
-            waivers: vec![Waiver {
-                path: "crates/x/src/a.rs".into(),
-                line: 8,
-                rule: "seqcst".into(),
-                reason: "total order".into(),
-            }],
+            waivers: ["seqcst", "forbidden-api", "seqcst"]
+                .iter()
+                .enumerate()
+                .map(|(n, rule)| Waiver {
+                    path: "crates/x/src/a.rs".into(),
+                    line: 8 + n,
+                    rule: (*rule).into(),
+                    reason: "total order".into(),
+                })
+                .collect(),
             files_scanned: 1,
             ..Outcome::default()
         };
@@ -110,6 +128,7 @@ mod tests {
         let b = render(&outcome);
         assert_eq!(a, b);
         assert!(a.contains("| `crates/x/src/a.rs:3` | unsafe block |"));
+        assert!(a.contains("**3** waivers in force (forbidden-api: 1, seqcst: 2)"));
         assert!(a.contains("## Waivers in force"));
         assert!(!a.contains("## Violations"));
     }

@@ -19,7 +19,7 @@ use crate::store::ShardedStore;
 impl<K: Key, V: Value, A: Augmentation<K, V>> PointMap<K, V> for ShardedStore<K, V, A> {
     fn insert(&self, key: K, value: V) -> UpdateOutcome<V> {
         let shard = self.shard_of(&key);
-        self.gated_write(shard, move || {
+        self.front.gated_write(shard, move || {
             PointMap::insert(&self.shards[shard], key, value)
         })
     }
@@ -32,7 +32,8 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> PointMap<K, V> for ShardedStore<K,
 
     fn remove(&self, key: &K) -> UpdateOutcome<V> {
         let shard = self.shard_of(key);
-        self.gated_write(shard, || PointMap::remove(&self.shards[shard], key))
+        self.front
+            .gated_write(shard, || PointMap::remove(&self.shards[shard], key))
     }
 
     fn get(&self, key: &K) -> Option<V> {

@@ -95,6 +95,14 @@ use wft_seq::{Augmentation, Key, Value};
 
 use crate::store::{shard_trace_arg, ShardedStore};
 
+/// One in-flight point writer in a gate word (the low 32 bits count them).
+const WRITER: u64 = 1;
+/// One epoch step in a gate word (the high 32 bits hold the epoch; its low
+/// bit set means a commit window is open).
+const EPOCH: u64 = 1 << 32;
+/// The writer-count bits of a gate word.
+const WRITERS: u64 = EPOCH - 1;
+
 /// The store-internal front bookkeeping: the per-shard **commit gate**
 /// behind atomic cross-shard batches, plus the store's event counters
 /// (`wft_obs` cells, reported as `store_*` by the store's `MetricsSource`
@@ -102,24 +110,29 @@ use crate::store::{shard_trace_arg, ShardedStore};
 ///
 /// # The commit gate
 ///
-/// Each shard carries a seqlock-style `epoch` (even = open, odd = a batch
-/// commit window is in progress) and a `writers` count of in-flight point
-/// mutations. A gated commit acquires the epochs of every touched shard in
-/// **ascending shard order** (CAS even → odd; ordered acquisition makes
-/// concurrent commits deadlock-free), drains the touched shards' writers
-/// to zero, applies the batch, and releases the epochs (odd → next even).
-/// Point mutations register in `writers` *before* checking the epoch;
-/// point reads and cut acquisitions sandwich their work between two
-/// matching even-epoch observations. Under `SeqCst` this gives exclusion
-/// both ways: a writer that saw an open epoch is visible to the
-/// committer's drain, and a committer that closed the epoch is visible to
-/// the writer's check — so no point op and no validated cut ever overlaps
-/// a commit window on a shard it touches.
+/// Each shard has one gate word: its commit **epoch** in the high 32 bits
+/// (even = open, odd = a batch commit window is in progress) and its count
+/// of in-flight point **writers** in the low 32. Every transition is one
+/// read-modify-write of that word:
+///
+/// * a point writer enters with `fetch_add(1)` and runs only if the epoch
+///   it added to was even; otherwise it takes the 1 back and waits
+///   ([`gated_write`](Self::gated_write));
+/// * a committer closes every touched shard with `fetch_or(1 << 32)` in
+///   **ascending shard order** (so concurrent commits cannot deadlock),
+///   owning a shard's window only if its own `fetch_or` set the bit, then
+///   waits until the touched shards' writer bits read 0, applies the batch,
+///   and reopens each shard with `fetch_add(1 << 32)`, odd to the next even
+///   ([`commit`](Self::commit));
+/// * a point read or a cut settle runs between two loads of the touched
+///   shards' epochs and is kept only if both loads saw the same open
+///   epochs ([`sandwiched`](Self::sandwiched)).
+///
+/// The word's modification order decides who saw whom, so no `SeqCst`
+/// total order is needed (`DESIGN.md`, "Atomic cross-shard commit").
 pub(crate) struct FrontTable {
-    /// Per-shard commit epoch: even = open, odd = commit window.
-    epochs: Box<[AtomicU64]>,
-    /// Per-shard count of in-flight point mutations.
-    writers: Box<[AtomicU64]>,
+    /// Per-shard gate word: epoch in the high 32 bits, writers in the low.
+    gates: Box<[Gate]>,
     /// Batches committed through the gate (`store_batch_commits`).
     pub(crate) batch_commits: Counter,
     /// Global-front acquisitions (`store_snapshot_acquires`).
@@ -136,10 +149,15 @@ pub(crate) struct FrontTable {
     pub(crate) gate_waits: Counter,
 }
 
+/// One shard's gate word, alone on its cache line: one shard's writers do
+/// not bounce the line another shard's readers load.
+#[repr(align(64))]
+struct Gate(AtomicU64);
+
 /// Bounded-friendly wait: spin briefly, then yield the core — commit
 /// windows are short, but a preempted committer must not livelock the
 /// waiters on small machines.
-pub(crate) fn gate_backoff(spins: &mut u32) {
+fn backoff(spins: &mut u32) {
     if *spins < 64 {
         std::hint::spin_loop();
     } else {
@@ -151,16 +169,16 @@ pub(crate) fn gate_backoff(spins: &mut u32) {
 /// One shard read at its cut watermark. While the shard reports
 /// [`FrontMiss::Busy`] — its front has not moved, an operation is merely
 /// mid-flight below its root — the cut is as good as it was, so the same
-/// read is retried through [`gate_backoff`]: nothing is re-settled and
-/// nothing is counted. `None` only once the shard advanced past the cut,
-/// which proves an update linearized on it.
+/// read is retried through [`backoff`]: nothing is re-settled and nothing
+/// is counted. `None` only once the shard advanced past the cut, which
+/// proves an update linearized on it.
 pub(crate) fn read_at_cut<T>(mut read: impl FnMut() -> Result<T, FrontMiss>) -> Option<T> {
     let mut spins = 0u32;
     loop {
         match read() {
             Ok(out) => return Some(out),
             Err(FrontMiss::Expired) => return None,
-            Err(FrontMiss::Busy) => gate_backoff(&mut spins),
+            Err(FrontMiss::Busy) => backoff(&mut spins),
         }
     }
 }
@@ -187,9 +205,16 @@ where
         self.bounds[i - 1]
     }
 
-    /// Epoch-stable: a cut cannot split an atomic batch commit.
+    /// Epoch-stable: the settle, one `store_snapshot_acquires`, is
+    /// sandwiched in the touched shards' open commit epochs (the crate's
+    /// commit gate), so a cut never splits an atomic batch.
     fn settle(&self, first: usize, last: usize) -> Vec<u64> {
-        self.settle_touched_stable(first, last)
+        self.front.sandwiched(first, last, || {
+            self.front.acquires.inc();
+            (first..=last)
+                .map(|i| self.shards[i].settle_front().get())
+                .collect()
+        })
     }
 
     fn advertised(&self, i: usize) -> u64 {
@@ -225,8 +250,7 @@ where
 impl FrontTable {
     pub(crate) fn new(shards: usize) -> Self {
         FrontTable {
-            epochs: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            writers: (0..shards).map(|_| AtomicU64::new(0)).collect(),
+            gates: (0..shards).map(|_| Gate(AtomicU64::new(0))).collect(),
             batch_commits: Counter::new(),
             acquires: Counter::new(),
             retries: Counter::new(),
@@ -236,89 +260,159 @@ impl FrontTable {
         }
     }
 
-    /// The shard's commit epoch if no commit window is open on it.
-    pub(crate) fn epoch_open(&self, shard: usize) -> Option<u64> {
-        // ORDERING: SeqCst epoch read — entry half of the read sandwich, ordered
-        // against the committer's SeqCst epoch bumps.
-        // wft-lint: allow(seqcst) -- the sandwich proof needs epoch reads and commit-window bumps in one total order.
-        let epoch = self.epochs[shard].load(Ordering::SeqCst);
-        epoch.is_multiple_of(2).then_some(epoch)
+    /// Runs one point mutation on `shard` outside any commit window,
+    /// waiting while one is open.
+    pub(crate) fn gated_write<R>(&self, shard: usize, op: impl FnOnce() -> R) -> R {
+        let mut op = Some(op);
+        self.wait(shard_trace_arg(shard), || {
+            if !self.writer_enter(shard) {
+                return None;
+            }
+            let out = (op.take().expect("the op runs exactly once"))();
+            self.writer_exit(shard);
+            Some(out)
+        })
     }
 
-    /// `true` when the shard's epoch still equals `epoch` — the closing
-    /// half of the read sandwich.
-    pub(crate) fn epoch_is(&self, shard: usize, epoch: u64) -> bool {
-        // ORDERING: SeqCst re-read — unchanged means no commit window touched the
-        // shard during the read; exit half of the sandwich.
-        // wft-lint: allow(seqcst) -- same total-order argument as epoch_open.
-        self.epochs[shard].load(Ordering::SeqCst) == epoch
+    /// Runs `read` between two loads of the epochs of shards
+    /// `first..=last` and returns its result once both loads saw the same
+    /// open epochs — a result no commit window on those shards overlapped.
+    pub(crate) fn sandwiched<R>(
+        &self,
+        first: usize,
+        last: usize,
+        mut read: impl FnMut() -> R,
+    ) -> R {
+        let trace = if first == last {
+            shard_trace_arg(first)
+        } else {
+            wft_obs::NO_SHARD
+        };
+        self.wait(trace, || {
+            let before = self.open_epochs(first, last)?;
+            let out = read();
+            (self.open_epochs(first, last) == Some(before)).then_some(out)
+        })
     }
 
-    /// Registers an in-flight point mutation on `shard`. Must happen
-    /// *before* the epoch check (see the commit-gate invariant above).
-    pub(crate) fn writer_enter(&self, shard: usize) {
-        // ORDERING: SeqCst store half of the writer/committer Dekker handshake —
-        // the register must be ordered before the epoch check that follows it.
-        // wft-lint: allow(seqcst) -- store-load ordering against begin_commit's writers drain needs the single total order.
-        self.writers[shard].fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Deregisters a point mutation (applied or backed off).
-    pub(crate) fn writer_exit(&self, shard: usize) {
-        // ORDERING: SeqCst keeps the deregister ordered after the shard mutation
-        // in the same total order the commit gate's drain scan reads.
-        // wft-lint: allow(seqcst) -- symmetric with writer_enter; the drain check relies on the single total order.
-        self.writers[shard].fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Opens a commit window: acquires every touched shard's epoch
-    /// (ascending order — the caller passes `touched` sorted) and drains
-    /// the touched shards' in-flight point mutations.
-    pub(crate) fn begin_commit(&self, touched: &[usize]) {
+    /// Opens a commit window over `touched` (ascending shard indices):
+    /// closes each shard in order, then waits out the point writers already
+    /// inside. Dropping the returned window reopens the shards.
+    pub(crate) fn commit(&self, touched: Vec<usize>) -> CommitWindow<'_> {
         debug_assert!(touched.windows(2).all(|w| w[0] < w[1]));
-        for &shard in touched {
-            let mut spins = 0u32;
-            let mut waited = false;
-            loop {
-                // ORDERING: SeqCst epoch read feeding the CAS below — part of the same
-                // Dekker handshake.
-                // wft-lint: allow(seqcst) -- the gate acquisition must see epoch bumps in the single total order.
-                let epoch = self.epochs[shard].load(Ordering::SeqCst);
-                // ORDERING: SeqCst CAS closes the commit window; the successful bump is
-                // the store half of the Dekker handshake against `writer_enter`.
-                // wft-lint: allow(seqcst) -- the epoch bump must be ordered before the writers drain scan below.
-                if epoch.is_multiple_of(2)
-                    && self.epochs[shard]
-                        .compare_exchange(epoch, epoch + 1, Ordering::SeqCst, Ordering::SeqCst)
-                        .is_ok()
-                {
-                    break;
+        let mut closed = 0;
+        self.wait(wft_obs::NO_SHARD, || {
+            while let Some(&shard) = touched.get(closed) {
+                if !self.close(shard) {
+                    return None;
                 }
-                if !waited {
-                    waited = true;
-                    self.gate_waits.inc();
-                }
-                gate_backoff(&mut spins);
+                closed += 1;
             }
-        }
-        for &shard in touched {
-            let mut spins = 0u32;
-            // ORDERING: SeqCst load half of the Dekker handshake — pairs with
-            // `writer_enter`/`writer_exit`.
-            // wft-lint: allow(seqcst) -- a writer that missed our epoch bump must be visible to this drain scan.
-            while self.writers[shard].load(Ordering::SeqCst) != 0 {
-                gate_backoff(&mut spins);
-            }
+            touched
+                .iter()
+                .all(|&shard| self.drained(shard))
+                .then_some(())
+        });
+        CommitWindow {
+            front: self,
+            touched,
         }
     }
 
-    /// Releases a commit window opened by [`begin_commit`](Self::begin_commit).
-    pub(crate) fn end_commit(&self, touched: &[usize]) {
-        for &shard in touched {
-            // ORDERING: SeqCst reopens the shard in the same total order the read
-            // sandwich uses.
-            // wft-lint: allow(seqcst) -- pairs with the SeqCst epoch reads in epoch_open/epoch_is.
-            self.epochs[shard].fetch_add(1, Ordering::SeqCst);
+    /// The gate's one wait: retries `attempt` until it succeeds, backing
+    /// off in between. A call that waits at all counts one
+    /// `store_commit_gate_waits` and traces one `CommitGateWait`.
+    fn wait<R>(&self, trace: u16, mut attempt: impl FnMut() -> Option<R>) -> R {
+        let mut spins = 0u32;
+        let mut waited = false;
+        loop {
+            if let Some(out) = attempt() {
+                return out;
+            }
+            if !waited {
+                waited = true;
+                self.gate_waits.inc();
+                wft_obs::trace::emit(wft_obs::TraceKind::CommitGateWait, trace);
+            }
+            backoff(&mut spins);
+        }
+    }
+
+    /// The wrapping sum of the epochs of shards `first..=last`, if every
+    /// one is open. Epochs only step forward by one, so the sum is
+    /// unchanged between two calls only if no epoch moved (short of 2^32
+    /// steps in between).
+    fn open_epochs(&self, first: usize, last: usize) -> Option<u32> {
+        let mut sum = 0u32;
+        for gate in &self.gates[first..=last] {
+            // ORDERING: Acquire pairs with `reopen`'s Release: a read after an
+            // open epoch sees every effect of the window that ended there.
+            let word = gate.0.load(Ordering::Acquire);
+            if word & EPOCH != 0 {
+                return None;
+            }
+            sum = sum.wrapping_add((word >> 32) as u32);
+        }
+        Some(sum)
+    }
+
+    /// Registers a point writer on `shard`; `false` (and nothing
+    /// registered) if a commit window is open on it.
+    fn writer_enter(&self, shard: usize) -> bool {
+        // ORDERING: Acquire pairs with `reopen`'s Release: the write happens
+        // after every window reopened before it. The RMW's place in the
+        // word's modification order decides it against `close`.
+        let old = self.gates[shard].0.fetch_add(WRITER, Ordering::Acquire);
+        if old & EPOCH == 0 {
+            return true;
+        }
+        self.gates[shard].0.fetch_sub(WRITER, Ordering::Relaxed);
+        false
+    }
+
+    /// Deregisters a point writer that ran.
+    fn writer_exit(&self, shard: usize) {
+        // ORDERING: Release pairs with `drained`'s Acquire: the write happens
+        // before the window that waited for it.
+        self.gates[shard].0.fetch_sub(WRITER, Ordering::Release);
+    }
+
+    /// Sets `shard`'s epoch odd; `true` if this call closed it, `false` if
+    /// another committer's window is open.
+    fn close(&self, shard: usize) -> bool {
+        // ORDERING: Acquire pairs with `reopen`'s Release: this window comes
+        // after the one before it. Writers enter by RMWs of the same word.
+        self.gates[shard].0.fetch_or(EPOCH, Ordering::Acquire) & EPOCH == 0
+    }
+
+    /// `true` once no point writer is inside `shard`.
+    fn drained(&self, shard: usize) -> bool {
+        // ORDERING: Acquire pairs with `writer_exit`'s Release: the window's
+        // applies come after every write that was inside.
+        self.gates[shard].0.load(Ordering::Acquire) & WRITERS == 0
+    }
+
+    /// Steps `shard`'s epoch from odd to the next even.
+    fn reopen(&self, shard: usize) {
+        // ORDERING: Release pairs with the Acquire of `open_epochs`,
+        // `writer_enter` and `close`: the window's applies happen before
+        // whatever enters after it.
+        self.gates[shard].0.fetch_add(EPOCH, Ordering::Release);
+    }
+}
+
+/// An open commit window over `touched` shards; dropping it reopens them
+/// (also on unwind, so a panicking op cannot leave the gate closed and
+/// deadlock every waiter).
+pub(crate) struct CommitWindow<'a> {
+    front: &'a FrontTable,
+    touched: Vec<usize>,
+}
+
+impl Drop for CommitWindow<'_> {
+    fn drop(&mut self) {
+        for &shard in &self.touched {
+            self.front.reopen(shard);
         }
     }
 }
@@ -354,35 +448,37 @@ mod tests {
     #[test]
     fn commit_gate_closes_and_reopens_epochs() {
         let table = FrontTable::new(3);
-        let e0 = table.epoch_open(0).expect("shard 0 starts open");
-        table.begin_commit(&[0, 2]);
-        assert_eq!(table.epoch_open(0), None, "touched shard is closed");
-        assert_eq!(table.epoch_open(2), None);
-        let e1 = table.epoch_open(1).expect("untouched shard stays open");
-        assert!(table.epoch_is(1, e1));
-        table.end_commit(&[0, 2]);
-        let e0_after = table.epoch_open(0).expect("released shard reopens");
+        let e0 = table.open_epochs(0, 0).expect("shard 0 starts open");
+        let window = table.commit(vec![0, 2]);
+        assert_eq!(table.open_epochs(0, 0), None, "touched shard is closed");
+        assert_eq!(table.open_epochs(2, 2), None);
+        assert_eq!(table.open_epochs(0, 2), None, "a range over a closed shard");
+        let e1 = table.open_epochs(1, 1).expect("untouched shard stays open");
+        assert_eq!(table.sandwiched(1, 1, || 7), 7, "and reads through");
+        assert_eq!(table.open_epochs(1, 1), Some(e1));
+        drop(window);
+        let e0_after = table.open_epochs(0, 0).expect("released shard reopens");
         assert_eq!(e0_after, e0 + 2, "each window advances the epoch by 2");
+        assert!(table.open_epochs(0, 2).is_some());
+        assert_eq!(table.gate_waits.value(), 0, "nothing waited");
     }
 
     #[test]
     fn commit_waits_for_registered_writers() {
-        // A writer registered before the window opens must block the
-        // commit until it exits; one registered after sees a closed epoch.
+        // A writer inside before the window opens must block the commit
+        // until it exits; one arriving after sees a closed epoch.
         let table = std::sync::Arc::new(FrontTable::new(1));
-        table.writer_enter(0);
+        assert!(table.writer_enter(0));
         let bg = {
             let table = std::sync::Arc::clone(&table);
-            std::thread::spawn(move || {
-                table.begin_commit(&[0]);
-                table.end_commit(&[0]);
-            })
+            std::thread::spawn(move || drop(table.commit(vec![0])))
         };
         // Wait until the committer has closed the epoch; it must then park
-        // in the writer drain for as long as the writer stays registered.
-        while table.epoch_open(0).is_some() {
+        // in the writer drain for as long as the writer stays inside.
+        while table.open_epochs(0, 0).is_some() {
             std::hint::spin_loop();
         }
+        assert!(!table.writer_enter(0), "a closed shard admits no writer");
         std::thread::sleep(std::time::Duration::from_millis(5));
         assert!(
             !bg.is_finished(),
@@ -390,6 +486,127 @@ mod tests {
         );
         table.writer_exit(0);
         bg.join().unwrap();
-        assert!(table.epoch_open(0).is_some());
+        assert!(table.open_epochs(0, 0).is_some());
+        assert_eq!(table.gate_waits.value(), 1, "one blocked commit, one wait");
+    }
+
+    /// Two point writers, two committers and one sandwich reader on two
+    /// shards of one table. Test-side counters record who is inside: a
+    /// window's owner checks it is alone and no writer is inside, a writer
+    /// checks no window is held, and each window bumps its shards' window
+    /// counters once on open and once before close, so a validated read
+    /// that overlapped a window sees an odd counter or a moved one.
+    #[test]
+    fn gate_excludes_writers_committers_and_straddling_reads() {
+        use std::sync::atomic::{AtomicBool, AtomicU32};
+        use std::sync::Barrier;
+
+        const WINDOWS: u32 = 2000;
+        let spin = |n: u32| (0..n).for_each(|_| std::hint::spin_loop());
+        let table = FrontTable::new(2);
+        let holders = [AtomicU32::new(0), AtomicU32::new(0)];
+        let writers_inside = [AtomicU32::new(0), AtomicU32::new(0)];
+        let bumps = [AtomicU64::new(0), AtomicU64::new(0)];
+        // A writer must not panic inside the gate (a committer would wait on
+        // it forever), so it flags what it saw instead.
+        let writer_met_window = AtomicBool::new(false);
+        let done = AtomicBool::new(false);
+        let start = Barrier::new(5);
+        let (committed, read) = std::thread::scope(|s| {
+            let committers: Vec<_> = (0..2)
+                .map(|c| {
+                    let (table, holders, writers_inside, bumps, start) =
+                        (&table, &holders, &writers_inside, &bumps, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        for n in 0..WINDOWS {
+                            let touched = if n % 2 == 0 { vec![0, 1] } else { vec![c] };
+                            let _window = table.commit(touched.clone());
+                            for &i in &touched {
+                                assert_eq!(holders[i].fetch_add(1, Ordering::SeqCst), 0);
+                                assert_eq!(writers_inside[i].load(Ordering::SeqCst), 0);
+                                bumps[i].fetch_add(1, Ordering::SeqCst);
+                            }
+                            spin(50);
+                            for &i in &touched {
+                                bumps[i].fetch_add(1, Ordering::SeqCst);
+                                assert_eq!(writers_inside[i].load(Ordering::SeqCst), 0);
+                                holders[i].fetch_sub(1, Ordering::SeqCst);
+                            }
+                        }
+                    })
+                })
+                .collect();
+            let writers: Vec<_> = (0..2)
+                .map(|w| {
+                    let (table, holders, writers_inside, met, done, start) = (
+                        &table,
+                        &holders,
+                        &writers_inside,
+                        &writer_met_window,
+                        &done,
+                        &start,
+                    );
+                    s.spawn(move || {
+                        start.wait();
+                        loop {
+                            table.gated_write(w, || {
+                                writers_inside[w].fetch_add(1, Ordering::SeqCst);
+                                if holders[w].load(Ordering::SeqCst) != 0 {
+                                    met.store(true, Ordering::SeqCst);
+                                }
+                                writers_inside[w].fetch_sub(1, Ordering::SeqCst);
+                            });
+                            if done.load(Ordering::SeqCst) {
+                                return;
+                            }
+                        }
+                    })
+                })
+                .collect();
+            let reader = {
+                let (table, bumps, done, start) = (&table, &bumps, &done, &start);
+                s.spawn(move || {
+                    start.wait();
+                    loop {
+                        let (before, after) = table.sandwiched(0, 1, || {
+                            let before = [0, 1].map(|i| bumps[i].load(Ordering::SeqCst));
+                            spin(50);
+                            let after = [0, 1].map(|i| bumps[i].load(Ordering::SeqCst));
+                            (before, after)
+                        });
+                        assert_eq!(before, after, "a window opened and closed inside the read");
+                        assert!(before.iter().all(|b| b % 2 == 0), "read inside a window");
+                        if done.load(Ordering::SeqCst) {
+                            return;
+                        }
+                    }
+                })
+            };
+            let committed: Vec<_> = committers.into_iter().map(|c| c.join()).collect();
+            done.store(true, Ordering::SeqCst);
+            for w in writers {
+                w.join().unwrap();
+            }
+            (committed, reader.join())
+        });
+        for outcome in committed.into_iter().chain([read]) {
+            if let Err(panic) = outcome {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        assert!(
+            !writer_met_window.load(Ordering::SeqCst),
+            "a writer was inside a held window"
+        );
+        // Shard `i` gets committer `i`'s every window and the other's
+        // two-shard half, two bumps each.
+        let bumped = 2 * (WINDOWS + WINDOWS / 2) as u64;
+        assert_eq!(
+            bumps.map(|b| b.into_inner()),
+            [bumped; 2],
+            "every window ran"
+        );
+        assert!(table.open_epochs(0, 1).is_some(), "every window reopened");
     }
 }

@@ -52,7 +52,7 @@
 //! atomic).
 
 use wft_api::apply_op;
-use wft_core::{cut, Timestamp, WaitFreeTree};
+use wft_core::{cut, ScanCut, Timestamp, WaitFreeTree};
 use wft_seq::{Augmentation, Key, Size, Value};
 
 use crate::front::FrontTable;
@@ -197,7 +197,8 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
     /// Inserts `key → value`; returns `true` if the key was absent.
     pub fn insert(&self, key: K, value: V) -> bool {
         let shard = self.shard_of(&key);
-        self.gated_write(shard, move || self.shards[shard].insert(key, value))
+        self.front
+            .gated_write(shard, move || self.shards[shard].insert(key, value))
     }
 
     /// Inserts `key → value`, returning the value it replaced, if any.
@@ -208,7 +209,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
     /// reader can observe the key absent.
     pub fn insert_or_replace(&self, key: K, value: V) -> Option<V> {
         let shard = self.shard_of(&key);
-        self.gated_write(shard, move || {
+        self.front.gated_write(shard, move || {
             self.shards[shard].insert_or_replace(key, value)
         })
     }
@@ -216,25 +217,29 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
     /// Removes `key`; returns `true` if it was present.
     pub fn remove(&self, key: &K) -> bool {
         let shard = self.shard_of(key);
-        self.gated_write(shard, || self.shards[shard].remove(key))
+        self.front
+            .gated_write(shard, || self.shards[shard].remove(key))
     }
 
     /// Removes `key` and returns its value, if any.
     pub fn remove_entry(&self, key: &K) -> Option<V> {
         let shard = self.shard_of(key);
-        self.gated_write(shard, || self.shards[shard].remove_entry(key))
+        self.front
+            .gated_write(shard, || self.shards[shard].remove_entry(key))
     }
 
     /// Whether `key` is present.
     pub fn contains(&self, key: &K) -> bool {
         let shard = self.shard_of(key);
-        self.gated_read(shard, || self.shards[shard].contains(key))
+        self.front
+            .sandwiched(shard, shard, || self.shards[shard].contains(key))
     }
 
     /// The value stored under `key`, if any.
     pub fn get(&self, key: &K) -> Option<V> {
         let shard = self.shard_of(key);
-        self.gated_read(shard, || self.shards[shard].get(key))
+        self.front
+            .sandwiched(shard, shard, || self.shards[shard].get(key))
     }
 
     /// Atomic read-modify-write: stores `patch(current)` at `key` (`None`
@@ -289,7 +294,7 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
             return self.shards[0].len();
         }
         for _ in 0..Self::LEN_CUT_ATTEMPTS {
-            let fronts = self.settle_touched_stable(0, self.shards.len() - 1);
+            let fronts = ScanCut::settle(self, 0, self.shards.len() - 1);
             let sum: u64 = self.shards.iter().map(WaitFreeTree::len).sum();
             match self
                 .shards
@@ -352,7 +357,9 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
             // One shard's read is linearizable on its own, but it must not
             // land inside a commit window (a multi-op batch group on this
             // shard applies op by op) — the epoch sandwich excludes that.
-            return self.gated_read(first, || self.shards[first].range_agg(min, max));
+            return self
+                .front
+                .sandwiched(first, first, || self.shards[first].range_agg(min, max));
         }
         cut::range_agg(self, min, max)
     }
@@ -371,7 +378,9 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
         if first == self.shard_of(&max) {
             // Epoch-sandwiched for the same reason as `range_agg`'s
             // single-shard fast path.
-            return self.gated_read(first, || self.shards[first].collect_range(min, max));
+            return self
+                .front
+                .sandwiched(first, first, || self.shards[first].collect_range(min, max));
         }
         cut::collect_range(self, min, max)
     }
@@ -388,103 +397,6 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
             .then(|| A::count_of(&self.range_agg(min, max)))
             .flatten()
             .unwrap_or_else(|| self.collect_range(min, max).len() as u64)
-    }
-
-    // -- per-shard cuts ----------------------------------------------------
-
-    /// Settles the fronts of shards `first..=last` (`result[i - first]` is
-    /// shard `i`'s watermark) **outside any commit window**: the settle,
-    /// one `store_snapshot_acquires`, is sandwiched between matching
-    /// even-epoch observations of every touched shard, so the cut can never
-    /// have been acquired while an atomic batch was half-applied. Together
-    /// with per-shard watermark validation this makes every cut read
-    /// all-or-nothing with respect to gated batches: a batch's every
-    /// mutation advances its shard's watermark inside the window, so a
-    /// validated read over a cut acquired entirely before (after) the
-    /// window sees none (all) of the batch — acquiring *during* the window
-    /// was the only way to straddle it, and the sandwich excludes exactly
-    /// that. Waits (bounded backoff) while a window is open on a touched
-    /// shard, counting one `store_commit_gate_waits` per blocked
-    /// call.
-    pub(crate) fn settle_touched_stable(&self, first: usize, last: usize) -> Vec<u64> {
-        let mut spins = 0u32;
-        let mut waited = false;
-        loop {
-            let epochs: Option<Vec<u64>> =
-                (first..=last).map(|i| self.front.epoch_open(i)).collect();
-            if let Some(epochs) = epochs {
-                self.front.acquires.inc();
-                let fronts: Vec<u64> = (first..=last)
-                    .map(|i| self.shards[i].settle_front().get())
-                    .collect();
-                if (first..=last)
-                    .zip(&epochs)
-                    .all(|(i, &e)| self.front.epoch_is(i, e))
-                {
-                    return fronts;
-                }
-            }
-            if !waited {
-                waited = true;
-                self.front.gate_waits.inc();
-                wft_obs::trace::emit(wft_obs::TraceKind::CommitGateWait, wft_obs::NO_SHARD);
-            }
-            crate::front::gate_backoff(&mut spins);
-        }
-    }
-
-    // -- the commit gate (point-op side) ----------------------------------
-
-    /// Runs one point mutation on `shard` under the commit gate: registers
-    /// in the shard's writer count, verifies no commit window is open, and
-    /// applies. Registration happens *before* the epoch check — the order
-    /// that guarantees a committer's writer drain sees every writer that
-    /// saw an open epoch (see [`crate::front`]'s gate invariant). A call
-    /// that finds the window closed deregisters, backs off and retries,
-    /// counting one `store_commit_gate_waits`.
-    pub(crate) fn gated_write<R>(&self, shard: usize, op: impl FnOnce() -> R) -> R {
-        let mut op = Some(op);
-        let mut spins = 0u32;
-        let mut waited = false;
-        loop {
-            self.front.writer_enter(shard);
-            if self.front.epoch_open(shard).is_some() {
-                let out = (op.take().expect("the op runs exactly once"))();
-                self.front.writer_exit(shard);
-                return out;
-            }
-            self.front.writer_exit(shard);
-            if !waited {
-                waited = true;
-                self.front.gate_waits.inc();
-                wft_obs::trace::emit(wft_obs::TraceKind::CommitGateWait, shard_trace_arg(shard));
-            }
-            crate::front::gate_backoff(&mut spins);
-        }
-    }
-
-    /// Runs one point read on `shard` sandwiched in an even commit epoch:
-    /// the read's result is returned only if no commit window opened on the
-    /// shard across it, so a point read never observes a half-applied
-    /// batch. (The underlying tree read is linearizable on its own; the
-    /// sandwich only adds the batch-atomicity exclusion.)
-    pub(crate) fn gated_read<R>(&self, shard: usize, read: impl Fn() -> R) -> R {
-        let mut spins = 0u32;
-        let mut waited = false;
-        loop {
-            if let Some(epoch) = self.front.epoch_open(shard) {
-                let out = read();
-                if self.front.epoch_is(shard, epoch) {
-                    return out;
-                }
-            }
-            if !waited {
-                waited = true;
-                self.front.gate_waits.inc();
-                wft_obs::trace::emit(wft_obs::TraceKind::CommitGateWait, shard_trace_arg(shard));
-            }
-            crate::front::gate_backoff(&mut spins);
-        }
     }
 
     /// Records one discarded cross-shard read attempt: bumps
@@ -545,17 +457,17 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
     /// gate over every touched shard (ascending order, waiting out
     /// in-flight point writers), applies the per-shard groups, and releases
     /// the gate — at which point the whole batch becomes visible to cut
-    /// readers at once. The guard releases the window even if an op panics,
-    /// so waiters never deadlock on a poisoned commit.
+    /// readers at once. The window reopens even if an op panics, so
+    /// waiters never deadlock on a poisoned commit.
     fn commit_plan(&self, plan: BatchPlan<K, V>) -> Vec<OpOutcome<V>> {
         let touched = plan.touched_shards();
         if touched.is_empty() {
             return Vec::new();
         }
-        let guard = CommitGuard::begin(&self.front, touched);
+        let shards_touched = touched.len();
+        let window = self.front.commit(touched);
         let outcomes = self.run_plan(plan);
-        let shards_touched = guard.touched.len();
-        drop(guard);
+        drop(window);
         self.front.batch_commits.inc();
         wft_obs::trace::emit(
             wft_obs::TraceKind::BatchCommit,
@@ -583,7 +495,9 @@ impl<K: Key, V: Value, A: Augmentation<K, V>> ShardedStore<K, V, A> {
             wft_api::validate_batch(&batch, self.config.max_batch_ops)?;
             let op = batch.pop().expect("a one-op batch");
             let shard = self.shard_of(op.key());
-            let outcome = self.gated_write(shard, move || apply_op(&self.shards[shard], op));
+            let outcome = self
+                .front
+                .gated_write(shard, move || apply_op(&self.shards[shard], op));
             return Ok(vec![outcome]);
         }
         let plan = self.plan_batch(batch)?;
@@ -638,27 +552,6 @@ pub(crate) fn shard_trace_arg(shard: usize) -> u16 {
     u16::try_from(shard)
         .unwrap_or(wft_obs::NO_SHARD - 1)
         .min(wft_obs::NO_SHARD - 1)
-}
-
-/// An open commit window over `touched` shards; dropping it releases the
-/// window (also on unwind, so a panicking op cannot leave the gate closed
-/// and deadlock every waiter).
-struct CommitGuard<'a> {
-    front: &'a FrontTable,
-    touched: Vec<usize>,
-}
-
-impl<'a> CommitGuard<'a> {
-    fn begin(front: &'a FrontTable, touched: Vec<usize>) -> Self {
-        front.begin_commit(&touched);
-        CommitGuard { front, touched }
-    }
-}
-
-impl Drop for CommitGuard<'_> {
-    fn drop(&mut self) {
-        self.front.end_commit(&self.touched);
-    }
 }
 
 /// Picks up to `shards - 1` strictly increasing split keys from a sample of
